@@ -55,6 +55,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::color::COLOR_SPACE;
+use crate::event::Event;
+use crate::fault::FaultCtl;
+use crate::metrics::CoreMetrics;
 
 /// Occupancy limits enforced at the injection admission boundary.
 ///
@@ -265,13 +268,13 @@ pub(crate) struct AdmissionCtl {
     /// unless `limits.per_color_events` is set, so unbounded runtimes
     /// pay neither the 256 KiB allocation nor the counter maintenance.
     per_color: Option<Box<[AtomicU32]>>,
-    pub(crate) rejects: AtomicU64,
-    pub(crate) shed_requests: AtomicU64,
-    pub(crate) shed_by_color: AtomicU64,
+    rejects: AtomicU64,
+    shed_requests: AtomicU64,
+    shed_by_color: AtomicU64,
     /// Events dropped at the admission boundary because their color was
     /// quarantined (see [`crate::fault`]); drain-side quarantine
     /// discards are counted per core instead.
-    pub(crate) shed_by_fault: AtomicU64,
+    shed_by_fault: AtomicU64,
 }
 
 impl AdmissionCtl {
@@ -309,7 +312,7 @@ impl AdmissionCtl {
     /// allows it. Exact under concurrent producers: the increment is the
     /// reservation, rolled back when it overshoots, so occupancy never
     /// exceeds `cap` and repeated rejected attempts do not creep it up.
-    pub(crate) fn try_claim_color(&self, slot: usize, cap: u32) -> bool {
+    fn try_claim_color(&self, slot: usize, cap: u32) -> bool {
         let Some(pc) = &self.per_color else {
             return true;
         };
@@ -338,6 +341,50 @@ impl AdmissionCtl {
             .map_or(0, |pc| pc[slot].load(Ordering::Acquire))
     }
 
+    /// The fallible admission decision for one event, the same on both
+    /// executors: the quarantine gate, then the configured
+    /// [`QueueLimits`] against the `(per-core, inbox)` occupancy the
+    /// executor reads for the event's owning core — per-core, then
+    /// inbox, then per-color, the color claim last so a failure never
+    /// needs a rollback of an earlier check. On success the event holds
+    /// a per-color in-flight slot (when that limit is set), released
+    /// when it is dispatched.
+    pub(crate) fn admit(
+        &self,
+        faults: &FaultCtl,
+        ev: &mut Event,
+        occupancy: impl FnOnce() -> (u64, u64),
+    ) -> Result<(), Overload> {
+        // The quarantine gate precedes the unbounded fast path: a
+        // poisoned color rejects even on a runtime with no queue limits
+        // configured. `Overload::reason` tells the producer this is not
+        // backpressure — there is no occupancy to drain, so no hint.
+        if faults.is_quarantined(ev.color()) {
+            return Err(self.overload(OverloadReason::Quarantined, 0));
+        }
+        if self.is_unbounded() {
+            return Ok(());
+        }
+        let (core_occ, inbox_occ) = occupancy();
+        if let Some(cap) = self.limits.per_core_events {
+            if core_occ >= u64::from(cap) {
+                return Err(self.overload(OverloadReason::PerCoreFull, core_occ));
+            }
+        }
+        if let Some(cap) = self.limits.inbox_backlog {
+            if inbox_occ >= u64::from(cap) {
+                return Err(self.overload(OverloadReason::InboxBacklog, inbox_occ));
+            }
+        }
+        if let Some(cap) = self.limits.per_color_events {
+            if !self.try_claim_color(ev.color().value() as usize, cap) {
+                return Err(self.overload(OverloadReason::ColorHot, u64::from(cap)));
+            }
+            ev.color_counted = true;
+        }
+        Ok(())
+    }
+
     /// Builds the [`Overload`] for a rejection, deriving the retry hint
     /// from the observed backlog.
     pub(crate) fn overload(&self, reason: OverloadReason, backlog: u64) -> Overload {
@@ -345,6 +392,17 @@ impl AdmissionCtl {
             reason,
             retry_after_hint: backlog.saturating_mul(RETRY_HINT_PER_EVENT_CYCLES),
         }
+    }
+
+    /// Writes the reject/shed totals into core 0's slot of a report:
+    /// they are counted runtime-global (producers are not cores) and
+    /// cumulative across runs. Quarantine sheds join (`+=`) the core's
+    /// own pop-time discards.
+    pub(crate) fn attribute_to(&self, core0: &mut CoreMetrics) {
+        core0.admission_rejects = self.rejects.load(Ordering::Relaxed);
+        core0.shed_requests = self.shed_requests.load(Ordering::Relaxed);
+        core0.shed_by_color = self.shed_by_color.load(Ordering::Relaxed);
+        core0.shed_by_fault += self.shed_by_fault.load(Ordering::Relaxed);
     }
 
     /// Counts one rejected admission attempt.
@@ -379,7 +437,6 @@ impl fmt::Debug for AdmissionCtl {
 mod tests {
     use super::*;
     use crate::color::Color;
-    use crate::event::Event;
     use crate::exec::{ExecKind, Executor};
     use crate::runtime::RuntimeBuilder;
 

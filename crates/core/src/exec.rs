@@ -362,52 +362,20 @@ impl SimMailbox {
             );
             return Err((ov, entry));
         }
-        // The quarantine gate precedes the unbounded fast path: a
-        // poisoned color rejects even on a runtime with no queue limits
-        // configured. `Overload::reason` tells the producer this is not
-        // backpressure — there is no occupancy to drain, so no hint.
-        if self.faults.is_quarantined(entry.event().color()) {
-            let ov = self.admission.overload(OverloadReason::Quarantined, 0);
-            return Err((ov, entry));
-        }
-        if self.admission.is_unbounded() {
-            self.push_raw(entry);
-            return Ok(Admitted);
-        }
-        let lim = self.admission.limits;
         let color = entry.event().color();
-        if let Some(cap) = lim.per_core_events {
+        let verdict = self.admission.admit(&self.faults, entry.event_mut(), || {
             // Dispatch estimate: the color's home core (exact unless
-            // workstealing moved the color), occupancy as last published
-            // by the run loop.
-            let home = color.home_core(self.num_cores);
-            let occ = self.core_occupancy[home].load(Ordering::Acquire);
-            if occ >= cap {
-                return Err((
-                    self.admission
-                        .overload(OverloadReason::PerCoreFull, u64::from(occ)),
-                    entry,
-                ));
-            }
-        }
-        if let Some(cap) = lim.inbox_backlog {
-            let occ = self.buffered.load(Ordering::Acquire);
-            if occ >= u64::from(cap) {
-                return Err((
-                    self.admission.overload(OverloadReason::InboxBacklog, occ),
-                    entry,
-                ));
-            }
-        }
-        if let Some(cap) = lim.per_color_events {
-            if !self.admission.try_claim_color(color.value() as usize, cap) {
-                return Err((
-                    self.admission
-                        .overload(OverloadReason::ColorHot, u64::from(cap)),
-                    entry,
-                ));
-            }
-            entry.event_mut().color_counted = true;
+            // workstealing moved the color), occupancy as last
+            // published by the run loop (tracked only under a per-core
+            // limit).
+            let core_occ = self.core_occupancy.get(color.home_core(self.num_cores));
+            (
+                core_occ.map_or(0, |occ| u64::from(occ.load(Ordering::Acquire))),
+                self.buffered.load(Ordering::Acquire),
+            )
+        });
+        if let Err(ov) = verdict {
+            return Err((ov, entry));
         }
         self.push_raw(entry);
         Ok(Admitted)
@@ -467,6 +435,11 @@ impl SimMailbox {
             return Vec::new();
         }
         let batch = std::mem::take(&mut *self.queue.lock());
+        // Busy before the count drops: otherwise `stop_when_idle` can
+        // observe "nothing buffered, machine idle" between this drain
+        // and the run loop queueing the batch, and stop a run that has
+        // not executed it yet.
+        self.set_machine_idle(false);
         self.buffered
             .fetch_sub(batch.len() as u64, Ordering::AcqRel);
         batch

@@ -4,11 +4,11 @@
 //! The paper's per-color mutual exclusion gives the runtime a natural
 //! blast-radius unit: everything a faulty handler can have corrupted is
 //! scoped to its color — the handler state keyed by it, the events
-//! queued behind it, the request it was carrying. Both executors
-//! therefore wrap handler dispatch in
+//! queued behind it, the request it was carrying. The dispatch kernel
+//! both executors share therefore wraps the handler in
 //! `catch_unwind(AssertUnwindSafe(..))` and, instead of letting the
 //! panic unwind the worker (which previously aborted the whole run),
-//! record a typed [`Fault`] and apply the configured [`FaultPolicy`]:
+//! records a typed [`Fault`] and applies the configured [`FaultPolicy`]:
 //!
 //! - [`FaultPolicy::QuarantineColor`] (default) — the faulted color is
 //!   quarantined: its queued events are discarded and counted as

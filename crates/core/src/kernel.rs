@@ -1,0 +1,541 @@
+//! The scheduling kernel: what a core does with a popped event and what
+//! it does when it has none, written once for both executors.
+//!
+//! The paper defines one runtime algorithm — pop a color's event, run
+//! its handler, and when idle `construct_core_set` → `can_be_stolen` →
+//! `choose_color_to_steal` → `migrate` (Figure 2). [`dispatch_one`] and
+//! [`steal_attempt`] are that algorithm plus this repository's
+//! admission, fault and accounting rules, monomorphised over a per-core
+//! [`CoreEnv`]. The environment supplies only what genuinely differs
+//! between the simulator and real threads: the clock and how cost is
+//! paid, how a victim's queue is reached, and where a timer or a routed
+//! event goes. The simulator's perturbation draws and the threaded
+//! executor's inbox rescue stay in the drivers.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use crate::admission::AdmissionCtl;
+use crate::color::Color;
+use crate::ctx::{Ctx, CtxEffects};
+use crate::event::Event;
+use crate::fault::{kind_of_panic, Fault, FaultCtl, FaultKind, FaultPolicy, InjectedPanicMarker};
+use crate::fuzz::ScheduleRng;
+use crate::handler::HandlerRegistry;
+use crate::metrics::CoreMetrics;
+use crate::steal::{StealContext, StealPolicy};
+
+/// A pending delayed registration, ordered by due time then
+/// registration order (both executors keep a min-heap of these).
+pub(crate) struct TimerEntry {
+    pub due: u64,
+    pub seq: u64,
+    pub event: Event,
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        (self.due, self.seq) == (other.due, other.seq)
+    }
+}
+impl Eq for TimerEntry {}
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.due, self.seq).cmp(&(other.due, other.seq))
+    }
+}
+
+/// The scheduling state every core has, borrowed from wherever its
+/// executor keeps it.
+pub(crate) struct CoreState<'a> {
+    pub core: usize,
+    pub metrics: &'a mut CoreMetrics,
+    pub faults: &'a FaultCtl,
+    pub admission: &'a AdmissionCtl,
+    pub registry: &'a HandlerRegistry,
+    /// The fault-injection draw stream (`Some` iff a plan is armed).
+    pub fault_rng: Option<&'a mut ScheduleRng>,
+    pub policy: &'a dyn StealPolicy,
+    pub steal_ctx: StealContext<'a>,
+}
+
+/// One core of one executor, as the kernel sees it.
+pub(crate) trait CoreEnv {
+    fn state(&mut self) -> CoreState<'_>;
+
+    /// The time a handler reads through [`Ctx::now`].
+    fn now(&self) -> u64;
+    /// Pays what is known before the handler runs (dispatch, declared
+    /// cost and data set); the returned stamp goes to `finish_event`.
+    fn start_event(&mut self, ev: &Event) -> u64;
+    /// Pays the handler's charges and touches (`fx` is `None` when it
+    /// panicked) and returns the cycles the whole dispatch took.
+    fn finish_event(&mut self, stamp: u64, color: Color, fx: Option<&CtxEffects>) -> u64;
+
+    /// Arms a timer `delay` cycles from now.
+    fn schedule(&mut self, delay: u64, ev: Event);
+    /// Sends a handler-registered event to the core owning its color.
+    fn route(&mut self, ev: Event);
+    fn request_stop(&mut self);
+
+    /// Opens a steal attempt: its start stamp and one pending-work
+    /// estimate per running core.
+    fn steal_begin(&mut self) -> (u64, Vec<usize>);
+    /// The perturbation point between victim choice and the visits.
+    fn perturb_victims(&mut self, _victims: &mut [usize]) {}
+    /// Cheap unlocked check that visiting `v` can pay off (idle cores
+    /// poll every victim, so this is the hot part of a futile attempt).
+    fn worth_visiting(&self, v: usize) -> bool;
+    /// Moves up to `budget` whole colors (and their ownership) from
+    /// `v`'s queue into this core's, under the executor's locking.
+    /// Returns the events and declared cost moved, `None` when nothing
+    /// was stealable.
+    fn migrate(&mut self, v: usize, budget: usize) -> Option<(u64, u64)>;
+    /// Closes the attempt opened at `t0`: the cycles of steal work when
+    /// `stolen`, of wasted time otherwise.
+    fn steal_end(&mut self, t0: u64, stolen: bool) -> u64;
+    /// Feeds one monitored steal duration to the runtime's estimate
+    /// ([`crate::cost::Ewma`]), the time-left heuristic's threshold.
+    fn record_steal_cost(&mut self, cycles: u64);
+}
+
+/// Counts one event lost to a quarantined color.
+fn shed_by_fault(m: &mut CoreMetrics, ev: &Event) {
+    m.shed_by_fault += 1;
+    if ev.carries_request {
+        m.failed_requests += 1;
+    }
+}
+
+/// Executes one popped event: admission-slot release, quarantine gate,
+/// fault-plan draws, contained handler run, then either the fault
+/// record and [`FaultPolicy`] or the completion accounting and the
+/// handler's buffered effects.
+pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
+    let color = ev.color();
+    let st = env.state();
+    let me = st.core;
+    if ev.color_counted {
+        // The admission boundary claimed a per-color in-flight slot for
+        // this event; dispatching it frees the slot.
+        st.admission.release_color(color.value() as usize);
+    }
+    // Lazy quarantine drain: a poisoned color's events already queued
+    // (or arriving via timers and steals) are discarded at pop time, so
+    // the queues shrink through their normal machinery.
+    if st.faults.is_quarantined(color) {
+        shed_by_fault(st.metrics, &ev);
+        return;
+    }
+    // Seeded fault injection: the drop and panic decisions each consume
+    // one draw per dispatch whenever a plan is armed (even at rate
+    // zero), so changing one rate never shifts the other's sites.
+    let mut inject_panic = false;
+    if let (Some(plan), Some(rng)) = (st.faults.plan, st.fault_rng) {
+        if rng.chance(plan.drop_per_million, 1_000_000) {
+            st.metrics
+                .note_fault(Some(color), FaultKind::InjectedDrop.code(), ev.seq);
+            if ev.carries_request {
+                st.metrics.failed_requests += 1;
+            }
+            st.faults.record(Fault {
+                color: Some(color),
+                handler: ev.handler(),
+                kind: FaultKind::InjectedDrop,
+            });
+            return;
+        }
+        inject_panic = rng.chance(plan.panic_per_million, 1_000_000);
+    }
+
+    // The handler's effects are buffered and applied only on normal
+    // return: a panicking execution discards them wholesale, so a fault
+    // never emits half a fan-out.
+    let stamp = env.start_event(&ev);
+    let mut fx = CtxEffects::default();
+    let action = ev.take_action();
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        if inject_panic {
+            std::panic::panic_any(InjectedPanicMarker);
+        }
+        if let Some(action) = action {
+            action(&mut Ctx::new(me, env.now(), &mut fx));
+        }
+    }))
+    .err();
+    // Time up to and including a faulting dispatch is real: it is
+    // charged, but counts neither an event nor a completion.
+    let elapsed = env.finish_event(stamp, color, unwound.is_none().then_some(&fx));
+    let st = env.state();
+    st.metrics.busy_cycles += elapsed;
+    if let Some(payload) = unwound {
+        let kind = kind_of_panic(payload.as_ref());
+        st.metrics.note_fault(Some(color), kind.code(), ev.seq);
+        if ev.carries_request {
+            st.metrics.failed_requests += 1;
+        }
+        st.faults.record(Fault {
+            color: Some(color),
+            handler: ev.handler(),
+            kind,
+        });
+        match st.faults.policy {
+            FaultPolicy::QuarantineColor => {
+                if st.faults.quarantined.quarantine(color) {
+                    st.metrics.quarantined_colors += 1;
+                }
+            }
+            FaultPolicy::ShedEvent => {}
+            FaultPolicy::Abort => resume_unwind(payload),
+        }
+        return;
+    }
+    st.metrics.events_processed += 1;
+    st.metrics.note_completion(color, ev.seq);
+    for latency in fx.completions() {
+        st.metrics.completed_requests += 1;
+        st.metrics.latency.record(latency);
+    }
+    st.metrics.failed_requests += fx.failed;
+    if let Some(h) = ev.handler() {
+        st.registry.record(h, elapsed);
+    }
+
+    for (mut delay, ev2) in fx.delayed {
+        let st = env.state();
+        if let (Some(plan), Some(rng)) = (st.faults.plan, st.fault_rng) {
+            // Injected late timer: the delay stretches, the event still
+            // fires. Fingerprint coverage comes from the shifted
+            // completion order, not a fault record.
+            if rng.chance(plan.timer_spike_per_million, 1_000_000) {
+                delay += plan.timer_spike_cycles;
+            }
+        }
+        env.schedule(delay, ev2);
+    }
+    for ev2 in fx.registrations {
+        let st = env.state();
+        if st.faults.is_quarantined(ev2.color()) {
+            // A surviving handler fanned out into a poisoned color:
+            // shed at the registration boundary rather than queue work
+            // the drain would discard anyway.
+            shed_by_fault(st.metrics, &ev2);
+            continue;
+        }
+        env.route(ev2);
+    }
+    if fx.stop {
+        env.request_stop();
+    }
+}
+
+/// One full steal attempt (Figure 2): the policy's victims are visited
+/// in order with the policy's per-victim budget; the first successful
+/// migration is accounted (steal, tier, duration) and feeds the
+/// steal-cost estimate. Returns whether events were stolen.
+pub(crate) fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
+    let (t0, loads) = env.steal_begin();
+    let st = env.state();
+    let me = st.core;
+    st.metrics.steal_attempts += 1;
+    let mut victims = st.policy.victims(me, &loads, &st.steal_ctx);
+    env.perturb_victims(&mut victims);
+    for v in victims {
+        if v == me || v >= loads.len() || !env.worth_visiting(v) {
+            continue;
+        }
+        let st = env.state();
+        let budget = st.policy.steal_budget(me, v, &st.steal_ctx).max(1);
+        let Some((events, cost)) = env.migrate(v, budget) else {
+            continue;
+        };
+        let dur = env.steal_end(t0, true);
+        let st = env.state();
+        st.metrics.steals += 1;
+        st.metrics.steal_cycles += dur;
+        st.metrics.stolen_events += events;
+        st.metrics.stolen_cost_cycles += cost;
+        st.metrics
+            .note_steal_tier(st.steal_ctx.domains.tier_of(me, v));
+        env.record_steal_cost(dur);
+        return true;
+    }
+    let wasted = env.steal_end(t0, false);
+    env.state().metrics.failed_steal_cycles += wasted;
+    false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::{AdmissionPolicy, QueueLimits};
+    use crate::fuzz::FaultPlan;
+    use crate::steal::{FlatPolicy, StealDomains, WsPolicy};
+    use mely_topology::MachineModel;
+
+    /// An executor-free environment whose clock never moves: an event
+    /// costs its declaration plus its handler's charge, effects are
+    /// recorded as `(delay, color)` / color, and nothing can be stolen.
+    struct Recording {
+        m: CoreMetrics,
+        faults: FaultCtl,
+        admission: AdmissionCtl,
+        registry: HandlerRegistry,
+        rng: Option<ScheduleRng>,
+        machine: MachineModel,
+        domains: StealDomains,
+        timers: Vec<(u64, u16)>,
+        routed: Vec<u16>,
+        stopped: bool,
+    }
+
+    impl CoreEnv for Recording {
+        fn state(&mut self) -> CoreState<'_> {
+            CoreState {
+                core: 0,
+                metrics: &mut self.m,
+                faults: &self.faults,
+                admission: &self.admission,
+                registry: &self.registry,
+                fault_rng: self.rng.as_mut(),
+                policy: &FlatPolicy,
+                steal_ctx: StealContext {
+                    ws: WsPolicy::base(),
+                    machine: &self.machine,
+                    domains: &self.domains,
+                },
+            }
+        }
+        fn now(&self) -> u64 {
+            0
+        }
+        fn start_event(&mut self, ev: &Event) -> u64 {
+            ev.cost()
+        }
+        fn finish_event(&mut self, stamp: u64, _: Color, fx: Option<&CtxEffects>) -> u64 {
+            stamp + fx.map_or(0, |fx| fx.charged)
+        }
+        fn schedule(&mut self, delay: u64, ev: Event) {
+            self.timers.push((delay, ev.color().value()));
+        }
+        fn route(&mut self, ev: Event) {
+            self.routed.push(ev.color().value());
+        }
+        fn request_stop(&mut self) {
+            self.stopped = true;
+        }
+        fn steal_begin(&mut self) -> (u64, Vec<usize>) {
+            (0, vec![0, 5])
+        }
+        fn worth_visiting(&self, _: usize) -> bool {
+            false
+        }
+        fn migrate(&mut self, _: usize, _: usize) -> Option<(u64, u64)> {
+            None
+        }
+        fn steal_end(&mut self, _: u64, _: bool) -> u64 {
+            777
+        }
+        fn record_steal_cost(&mut self, _: u64) {}
+    }
+
+    /// A request-carrying event of color 7, cost 100, seq 42, whose
+    /// handler charges 30, completes one request, fans out to colors 8
+    /// and 9 (the latter carrying a request), arms a 1 000-cycle timer
+    /// on color 10 and finally runs `tail`.
+    fn event(tail: fn(&mut Ctx<'_>)) -> Event {
+        let mut ev = Event::new(Color::new(7), 100).with_action(move |ctx| {
+            ctx.charge(30);
+            ctx.complete_request(64);
+            ctx.register(Event::new(Color::new(8), 1));
+            let mut carried = Event::new(Color::new(9), 1);
+            carried.carries_request = true;
+            ctx.register(carried);
+            ctx.register_after(1_000, Event::new(Color::new(10), 1));
+            tail(ctx);
+        });
+        ev.seq = 42;
+        ev.carries_request = true;
+        ev
+    }
+
+    /// What a completed `event` leaves in the counters.
+    fn completed() -> CoreMetrics {
+        let mut m = CoreMetrics {
+            events_processed: 1,
+            busy_cycles: 130,
+            completed_requests: 1,
+            ..CoreMetrics::default()
+        };
+        m.latency.record(64);
+        m.note_completion(Color::new(7), 42);
+        m
+    }
+
+    /// What a fault of `kind` on `event` leaves in the counters.
+    fn faulted(kind: FaultKind, busy_cycles: u64, quarantined_colors: u64) -> CoreMetrics {
+        let mut m = CoreMetrics {
+            busy_cycles,
+            failed_requests: 1,
+            quarantined_colors,
+            ..CoreMetrics::default()
+        };
+        m.note_fault(Some(Color::new(7)), kind.code(), 42);
+        m
+    }
+
+    /// The identical `CoreMetrics` deltas and effects both drivers
+    /// produce for each dispatch rule, checked with no executor.
+    #[test]
+    fn dispatch_rules_hold_without_an_executor() {
+        #[derive(Clone, Copy)]
+        struct Case {
+            name: &'static str,
+            policy: FaultPolicy,
+            /// Per-million rates of (drop, panic, timer spike).
+            rates: Option<(u32, u32, u32)>,
+            poisoned: Option<u16>,
+            tail: fn(&mut Ctx<'_>),
+            want: CoreMetrics,
+            routed: &'static [u16],
+            timers: &'static [(u64, u16)],
+            stopped: bool,
+        }
+        const ALWAYS: u32 = 1_000_000;
+        let done = Case {
+            name: "completion applies every buffered effect",
+            policy: FaultPolicy::QuarantineColor,
+            rates: None,
+            poisoned: None,
+            tail: |ctx| ctx.stop_runtime(),
+            want: completed(),
+            routed: &[8, 9],
+            timers: &[(1_000, 10)],
+            stopped: true,
+        };
+        let lost = Case {
+            tail: |_| panic!("boom"),
+            routed: &[],
+            timers: &[],
+            stopped: false,
+            ..done
+        };
+        let panicked =
+            |quarantined| faulted(FaultKind::HandlerPanic(String::new()), 100, quarantined);
+        let cases = [
+            done,
+            Case {
+                name: "a quarantined color's event is shed at pop",
+                poisoned: Some(7),
+                want: CoreMetrics {
+                    shed_by_fault: 1,
+                    failed_requests: 1,
+                    ..CoreMetrics::default()
+                },
+                ..lost
+            },
+            Case {
+                name: "an injected drop loses the event, not the color",
+                rates: Some((ALWAYS, 0, 0)),
+                want: faulted(FaultKind::InjectedDrop, 0, 0),
+                ..lost
+            },
+            Case {
+                name: "a panic discards the effects and quarantines",
+                want: panicked(1),
+                ..lost
+            },
+            Case {
+                name: "ShedEvent keeps the color running",
+                policy: FaultPolicy::ShedEvent,
+                want: panicked(0),
+                ..lost
+            },
+            Case {
+                name: "Abort records the fault, then resumes the unwind",
+                policy: FaultPolicy::Abort,
+                want: panicked(0),
+                ..lost
+            },
+            Case {
+                name: "an injected panic takes the containment path",
+                rates: Some((0, ALWAYS, 0)),
+                tail: |_| {},
+                want: faulted(FaultKind::InjectedPanic, 100, 1),
+                ..lost
+            },
+            Case {
+                name: "a timer spike stretches the delay",
+                rates: Some((0, 0, ALWAYS)),
+                timers: &[(1_500, 10)],
+                ..done
+            },
+            Case {
+                name: "fan-out into a quarantined color is shed",
+                poisoned: Some(9),
+                want: CoreMetrics {
+                    shed_by_fault: 1,
+                    failed_requests: 1,
+                    ..completed()
+                },
+                routed: &[8],
+                ..done
+            },
+        ];
+        for case in cases {
+            let plan = case.rates.map(|(drop, panic, spike)| FaultPlan {
+                seed: 9,
+                panic_per_million: panic,
+                drop_per_million: drop,
+                timer_spike_per_million: spike,
+                timer_spike_cycles: 500,
+            });
+            let machine = MachineModel::xeon_e5410();
+            let mut env = Recording {
+                m: CoreMetrics::default(),
+                faults: FaultCtl::new(case.policy, plan),
+                admission: AdmissionCtl::new(
+                    QueueLimits::default().per_color_events(4),
+                    AdmissionPolicy::Shed,
+                ),
+                registry: HandlerRegistry::new(),
+                rng: plan.map(|p| p.rng()),
+                domains: StealDomains::new(&machine, 2),
+                machine,
+                timers: Vec::new(),
+                routed: Vec::new(),
+                stopped: false,
+            };
+            if let Some(c) = case.poisoned {
+                env.faults.quarantined.quarantine(Color::new(c));
+            }
+            let mut ev = event(case.tail);
+            assert!(env
+                .admission
+                .admit(&FaultCtl::default(), &mut ev, || (0, 0))
+                .is_ok());
+            let unwound = catch_unwind(AssertUnwindSafe(|| dispatch_one(&mut env, ev))).is_err();
+            let name = case.name;
+            assert_eq!(unwound, case.policy == FaultPolicy::Abort, "{name}");
+            assert_eq!(env.m, case.want, "{name}");
+            assert_eq!(env.routed, case.routed, "{name}");
+            assert_eq!(env.timers, case.timers, "{name}");
+            assert_eq!(env.stopped, case.stopped, "{name}");
+            assert_eq!(
+                env.faults.is_quarantined(Color::new(7)),
+                env.m.quarantined_colors == 1 || case.poisoned == Some(7),
+                "{name}"
+            );
+            assert_eq!(
+                env.faults.log_snapshot().len() as u64,
+                env.m.faults,
+                "{name}"
+            );
+            assert_eq!(env.admission.color_occupancy(7), 0, "slot freed: {name}");
+        }
+    }
+}

@@ -26,6 +26,17 @@
 //!   library is an actual runtime and providing the substrate for
 //!   integration tests (and for real speedups on a multicore host).
 //!
+//! One kernel, two drivers: the scheduling decisions — what a core does
+//! with a popped event (admission release, quarantine gate, fault
+//! draws, contained handler run, fault policy, completion metrics,
+//! buffered effects) and one steal attempt (victims, budget, whole-color
+//! migration, steal metrics, cost estimate) — are written once in the
+//! private `kernel` module, generic over a per-core environment. The
+//! environment abstracts the clock and how cost is paid, how a victim's
+//! queue is reached, and where timers and routed events go. It does not
+//! abstract the simulator's perturbation points or the threaded
+//! executor's inbox rescue; those stay in the drivers.
+//!
 //! Both executors sit behind one executor-agnostic API ([`exec`]):
 //! applications are written once against the [`exec::Executor`] and
 //! [`exec::Service`] traits and dispatched to either executor by
@@ -65,6 +76,7 @@ pub mod exec;
 pub mod fault;
 pub mod fuzz;
 pub mod handler;
+mod kernel;
 pub mod metrics;
 pub mod queue;
 pub mod runtime;

@@ -516,26 +516,6 @@ impl RunReport {
         [t.steals_smt, t.steals_llc, t.steals_socket, t.steals_remote]
     }
 
-    /// Successful steals from an SMT sibling.
-    pub fn steals_smt(&self) -> u64 {
-        self.total().steals_smt
-    }
-
-    /// Successful steals from a cache-sharing core.
-    pub fn steals_llc(&self) -> u64 {
-        self.total().steals_llc
-    }
-
-    /// Successful steals from a same-socket core sharing no cache.
-    pub fn steals_socket(&self) -> u64 {
-        self.total().steals_socket
-    }
-
-    /// Successful steals that crossed a socket.
-    pub fn steals_remote(&self) -> u64 {
-        self.total().steals_remote
-    }
-
     /// Events injected through the lock-free inboxes (threaded executor;
     /// always 0 under simulation).
     pub fn inbox_pushes(&self) -> u64 {

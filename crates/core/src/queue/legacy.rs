@@ -14,6 +14,7 @@ use fxhash::FxHashMap;
 
 use crate::color::Color;
 use crate::event::Event;
+use crate::queue::DetachedColorQueue;
 
 /// Libasync-smp's FIFO event queue with per-color pending counters.
 ///
@@ -151,11 +152,32 @@ impl LegacyQueue {
         (out, scanned)
     }
 
-    /// The paper's `migrate`: appends a stolen event set to this queue.
-    pub fn append(&mut self, events: Vec<Event>) {
-        for ev in events {
-            self.push(ev);
+    /// The victim half of a steal: while at least two colors are queued
+    /// (`can_be_stolen`, re-checked per color so the victim always keeps
+    /// work), chooses and scans out up to `budget` whole colors. Also
+    /// returns the events examined: per color, those scanned to choose
+    /// it plus the queue `construct_event_set` then walked (at most
+    /// `walk_cap`); for a visit that finds no color, the fruitless walk.
+    pub(crate) fn steal_take(
+        &mut self,
+        in_flight: Option<Color>,
+        budget: usize,
+        walk_cap: u64,
+    ) -> (Vec<DetachedColorQueue>, u64) {
+        let (mut sets, mut examined) = (Vec::new(), 0);
+        while sets.len() < budget && self.distinct_colors() >= 2 {
+            let walked = (self.len() as u64).min(walk_cap);
+            let Some((color, scanned)) = self.choose_color_to_steal(in_flight) else {
+                if sets.is_empty() {
+                    examined = walked;
+                }
+                break;
+            };
+            examined += scanned as u64 + walked;
+            let (events, _) = self.extract_color(color);
+            sets.push(DetachedColorQueue::from_events(color, events));
         }
+        (sets, examined)
     }
 
     /// Iterates the queued events front-to-back (tests and debugging).
@@ -265,19 +287,6 @@ mod tests {
         q.push(ev(2, 1));
         let (_, scanned) = q.extract_color(Color::new(2));
         assert_eq!(scanned, 3, "must scan the whole queue");
-    }
-
-    #[test]
-    fn append_migrates_sets() {
-        let mut a = LegacyQueue::new();
-        a.push(ev(1, 10));
-        a.push(ev(2, 5));
-        let (set, _) = a.extract_color(Color::new(1));
-        let mut b = LegacyQueue::new();
-        b.append(set);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.count_of(Color::new(1)), 1);
-        assert_eq!(b.total_cost(), 10);
     }
 
     #[test]

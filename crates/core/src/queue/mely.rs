@@ -123,6 +123,25 @@ impl DetachedColorQueue {
             ev.visible_at = ev.visible_at.max(t);
         }
     }
+
+    /// Wraps a color scanned out of a [`crate::queue::LegacyQueue`], so
+    /// both flavors hand a thief the same unit. The weighted sum is
+    /// the plain cost: legacy queues have no stealing-queue to bucket
+    /// it in.
+    pub(crate) fn from_events(color: Color, events: Vec<Event>) -> Self {
+        let cum_cost = events.iter().map(|e| e.cost()).sum();
+        DetachedColorQueue {
+            color,
+            events: events.into(),
+            cum_cost,
+            cum_weighted: cum_cost,
+        }
+    }
+
+    /// The stolen events, oldest first.
+    pub(crate) fn into_events(self) -> VecDeque<Event> {
+        self.events
+    }
 }
 
 /// Number of time-left intervals in the stealing-queue.
@@ -647,6 +666,42 @@ impl MelyQueue {
             cum_cost: cq.cum_cost,
             cum_weighted: cq.cum_weighted,
         }
+    }
+
+    /// The victim half of a steal: detaches up to `budget` color-queues,
+    /// chosen through the stealing-queue under `time_left` and by the
+    /// base half-rule scan otherwise — where `can_be_stolen` is
+    /// re-checked per color, so the victim keeps at least one. Also
+    /// returns the color-queues inspected: per color taken, or by the
+    /// one futile choice when none was.
+    pub(crate) fn steal_take(
+        &mut self,
+        in_flight: Option<Color>,
+        time_left: bool,
+        budget: usize,
+    ) -> (Vec<DetachedColorQueue>, u64) {
+        let (mut sets, mut inspected) = (Vec::new(), 0);
+        while sets.len() < budget {
+            let (slot, scanned) = if time_left {
+                // O(1) lookup in the stealing-queue.
+                (self.choose_worthy(in_flight), 1)
+            } else if !self.can_be_stolen_base() {
+                (None, 0)
+            } else {
+                match self.choose_scan(in_flight) {
+                    Some((slot, scanned)) => (Some(slot), scanned),
+                    None => (None, self.distinct_colors()),
+                }
+            };
+            if slot.is_some() || sets.is_empty() {
+                inspected += scanned as u64;
+            }
+            match slot {
+                Some(slot) => sets.push(self.detach(slot)),
+                None => break,
+            }
+        }
+        (sets, inspected)
     }
 
     /// Absorbs a stolen color-queue (the `migrate` of Figure 2). If a

@@ -20,6 +20,7 @@ pub mod mely;
 pub use legacy::LegacyQueue;
 pub use mely::{DetachedColorQueue, MelyQueue};
 
+use crate::color::Color;
 use crate::event::Event;
 
 /// A per-core queue of either flavor (executors dispatch on this).
@@ -62,6 +63,54 @@ impl QueueImpl {
         }
     }
 
+    /// Unlocked pre-screen of `can_be_stolen` (Figure 2): two distinct
+    /// colors, or — under the time-left heuristic — a worthy color in
+    /// the stealing-queue that is not the one in flight.
+    pub(crate) fn can_be_stolen(&self, in_flight: Option<Color>, time_left: bool) -> bool {
+        match self {
+            QueueImpl::Legacy(q) => q.distinct_colors() >= 2,
+            QueueImpl::Mely(q) if time_left => q.choose_worthy(in_flight).is_some(),
+            QueueImpl::Mely(q) => q.can_be_stolen_base(),
+        }
+    }
+
+    /// The victim half of a steal: detaches up to `budget` whole colors
+    /// by the flavor's rule and returns them with the number of queue
+    /// elements examined on the way — what the simulator prices the
+    /// steal from after the fact (real threads pay in real time and
+    /// ignore it). `walk_cap` bounds the count of one legacy
+    /// extraction walk.
+    pub(crate) fn steal_take(
+        &mut self,
+        in_flight: Option<Color>,
+        time_left: bool,
+        budget: usize,
+        walk_cap: u64,
+    ) -> (Vec<DetachedColorQueue>, u64) {
+        match self {
+            QueueImpl::Legacy(q) => q.steal_take(in_flight, budget, walk_cap),
+            QueueImpl::Mely(q) => q.steal_take(in_flight, time_left, budget),
+        }
+    }
+
+    /// The thief half (`migrate`): takes in one stolen color.
+    pub(crate) fn steal_absorb(&mut self, set: DetachedColorQueue) {
+        match self {
+            QueueImpl::Legacy(q) => set.into_events().into_iter().for_each(|ev| q.push(ev)),
+            QueueImpl::Mely(q) => {
+                q.absorb(set);
+            }
+        }
+    }
+
+    /// Updates the worthiness threshold of the time-left heuristic (the
+    /// legacy flavor has no stealing-queue and ignores it).
+    pub(crate) fn set_steal_cost_estimate(&mut self, est: u64) {
+        if let QueueImpl::Mely(q) = self {
+            q.set_steal_cost_estimate(est);
+        }
+    }
+
     /// Pushes one event (appending to its color's position for the
     /// flavor's discipline).
     pub fn push(&mut self, ev: Event) {
@@ -95,7 +144,6 @@ impl QueueImpl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::color::Color;
 
     #[test]
     fn queue_impl_dispatches() {
@@ -114,5 +162,58 @@ mod tests {
             assert!(q.pop(10).is_none());
             assert!(q.next_ready_time(10).is_none());
         }
+    }
+
+    /// The take/absorb pair both executors steal through: whole colors
+    /// move in order, and the victim always keeps one.
+    #[test]
+    fn steals_move_whole_colors_and_leave_the_victim_one() {
+        let pair = |legacy: bool| {
+            let new = || match legacy {
+                true => QueueImpl::Legacy(LegacyQueue::new()),
+                false => QueueImpl::Mely(MelyQueue::new(false)),
+            };
+            (new(), new())
+        };
+        for legacy in [false, true] {
+            for (budget, taken) in [(1, 1), (4, 3)] {
+                let (mut victim, mut thief) = pair(legacy);
+                // Colors 1–3 hold one event each, color 4 holds ten.
+                for (i, color) in [1, 2, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let mut ev = Event::new(Color::new(color), 5_000);
+                    ev.seq = i as u64;
+                    victim.push(ev);
+                }
+                let (sets, examined) = victim.steal_take(None, false, budget, u64::MAX);
+                // The half rule takes the small colors only, so the big
+                // one stays, whole, whatever the budget.
+                assert_eq!(sets.len(), taken, "legacy={legacy} budget={budget}");
+                assert!(examined > 0);
+                assert_eq!(victim.distinct_colors(), 4 - taken);
+                assert_eq!(victim.len(), 13 - taken);
+                for set in sets {
+                    assert!(set.color().value() <= 3 && set.len() == 1);
+                    thief.steal_absorb(set);
+                }
+                assert_eq!(thief.len(), taken);
+            }
+        }
+        // Under time-left the worthy (expensive) color goes, in order.
+        let (mut victim, mut thief) = pair(false);
+        for (i, color) in [1, 4, 4, 4].into_iter().enumerate() {
+            let mut ev = Event::new(Color::new(color), 5_000);
+            ev.seq = i as u64;
+            victim.push(ev);
+        }
+        let (sets, _) = victim.steal_take(None, true, 1, u64::MAX);
+        sets.into_iter().for_each(|set| thief.steal_absorb(set));
+        let seqs: Vec<u64> = std::iter::from_fn(|| thief.pop(10))
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(seqs, [1, 2, 3]);
+        assert_eq!(victim.distinct_colors(), 1);
     }
 }

@@ -9,10 +9,10 @@
 //! from the machine's topology, so the experiments can report L2 misses
 //! per event exactly like Tables V and VI.
 //!
-//! The scheduler code it drives (queues, color choice, victim order) is
-//! the same as the threaded executor's; only locking and time accounting
-//! differ. Runs are fully deterministic: identical inputs produce
-//! identical reports.
+//! Dispatch and stealing are the kernel it shares with the threaded
+//! executor (`kernel.rs`); this driver supplies virtual time, the lock
+//! cost model and the schedule-perturbation points. Runs are fully
+//! deterministic: identical inputs produce identical reports.
 //!
 //! # Examples
 //!
@@ -35,7 +35,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mely_cachesim::Hierarchy;
@@ -43,13 +42,14 @@ use mely_cachesim::Hierarchy;
 use crate::admission::{AdmissionCtl, AdmissionPolicy, QueueLimits};
 use crate::color::{Color, COLOR_SPACE};
 use crate::cost::{CostParams, Ewma};
-use crate::ctx::{Ctx, CtxEffects};
+use crate::ctx::CtxEffects;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
 use crate::exec::{ExecKind, Executor, Injector, MailboxEntry, SimMailbox};
-use crate::fault::{kind_of_panic, Fault, FaultCtl, FaultKind, FaultPolicy, InjectedPanicMarker};
+use crate::fault::{FaultCtl, FaultPolicy};
 use crate::fuzz::{FaultPlan, SchedulePerturbation, ScheduleRng};
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
+use crate::kernel::{self, CoreEnv, CoreState, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
 use crate::runtime::Flavor;
@@ -113,29 +113,6 @@ impl SimCore {
             Some((c, until)) if t < until => Some(c),
             _ => None,
         }
-    }
-}
-
-struct TimerEntry {
-    due: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
     }
 }
 
@@ -326,6 +303,22 @@ impl SimRuntime {
         self.mailbox.set_machine_idle(false);
     }
 
+    /// Hands every timer due by `upto` to its color's owner, visible
+    /// from its due time.
+    fn deliver_timers(&mut self, upto: u64) {
+        while self.timers.peek().is_some_and(|Reverse(t)| t.due <= upto) {
+            let Reverse(t) = self.timers.pop().expect("peeked");
+            let owner = self.owner_of(t.event.color());
+            self.push_to(owner, t.event, t.due);
+        }
+    }
+
+    fn arm_timer(&mut self, due: u64, event: Event) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.timers.push(Reverse(TimerEntry { due, seq, event }));
+    }
+
     /// Models taking `owner`'s spinlock from `locker` for `hold` cycles:
     /// waits until the lock frees, charges the wait to `locker`, and
     /// advances both the lock and `locker`'s clock.
@@ -360,7 +353,7 @@ impl SimRuntime {
     }
 
     /// Runs until every queue and timer drains (or a handler called
-    /// [`Ctx::stop_runtime`], or `max_cycles` elapsed), then returns the
+    /// [`crate::ctx::Ctx::stop_runtime`], or `max_cycles` elapsed), then returns the
     /// cumulative report. Can be called again after registering more
     /// events; clocks and metrics accumulate.
     pub fn run(&mut self) -> RunReport {
@@ -399,15 +392,7 @@ impl SimRuntime {
             // core (they only carry a visibility floor, so delivering
             // early is harmless; this just keeps the heap small).
             let min_clock = self.cores.iter().map(|c| c.clock).min().unwrap_or(0);
-            while let Some(Reverse(t)) = self.timers.peek() {
-                if t.due <= min_clock {
-                    let Reverse(t) = self.timers.pop().expect("peeked");
-                    let owner = self.owner_of(t.event.color());
-                    self.push_to(owner, t.event, t.due);
-                } else {
-                    break;
-                }
-            }
+            self.deliver_timers(min_clock);
 
             // Pick the earliest actionable core. An idle core may only
             // attempt steals while its clock has not raced past every
@@ -455,7 +440,7 @@ impl SimRuntime {
                 None => {
                     // Nothing runnable: deliver the earliest timer batch,
                     // or finish.
-                    let Some(Reverse(t)) = self.timers.pop() else {
+                    let Some(Reverse(next)) = self.timers.peek() else {
                         // Queues and timers are empty: everything
                         // absorbed so far has executed.
                         self.mailbox.set_machine_idle(true);
@@ -471,18 +456,7 @@ impl SimRuntime {
                         }
                         break;
                     };
-                    let due = t.due;
-                    let owner = self.owner_of(t.event.color());
-                    self.push_to(owner, t.event, due);
-                    while let Some(Reverse(n)) = self.timers.peek() {
-                        if n.due == due {
-                            let Reverse(n) = self.timers.pop().expect("peeked");
-                            let owner = self.owner_of(n.event.color());
-                            self.push_to(owner, n.event, due);
-                        } else {
-                            break;
-                        }
-                    }
+                    self.deliver_timers(next.due);
                 }
             }
         }
@@ -527,34 +501,15 @@ impl SimRuntime {
                     let owner = self.owner_of(ev.color());
                     self.push_to(owner, ev, 0);
                 }
-                MailboxEntry::After(delay, ev) => {
-                    let due = self.virtual_now() + delay;
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.timers.push(Reverse(TimerEntry {
-                        due,
-                        seq,
-                        event: ev,
-                    }));
-                }
+                MailboxEntry::After(delay, ev) => self.arm_timer(self.virtual_now() + delay, ev),
             }
         }
     }
 
     /// Snapshot of the cumulative metrics.
     pub fn report(&self) -> RunReport {
-        use std::sync::atomic::Ordering::Relaxed;
         let mut per_core: Vec<CoreMetrics> = self.cores.iter().map(|c| c.metrics).collect();
-        // Admission counters are kept runtime-global (producers are not
-        // cores); attribute the cumulative totals to core 0's slot.
-        let adm = &self.mailbox.admission;
-        per_core[0].admission_rejects = adm.rejects.load(Relaxed);
-        per_core[0].shed_requests = adm.shed_requests.load(Relaxed);
-        per_core[0].shed_by_color = adm.shed_by_color.load(Relaxed);
-        // Admission-boundary quarantine sheds join core 0's drain-side
-        // count (`+=`: the per-core copy above already holds core 0's
-        // own pop-time discards).
-        per_core[0].shed_by_fault += adm.shed_by_fault.load(Relaxed);
+        self.mailbox.admission.attribute_to(&mut per_core[0]);
         if let Some(cache) = &self.cache {
             for (i, m) in per_core.iter_mut().enumerate() {
                 m.l2_misses = cache.level_stats(i, 2).map_or(0, |s| s.misses);
@@ -604,7 +559,7 @@ impl SimRuntime {
                 // (as a real worker loop does after `migrate` returns) —
                 // otherwise lower-clock idle cores could re-steal the set
                 // before its holder ever runs it, ping-ponging forever.
-                if self.try_steal(c) {
+                if kernel::steal_attempt(&mut OnCore { rt: self, c }) {
                     self.execute_one(c, batch);
                 }
             }
@@ -612,430 +567,26 @@ impl SimRuntime {
     }
 
     fn execute_one(&mut self, c: usize, batch: u32) {
-        let costs = self.cfg.costs.clone();
         // Pop under our own lock.
-        self.lock(c, c, costs.lock_acquire + costs.queue_op);
-        let Some(mut ev) = self.cores[c].queue.pop(batch) else {
+        let hold = self.cfg.costs.lock_acquire + self.cfg.costs.queue_op;
+        self.lock(c, c, hold);
+        let Some(ev) = self.cores[c].queue.pop(batch) else {
             return;
         };
         self.mailbox
             .publish_core_occupancy(c, self.cores[c].queue.len() as u32);
-        if ev.color_counted {
-            // The admission boundary claimed a per-color in-flight slot
-            // for this event; dispatching it frees the slot.
-            self.mailbox
-                .admission
-                .release_color(ev.color().value() as usize);
-            ev.color_counted = false;
-        }
-        let color = ev.color();
-        // Lazy quarantine drain: a poisoned color's events already in
-        // the queues (or arriving via timers and steals) are discarded
-        // at pop time — the queues shrink normally, so the run loop's
-        // progress accounting needs no special case.
-        if self.faults.is_quarantined(color) {
-            let m = &mut self.cores[c].metrics;
-            m.shed_by_fault += 1;
-            if ev.carries_request {
-                m.failed_requests += 1;
-            }
-            return;
-        }
-        // Seeded fault injection: the drop and panic decisions each
-        // consume one draw per dispatch whenever a plan is configured
-        // (even at rate zero), so changing one rate never shifts the
-        // other's decision sites.
-        let mut inject_panic = false;
-        if let Some(rng) = self.fault_rng.as_mut() {
-            let plan = self.faults.plan.expect("fault rng implies a plan");
-            if rng.chance(plan.drop_per_million, 1_000_000) {
-                let m = &mut self.cores[c].metrics;
-                m.note_fault(Some(color), FaultKind::InjectedDrop.code(), ev.seq);
-                if ev.carries_request {
-                    m.failed_requests += 1;
-                }
-                self.faults.record(Fault {
-                    color: Some(color),
-                    handler: ev.handler(),
-                    kind: FaultKind::InjectedDrop,
-                });
-                return;
-            }
-            inject_panic = rng.chance(plan.panic_per_million, 1_000_000);
-        }
-        let mut exec = costs.dispatch + ev.cost();
-
-        // The continuation itself occupies a cache line.
-        if let Some(cache) = &mut self.cache {
-            exec += cache.access(c, event_addr(ev.seq)).latency_cycles;
-        }
-        // Declared data set: full sweep.
-        if let Some(ds) = ev.dataset().cloned() {
-            if let Some(cache) = &mut self.cache {
-                let (lat, _m) = cache.sweep(c, ds.base(), ds.len(), 2);
-                exec += lat;
-                self.cores[c].metrics.mem_stall_cycles += lat;
-            }
-        }
-
-        // Run the continuation (if any) inside the containment boundary
-        // and collect its effects. The effects are buffered, so a
-        // panicking execution discards them wholesale below — a fault
-        // never emits half a fan-out.
-        let mut fx = CtxEffects::default();
-        let action = ev.take_action();
-        let clock = self.cores[c].clock;
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                std::panic::panic_any(InjectedPanicMarker);
-            }
-            if let Some(action) = action {
-                let mut ctx = Ctx::new(c, clock, &mut fx);
-                action(&mut ctx);
-            }
-        }))
-        .err();
-        if let Some(payload) = unwound {
-            let kind = kind_of_panic(payload.as_ref());
-            self.faults.record(Fault {
-                color: Some(color),
-                handler: ev.handler(),
-                kind: kind.clone(),
-            });
-            // Time up to (and including) the faulting dispatch is real:
-            // charge it, but count neither the event nor a completion.
-            let core = &mut self.cores[c];
-            core.clock = clock + exec;
-            core.in_flight = Some((color, clock + exec));
-            core.metrics.busy_cycles += exec;
-            core.metrics.note_fault(Some(color), kind.code(), ev.seq);
-            if ev.carries_request {
-                core.metrics.failed_requests += 1;
-            }
-            match self.faults.policy {
-                FaultPolicy::QuarantineColor => {
-                    if self.faults.quarantined.quarantine(color) {
-                        self.cores[c].metrics.quarantined_colors += 1;
-                    }
-                }
-                FaultPolicy::ShedEvent => {}
-                FaultPolicy::Abort => resume_unwind(payload),
-            }
-            return;
-        }
-        exec += fx.charged;
-        for t in &fx.touches {
-            if let Some(cache) = &mut self.cache {
-                let (lat, _m) = cache.sweep(c, t.ds.base() + t.offset, t.len, 2);
-                exec += lat;
-                self.cores[c].metrics.mem_stall_cycles += lat;
-            }
-        }
-
-        let start = self.cores[c].clock;
-        self.cores[c].clock = start + exec;
-        self.cores[c].in_flight = Some((color, start + exec));
-        self.cores[c].metrics.busy_cycles += exec;
-        self.cores[c].metrics.events_processed += 1;
-        self.cores[c].metrics.note_completion(color, ev.seq);
-        for latency in fx.completions() {
-            self.cores[c].metrics.completed_requests += 1;
-            self.cores[c].metrics.latency.record(latency);
-        }
-        self.cores[c].metrics.failed_requests += fx.failed;
-        if let Some(h) = ev.handler() {
-            self.registry.record(h, exec);
-        }
-
-        // Apply buffered effects: delayed registrations become timers,
-        // immediate ones are routed through the color map.
-        for (mut delay, ev2) in fx.delayed {
-            self.cores[c].clock += costs.registration;
-            if let Some(rng) = self.fault_rng.as_mut() {
-                let plan = self.faults.plan.expect("fault rng implies a plan");
-                if rng.chance(plan.timer_spike_per_million, 1_000_000) {
-                    // Injected late timer: the delay stretches, the
-                    // event still fires. Fingerprint coverage comes from
-                    // the shifted completion order, not a fault record.
-                    delay += plan.timer_spike_cycles;
-                }
-            }
-            let due = self.cores[c].clock + delay;
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.timers.push(Reverse(TimerEntry {
-                due,
-                seq,
-                event: ev2,
-            }));
-        }
-        for ev2 in fx.registrations {
-            if self.faults.is_quarantined(ev2.color()) {
-                // A surviving handler fanned out into a poisoned color:
-                // shed at the registration boundary rather than queue
-                // work the drain would discard anyway.
-                let m = &mut self.cores[c].metrics;
-                m.shed_by_fault += 1;
-                if ev2.carries_request {
-                    m.failed_requests += 1;
-                }
-                continue;
-            }
-            self.cores[c].clock += costs.registration;
-            let owner = self.owner_of(ev2.color());
-            self.lock(owner, c, costs.lock_acquire + costs.queue_op);
-            let now = self.cores[c].clock;
-            self.push_to(owner, ev2, now);
-        }
-        if fx.stop {
-            self.stopped = true;
-        }
+        kernel::dispatch_one(&mut OnCore { rt: self, c }, ev);
     }
 
-    /// One full steal attempt by core `c` (Figure 2 of the paper, with
-    /// costs charged along the way). Returns whether events were stolen.
-    fn try_steal(&mut self, c: usize) -> bool {
-        let costs = self.cfg.costs.clone();
-        let t_start = self.cores[c].clock;
-        self.cores[c].metrics.steal_attempts += 1;
-        self.cores[c].clock += costs.steal_setup;
-        // Waits on contended locks are congestion (already accounted as
-        // lock-wait time), not steal *work*: exclude them from the
-        // duration fed to the time-left estimate, like the runtime's
-        // profiling of "the time it takes to steal one single event".
-        self.attempt_wait = 0;
-
-        let loads: Vec<usize> = self.cores.iter().map(|x| x.queue.len()).collect();
-        let policy = Arc::clone(&self.cfg.steal_policy);
-        let mut set = policy.victims(
-            c,
-            &loads,
-            &StealContext {
-                ws: self.cfg.ws,
-                machine: &self.cfg.machine,
-                domains: &self.domains,
-            },
-        );
-        if let Some(rng) = self.perturb_rng(|p| p.shuffle_victims) {
-            // Perturbed victim choice: visit candidates in a shuffled
-            // order instead of the policy's canonical one.
-            rng.shuffle(&mut set);
-        }
-        for v in set {
-            if v == c || v >= self.cores.len() {
-                continue;
-            }
-            if self.cores[v].queue.is_empty() {
-                continue;
-            }
-            // Unlocked pre-screen of `can_be_stolen`: queue lengths,
-            // color counts and the stealing-queue are readable without
-            // the victim's lock (racily — the decision is re-validated
-            // under the lock by the steal itself). Without this, seven
-            // idle thieves polling a busy core would serialize it on
-            // futile lock acquisitions.
-            let vin = self.cores[v].in_flight_at(self.cores[c].clock);
-            let can = match (&self.cores[v].queue, self.cfg.ws.time_left) {
-                (QueueImpl::Legacy(q), _) => q.distinct_colors() >= 2,
-                (QueueImpl::Mely(q), true) => q.choose_worthy(vin).is_some(),
-                (QueueImpl::Mely(q), false) => q.can_be_stolen_base(),
-            };
-            if !can {
-                continue;
-            }
-            let budget = policy
-                .steal_budget(
-                    c,
-                    v,
-                    &StealContext {
-                        ws: self.cfg.ws,
-                        machine: &self.cfg.machine,
-                        domains: &self.domains,
-                    },
-                )
-                .max(1);
-            let stolen = match self.cfg.flavor {
-                Flavor::Libasync => self.steal_from_legacy(c, v, budget),
-                Flavor::Mely => self.steal_from_mely(c, v, budget),
-            };
-            if stolen {
-                let dur = (self.cores[c].clock - t_start).saturating_sub(self.attempt_wait);
-                let tier = self.domains.tier_of(c, v);
-                let m = &mut self.cores[c].metrics;
-                m.steals += 1;
-                m.steal_cycles += dur;
-                m.note_steal_tier(tier);
-                self.steal_est.record(dur);
-                self.sync_steal_estimates();
-                return true;
-            }
-        }
-        // Nothing stealable anywhere: pause before retrying.
-        self.cores[c].clock += costs.idle_recheck;
-        let wasted = self.cores[c].clock - t_start;
-        let m = &mut self.cores[c].metrics;
-        m.failed_steal_cycles += wasted;
-        m.idle_cycles += wasted;
-        false
-    }
-
-    /// Steals up to `budget` colors from `v` under one victim-lock
-    /// hold. A budget of 1 is the classic algorithm, charge for
-    /// charge; larger budgets (far-tier steals under
-    /// [`crate::steal::HierarchicalPolicy`]) amortize the lock pair
-    /// and the migration trip over several colors.
-    fn steal_from_legacy(&mut self, c: usize, v: usize, budget: usize) -> bool {
-        let costs = self.cfg.costs.clone();
-        let vin = self.cores[v].in_flight_at(self.cores[c].clock);
-        let mut taken: Vec<(Color, Vec<Event>)> = Vec::new();
-        let mut hold = costs.lock_acquire;
-        // Lock-hold cost of a futile visit, when nothing was taken.
-        let mut futile: Option<u64> = None;
-        {
-            let QueueImpl::Legacy(q) = &mut self.cores[v].queue else {
-                unreachable!("legacy flavor uses legacy queues");
-            };
-            // can_be_stolen: at least two distinct colors (Figure 2);
-            // re-checked before every extra color so the victim always
-            // keeps work.
-            if q.distinct_colors() < 2 {
-                futile = Some(0);
-            }
-            while futile.is_none() && taken.len() < budget && q.distinct_colors() >= 2 {
-                let Some((color, scanned_choose)) = q.choose_color_to_steal(vin) else {
-                    if taken.is_empty() {
-                        // Scanned the whole queue to find nothing.
-                        let scanned = (q.len() as u64).min(costs.scan_cap_events);
-                        futile = Some(costs.scan_per_event * scanned);
-                    }
-                    break;
-                };
-                // `construct_event_set` walks the victim's linked list; the
-                // paper's measurements (Section II-C: 197 Kcycles on ~1000-event
-                // queues at ~190 cycles per scanned event) show the traversal
-                // effectively covers the whole queue, so that is what we charge,
-                // bounded by `scan_cap_events` (the pending-count early stop).
-                let full_scan = (q.len() as u64).min(costs.scan_cap_events);
-                let (events, _scanned_extract) = q.extract_color(color);
-                debug_assert!(!events.is_empty());
-                hold += costs.scan_per_event * (scanned_choose as u64 + full_scan)
-                    + costs.migrate_per_event * events.len() as u64;
-                taken.push((color, events));
-            }
-        }
-        if let Some(scan) = futile {
-            self.lock(v, c, costs.lock_acquire + scan);
-            return false;
-        }
-        self.lock(v, c, hold);
-
-        // migrate: append to our own queue under our own lock.
-        let n: u64 = taken.iter().map(|(_, e)| e.len() as u64).sum();
-        let cost_sum: u64 = taken
-            .iter()
-            .flat_map(|(_, e)| e.iter())
-            .map(|e| e.cost())
-            .sum();
-        self.lock(c, c, costs.lock_acquire + costs.migrate_per_event * n);
-        let now = self.cores[c].clock;
-        for (color, _) in &taken {
-            self.color_owner[color.value() as usize] = c as u32;
-        }
-        let QueueImpl::Legacy(own) = &mut self.cores[c].queue else {
-            unreachable!();
+    /// Sweeps `len` bytes at `base` through core `c`'s caches and
+    /// returns the stall (0 when caches are not simulated).
+    fn sweep(&mut self, c: usize, base: u64, len: u64) -> u64 {
+        let Some(cache) = &mut self.cache else {
+            return 0;
         };
-        for (_, events) in taken {
-            for mut ev in events {
-                ev.visible_at = ev.visible_at.max(now);
-                own.push(ev);
-            }
-        }
-        let m = &mut self.cores[c].metrics;
-        m.stolen_events += n;
-        m.stolen_cost_cycles += cost_sum;
-        true
-    }
-
-    /// Steals up to `budget` color-queues from `v` under one
-    /// victim-lock hold; budget 1 is the classic single-color steal,
-    /// charge for charge.
-    fn steal_from_mely(&mut self, c: usize, v: usize, budget: usize) -> bool {
-        let costs = self.cfg.costs.clone();
-        let vin = self.cores[v].in_flight_at(self.cores[c].clock);
-        let time_left = self.cfg.ws.time_left;
-        let mut detached: Vec<crate::queue::DetachedColorQueue> = Vec::new();
-        let mut hold = costs.lock_acquire;
-        // Lock-hold cost of a futile visit, when nothing was taken.
-        let mut futile: Option<u64> = None;
-        {
-            let QueueImpl::Mely(q) = &mut self.cores[v].queue else {
-                unreachable!("mely flavor uses mely queues");
-            };
-            while futile.is_none() && detached.len() < budget {
-                let (slot, inspect_cost) = if time_left {
-                    // O(1) lookup in the stealing-queue.
-                    (q.choose_worthy(vin), costs.queue_op)
-                } else {
-                    // can_be_stolen, re-checked per color so the
-                    // victim keeps at least one.
-                    if !q.can_be_stolen_base() {
-                        if detached.is_empty() {
-                            futile = Some(0);
-                        }
-                        break;
-                    }
-                    match q.choose_scan(vin) {
-                        Some((slot, scanned)) => (Some(slot), costs.queue_op * scanned as u64),
-                        None => {
-                            if detached.is_empty() {
-                                let scanned = q.distinct_colors() as u64;
-                                futile = Some(costs.queue_op * scanned);
-                            }
-                            break;
-                        }
-                    }
-                };
-                let Some(slot) = slot else {
-                    if detached.is_empty() {
-                        futile = Some(inspect_cost);
-                    }
-                    break;
-                };
-                hold += inspect_cost + costs.colorqueue_unlink;
-                detached.push(q.detach(slot));
-            }
-        }
-        if let Some(x) = futile {
-            self.lock(v, c, costs.lock_acquire + x);
-            return false;
-        }
-        self.lock(v, c, hold);
-
-        // migrate: absorb the color-queues under our own lock.
-        self.lock(
-            c,
-            c,
-            costs.lock_acquire + costs.colorqueue_link * detached.len() as u64,
-        );
-        let now = self.cores[c].clock;
-        let mut n = 0u64;
-        let mut cost_sum = 0u64;
-        for d in &detached {
-            self.color_owner[d.color().value() as usize] = c as u32;
-        }
-        let QueueImpl::Mely(own) = &mut self.cores[c].queue else {
-            unreachable!();
-        };
-        for mut d in detached {
-            d.set_visible_at_floor(now);
-            n += d.len() as u64;
-            cost_sum += d.cum_cost();
-            own.absorb(d);
-        }
-        let m = &mut self.cores[c].metrics;
-        m.stolen_events += n;
-        m.stolen_cost_cycles += cost_sum;
-        true
+        let (lat, _misses) = cache.sweep(c, base, len, 2);
+        self.cores[c].metrics.mem_stall_cycles += lat;
+        lat
     }
 
     /// Propagates the monitored steal-cost estimate to every core's
@@ -1043,10 +594,190 @@ impl SimRuntime {
     fn sync_steal_estimates(&mut self) {
         let est = self.steal_est.get();
         for core in &mut self.cores {
-            if let QueueImpl::Mely(q) = &mut core.queue {
-                q.set_steal_cost_estimate(est);
+            core.queue.set_steal_cost_estimate(est);
+        }
+    }
+}
+
+/// Core `c` of the simulator as the scheduling kernel sees it: time is
+/// the core's virtual clock, cost is added to it, and a queue is
+/// reached by `&mut` access plus a modelled lock charge.
+struct OnCore<'a> {
+    rt: &'a mut SimRuntime,
+    c: usize,
+}
+
+impl CoreEnv for OnCore<'_> {
+    fn state(&mut self) -> CoreState<'_> {
+        let rt = &mut *self.rt;
+        CoreState {
+            core: self.c,
+            metrics: &mut rt.cores[self.c].metrics,
+            faults: &rt.faults,
+            admission: &rt.mailbox.admission,
+            registry: &rt.registry,
+            fault_rng: rt.fault_rng.as_mut(),
+            policy: &*rt.cfg.steal_policy,
+            steal_ctx: StealContext {
+                ws: rt.cfg.ws,
+                machine: &rt.cfg.machine,
+                domains: &rt.domains,
+            },
+        }
+    }
+
+    fn now(&self) -> u64 {
+        self.rt.cores[self.c].clock
+    }
+
+    /// The stamp is the cost accumulated so far; the clock only moves
+    /// in `finish_event`, so the handler reads its dispatch time.
+    fn start_event(&mut self, ev: &Event) -> u64 {
+        let (rt, c) = (&mut *self.rt, self.c);
+        let mut exec = rt.cfg.costs.dispatch + ev.cost();
+        // The continuation itself occupies a cache line.
+        if let Some(cache) = &mut rt.cache {
+            exec += cache.access(c, event_addr(ev.seq)).latency_cycles;
+        }
+        // Declared data set: full sweep.
+        if let Some(ds) = ev.dataset() {
+            exec += rt.sweep(c, ds.base(), ds.len());
+        }
+        exec
+    }
+
+    fn finish_event(&mut self, mut exec: u64, color: Color, fx: Option<&CtxEffects>) -> u64 {
+        let (rt, c) = (&mut *self.rt, self.c);
+        if let Some(fx) = fx {
+            exec += fx.charged;
+            for t in &fx.touches {
+                exec += rt.sweep(c, t.ds.base() + t.offset, t.len);
             }
         }
+        let core = &mut rt.cores[c];
+        core.clock += exec;
+        core.in_flight = Some((color, core.clock));
+        exec
+    }
+
+    fn schedule(&mut self, delay: u64, event: Event) {
+        let (rt, c) = (&mut *self.rt, self.c);
+        rt.cores[c].clock += rt.cfg.costs.registration;
+        rt.arm_timer(rt.cores[c].clock + delay, event);
+    }
+
+    fn route(&mut self, ev: Event) {
+        let (rt, c) = (&mut *self.rt, self.c);
+        rt.cores[c].clock += rt.cfg.costs.registration;
+        let owner = rt.owner_of(ev.color());
+        rt.lock(owner, c, rt.cfg.costs.lock_acquire + rt.cfg.costs.queue_op);
+        rt.push_to(owner, ev, rt.cores[c].clock);
+    }
+
+    fn request_stop(&mut self) {
+        self.rt.stopped = true;
+    }
+
+    fn steal_begin(&mut self) -> (u64, Vec<usize>) {
+        let (rt, c) = (&mut *self.rt, self.c);
+        let t0 = rt.cores[c].clock;
+        rt.cores[c].clock += rt.cfg.costs.steal_setup;
+        rt.attempt_wait = 0;
+        (t0, rt.cores.iter().map(|x| x.queue.len()).collect())
+    }
+
+    fn perturb_victims(&mut self, victims: &mut [usize]) {
+        if let Some(rng) = self.rt.perturb_rng(|p| p.shuffle_victims) {
+            // Perturbed victim choice: visit candidates in a shuffled
+            // order instead of the policy's canonical one.
+            rng.shuffle(victims);
+        }
+    }
+
+    /// Unlocked pre-screen of `can_be_stolen`: queue lengths, color
+    /// counts and the stealing-queue are readable without the victim's
+    /// lock (racily — the decision is re-validated under the lock by
+    /// the steal itself). Without this, seven idle thieves polling a
+    /// busy core would serialize it on futile lock acquisitions.
+    fn worth_visiting(&self, v: usize) -> bool {
+        let victim = &self.rt.cores[v];
+        !victim.queue.is_empty()
+            && victim.queue.can_be_stolen(
+                victim.in_flight_at(self.rt.cores[self.c].clock),
+                self.rt.cfg.ws.time_left,
+            )
+    }
+
+    /// Takes up to `budget` colors under one victim-lock hold, then
+    /// absorbs them under our own lock, pricing both holds from what
+    /// the queue reports it examined and moved. A budget of 1 is the
+    /// classic algorithm, charge for charge; larger budgets (far-tier
+    /// steals under [`crate::steal::HierarchicalPolicy`]) amortize the
+    /// lock pair and the migration trip over several colors.
+    fn migrate(&mut self, v: usize, budget: usize) -> Option<(u64, u64)> {
+        let (rt, c) = (&mut *self.rt, self.c);
+        let (k, time_left) = (rt.cfg.costs.clone(), rt.cfg.ws.time_left);
+        let vin = rt.cores[v].in_flight_at(rt.cores[c].clock);
+        let victim = &mut rt.cores[v].queue;
+        // `construct_event_set` walks the victim's linked list; the
+        // paper's measurements (Section II-C: 197 Kcycles on ~1000-event
+        // queues at ~190 cycles per scanned event) show the traversal
+        // effectively covers the whole queue, so that is what a legacy
+        // steal is charged, bounded by `scan_cap_events` (the
+        // pending-count early stop).
+        let (sets, examined) = victim.steal_take(vin, time_left, budget, k.scan_cap_events);
+        // Per element examined, then per (color, event) leaving the
+        // victim and entering the thief.
+        let (scan, unlink, link) = match rt.cfg.flavor {
+            Flavor::Libasync => (
+                k.scan_per_event,
+                (0, k.migrate_per_event),
+                (0, k.migrate_per_event),
+            ),
+            Flavor::Mely => (k.queue_op, (k.colorqueue_unlink, 0), (k.colorqueue_link, 0)),
+        };
+        let colors = sets.len() as u64;
+        let events: u64 = sets.iter().map(|s| s.len() as u64).sum();
+        rt.lock(
+            v,
+            c,
+            k.lock_acquire + scan * examined + unlink.0 * colors + unlink.1 * events,
+        );
+        if sets.is_empty() {
+            return None;
+        }
+        rt.lock(c, c, k.lock_acquire + link.0 * colors + link.1 * events);
+        let now = rt.cores[c].clock;
+        let mut cost = 0;
+        for mut set in sets {
+            rt.color_owner[set.color().value() as usize] = c as u32;
+            set.set_visible_at_floor(now);
+            cost += set.cum_cost();
+            rt.cores[c].queue.steal_absorb(set);
+        }
+        Some((events, cost))
+    }
+
+    fn steal_end(&mut self, t0: u64, stolen: bool) -> u64 {
+        let (rt, c) = (&mut *self.rt, self.c);
+        if stolen {
+            // Waits on contended locks are congestion (already
+            // accounted as lock-wait time), not steal *work*: exclude
+            // them from the duration fed to the time-left estimate,
+            // like the runtime's profiling of "the time it takes to
+            // steal one single event".
+            return (rt.cores[c].clock - t0).saturating_sub(rt.attempt_wait);
+        }
+        // Nothing stealable anywhere: pause before retrying.
+        rt.cores[c].clock += rt.cfg.costs.idle_recheck;
+        let wasted = rt.cores[c].clock - t0;
+        rt.cores[c].metrics.idle_cycles += wasted;
+        wasted
+    }
+
+    fn record_steal_cost(&mut self, cycles: u64) {
+        self.rt.steal_est.record(cycles);
+        self.rt.sync_steal_estimates();
     }
 }
 
@@ -1159,18 +890,6 @@ mod tests {
         }
         let r = rt.run();
         assert_eq!(r.per_core()[0].events_processed, 64);
-    }
-
-    #[test]
-    fn actions_register_followups() {
-        let mut rt = sim(Flavor::Mely, WsPolicy::off(), 2);
-        rt.register(Event::new(Color::new(1), 100).with_action(|ctx| {
-            ctx.register(Event::new(Color::new(2), 100).with_action(|ctx| {
-                ctx.register(Event::new(Color::new(3), 100));
-            }));
-        }));
-        let r = rt.run();
-        assert_eq!(r.events_processed(), 3);
     }
 
     #[test]
@@ -1303,33 +1022,5 @@ mod tests {
         }
         let r = rt.run();
         assert!(r.events_processed() < 1_000);
-    }
-}
-
-#[cfg(test)]
-mod hang_probe {
-    use super::*;
-    use crate::runtime::RuntimeBuilder;
-
-    #[test]
-    #[ignore]
-    fn probe_determinism_workload() {
-        let mut rt = RuntimeBuilder::new()
-            .cores(8)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::improved())
-            .make_sim();
-        for i in 0..500u16 {
-            rt.register_pinned(
-                Event::new(Color::new(i + 1), (i as u64 % 7) * 1_000 + 50),
-                (i as usize) % 2,
-            );
-        }
-        let r = rt.run();
-        eprintln!(
-            "done: {} events, wall {}",
-            r.events_processed(),
-            r.wall_cycles()
-        );
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! This is the "real" runtime: per-core queues protected by cache-padded
 //! spinlocks ([`crate::sync::SpinLock`]), events executed by the core's
-//! thread, idle cores running the workstealing algorithm. It executes the
-//! same queue and policy code as the simulator; an event's declared cost
-//! is materialised by busy-spinning the cycle counter, and its action
-//! closure runs for real.
+//! thread, idle cores running the workstealing algorithm. Dispatch and
+//! stealing are the kernel it shares with the simulator (`kernel.rs`);
+//! an event's declared cost is materialised by busy-spinning the cycle
+//! counter, and its action closure runs for real.
 //!
 //! Two deliberate deviations from the paper's implementation, both
 //! documented here for reviewers:
@@ -45,6 +45,8 @@
 
 pub mod inbox;
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -53,14 +55,16 @@ use parking_lot::Mutex;
 
 use crate::admission::{AdmissionCtl, AdmissionPolicy, Admitted, Overload, OverloadReason};
 use crate::color::{Color, COLOR_SPACE};
-use crate::ctx::{Ctx, CtxEffects};
+use crate::cost::Ewma;
+use crate::ctx::CtxEffects;
 use crate::cycles;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
 use crate::exec::{ExecKind, Executor, Injector};
-use crate::fault::{kind_of_panic, Fault, FaultCtl, FaultKind, FaultPolicy, InjectedPanicMarker};
+use crate::fault::{Fault, FaultCtl, FaultKind, FaultPolicy};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
+use crate::kernel::{self, CoreEnv, CoreState, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
 use crate::runtime::Flavor;
@@ -105,30 +109,6 @@ impl CoreShared {
     }
 }
 
-struct TimerEntry {
-    due: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap becomes a min-heap on (due, seq).
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
 struct Shared {
     cores: Vec<CoreShared>,
     color_owner: Vec<AtomicU32>,
@@ -147,9 +127,11 @@ struct Shared {
     /// [`KEEPALIVE_UNIT`]s. Workers run while any bit is set.
     outstanding: AtomicU64,
     stop: AtomicBool,
-    steal_est: AtomicU64,
+    /// The monitored steal-cost estimate (updated once per successful
+    /// steal, read once per visit: never on the dispatch path).
+    steal_est: Mutex<Ewma>,
     next_seq: AtomicU64,
-    timers: Mutex<std::collections::BinaryHeap<TimerEntry>>,
+    timers: Mutex<BinaryHeap<Reverse<TimerEntry>>>,
     /// Queue limits, admission policy, per-color occupancy and the
     /// producer-side reject/shed counters (see [`crate::admission`]).
     admission: AdmissionCtl,
@@ -177,13 +159,13 @@ impl Shared {
 
     /// The color's current owner, claiming the color's home core for it
     /// if nobody owns it yet.
-    fn owner_of(&self, ev: &Event) -> u32 {
-        let slot = ev.color().value() as usize;
+    fn owner_of(&self, color: Color) -> u32 {
+        let slot = color.value() as usize;
         let owner = self.color_owner[slot].load(Ordering::Acquire);
         if owner != NO_OWNER {
             return owner;
         }
-        let home = ev.color().home_core(self.cores.len()) as u32;
+        let home = color.home_core(self.cores.len()) as u32;
         match self.color_owner[slot].compare_exchange(
             NO_OWNER,
             home,
@@ -209,7 +191,7 @@ impl Shared {
     fn route_prepared(&self, ev: Event) {
         let slot = ev.color().value() as usize;
         loop {
-            let owner = self.owner_of(&ev);
+            let owner = self.owner_of(ev.color());
             let core = &self.cores[owner as usize];
             let mut q = core.queue.lock();
             // Re-check under the lock: a steal may have moved the color.
@@ -227,7 +209,7 @@ impl Shared {
     /// invariant holds either way.
     fn inject(&self, mut ev: Event) {
         self.prepare(&mut ev);
-        let owner = self.owner_of(&ev);
+        let owner = self.owner_of(ev.color());
         self.cores[owner as usize].inbox.push(ev);
     }
 
@@ -241,42 +223,14 @@ impl Shared {
         self.inject(ev);
     }
 
-    /// Checks the configured [`crate::admission::QueueLimits`] against
-    /// the owning core's current occupancy, claiming a per-color
-    /// in-flight slot on success (released when the event executes).
-    /// Checks run per-core, then inbox, then per-color — the color claim
-    /// goes last so a failure never needs a rollback of an earlier
-    /// check.
+    /// The fallible admission decision ([`AdmissionCtl::admit`]) against
+    /// the owning core's current occupancy.
     fn try_admit(&self, ev: &mut Event) -> Result<(), Overload> {
-        let lim = self.admission.limits;
-        let owner = self.owner_of(ev) as usize;
-        let core = &self.cores[owner];
-        if let Some(cap) = lim.per_core_events {
-            let occ = core.load_estimate();
-            if occ >= cap as usize {
-                return Err(self
-                    .admission
-                    .overload(OverloadReason::PerCoreFull, occ as u64));
-            }
-        }
-        if let Some(cap) = lim.inbox_backlog {
-            let occ = core.inbox.len();
-            if occ >= cap as usize {
-                return Err(self
-                    .admission
-                    .overload(OverloadReason::InboxBacklog, occ as u64));
-            }
-        }
-        if let Some(cap) = lim.per_color_events {
-            let slot = ev.color().value() as usize;
-            if !self.admission.try_claim_color(slot, cap) {
-                return Err(self
-                    .admission
-                    .overload(OverloadReason::ColorHot, cap as u64));
-            }
-            ev.color_counted = true;
-        }
-        Ok(())
+        let color = ev.color();
+        self.admission.admit(&self.faults, ev, || {
+            let core = &self.cores[self.owner_of(color) as usize];
+            (core.load_estimate() as u64, core.inbox.len() as u64)
+        })
     }
 
     /// Producer-boundary quarantine gate for the *infallible* injection
@@ -299,16 +253,6 @@ impl Shared {
     /// [`Overload`]. Does *not* count the reject — the caller decides
     /// the attempt accounting.
     fn try_register_injected(&self, mut ev: Event) -> Result<Admitted, (Overload, Event)> {
-        // Quarantine outranks the unbounded fast path: a poisoned color
-        // rejects even on a runtime with no queue limits at all.
-        if self.faults.is_quarantined(ev.color()) {
-            let ov = self.admission.overload(OverloadReason::Quarantined, 0);
-            return Err((ov, ev));
-        }
-        if self.admission.is_unbounded() {
-            self.register_injected(ev);
-            return Ok(Admitted);
-        }
         match self.try_admit(&mut ev) {
             Ok(()) => {
                 self.register_injected(ev);
@@ -322,7 +266,9 @@ impl Shared {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
         let due = cycles::now() + delay;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.timers.lock().push(TimerEntry { due, seq, event });
+        self.timers
+            .lock()
+            .push(Reverse(TimerEntry { due, seq, event }));
     }
 }
 
@@ -408,17 +354,6 @@ impl RuntimeHandle {
     /// already admitted (its per-color slot is held across the delay).
     pub fn try_inject_after(&self, delay: u64, mut ev: Event) -> Result<Admitted, Overload> {
         self.preclaim(&ev);
-        if self.shared.faults.is_quarantined(ev.color()) {
-            self.shared.admission.note_reject();
-            return Err(self
-                .shared
-                .admission
-                .overload(OverloadReason::Quarantined, 0));
-        }
-        if self.shared.admission.is_unbounded() {
-            self.shared.register_after(delay, ev);
-            return Ok(Admitted);
-        }
         match self.shared.try_admit(&mut ev) {
             Ok(()) => {
                 self.shared.register_after(delay, ev);
@@ -595,9 +530,9 @@ impl ThreadedRuntime {
                 batch_threshold,
                 outstanding: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
-                steal_est: AtomicU64::new(initial_steal_estimate),
+                steal_est: Mutex::new(Ewma::new(initial_steal_estimate)),
                 next_seq: AtomicU64::new(0),
-                timers: Mutex::new(std::collections::BinaryHeap::new()),
+                timers: Mutex::new(BinaryHeap::new()),
                 admission,
                 faults,
             }),
@@ -677,9 +612,10 @@ impl ThreadedRuntime {
 
     /// Runs until every registered event (and every event they spawn) has
     /// executed, then returns the report. Workers also exit on
-    /// [`Ctx::stop_runtime`] or [`RuntimeHandle::stop`]. Can be called
-    /// again after registering more events; each call reports the
-    /// events executed by *that* run (plus cumulative inbox counters).
+    /// [`crate::ctx::Ctx::stop_runtime`] or [`RuntimeHandle::stop`]. Can
+    /// be called again after registering more events; each call reports
+    /// the events executed by *that* run (plus cumulative inbox
+    /// counters).
     pub fn run(&mut self) -> RunReport {
         let n = self.shared.cores.len();
         let start = cycles::now();
@@ -736,16 +672,7 @@ impl ThreadedRuntime {
             m.inbox_node_reuse = core.inbox.total_node_reuses();
             m.queue_buf_reuse = core.queue.lock().buf_reuses();
         }
-        // Admission rejects and sheds also happen on producer threads;
-        // the counters are runtime-global, attributed to core 0
-        // (cumulative across runs, like the inbox counters).
-        let adm = &self.shared.admission;
-        per_core[0].admission_rejects = adm.rejects.load(Ordering::Relaxed);
-        per_core[0].shed_requests = adm.shed_requests.load(Ordering::Relaxed);
-        per_core[0].shed_by_color = adm.shed_by_color.load(Ordering::Relaxed);
-        // Admission-boundary quarantine sheds join the drain-side count
-        // (which lives in the workers' own metrics) additively.
-        per_core[0].shed_by_fault += adm.shed_by_fault.load(Ordering::Relaxed);
+        self.shared.admission.attribute_to(&mut per_core[0]);
         let wall = cycles::now().wrapping_sub(start);
         // Consume any stop request so a later `run` proceeds normally.
         self.shared.stop.store(false, Ordering::Release);
@@ -809,12 +736,16 @@ impl Executor for ThreadedRuntime {
 }
 
 fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
-    let mut m = CoreMetrics::default();
+    let mut w = Worker {
+        shared,
+        me,
+        m: CoreMetrics::default(),
+        // Seeded fault injection: each worker derives its own draw
+        // stream from the plan's seed, so injection stays reproducible
+        // per worker even though cross-worker interleaving is not.
+        fault_rng: shared.faults.plan.map(|p| p.worker_rng(me)),
+    };
     let batch = shared.batch_threshold;
-    // Seeded fault injection: each worker derives its own draw stream
-    // from the plan's seed, so injection stays reproducible per worker
-    // even though cross-worker interleaving is not.
-    let mut fault_rng = shared.faults.plan.map(|p| p.worker_rng(me));
     let mut idle_spins: u32 = 0;
     // Reused across iterations so steady-state inbox drains never
     // allocate (the inbox recycles its nodes; this recycles the batch).
@@ -824,14 +755,14 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
             break;
         }
         drain_timers(shared);
-        drain_inbox(shared, me, &mut inbox_batch, &mut m);
+        drain_inbox(shared, me, &mut inbox_batch, &mut w.m);
 
         // Pop from our own queue.
         let popped = {
             let core = &shared.cores[me];
             let mut q = core.queue.lock();
-            m.lock_wait_cycles += q.waited_cycles();
-            m.lock_ops += 1;
+            w.m.lock_wait_cycles += q.waited_cycles();
+            w.m.lock_ops += 1;
             let ev = q.pop(batch);
             if let Some(ev) = &ev {
                 core.in_flight
@@ -842,7 +773,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         };
 
         if let Some(ev) = popped {
-            execute_event(shared, me, ev, &mut m, &mut fault_rng);
+            kernel::dispatch_one(&mut w, ev);
             shared.cores[me]
                 .in_flight
                 .store(NO_COLOR, Ordering::Release);
@@ -852,7 +783,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         }
 
         // Idle: steal or wind down.
-        if shared.ws.enabled && try_steal(shared, me, &mut m) {
+        if shared.ws.enabled && kernel::steal_attempt(&mut w) {
             idle_spins = 0;
             continue;
         }
@@ -866,7 +797,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
             std::hint::spin_loop();
         }
     }
-    m
+    w.m
 }
 
 fn drain_timers(shared: &Shared) {
@@ -874,11 +805,8 @@ fn drain_timers(shared: &Shared) {
         return;
     };
     let now = cycles::now();
-    while let Some(t) = timers.peek() {
-        if t.due > now {
-            break;
-        }
-        let t = timers.pop().expect("peeked");
+    while timers.peek().is_some_and(|Reverse(t)| t.due <= now) {
+        let Reverse(t) = timers.pop().expect("peeked");
         // Timer firings are cross-thread producers like any other: they
         // go through the owning core's inbox, not its spinlock.
         shared.inject(t.event);
@@ -925,287 +853,159 @@ fn drain_inbox(shared: &Shared, me: usize, batch: &mut Vec<Event>, m: &mut CoreM
     }
 }
 
-fn execute_event(
-    shared: &Shared,
+/// One worker thread as the scheduling kernel sees it: time is the
+/// shared cycle counter, cost is paid by spinning on it, and a queue is
+/// reached through its real spinlock.
+struct Worker<'a> {
+    shared: &'a Shared,
     me: usize,
-    mut ev: Event,
-    m: &mut CoreMetrics,
-    fault_rng: &mut Option<ScheduleRng>,
-) {
-    if ev.color_counted {
-        // Admission claimed a per-color in-flight slot; execution is
-        // where the event stops occupying a queue.
-        shared.admission.release_color(ev.color().value() as usize);
-        ev.color_counted = false;
-    }
-    let color = ev.color();
-    // Lazy quarantine drain: events queued before their color faulted
-    // are discarded here, at pop time, so the queue shrinks through its
-    // normal machinery and the worker never blocks on poisoned work.
-    if shared.faults.is_quarantined(color) {
-        m.shed_by_fault += 1;
-        if ev.carries_request {
-            m.failed_requests += 1;
-        }
-        return;
-    }
-    let mut inject_panic = false;
-    if let Some(rng) = fault_rng.as_mut() {
-        let plan = shared.faults.plan.expect("fault rng implies a plan");
-        // Both draws happen on every dispatch so changing one rate
-        // never shifts the other's injection sites.
-        if rng.chance(plan.drop_per_million, 1_000_000) {
-            m.note_fault(Some(color), FaultKind::InjectedDrop.code(), ev.seq);
-            if ev.carries_request {
-                m.failed_requests += 1;
-            }
-            shared.faults.record(Fault {
-                color: Some(color),
-                handler: ev.handler(),
-                kind: FaultKind::InjectedDrop,
-            });
-            return;
-        }
-        inject_panic = rng.chance(plan.panic_per_million, 1_000_000);
-    }
-    let t0 = cycles::now();
-    cycles::spin(ev.cost());
-    let mut fx = CtxEffects::default();
-    let action = ev.take_action();
-    // Panic containment: the handler runs inside `catch_unwind`, and
-    // its buffered effects (`fx`) are applied only on normal return —
-    // a panicking execution never emits half a fan-out.
-    let unwound = catch_unwind(AssertUnwindSafe(|| {
-        if inject_panic {
-            std::panic::panic_any(InjectedPanicMarker);
-        }
-        if let Some(action) = action {
-            let mut ctx = Ctx::new(me, cycles::now(), &mut fx);
-            action(&mut ctx);
-        }
-    }))
-    .err();
-    if let Some(payload) = unwound {
-        let kind = kind_of_panic(payload.as_ref());
-        shared.faults.record(Fault {
-            color: Some(color),
-            handler: ev.handler(),
-            kind: kind.clone(),
-        });
-        m.busy_cycles += cycles::now().wrapping_sub(t0);
-        m.note_fault(Some(color), kind.code(), ev.seq);
-        if ev.carries_request {
-            m.failed_requests += 1;
-        }
-        match shared.faults.policy {
-            FaultPolicy::QuarantineColor => {
-                if shared.faults.quarantined.quarantine(color) {
-                    m.quarantined_colors += 1;
-                }
-            }
-            FaultPolicy::ShedEvent => {}
-            FaultPolicy::Abort => resume_unwind(payload),
-        }
-        return;
-    }
-    cycles::spin(fx.charged);
-    let elapsed = cycles::now().wrapping_sub(t0);
-    m.busy_cycles += elapsed;
-    m.events_processed += 1;
-    m.note_completion(color, ev.seq);
-    for latency in fx.completions() {
-        m.completed_requests += 1;
-        m.latency.record(latency);
-    }
-    m.failed_requests += fx.failed;
-    if let Some(h) = ev.handler() {
-        shared.registry.record(h, elapsed);
-    }
-    for (mut delay, ev2) in fx.delayed {
-        if let Some(rng) = fault_rng.as_mut() {
-            let plan = shared.faults.plan.expect("fault rng implies a plan");
-            if rng.chance(plan.timer_spike_per_million, 1_000_000) {
-                delay += plan.timer_spike_cycles;
-            }
-        }
-        shared.register_after(delay, ev2);
-    }
-    for ev2 in fx.registrations {
-        // A surviving handler fanning out into a quarantined color is
-        // shed here, with worker-side attribution.
-        if shared.faults.is_quarantined(ev2.color()) {
-            m.shed_by_fault += 1;
-            if ev2.carries_request {
-                m.failed_requests += 1;
-            }
-            continue;
-        }
-        m.registered += 1;
-        shared.register(ev2);
-    }
-    if fx.stop {
-        shared.stop.store(true, Ordering::Release);
-    }
+    m: CoreMetrics,
+    fault_rng: Option<ScheduleRng>,
 }
 
-/// One steal attempt (both queue flavors). Migration happens with the
-/// victim's and the thief's locks both held, in core-id order.
-fn try_steal(shared: &Shared, me: usize, m: &mut CoreMetrics) -> bool {
-    m.steal_attempts += 1;
-    let t0 = cycles::now();
-    // Loads include each core's inbox backlog: work a producer has
-    // pushed but the owner has not drained yet is still pending work,
-    // and `construct_core_set` must see it.
-    let loads: Vec<usize> = shared.cores.iter().map(|c| c.load_estimate()).collect();
-    let ctx = StealContext {
-        ws: shared.ws,
-        machine: &shared.machine,
-        domains: &shared.domains,
-    };
-    let set = shared.policy.victims(me, &loads, &ctx);
-    for v in set {
-        if v == me || v >= shared.cores.len() {
-            continue;
-        }
-        if shared.cores[v].len_hint.load(Ordering::Relaxed) == 0 {
-            // Nothing stealable in the victim's queue yet (its inbox can
-            // only be drained by the victim itself).
-            continue;
-        }
-        let budget = shared.policy.steal_budget(me, v, &ctx).max(1);
-        if steal_from(shared, me, v, budget, m) {
-            let dur = cycles::now().wrapping_sub(t0);
-            m.steals += 1;
-            m.steal_cycles += dur;
-            m.note_steal_tier(shared.domains.tier_of(me, v));
-            update_estimate(shared, dur);
-            return true;
+impl CoreEnv for Worker<'_> {
+    fn state(&mut self) -> CoreState<'_> {
+        let s = self.shared;
+        CoreState {
+            core: self.me,
+            metrics: &mut self.m,
+            faults: &s.faults,
+            admission: &s.admission,
+            registry: &s.registry,
+            fault_rng: self.fault_rng.as_mut(),
+            policy: &*s.policy,
+            steal_ctx: StealContext {
+                ws: s.ws,
+                machine: &s.machine,
+                domains: &s.domains,
+            },
         }
     }
-    m.failed_steal_cycles += cycles::now().wrapping_sub(t0);
-    false
-}
 
-fn update_estimate(shared: &Shared, sample: u64) {
-    // Lock-free EWMA (racy updates are fine for an estimate).
-    let cur = shared.steal_est.load(Ordering::Relaxed);
-    let next = if cur == 0 {
-        sample
-    } else {
-        cur - cur / 8 + sample / 8
-    };
-    shared.steal_est.store(next, Ordering::Relaxed);
-}
+    fn now(&self) -> u64 {
+        cycles::now()
+    }
 
-fn steal_from(shared: &Shared, me: usize, v: usize, budget: usize, m: &mut CoreMetrics) -> bool {
-    debug_assert_ne!(me, v);
-    let (a, b) = if v < me { (v, me) } else { (me, v) };
-    let ga = shared.cores[a].queue.lock();
-    let gb = shared.cores[b].queue.lock();
-    m.lock_wait_cycles += ga.waited_cycles() + gb.waited_cycles();
-    m.lock_ops += 2;
-    let (mut gv, mut gm) = if a == v { (ga, gb) } else { (gb, ga) };
+    /// The stamp is the dispatch's start time; the declared cost is
+    /// materialised by spinning.
+    fn start_event(&mut self, ev: &Event) -> u64 {
+        let t0 = cycles::now();
+        cycles::spin(ev.cost());
+        t0
+    }
 
-    let vin = match shared.cores[v].in_flight.load(Ordering::Acquire) {
-        NO_COLOR => None,
-        c => Some(Color::new(c as u16)),
-    };
+    /// Touches are accounted but not materialised on real memory.
+    fn finish_event(&mut self, t0: u64, _color: Color, fx: Option<&CtxEffects>) -> u64 {
+        cycles::spin(fx.map_or(0, |fx| fx.charged));
+        cycles::now().wrapping_sub(t0)
+    }
 
-    // Up to `budget` colors migrate under the one lock pair (budget 1 is
-    // the classic steal; far-tier steals under the hierarchical policy
-    // amortize the trip over several colors).
-    let est = shared.steal_est.load(Ordering::Relaxed);
-    let mut taken = 0usize;
-    match (&mut *gv, &mut *gm) {
-        (QueueImpl::Legacy(vq), QueueImpl::Legacy(mq)) => {
-            // can_be_stolen re-checked per color: the victim always
-            // keeps at least one.
-            while taken < budget && vq.distinct_colors() >= 2 {
-                let Some((color, _)) = vq.choose_color_to_steal(vin) else {
-                    break;
-                };
-                let (events, _) = vq.extract_color(color);
-                if events.is_empty() {
-                    break;
-                }
-                let n = events.len() as u64;
-                let cost: u64 = events.iter().map(|e| e.cost()).sum();
-                shared.color_owner[color.value() as usize].store(me as u32, Ordering::Release);
-                mq.append(events);
-                m.stolen_events += n;
-                m.stolen_cost_cycles += cost;
-                taken += 1;
-            }
+    fn schedule(&mut self, delay: u64, ev: Event) {
+        self.shared.register_after(delay, ev);
+    }
+
+    fn route(&mut self, ev: Event) {
+        self.m.registered += 1;
+        self.shared.register(ev);
+    }
+
+    fn request_stop(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+    }
+
+    /// Loads include each core's inbox backlog: work a producer has
+    /// pushed but the owner has not drained yet is still pending work,
+    /// and `construct_core_set` must see it.
+    fn steal_begin(&mut self) -> (u64, Vec<usize>) {
+        let loads = self.shared.cores.iter().map(|c| c.load_estimate());
+        (cycles::now(), loads.collect())
+    }
+
+    /// A victim's inbox can only be drained by the victim itself, so
+    /// only what already reached its queue counts.
+    fn worth_visiting(&self, v: usize) -> bool {
+        self.shared.cores[v].len_hint.load(Ordering::Relaxed) != 0
+    }
+
+    /// Migration happens with the victim's and the thief's locks both
+    /// held, in core-id order.
+    fn migrate(&mut self, v: usize, budget: usize) -> Option<(u64, u64)> {
+        let (shared, me) = (self.shared, self.me);
+        debug_assert_ne!(me, v);
+        let (a, b) = if v < me { (v, me) } else { (me, v) };
+        let ga = shared.cores[a].queue.lock();
+        let gb = shared.cores[b].queue.lock();
+        self.m.lock_wait_cycles += ga.waited_cycles() + gb.waited_cycles();
+        self.m.lock_ops += 2;
+        let (mut gv, mut gm) = if a == v { (ga, gb) } else { (gb, ga) };
+
+        let vin = match shared.cores[v].in_flight.load(Ordering::Acquire) {
+            NO_COLOR => None,
+            c => Some(Color::new(c as u16)),
+        };
+        let est = shared.steal_est.lock().get();
+        gv.set_steal_cost_estimate(est);
+        gm.set_steal_cost_estimate(est);
+        let (sets, _examined) = gv.steal_take(vin, shared.ws.time_left, budget, u64::MAX);
+        if sets.is_empty() {
+            return None;
         }
-        (QueueImpl::Mely(vq), QueueImpl::Mely(mq)) => {
-            vq.set_steal_cost_estimate(est);
-            mq.set_steal_cost_estimate(est);
-            while taken < budget {
-                let slot = if shared.ws.time_left {
-                    vq.choose_worthy(vin)
+        let (mut events, mut cost) = (0, 0);
+        for set in sets {
+            events += set.len() as u64;
+            cost += set.cum_cost();
+            shared.color_owner[set.color().value() as usize].store(me as u32, Ordering::Release);
+            gm.steal_absorb(set);
+        }
+
+        // Rescue the victim's inbox backlog while both locks are held.
+        // Events of the just-stolen color would otherwise strand in the
+        // victim's inbox until its next drain — by which time newer
+        // events of that color may already have run here, inverting
+        // per-producer order. Draining concurrently with the victim is
+        // safe (each node is taken by exactly one swap); placement
+        // re-checks the color map under the locks we hold.
+        let backlog = shared.cores[v].inbox.drain();
+        if !backlog.is_empty() {
+            self.m.inbox_drain_batches += 1;
+            self.m.inbox_drained += backlog.len() as u64;
+            for ev in backlog {
+                let slot = ev.color().value() as usize;
+                let owner = shared.color_owner[slot].load(Ordering::Acquire);
+                if owner == me as u32 {
+                    // The stolen color (or one we already own): goes
+                    // after the just-migrated events, preserving
+                    // producer order.
+                    gm.push(ev);
+                } else if owner == v as u32 {
+                    gv.push(ev);
+                } else if (owner as usize) < shared.cores.len() {
+                    // A third core owns it (an earlier racing steal);
+                    // hand the event to that core's inbox.
+                    self.m.inbox_rerouted += 1;
+                    shared.cores[owner as usize].inbox.push(ev);
                 } else {
-                    if !vq.can_be_stolen_base() {
-                        break;
-                    }
-                    vq.choose_scan(vin).map(|(s, _)| s)
-                };
-                let Some(slot) = slot else {
-                    break;
-                };
-                let d = vq.detach(slot);
-                let n = d.len() as u64;
-                let cost = d.cum_cost();
-                shared.color_owner[d.color().value() as usize].store(me as u32, Ordering::Release);
-                mq.absorb(d);
-                m.stolen_events += n;
-                m.stolen_cost_cycles += cost;
-                taken += 1;
+                    // Unclaimed colors cannot normally reach an inbox
+                    // (inject claims an owner before pushing); keep the
+                    // event with the victim and claim the color for it.
+                    shared.color_owner[slot].store(v as u32, Ordering::Release);
+                    gv.push(ev);
+                }
             }
         }
-        _ => unreachable!("both cores share one flavor"),
-    }
-    if taken == 0 {
-        return false;
+
+        shared.cores[v].len_hint.store(gv.len(), Ordering::Relaxed);
+        shared.cores[me].len_hint.store(gm.len(), Ordering::Relaxed);
+        Some((events, cost))
     }
 
-    // Rescue the victim's inbox backlog while both locks are held.
-    // Events of the just-stolen color would otherwise strand in the
-    // victim's inbox until its next drain — by which time newer events
-    // of that color may already have run here, inverting per-producer
-    // order. Draining concurrently with the victim is safe (each node is
-    // taken by exactly one swap); placement re-checks the color map
-    // under the locks we hold.
-    let backlog = shared.cores[v].inbox.drain();
-    if !backlog.is_empty() {
-        m.inbox_drain_batches += 1;
-        m.inbox_drained += backlog.len() as u64;
-        for ev in backlog {
-            let slot = ev.color().value() as usize;
-            let owner = shared.color_owner[slot].load(Ordering::Acquire);
-            if owner == me as u32 {
-                // The stolen color (or one we already own): goes after
-                // the just-migrated events, preserving producer order.
-                gm.push(ev);
-            } else if owner == v as u32 {
-                gv.push(ev);
-            } else if (owner as usize) < shared.cores.len() {
-                // A third core owns it (an earlier racing steal); hand
-                // the event to that core's inbox.
-                m.inbox_rerouted += 1;
-                shared.cores[owner as usize].inbox.push(ev);
-            } else {
-                // Unclaimed colors cannot normally reach an inbox
-                // (inject claims an owner before pushing); keep the
-                // event with the victim and claim the color for it.
-                shared.color_owner[slot].store(v as u32, Ordering::Release);
-                gv.push(ev);
-            }
-        }
+    fn steal_end(&mut self, t0: u64, _stolen: bool) -> u64 {
+        cycles::now().wrapping_sub(t0)
     }
 
-    shared.cores[v].len_hint.store(gv.len(), Ordering::Relaxed);
-    shared.cores[me].len_hint.store(gm.len(), Ordering::Relaxed);
-    true
+    fn record_steal_cost(&mut self, cycles: u64) {
+        self.shared.steal_est.lock().record(cycles);
+    }
 }
 
 #[cfg(test)]
@@ -1234,25 +1034,6 @@ mod tests {
             };
             assert_eq!(r.events_processed(), 200, "{flavor:?}");
         }
-    }
-
-    #[test]
-    fn actions_run_and_cascade() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut rt = rt(Flavor::Mely, WsPolicy::off(), 2);
-        for i in 0..50u16 {
-            let c1 = Arc::clone(&counter);
-            rt.register(Event::new(Color::new(i), 0).with_action(move |ctx| {
-                let c2 = Arc::clone(&c1);
-                ctx.register(Event::new(Color::new(1_000), 0).with_action(move |_| {
-                    c2.fetch_add(1, Ordering::Relaxed);
-                }));
-                c1.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        let r = rt.run();
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(r.events_processed(), 100);
     }
 
     #[test]
@@ -1309,6 +1090,39 @@ mod tests {
         assert!(
             r.total().steals > 0,
             "expected steals on an unbalanced load"
+        );
+    }
+
+    #[test]
+    fn first_monitored_steal_replaces_the_initial_estimate() {
+        // An estimate no real steal can match, so blending the first
+        // sample into it (instead of replacing it, as
+        // `RuntimeBuilder::initial_steal_estimate` documents) shows.
+        let rt = RuntimeBuilder::new()
+            .cores(2)
+            .flavor(Flavor::Mely)
+            .workstealing(WsPolicy::base())
+            .initial_steal_estimate(1_000_000_000)
+            .make_threaded();
+        for i in 0..4u16 {
+            rt.register_pinned(Event::new(Color::new(i + 1), 0), 0);
+        }
+        let mut thief = Worker {
+            shared: &rt.shared,
+            me: 1,
+            m: CoreMetrics::default(),
+            fault_rng: None,
+        };
+        assert!(kernel::steal_attempt(&mut thief));
+        assert_eq!(thief.m.steals, 1);
+        let first = thief.m.steal_cycles;
+        assert_eq!(rt.shared.steal_est.lock().get(), first);
+        // Later samples are smoothed by 1/8.
+        assert!(kernel::steal_attempt(&mut thief));
+        let second = thief.m.steal_cycles - first;
+        assert_eq!(
+            rt.shared.steal_est.lock().get(),
+            first - first / 8 + second / 8
         );
     }
 

@@ -21,23 +21,18 @@
 //! sides. Like the paper's `multio` benchmark, the requested file stays
 //! in the server's in-memory buffer cache ([`FileStore`]).
 //!
-//! Two implementations share this module: [`SfsService`], the canonical
-//! server as a typed stage pipeline (`mely_core::stage`; every
-//! encrypted reply closes a request of the per-request latency
-//! pipeline), and [`Sfs`], the same handlers on the raw [`Event`] API —
-//! the low-level layer the typed one compiles down to. The
-//! network-free, structurally countable variant is
-//! [`service::FileServerService`].
+//! [`SfsService`] is the server, a typed stage pipeline
+//! (`mely_core::stage`) in which every encrypted reply closes a request
+//! of the per-request latency pipeline. The network-free, structurally
+//! countable variant is [`service::FileServerService`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mely_core::color::{Color, ColorSpace};
-use mely_core::event::Event;
+use mely_core::color::ColorSpace;
 use mely_core::exec::{Executor, Service};
-use mely_core::handler::{HandlerId, HandlerSpec};
 use mely_core::stage::{PipelineBuilder, Stage, StageCtx, StageSpec};
 use mely_crypto::{crypto_cost_cycles, Mac, SessionKey, StreamCipher};
 use mely_loadgen::ClientProtocol;
@@ -190,44 +185,6 @@ struct SfsState {
     stats: SfsStats,
 }
 
-#[derive(Clone, Copy)]
-struct Handlers {
-    epoll: HandlerId,
-    accept: HandlerId,
-    read_request: HandlerId,
-    process_read: HandlerId,
-    encrypt: HandlerId,
-    send_reply: HandlerId,
-    close: HandlerId,
-}
-
-/// All protocol handlers share the default color (serialized); only
-/// `Encrypt` is colored per session.
-const PROTO_COLOR: Color = Color::new(0);
-
-fn session_color(fd: Fd) -> Color {
-    // A realistic (imperfect) hash: session colors collide on a subset
-    // of the cores, giving the static dispatch the load imbalance that
-    // workstealing then corrects (the effect Figure 3 measures).
-    Color::new(16 + ((fd * 5) % 13) as u16)
-}
-
-struct AppInner<D> {
-    state: Mutex<SfsState>,
-    net: Arc<Mutex<SimNet>>,
-    driver: Arc<Mutex<D>>,
-    cfg: SfsConfig,
-    h: Handlers,
-}
-
-struct App<D>(Arc<AppInner<D>>);
-
-impl<D> Clone for App<D> {
-    fn clone(&self) -> Self {
-        App(Arc::clone(&self.0))
-    }
-}
-
 /// A parsed `READ` request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ReadReq {
@@ -252,91 +209,6 @@ fn parse_read_line(line: &str) -> Option<ReadReq> {
         offset,
         len,
     })
-}
-
-/// A running SFS instance.
-pub struct Sfs {
-    stats: Arc<dyn Fn() -> SfsStats + Send + Sync>,
-}
-
-impl Sfs {
-    /// Installs SFS onto any executor (`&mut dyn Executor`): registers
-    /// the handlers, generates the served file into the buffer cache,
-    /// opens the listener and schedules the first `Epoll` event.
-    /// Prefer installing through the [`Service`] impl:
-    /// `rt.install(SfsService::new(net, driver, cfg))`.
-    pub fn install<D: Driver + 'static>(
-        rt: &mut dyn Executor,
-        net: Arc<Mutex<SimNet>>,
-        driver: Arc<Mutex<D>>,
-        cfg: SfsConfig,
-    ) -> Sfs {
-        let c = &cfg.costs;
-        // Only the CPU-intensive Encrypt handler is a good steal: the
-        // protocol handlers share the serialized default color and carry
-        // a high stealing penalty (the paper's annotation mechanism,
-        // Section III-C), so thieves take crypto, not the event loop.
-        const LOOP_PENALTY: u32 = 100;
-        let h = Handlers {
-            epoll: rt.register_handler(
-                HandlerSpec::new("Epoll")
-                    .cost(c.epoll)
-                    .penalty(LOOP_PENALTY),
-            ),
-            accept: rt.register_handler(
-                HandlerSpec::new("Accept")
-                    .cost(c.accept)
-                    .penalty(LOOP_PENALTY),
-            ),
-            read_request: rt.register_handler(
-                HandlerSpec::new("ReadRequest")
-                    .cost(c.read_request)
-                    .penalty(LOOP_PENALTY),
-            ),
-            process_read: rt.register_handler(
-                HandlerSpec::new("ProcessRead")
-                    .cost(c.process_read)
-                    .penalty(LOOP_PENALTY),
-            ),
-            encrypt: rt
-                .register_handler(HandlerSpec::new("Encrypt").cost(crypto_cost_cycles(cfg.chunk))),
-            send_reply: rt.register_handler(
-                HandlerSpec::new("SendReply")
-                    .cost(c.send_reply)
-                    .penalty(LOOP_PENALTY),
-            ),
-            close: rt.register_handler(
-                HandlerSpec::new("Close")
-                    .cost(c.close)
-                    .penalty(LOOP_PENALTY),
-            ),
-        };
-        let mut store = FileStore::new();
-        store.put_generated(&cfg.path, cfg.file_len);
-        net.lock().listen(cfg.port);
-        let app = App(Arc::new(AppInner {
-            state: Mutex::new(SfsState {
-                store,
-                conns: HashMap::new(),
-                accept_pending: false,
-                stats: SfsStats::default(),
-            }),
-            net,
-            driver,
-            cfg,
-            h,
-        }));
-        rt.register(app.epoll_event());
-        let inner = Arc::clone(&app.0);
-        Sfs {
-            stats: Arc::new(move || inner.state.lock().stats),
-        }
-    }
-
-    /// Current server-side counters.
-    pub fn stats(&self) -> SfsStats {
-        (self.stats)()
-    }
 }
 
 /// State shared by the typed SFS stages ([`SfsService`]).
@@ -553,10 +425,12 @@ impl<D: Driver + 'static> Stage for SfsEncryptStage<D> {
     type In = SfsEncryptMsg;
 
     fn spec(&self) -> StageSpec<SfsEncryptMsg> {
-        // The one colored stage: per-session parallelism, keyed (into
-        // the keyed plane, disjoint from the protocol color) with the
-        // same deliberately imperfect 13-way spread as `session_color`
-        // (collisions feed the workstealing study).
+        // The one colored stage: per-session parallelism, keyed into
+        // the keyed plane (disjoint from the protocol color) by a
+        // realistic, imperfect hash: session colors collide on a subset
+        // of the cores, giving the static dispatch the load imbalance
+        // that workstealing then corrects (the effect Figure 3
+        // measures).
         StageSpec::new("Encrypt")
             .cost(crypto_cost_cycles(self.0.cfg.chunk))
             .keyed(|m| 16 + (m.fd * 5) % 13)
@@ -634,8 +508,7 @@ impl<D: Driver + 'static> Stage for SfsCloseStage<D> {
 /// Coloring follows the paper's scheme: every protocol stage shares the
 /// `Epoll` stage's serial color (the stage-layer formalization of "all
 /// protocol handlers share the default color"), and only the
-/// CPU-intensive `Encrypt` stage is keyed per session. The raw
-/// event-API implementation survives as [`Sfs`] (the low-level layer).
+/// CPU-intensive `Encrypt` stage is keyed per session.
 pub struct SfsService<D> {
     net: Arc<Mutex<SimNet>>,
     driver: Arc<Mutex<D>>,
@@ -717,188 +590,6 @@ impl<D: Driver + 'static> Service for SfsService<D> {
             .build()
             .install(exec);
         self.installed = Some(shared);
-    }
-}
-
-impl<D: Driver + 'static> App<D> {
-    fn epoll_event(&self) -> Event {
-        let app = self.clone();
-        Event::for_handler(PROTO_COLOR, self.0.h.epoll).with_action(move |ctx| {
-            let now = ctx.now();
-            let inner = &app.0;
-            let mut net = inner.net.lock();
-            let done = inner.driver.lock().advance(&mut net, now);
-            let events = net.poll(now);
-            ctx.charge(inner.cfg.costs.epoll_per_event * events.len() as u64);
-            {
-                let mut st = inner.state.lock();
-                for e in events {
-                    match e {
-                        NetEvent::Acceptable(_) => {
-                            if !st.accept_pending {
-                                st.accept_pending = true;
-                                ctx.register(app.accept_event());
-                            }
-                        }
-                        NetEvent::Readable(fd) | NetEvent::PeerClosed(fd) => {
-                            if let Some(conn) = st.conns.get_mut(&fd) {
-                                if !conn.read_pending {
-                                    conn.read_pending = true;
-                                    ctx.register(app.read_request_event(fd));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            let next = [net.next_activity(now), inner.driver.lock().next_due(now)]
-                .into_iter()
-                .flatten()
-                .min();
-            drop(net);
-            match next {
-                Some(t) => ctx.register_after(
-                    t.saturating_sub(now).max(inner.cfg.min_poll),
-                    app.epoll_event(),
-                ),
-                None if !done => ctx.register_after(inner.cfg.poll_interval, app.epoll_event()),
-                None => {}
-            }
-        })
-    }
-
-    fn accept_event(&self) -> Event {
-        let app = self.clone();
-        Event::for_handler(PROTO_COLOR, self.0.h.accept).with_action(move |ctx| {
-            let inner = &app.0;
-            let now = ctx.now();
-            let mut net = inner.net.lock();
-            let mut st = inner.state.lock();
-            // Bounded accept batch (see the SWS accept handler).
-            let mut first = true;
-            let mut batch = 0;
-            while batch < 8 {
-                let Some(fd) = net.accept(inner.cfg.port, now) else {
-                    break;
-                };
-                if !first {
-                    ctx.charge(inner.cfg.costs.accept);
-                }
-                first = false;
-                batch += 1;
-                st.stats.sessions += 1;
-                st.conns.insert(fd, ConnState::default());
-            }
-            if batch == 8 {
-                ctx.register(app.accept_event());
-            } else {
-                st.accept_pending = false;
-            }
-        })
-    }
-
-    fn read_request_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        Event::for_handler(PROTO_COLOR, self.0.h.read_request).with_action(move |ctx| {
-            let inner = &app.0;
-            let now = ctx.now();
-            let mut net = inner.net.lock();
-            let data = net.read(fd, now);
-            let hup = data.is_empty() && net.peer_closed(fd, now);
-            drop(net);
-            let mut st = inner.state.lock();
-            let Some(conn) = st.conns.get_mut(&fd) else {
-                return;
-            };
-            conn.read_pending = false;
-            if hup {
-                ctx.register(app.close_event(fd));
-                return;
-            }
-            conn.buf.extend_from_slice(&data);
-            // Extract complete request lines.
-            while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-                let parsed = std::str::from_utf8(&line[..line.len() - 1])
-                    .ok()
-                    .and_then(parse_read_line);
-                match parsed {
-                    Some(req) => ctx.register(app.process_read_event(fd, req)),
-                    None => {
-                        st.stats.rejected += 1;
-                        ctx.register(app.close_event(fd));
-                        return;
-                    }
-                }
-            }
-        })
-    }
-
-    fn process_read_event(&self, fd: Fd, req: ReadReq) -> Event {
-        let app = self.clone();
-        Event::for_handler(PROTO_COLOR, self.0.h.process_read).with_action(move |ctx| {
-            let inner = &app.0;
-            let st = inner.state.lock();
-            let Some(file) = st.store.get(&inner.cfg.path) else {
-                return;
-            };
-            let start = req.offset.min(file.len() as u64) as usize;
-            let end = (req.offset + req.len).min(file.len() as u64) as usize;
-            if start >= end {
-                drop(st);
-                let mut st = inner.state.lock();
-                st.stats.rejected += 1;
-                ctx.register(app.close_event(fd));
-                return;
-            }
-            let plain = file[start..end].to_vec();
-            drop(st);
-            ctx.register(app.encrypt_event(fd, req.clone(), plain));
-        })
-    }
-
-    fn encrypt_event(&self, fd: Fd, req: ReadReq, plain: Vec<u8>) -> Event {
-        let app = self.clone();
-        // The one colored handler: per-session parallelism.
-        Event::for_handler(session_color(fd), self.0.h.encrypt).with_action(move |ctx| {
-            let key = SessionKey::from_seed(req.client);
-            let mut payload = plain;
-            StreamCipher::new(&key, req.offset).apply(&mut payload);
-            let tag = Mac::new(&key).compute(&payload);
-            ctx.register(app.send_reply_event(fd, payload, tag));
-        })
-    }
-
-    fn send_reply_event(&self, fd: Fd, payload: Vec<u8>, tag: u64) -> Event {
-        let app = self.clone();
-        Event::for_handler(PROTO_COLOR, self.0.h.send_reply).with_action(move |ctx| {
-            let inner = &app.0;
-            let now = ctx.now();
-            ctx.charge(payload.len() as u64 * inner.cfg.costs.send_per_byte_milli / 1_000);
-            let mut frame = Vec::with_capacity(16 + payload.len());
-            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            frame.extend_from_slice(&tag.to_le_bytes());
-            frame.extend_from_slice(&payload);
-            let n = payload.len() as u64;
-            inner.net.lock().write(fd, now, frame);
-            let mut st = inner.state.lock();
-            st.stats.reads += 1;
-            st.stats.bytes += n;
-        })
-    }
-
-    fn close_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        Event::for_handler(PROTO_COLOR, self.0.h.close).with_action(move |ctx| {
-            let _ = ctx;
-            let inner = &app.0;
-            let now = ctx.now();
-            let mut net = inner.net.lock();
-            net.close(fd, now);
-            net.reap(fd);
-            drop(net);
-            inner.state.lock().conns.remove(&fd);
-        })
     }
 }
 
@@ -1011,7 +702,7 @@ mod tests {
             },
         );
         let driver = Arc::new(Mutex::new(load));
-        let sfs = Sfs::install(&mut rt, net, Arc::clone(&driver), cfg);
+        let sfs = rt.install(SfsService::new(net, Arc::clone(&driver), cfg));
         let report = rt.run();
         let d = driver.lock();
         (
@@ -1033,47 +724,20 @@ mod tests {
 
     #[test]
     fn serves_verified_encrypted_reads() {
-        let (srv, cli, verified, corrupt, _) =
-            run_sfs(Flavor::Mely, WsPolicy::off(), 4, 60_000_000, small_cfg());
-        assert!(srv.reads > 4, "served {}", srv.reads);
-        assert_eq!(corrupt, 0, "every response must verify");
-        assert_eq!(verified, cli.responses);
-        assert_eq!(srv.rejected, 0);
-        assert!(srv.sessions >= 4);
-    }
-
-    #[test]
-    fn stage_service_serves_verified_reads_and_reports_latency() {
-        let mut rt = RuntimeBuilder::new()
-            .cores(8)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::improved())
-            .build(ExecKind::Sim);
-        let net = Arc::new(Mutex::new(SimNet::new(NetConfig::default())));
-        let cfg = small_cfg();
-        let load = ClosedLoopLoad::new(
-            SfsProtocol::new(8, cfg.file_len, cfg.chunk),
-            LoadConfig {
-                clients: 8,
-                ports: vec![cfg.port],
-                requests_per_conn: u64::MAX,
-                duration: 60_000_000,
-                ..LoadConfig::default()
-            },
-        );
-        let driver = Arc::new(Mutex::new(load));
-        let svc = rt.install(SfsService::new(net, Arc::clone(&driver), cfg));
-        let report = rt.run();
-        let srv = svc.stats();
-        let d = driver.lock();
-        assert!(srv.reads > 8, "served {}", srv.reads);
-        assert_eq!(d.protocol().corrupt(), 0, "every response must verify");
-        assert_eq!(d.protocol().verified(), d.stats().responses);
-        // Every encrypted reply closed one request of the latency
-        // pipeline.
-        assert_eq!(report.completed_requests(), srv.reads);
-        assert!(report.latency_p50() > 0);
-        assert!(report.latency_p50() <= report.latency_p99());
+        for (ws, clients) in [(WsPolicy::off(), 4), (WsPolicy::improved(), 8)] {
+            let (srv, cli, verified, corrupt, report) =
+                run_sfs(Flavor::Mely, ws, clients, 60_000_000, small_cfg());
+            assert!(srv.reads > clients as u64, "served {}", srv.reads);
+            assert_eq!(corrupt, 0, "every response must verify");
+            assert_eq!(verified, cli.responses);
+            assert_eq!(srv.rejected, 0);
+            assert!(srv.sessions >= clients as u64);
+            // Every encrypted reply closed one request of the latency
+            // pipeline.
+            assert_eq!(report.completed_requests(), srv.reads);
+            assert!(report.latency_p50() > 0);
+            assert!(report.latency_p50() <= report.latency_p99());
+        }
     }
 
     #[test]
@@ -1123,7 +787,7 @@ mod tests {
             },
         );
         let driver = Arc::new(Mutex::new(load));
-        let sfs = Sfs::install(&mut rt, net, driver, cfg);
+        let sfs = rt.install(SfsService::new(net, driver, cfg));
         rt.run();
         assert!(sfs.stats().rejected > 0);
         assert_eq!(sfs.stats().reads, 0);
@@ -1187,7 +851,7 @@ mod tests {
             },
         );
         let driver = Arc::new(Mutex::new(load));
-        let sfs = Sfs::install(&mut rt, net, driver, cfg);
+        let sfs = rt.install(SfsService::new(net, driver, cfg));
         rt.run();
         assert!(sfs.stats().rejected > 0);
     }

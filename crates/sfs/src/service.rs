@@ -31,7 +31,7 @@
 //! service* processes the *same number of events* on the simulator and
 //! on the threaded executor; the cross-executor conformance suite pins
 //! that equality. The full network-driven SFS (poll loop, SimNet,
-//! closed-loop clients) lives in [`crate::Sfs`] / [`crate::SfsService`].
+//! closed-loop clients) lives in [`crate::SfsService`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -26,10 +26,12 @@
 //!   collision-checked allocator, every response closes a request of
 //!   the per-request latency pipeline, and
 //!   `rt.install(SwsService::new(..))` runs it on either executor;
-//! - [`Sws`] — the same nine handlers on the raw [`Event`] API (the
-//!   low-level layer), kept because the N-copy comparator needs its
-//!   hand-built [`ColorPlane`]s, and as the reference for what the
-//!   typed layer abstracts away.
+//! - [`Sws`] — the same nine handlers on the raw [`Event`] API. It
+//!   stays (unlike SFS's raw twin, which is gone) because Figure 7's
+//!   N-copy line, [`comparators::install_ncopy`], needs
+//!   [`ColorPlane::ncopy`]: every color of a copy congruent to the
+//!   copy's core, which the typed stage layer's colorings (serial,
+//!   keyed, inherited, shared) cannot express without a new option.
 //!
 //! Both serve load produced by any [`mely_net::driver::Driver`]
 //! (normally `mely_loadgen::ClosedLoopLoad` with [`HttpProtocol`]).
@@ -1108,7 +1110,7 @@ impl<D: Driver + 'static> App<D> {
                 match resp.status() {
                     200 => st.stats.ok += 1,
                     404 => st.stats.not_found += 1,
-                    400 => st.stats.bad_request += 0, // counted at parse time
+                    // 400s are counted at parse time.
                     _ => {}
                 }
                 let close_after = {
