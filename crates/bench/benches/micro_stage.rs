@@ -8,8 +8,7 @@
 //!
 //! - `stage/raw_chain` — hand-built [`Event`]s whose boxed closures
 //!   capture the next hop directly, with hand-wired `HandlerId`s and
-//!   hand-picked colors (the pre-stage idiom of the raw `Sws`
-//!   install);
+//!   hand-picked colors (the pre-stage idiom);
 //! - `stage/typed_chain` — a four-stage typed pipeline
 //!   (`mely_core::stage`): per-hop routing resolves the target entry
 //!   and its coloring, and the final hop completes the request into
@@ -120,7 +119,7 @@ struct RawHandlers {
 /// The raw four-hop chain: each hop's closure hand-builds the next
 /// event — colors picked by hand, handler ids wired by hand, payload
 /// smuggled through the captures — exactly like pre-stage application
-/// code (see the raw `Sws` install).
+/// code.
 fn raw_chain(h: RawHandlers, key: u64) -> Event {
     let c1 = Color::new(1 + (key % 0x7FFF) as u16);
     let c3 = Color::new(1 + (key.wrapping_mul(31) % 0x7FFF) as u16);

@@ -172,6 +172,33 @@ impl ColorRange {
     }
 }
 
+/// Where one pipeline's `StageSpec::keyed` messages hash to: the colors
+/// of [`ColorRange::STAGE_KEYED`] that lie in the pipeline's residue
+/// class, as the progression `first + stride * i` for `i < len`. The
+/// stage router carries one of these ([`ColorSpace::keyed_plane`]) so
+/// the per-event path never touches the allocator's bitmap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyedPlane {
+    first: u16,
+    stride: u16,
+    len: u16,
+}
+
+impl KeyedPlane {
+    /// Hashes `key` into the plane.
+    #[inline]
+    pub(crate) const fn color(self, key: u64) -> Color {
+        if self.stride == 1 {
+            // The default class is the whole plane: a constant divisor,
+            // which the compiler turns into a multiply — the per-event
+            // emit path pays no runtime division for it.
+            ColorRange::STAGE_KEYED.keyed(key)
+        } else {
+            Color(self.first + self.stride * (key % self.len as u64) as u16)
+        }
+    }
+}
+
 /// Error returned by [`ColorSpace::claim`] when the color is taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColorTaken(
@@ -202,6 +229,16 @@ impl std::error::Error for ColorTaken {}
 /// reserved, so allocated stage colors can never shadow a listener and
 /// never silently join the all-serializing default color.
 ///
+/// A space also answers "which colors may this pipeline use": it
+/// carries a *residue class* `(residue, modulus)`, and both
+/// [`ColorSpace::alloc`] and the keyed mapping ([`ColorSpace::keyed`])
+/// only ever produce colors ≡ `residue` (mod `modulus`). The default
+/// class `(0, 1)` is every color; [`ColorSpace::congruent`] picks
+/// another — with `modulus` = the core count, the color hash
+/// ([`Color::home_core`]) then sends the whole pipeline to core
+/// `residue`, which is how the N-copy web server pins one copy per
+/// core.
+///
 /// # Examples
 ///
 /// ```
@@ -224,6 +261,10 @@ pub struct ColorSpace {
     /// Colors handed out or explicitly claimed/reserved (excluding the
     /// implicit default-color reservation).
     allocated: u32,
+    /// The residue class `alloc` and `keyed` stay inside:
+    /// colors ≡ `residue` (mod `modulus`). `(0, 1)` is every color.
+    residue: u32,
+    modulus: u32,
 }
 
 impl Default for ColorSpace {
@@ -241,6 +282,8 @@ impl ColorSpace {
             used: Box::new([0u64; COLOR_SPACE / 64]),
             cursor: 1,
             allocated: 0,
+            residue: 0,
+            modulus: 1,
         };
         s.set(Color::DEFAULT);
         s
@@ -256,6 +299,69 @@ impl ColorSpace {
         s.reserve_range(ColorRange::LISTENERS);
         s.reserve_range(ColorRange::STAGE_KEYED);
         s
+    }
+
+    /// [`ColorSpace::for_stages`] restricted to the residue class
+    /// `residue` (mod `modulus`): serial allocations and keyed colors
+    /// are all ≡ `residue`, still inside [`ColorRange::STAGE_SERIAL`]
+    /// and [`ColorRange::STAGE_KEYED`] respectively. Spaces of distinct
+    /// residues (same modulus) are disjoint, so pipelines built on them
+    /// can share an executor without reserving each other's territory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residue >= modulus`, or if `modulus` exceeds the
+    /// serial plane's size (a class must own at least one color of
+    /// each plane).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mely_core::color::{ColorRange, ColorSpace};
+    ///
+    /// // Everything this space hands out is dispatched to core 3 of 8.
+    /// let mut space = ColorSpace::congruent(3, 8);
+    /// assert_eq!(space.alloc().home_core(8), 3);
+    /// assert_eq!(space.keyed(12_345).home_core(8), 3);
+    /// assert!(ColorRange::STAGE_KEYED.contains(space.keyed(12_345)));
+    /// ```
+    pub fn congruent(residue: usize, modulus: usize) -> Self {
+        assert!(residue < modulus, "residue must be below the modulus");
+        assert!(
+            modulus <= ColorRange::STAGE_SERIAL.len() as usize,
+            "modulus {modulus} leaves some class without a serial color"
+        );
+        let mut s = ColorSpace::for_stages();
+        s.residue = residue as u32;
+        s.modulus = modulus as u32;
+        s
+    }
+
+    /// The lowest value `>= v` that lies in this space's class.
+    fn class_ceil(&self, v: u32) -> u32 {
+        let m = self.modulus;
+        v + (self.residue + m - v % m) % m
+    }
+
+    /// This space's slice of [`ColorRange::STAGE_KEYED`], in the `Copy`
+    /// form the stage router hashes with.
+    pub(crate) fn keyed_plane(&self) -> KeyedPlane {
+        let plane = ColorRange::STAGE_KEYED;
+        let first = self.class_ceil(plane.first as u32);
+        KeyedPlane {
+            first: first as u16,
+            stride: self.modulus as u16,
+            len: ((plane.last as u32 - first) / self.modulus + 1) as u16,
+        }
+    }
+
+    /// The color a pipeline built on this space gives a
+    /// `StageSpec::keyed` message with key `key`: `key` hashed into the
+    /// colors of [`ColorRange::STAGE_KEYED`] that lie in the space's
+    /// class. For the default class this is exactly
+    /// `ColorRange::STAGE_KEYED.keyed(key)`.
+    pub fn keyed(&self, key: u64) -> Color {
+        self.keyed_plane().color(key)
     }
 
     fn set(&mut self, c: Color) {
@@ -274,7 +380,7 @@ impl ColorSpace {
         self.allocated
     }
 
-    /// Allocates the lowest free color.
+    /// Allocates the lowest free color of the space's class.
     ///
     /// # Panics
     ///
@@ -282,7 +388,8 @@ impl ColorSpace {
     /// colors, exhaustion means a leak (e.g. allocating per request
     /// instead of per stage), not a workload that needs more colors.
     pub fn alloc(&mut self) -> Color {
-        for v in self.cursor..COLOR_SPACE as u32 {
+        let start = self.class_ceil(self.cursor);
+        for v in (start..COLOR_SPACE as u32).step_by(self.modulus as usize) {
             let c = Color(v as u16);
             if !self.is_used(c) {
                 self.set(c);
@@ -291,13 +398,15 @@ impl ColorSpace {
                 return c;
             }
         }
-        panic!("color space exhausted: all {COLOR_SPACE} colors allocated or reserved");
+        panic!("color space exhausted: every color of the class is allocated or reserved");
     }
 
     /// Claims a specific color, failing if it is already taken. Use for
-    /// externally mandated colors (an N-copy plane, a paper-mandated
-    /// assignment) that must still be collision-checked against the
-    /// rest of the application.
+    /// externally mandated colors (a paper-mandated assignment, a color
+    /// another subsystem already publishes) that must still be
+    /// collision-checked against the rest of the application. The
+    /// space's residue class does not apply: the caller names the
+    /// color.
     ///
     /// # Errors
     ///
@@ -461,6 +570,61 @@ mod tests {
         assert!(s.claim(Color::new(0x8000)).is_err());
         let c = s.alloc();
         assert!(ColorRange::CONNECTIONS.contains(c));
+    }
+
+    #[test]
+    fn default_class_keys_exactly_like_the_keyed_plane() {
+        let space = ColorSpace::for_stages();
+        let sweep = (0..100_000u64).chain([u64::MAX - 1, u64::MAX]);
+        for k in sweep {
+            assert_eq!(space.keyed(k), ColorRange::STAGE_KEYED.keyed(k), "key {k}");
+        }
+        // `congruent(0, 1)` is the default class under another name.
+        let mut one = ColorSpace::congruent(0, 1);
+        assert_eq!(one.keyed(77), ColorRange::STAGE_KEYED.keyed(77));
+        assert_eq!(one.alloc(), ColorSpace::for_stages().alloc());
+    }
+
+    #[test]
+    fn congruent_spaces_never_leave_their_class_or_planes() {
+        // Power-of-two and not, small and at the size limit.
+        for m in [2usize, 3, 7, 8, 12, 4095] {
+            for r in [0, 1, m / 2, m - 1] {
+                let mut s = ColorSpace::congruent(r, m);
+                let in_class = |c: Color| c.value() as usize % m == r;
+                // Every class owns at least 4095 / m serial colors.
+                for _ in 0..(4095 / m).min(64) {
+                    let c = s.alloc();
+                    assert!(in_class(c), "alloc {c} outside {r} mod {m}");
+                    assert!(ColorRange::STAGE_SERIAL.contains(c));
+                }
+                for k in (0..40_000u64).step_by(7).chain([u64::MAX]) {
+                    let c = s.keyed(k);
+                    assert!(in_class(c), "key {k} -> {c} outside {r} mod {m}");
+                    assert!(ColorRange::STAGE_KEYED.contains(c));
+                }
+            }
+        }
+        // The keyed slice is used to its last color: the largest key
+        // image is within one stride of the plane's end.
+        let s = ColorSpace::congruent(5, 6);
+        let top = (0..0x7000u64).map(|k| s.keyed(k)).max().unwrap();
+        assert!(ColorRange::STAGE_KEYED.last().value() - top.value() < 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted")]
+    fn a_class_runs_out_before_it_leaves_the_serial_plane() {
+        let mut s = ColorSpace::congruent(0, 4095);
+        assert_eq!(s.alloc(), Color::new(4095), "0 is the default color");
+        // The next color ≡ 0 (mod 4095) lies in the keyed plane.
+        let _ = s.alloc();
+    }
+
+    #[test]
+    #[should_panic(expected = "below the modulus")]
+    fn congruent_rejects_a_residue_outside_the_modulus() {
+        let _ = ColorSpace::congruent(8, 8);
     }
 
     #[test]

@@ -104,7 +104,7 @@ use fxhash::FxHashMap;
 use parking_lot::Mutex;
 
 use crate::admission::{Admitted, Overload};
-use crate::color::{Color, ColorRange, ColorSpace};
+use crate::color::{Color, ColorSpace, KeyedPlane};
 use crate::ctx::Ctx;
 use crate::event::Event;
 use crate::exec::{Executor, Injector, Service};
@@ -143,10 +143,11 @@ enum Coloring<M> {
     /// Same color as the emitting event (or an explicit
     /// [`StageCtx::to_colored`] / [`PipelineBuilder::seed_colored`]).
     Inherit,
-    /// Hashed per message into [`ColorRange::STAGE_KEYED`] (disjoint
-    /// from the serial-allocation plane): messages with equal keys
-    /// serialize, different keys parallelize (up to hash collisions,
-    /// which also only serialize).
+    /// Hashed per message into the pipeline's [`ColorSpace`] class of
+    /// the keyed plane ([`ColorSpace::keyed`]; disjoint from the
+    /// serial-allocation plane): messages with equal keys serialize,
+    /// different keys parallelize (up to hash collisions, which also
+    /// only serialize).
     Keyed(fn(&M) -> u64),
     /// The serial color of another stage (e.g. the paper's
     /// `RegisterFdInEpoll` colored like `Epoll`).
@@ -214,9 +215,11 @@ impl<M> StageSpec<M> {
     }
 
     /// Events to this stage are colored by hashing `key(&msg)` into
-    /// [`ColorRange::STAGE_KEYED`] — the keyed plane, disjoint from
-    /// the serial allocator's plane: equal keys serialize, distinct
-    /// keys parallelize, and a keyed color can never land on another
+    /// the pipeline's [`ColorSpace`] class of
+    /// [`ColorRange::STAGE_KEYED`](crate::color::ColorRange::STAGE_KEYED)
+    /// ([`ColorSpace::keyed`]) — the keyed plane, disjoint from the
+    /// serial allocator's plane: equal keys serialize, distinct keys
+    /// parallelize, and a keyed color can never land on another
     /// stage's allocated serial color.
     pub fn keyed(mut self, key: fn(&M) -> u64) -> Self {
         self.coloring = Coloring::Keyed(key);
@@ -308,6 +311,9 @@ struct Router {
     entries: Vec<Entry>,
     /// `TypeId::of::<O>() -> Arc<Mutex<Vec<O>>>` completion sinks.
     sinks: FxHashMap<TypeId, Arc<dyn Any + Send + Sync>>,
+    /// Where `Keyed` stages' messages hash to: the builder's
+    /// [`ColorSpace`] class of the keyed plane.
+    keyed: KeyedPlane,
 }
 
 impl Router {
@@ -371,7 +377,7 @@ fn emit<N: Stage>(
                 entry.type_name
             )
         }),
-        Coloring::Keyed(key) => ColorRange::STAGE_KEYED.keyed(key(&msg)),
+        Coloring::Keyed(key) => router.keyed.color(key(&msg)),
     });
     let handler = entry.handler;
     let mut ev = Event::for_handler(color, handler).with_action(move |ctx| {
@@ -778,6 +784,7 @@ impl PipelineBuilder {
         Pipeline {
             name: self.name,
             stages,
+            keyed: self.space.keyed_plane(),
             sinks: self.sinks,
             seeds: self.seeds,
             router: None,
@@ -810,6 +817,7 @@ struct ReadyStage {
 pub struct Pipeline {
     name: String,
     stages: Vec<ReadyStage>,
+    keyed: KeyedPlane,
     sinks: FxHashMap<TypeId, Arc<dyn Any + Send + Sync>>,
     seeds: Vec<Seed>,
     router: Option<&'static Router>,
@@ -875,6 +883,7 @@ impl Service for Pipeline {
             ids,
             entries,
             sinks: self.sinks.clone(),
+            keyed: self.keyed,
         }));
         for seed in self.seeds.drain(..) {
             let ev = (seed.make)(router);
@@ -978,6 +987,7 @@ impl fmt::Debug for StageSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::color::ColorRange;
     use crate::exec::ExecKind;
     use crate::runtime::RuntimeBuilder;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1063,8 +1073,10 @@ mod tests {
         assert_eq!(counts[0], counts[1]);
     }
 
-    #[test]
-    fn keyed_and_inherited_colors_follow_the_emitter() {
+    /// Seeds keys 3, 3 and 4 into a keyed stage feeding an inheriting
+    /// probe, on a pipeline built over `space`; returns the probe's
+    /// `(key, color)` observations.
+    fn keyed_then_inherited(space: ColorSpace) -> Vec<(u64, Color)> {
         struct Probe {
             colors: Arc<Mutex<Vec<(u64, Color)>>>,
         }
@@ -1089,6 +1101,7 @@ mod tests {
         }
         let colors: Arc<Mutex<Vec<(u64, Color)>>> = Arc::new(Mutex::new(Vec::new()));
         let b = PipelineBuilder::new("colors")
+            .with_colors(space)
             .stage(Root)
             .stage(Probe {
                 colors: Arc::clone(&colors),
@@ -1101,6 +1114,12 @@ mod tests {
         rt.run();
         let got = colors.lock().clone();
         assert_eq!(got.len(), 3);
+        got
+    }
+
+    #[test]
+    fn keyed_and_inherited_colors_follow_the_emitter() {
+        let got = keyed_then_inherited(ColorSpace::for_stages());
         let of = |k: u64| {
             got.iter()
                 .filter(|(key, _)| *key == k)
@@ -1114,6 +1133,16 @@ mod tests {
         // allocation.
         assert!(ColorRange::STAGE_KEYED.contains(of(3)[0]));
         assert!(!ColorRange::STAGE_SERIAL.contains(of(4)[0]));
+    }
+
+    #[test]
+    fn keyed_colors_stay_in_the_pipelines_residue_class() {
+        let space = ColorSpace::congruent(5, 6);
+        for (key, color) in keyed_then_inherited(space.clone()) {
+            assert_eq!(color, space.keyed(key), "the router hashes like the space");
+            assert_eq!(color.value() % 6, 5, "key {key} left the class");
+            assert!(ColorRange::STAGE_KEYED.contains(color));
+        }
     }
 
     #[test]

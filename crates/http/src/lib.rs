@@ -31,8 +31,6 @@
 //! }
 //! ```
 
-pub mod inject;
-
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;

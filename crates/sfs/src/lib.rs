@@ -86,6 +86,43 @@ impl FileStore {
     }
 }
 
+/// Offset of reader `who`'s `seq`-th chunked read: readers are
+/// staggered so they do not all hit the same offsets in lockstep
+/// (irrelevant to correctness, realistic for caching).
+fn offset_for(who: u64, seq: u64, chunk: u64, file_len: u64) -> u64 {
+    ((who + seq) * chunk) % file_len.max(1)
+}
+
+/// Copies bytes `offset..offset + len` of `file`, clamped to its end
+/// (empty when `offset` lies at or past it).
+fn read_chunk(file: &[u8], offset: u64, len: u64) -> Vec<u8> {
+    let start = offset.min(file.len() as u64) as usize;
+    let end = offset.saturating_add(len).min(file.len() as u64) as usize;
+    file[start..end].to_vec()
+}
+
+/// Seals the chunk read at `offset` for `session`: encrypts `payload`
+/// in place and returns the MAC tag of the ciphertext.
+fn seal(session: u64, offset: u64, payload: &mut [u8]) -> u64 {
+    let key = SessionKey::from_seed(session);
+    StreamCipher::new(&key, offset).apply(payload);
+    Mac::new(&key).compute(payload)
+}
+
+/// The receiving end of [`seal`]: checks `tag` over the ciphertext,
+/// decrypts `payload` in place and compares it byte for byte against
+/// the content generator. `true` when both the MAC and the data hold.
+fn open_verified(session: u64, offset: u64, payload: &mut [u8], tag: u64) -> bool {
+    let key = SessionKey::from_seed(session);
+    let mac_ok = Mac::new(&key).verify(payload, tag);
+    StreamCipher::new(&key, offset).apply(payload);
+    let data_ok = payload
+        .iter()
+        .enumerate()
+        .all(|(i, &b)| b == gen_byte(offset + i as u64));
+    mac_ok && data_ok
+}
+
 /// Per-handler cycle annotations. `encrypt` is derived from the chunk
 /// size via [`crypto_cost_cycles`], making the coarse-grain profile of
 /// the paper's SFS (stolen sets of ~1200 Kcycles, Table I) explicit.
@@ -408,14 +445,12 @@ impl<D: Driver + 'static> Stage for SfsProcessReadStage<D> {
         let Some(file) = st.store.get(&s.cfg.path) else {
             return;
         };
-        let start = req.offset.min(file.len() as u64) as usize;
-        let end = (req.offset + req.len).min(file.len() as u64) as usize;
-        if start >= end {
+        let plain = read_chunk(file, req.offset, req.len);
+        if plain.is_empty() {
             st.stats.rejected += 1;
             ctx.to::<SfsCloseStage<D>>(fd);
             return;
         }
-        let plain = file[start..end].to_vec();
         drop(st);
         ctx.to::<SfsEncryptStage<D>>(SfsEncryptMsg { fd, req, plain });
     }
@@ -437,10 +472,8 @@ impl<D: Driver + 'static> Stage for SfsEncryptStage<D> {
     }
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, msg: SfsEncryptMsg) {
-        let key = SessionKey::from_seed(msg.req.client);
         let mut payload = msg.plain;
-        StreamCipher::new(&key, msg.req.offset).apply(&mut payload);
-        let tag = Mac::new(&key).compute(&payload);
+        let tag = seal(msg.req.client, msg.req.offset, &mut payload);
         ctx.to::<SfsSendReplyStage<D>>(SfsReplyMsg {
             fd: msg.fd,
             payload,
@@ -628,17 +661,11 @@ impl SfsProtocol {
     pub fn corrupt(&self) -> u64 {
         self.corrupt
     }
-
-    fn offset_for(&self, client: usize, seq: u64) -> u64 {
-        // Stagger clients so they do not all hit the same offsets in
-        // lockstep (irrelevant to correctness, realistic for caching).
-        ((client as u64 + seq) * self.chunk) % self.file_len.max(1)
-    }
 }
 
 impl ClientProtocol for SfsProtocol {
     fn request(&mut self, client: usize, seq: u64) -> Vec<u8> {
-        let offset = self.offset_for(client, seq);
+        let offset = offset_for(client as u64, seq, self.chunk, self.file_len);
         self.pending[client] = offset;
         format!("READ {client} {offset} {}\n", self.chunk).into_bytes()
     }
@@ -654,16 +681,8 @@ impl ClientProtocol for SfsProtocol {
 
     fn on_response(&mut self, client: usize, response: &[u8]) {
         let tag = u64::from_le_bytes(response[8..16].try_into().expect("8 bytes"));
-        let key = SessionKey::from_seed(client as u64);
         let mut payload = response[16..].to_vec();
-        let offset = self.pending[client];
-        let mac_ok = Mac::new(&key).verify(&payload, tag);
-        StreamCipher::new(&key, offset).apply(&mut payload);
-        let data_ok = payload
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == gen_byte(offset + i as u64));
-        if mac_ok && data_ok {
+        if open_verified(client as u64, self.pending[client], &mut payload, tag) {
             self.verified += 1;
         } else {
             self.corrupt += 1;
@@ -819,6 +838,17 @@ mod tests {
         assert_eq!(f.len(), 1024);
         assert_eq!(f[10], gen_byte(10));
         assert!(fs.get("/b").is_none());
+    }
+
+    #[test]
+    fn chunk_reads_clamp_to_the_file() {
+        let file: Vec<u8> = (0..10).collect();
+        assert_eq!(read_chunk(&file, 2, 3), [2, 3, 4]);
+        assert_eq!(read_chunk(&file, 8, 5), [8, 9], "clamped at the end");
+        assert!(read_chunk(&file, 10, 5).is_empty());
+        assert!(read_chunk(&file, 999, 5).is_empty());
+        // A hostile length must clamp, not wrap around.
+        assert_eq!(read_chunk(&file, 9, u64::MAX), [9]);
     }
 
     #[test]

@@ -39,9 +39,9 @@ use std::sync::Arc;
 use mely_core::color::ColorSpace;
 use mely_core::exec::{Executor, Service};
 use mely_core::stage::{PipelineBuilder, Stage, StageCtx, StageSpec};
-use mely_crypto::{crypto_cost_cycles, Mac, SessionKey, StreamCipher};
+use mely_crypto::crypto_cost_cycles;
 
-use crate::{gen_byte, FileStore, SfsCosts};
+use crate::{offset_for, open_verified, read_chunk, seal, FileStore, SfsCosts};
 
 /// Shape of the deterministic file-server workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,14 +104,6 @@ struct FsShared {
     counters: Arc<Counters>,
 }
 
-impl FsShared {
-    fn offset_for(&self, session: u64, seq: u64) -> u64 {
-        // Staggered like `SfsProtocol::offset_for`, so sessions do not
-        // hit the same offsets in lockstep.
-        ((session + seq) * self.cfg.chunk) % self.cfg.file_len.max(1)
-    }
-}
-
 /// A session's next chunked read.
 struct ReadMsg {
     session: u64,
@@ -161,7 +153,8 @@ impl Stage for ReadRequest {
     }
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, msg: ReadMsg) {
-        let offset = self.0.offset_for(msg.session, msg.seq);
+        let cfg = &self.0.cfg;
+        let offset = offset_for(msg.session, msg.seq, cfg.chunk, cfg.file_len);
         ctx.to::<ProcessRead>(ProcessMsg {
             session: msg.session,
             seq: msg.seq,
@@ -186,9 +179,7 @@ impl Stage for ProcessRead {
             .store
             .get(&self.0.cfg.path)
             .expect("file generated at install");
-        let start = msg.offset.min(file.len() as u64) as usize;
-        let end = (msg.offset + self.0.cfg.chunk).min(file.len() as u64) as usize;
-        let plain = file[start..end].to_vec();
+        let plain = read_chunk(file, msg.offset, self.0.cfg.chunk);
         ctx.to::<Encrypt>(EncryptMsg {
             session: msg.session,
             seq: msg.seq,
@@ -216,10 +207,8 @@ impl Stage for Encrypt {
     }
 
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, msg: EncryptMsg) {
-        let key = SessionKey::from_seed(msg.session);
         let mut payload = msg.plain;
-        StreamCipher::new(&key, msg.offset).apply(&mut payload);
-        let tag = Mac::new(&key).compute(&payload);
+        let tag = seal(msg.session, msg.offset, &mut payload);
         ctx.to::<SendReply>(ReplyMsg {
             session: msg.session,
             seq: msg.seq,
@@ -243,18 +232,12 @@ impl Stage for SendReply {
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, msg: ReplyMsg) {
         // "Client-side" verification of the wire payload: MAC, then
         // decrypt, then compare against the content generator.
-        let key = SessionKey::from_seed(msg.session);
-        let mac_ok = Mac::new(&key).verify(&msg.payload, msg.tag);
         let mut plain = msg.payload;
-        StreamCipher::new(&key, msg.offset).apply(&mut plain);
-        let data_ok = plain
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == gen_byte(msg.offset + i as u64));
+        let ok = open_verified(msg.session, msg.offset, &mut plain, msg.tag);
         let c = &self.0.counters;
         c.reads.fetch_add(1, Ordering::Relaxed);
         c.bytes.fetch_add(plain.len() as u64, Ordering::Relaxed);
-        if mac_ok && data_ok {
+        if ok {
             c.verified.fetch_add(1, Ordering::Relaxed);
         } else {
             c.corrupt.fetch_add(1, Ordering::Relaxed);

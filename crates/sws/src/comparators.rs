@@ -5,11 +5,12 @@
 //! Neither runs on the Mely runtime:
 //!
 //! - [`install_ncopy`] models µserver's N-copy configuration: N fully
-//!   independent event-driven server instances, one pinned per core,
-//!   each with its own listener port and its own `Epoll`/`Accept`
-//!   handlers. Pinning uses the color hash: every color of copy `c` is
-//!   chosen ≡ `c` (mod cores), so with workstealing disabled all of a
-//!   copy's events stay on its core — exactly the N-copy deployment.
+//!   independent [`SwsService`] instances, one pinned per core, each
+//!   with its own listener port and its own `Epoll`/`Accept` stages.
+//!   Pinning uses the color hash: copy `c` draws every color from
+//!   [`ColorSpace::congruent`]`(c, cores)`, so with workstealing
+//!   disabled all of a copy's events stay on its core — exactly the
+//!   N-copy deployment.
 //! - [`ThreadedServer`] models an Apache-worker-style server: a pool of
 //!   kernel threads serving one connection each, time-sliced over the
 //!   cores by a quantum scheduler, paying context-switch and
@@ -21,11 +22,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mely_core::exec::Executor;
+use mely_core::color::ColorSpace;
+use mely_core::exec::{Executor, Service};
 use mely_net::driver::Driver;
 use mely_net::SimNet;
 
-use crate::{Sws, SwsConfig};
+use crate::{SwsConfig, SwsService};
 
 /// Installs `copies` independent SWS instances, copy `c` listening on
 /// `base_cfg.port + c` with all colors pinned (by hash) to core `c`.
@@ -41,7 +43,7 @@ pub fn install_ncopy<D: Driver + 'static>(
     driver: Arc<Mutex<D>>,
     base_cfg: &SwsConfig,
     copies: usize,
-) -> Vec<Sws> {
+) -> Vec<SwsService<D>> {
     let cores = rt.cores();
     assert!(copies > 0, "need at least one copy");
     assert!(copies <= cores, "one copy per core at most");
@@ -49,15 +51,13 @@ pub fn install_ncopy<D: Driver + 'static>(
         .map(|c| {
             let mut cfg = base_cfg.clone();
             cfg.port = base_cfg.port + c as u16;
-            // Distinct color plane per copy, every color ≡ c (mod
-            // cores): hash dispatch pins the whole copy to core c.
-            Sws::install_with_colors(
-                rt,
-                Arc::clone(&net),
-                Arc::clone(&driver),
-                cfg,
-                crate::ColorPlane::ncopy(c, cores),
-            )
+            // Every color of the copy ≡ c (mod cores): hash dispatch
+            // pins the whole copy to core c, and distinct residues keep
+            // the copies' colors disjoint.
+            let mut copy = SwsService::new(Arc::clone(&net), Arc::clone(&driver), cfg)
+                .with_colors(ColorSpace::congruent(c, cores));
+            copy.install(rt);
+            copy
         })
         .collect()
 }
@@ -269,9 +269,10 @@ mod tests {
     use mely_net::NetConfig;
 
     #[test]
-    fn ncopy_serves_on_all_copies_without_stealing() {
+    fn ncopy_copies_are_isolated_one_per_core() {
+        const N: usize = 8;
         let mut rt = RuntimeBuilder::new()
-            .cores(4)
+            .cores(N)
             .flavor(Flavor::Mely)
             .workstealing(WsPolicy::off())
             .build(ExecKind::Sim);
@@ -280,26 +281,44 @@ mod tests {
         let load = ClosedLoopLoad::new(
             HttpProtocol::new(cfg.files),
             LoadConfig {
-                clients: 16,
-                ports: (0..4).map(|c| cfg.port + c).collect(),
+                clients: 32,
+                ports: (0..N as u16).map(|c| cfg.port + c).collect(),
                 requests_per_conn: 5,
                 duration: 30_000_000,
                 ..LoadConfig::default()
             },
         );
         let driver = Arc::new(Mutex::new(load));
-        let copies = install_ncopy(&mut rt, net, Arc::clone(&driver), &cfg, 4);
+        let copies = install_ncopy(&mut rt, net, driver, &cfg, N);
         let report = rt.run();
-        let total: u64 = copies.iter().map(|s| s.stats().responses).sum();
-        assert!(total > 10, "copies served {total}");
         assert_eq!(report.total().steals, 0);
-        // All four cores did work.
-        let active = report
-            .per_core()
-            .iter()
-            .filter(|c| c.events_processed > 0)
-            .count();
-        assert_eq!(active, 4, "every copy runs on its own core");
+        for (c, (copy, core)) in copies.iter().zip(report.per_core()).enumerate() {
+            let served = copy.stats().responses;
+            assert!(served > 0, "copy {c} served nothing");
+            // Every response completes its request on the core that
+            // wrote it: copy c's per-connection colors all ran on core c.
+            assert_eq!(core.completed_requests, served, "copy {c}");
+            // Nothing a core's handlers emit is executed elsewhere:
+            // its serial (Epoll, Accept) colors are its own too.
+            assert_eq!(core.registered, core.events_processed, "core {c}");
+        }
+
+        // The colors behind that: copy c draws from `congruent(c, N)` —
+        // two serial allocations (Epoll's and Accept's) and one keyed
+        // color per descriptor, all ≡ c, the serial ones never shared.
+        let mut serial = Vec::new();
+        for c in 0..N {
+            let mut space = ColorSpace::congruent(c, N);
+            let drawn = [space.alloc(), space.alloc()];
+            let keyed = (0..4_096).map(|fd| space.keyed(fd));
+            for color in drawn.into_iter().chain(keyed) {
+                assert_eq!(color.home_core(N), c, "{color} of copy {c}");
+            }
+            serial.extend(drawn);
+        }
+        serial.sort();
+        serial.dedup();
+        assert_eq!(serial.len(), 2 * N, "serial colors are pairwise distinct");
     }
 
     #[test]

@@ -19,22 +19,20 @@
 //! `GetFromCache`, `WriteResponse`, `Close`) are colored by the
 //! connection's descriptor so distinct clients are served concurrently.
 //!
-//! Two implementations share this module:
+//! [`SwsService`] is the server, written once as a typed stage pipeline
+//! (`mely_core::stage`): colors come from the pipeline's
+//! collision-checked [`ColorSpace`], every response closes a request of
+//! the per-request latency pipeline, and
+//! `rt.install(SwsService::new(..))` runs it on either executor. It
+//! serves load produced by any [`mely_net::driver::Driver`] (normally
+//! `mely_loadgen::ClosedLoopLoad` with [`HttpProtocol`]).
 //!
-//! - [`SwsService`] — the canonical server, written as a typed stage
-//!   pipeline (`mely_core::stage`): colors come from the pipeline's
-//!   collision-checked allocator, every response closes a request of
-//!   the per-request latency pipeline, and
-//!   `rt.install(SwsService::new(..))` runs it on either executor;
-//! - [`Sws`] — the same nine handlers on the raw [`Event`] API. It
-//!   stays (unlike SFS's raw twin, which is gone) because Figure 7's
-//!   N-copy line, [`comparators::install_ncopy`], needs
-//!   [`ColorPlane::ncopy`]: every color of a copy congruent to the
-//!   copy's core, which the typed stage layer's colorings (serial,
-//!   keyed, inherited, shared) cannot express without a new option.
-//!
-//! Both serve load produced by any [`mely_net::driver::Driver`]
-//! (normally `mely_loadgen::ClosedLoopLoad` with [`HttpProtocol`]).
+//! Figure 7's N-copy line ([`comparators::install_ncopy`]) is the same
+//! service installed once per core, copy `c` built
+//! `.with_colors(ColorSpace::congruent(c, cores))`
+//! ([`SwsService::with_colors`], [`ColorSpace::congruent`]): every
+//! color the copy allocates or hashes is ≡ `c` (mod cores), so the
+//! color hash keeps the whole copy on core `c`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,10 +40,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mely_core::color::{Color, ColorSpace};
-use mely_core::event::Event;
+use mely_core::color::ColorSpace;
 use mely_core::exec::{Executor, Injector, Service};
-use mely_core::handler::{HandlerId, HandlerSpec};
 use mely_core::stage::{Pipeline, PipelineBuilder, Stage, StageCtx, StageSpec};
 use mely_http::{Request, RequestParser, Response, ResponseCache};
 use mely_loadgen::ClientProtocol;
@@ -163,6 +159,31 @@ pub struct SwsStats {
     pub aborted: u64,
 }
 
+impl std::ops::AddAssign for SwsStats {
+    /// Field-wise sum (the N-copy deployment's total over its copies).
+    fn add_assign(&mut self, o: SwsStats) {
+        // Exhaustive on purpose: a counter added to the struct later
+        // fails to compile here instead of silently dropping out of
+        // every total.
+        let SwsStats {
+            responses,
+            ok,
+            not_found,
+            bad_request,
+            accepted,
+            closed,
+            aborted,
+        } = o;
+        self.responses += responses;
+        self.ok += ok;
+        self.not_found += not_found;
+        self.bad_request += bad_request;
+        self.accepted += accepted;
+        self.closed += closed;
+        self.aborted += aborted;
+    }
+}
+
 #[derive(Debug, Default)]
 struct ConnState {
     parser: RequestParser,
@@ -189,202 +210,11 @@ struct SwsState {
     stats: SwsStats,
 }
 
-#[derive(Clone, Copy)]
-struct Handlers {
-    epoll: HandlerId,
-    accept: HandlerId,
-    register_fd: HandlerId,
-    read_request: HandlerId,
-    parse_request: HandlerId,
-    get_from_cache: HandlerId,
-    write_response: HandlerId,
-    close: HandlerId,
-    dec_accepted: HandlerId,
-}
-
 /// Connections accepted per `Accept` event before yielding (the accept
 /// batch factor; Brecht et al., cited by the paper, study this knob).
 const ACCEPT_BATCH: u32 = 8;
 
-/// Color-plane assignment (paper Section V-C1): `Epoll` and
-/// `RegisterFdInEpoll` share one color, `Accept` and
-/// `DecClientAccepted` share another, per-request handlers are colored
-/// by descriptor. The N-copy comparator instantiates one disjoint plane
-/// per copy, chosen so that every color of copy `c` hashes to core `c`.
-#[derive(Debug, Clone, Copy)]
-pub struct ColorPlane {
-    epoll: Color,
-    accept: Color,
-    fd_base: u16,
-    fd_stride: u16,
-    fd_mod: u64,
-}
-
-impl ColorPlane {
-    /// The paper's single-instance plane: Epoll = color 0, Accept =
-    /// color 1, connections spread over the remaining colors.
-    pub fn single() -> Self {
-        ColorPlane {
-            epoll: Color::new(0),
-            accept: Color::new(1),
-            fd_base: 2,
-            fd_stride: 1,
-            fd_mod: 65_534,
-        }
-    }
-
-    /// The plane of N-copy instance `copy` on a `cores`-core machine:
-    /// every color ≡ `copy` (mod `cores`), so hash dispatch pins the
-    /// whole copy to its core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `copy >= cores` or the machine is too large for the
-    /// 16-bit color space.
-    pub fn ncopy(copy: usize, cores: usize) -> Self {
-        assert!(copy < cores, "copy index must be below core count");
-        assert!(cores * 8_002 < 65_536, "color space exhausted");
-        ColorPlane {
-            epoll: Color::new(copy as u16),
-            accept: Color::new((copy + cores) as u16),
-            fd_base: (copy + 2 * cores) as u16,
-            fd_stride: cores as u16,
-            fd_mod: 8_000,
-        }
-    }
-
-    fn fd_color(&self, fd: Fd) -> Color {
-        Color::new(self.fd_base + self.fd_stride * (fd % self.fd_mod) as u16)
-    }
-}
-
-struct AppInner<D> {
-    state: Mutex<SwsState>,
-    net: Arc<Mutex<SimNet>>,
-    driver: Arc<Mutex<D>>,
-    cfg: SwsConfig,
-    h: Handlers,
-    colors: ColorPlane,
-}
-
-struct App<D>(Arc<AppInner<D>>);
-
-impl<D> Clone for App<D> {
-    fn clone(&self) -> Self {
-        App(Arc::clone(&self.0))
-    }
-}
-
-/// A running SWS instance (handle to its state and counters).
-pub struct Sws {
-    stats: Arc<dyn Fn() -> SwsStats + Send + Sync>,
-}
-
-impl Sws {
-    /// Installs SWS onto any executor (`&mut dyn Executor`): registers
-    /// the nine handlers, prebuilds the response cache, opens the
-    /// listener and schedules the first `Epoll` event. The `driver` is
-    /// advanced by every poll pass, injecting client traffic in the
-    /// executor's time base (virtual cycles under sim, the calibrated
-    /// cycle counter under threads). Prefer installing through the
-    /// [`Service`] impl: `rt.install(SwsService::new(net, driver, cfg))`.
-    pub fn install<D: Driver + 'static>(
-        rt: &mut dyn Executor,
-        net: Arc<Mutex<SimNet>>,
-        driver: Arc<Mutex<D>>,
-        cfg: SwsConfig,
-    ) -> Sws {
-        Sws::install_with_colors(rt, net, driver, cfg, ColorPlane::single())
-    }
-
-    /// Like [`Sws::install`] but with an explicit color plane (used by
-    /// the N-copy comparator to pin each copy to one core).
-    pub fn install_with_colors<D: Driver + 'static>(
-        rt: &mut dyn Executor,
-        net: Arc<Mutex<SimNet>>,
-        driver: Arc<Mutex<D>>,
-        cfg: SwsConfig,
-        colors: ColorPlane,
-    ) -> Sws {
-        let c = &cfg.costs;
-        let pen = cfg.conn_penalty;
-        // The paper's penalty annotations: the event-loop and accept
-        // handlers manage global, long-lived state (the interest set,
-        // the accepted-clients counter); stealing their colors migrates
-        // that state for no benefit, so they carry a high workstealing
-        // penalty (Section III-C). Per-request handlers keep a mild one.
-        const LOOP_PENALTY: u32 = 100;
-        let h = Handlers {
-            epoll: rt.register_handler(
-                HandlerSpec::new("Epoll")
-                    .cost(c.epoll)
-                    .penalty(LOOP_PENALTY),
-            ),
-            accept: rt.register_handler(
-                HandlerSpec::new("Accept")
-                    .cost(c.accept)
-                    .penalty(LOOP_PENALTY),
-            ),
-            register_fd: rt.register_handler(
-                HandlerSpec::new("RegisterFdInEpoll")
-                    .cost(c.register_fd)
-                    .penalty(LOOP_PENALTY),
-            ),
-            read_request: rt.register_handler(
-                HandlerSpec::new("ReadRequest")
-                    .cost(c.read_request)
-                    .penalty(pen),
-            ),
-            parse_request: rt.register_handler(
-                HandlerSpec::new("ParseRequest")
-                    .cost(c.parse_request)
-                    .penalty(pen),
-            ),
-            get_from_cache: rt
-                .register_handler(HandlerSpec::new("GetFromCache").cost(c.get_from_cache)),
-            write_response: rt.register_handler(
-                HandlerSpec::new("WriteResponse")
-                    .cost(c.write_response)
-                    .penalty(pen),
-            ),
-            close: rt.register_handler(HandlerSpec::new("Close").cost(c.close)),
-            dec_accepted: rt.register_handler(
-                HandlerSpec::new("DecClientAccepted")
-                    .cost(c.dec_accepted)
-                    .penalty(LOOP_PENALTY),
-            ),
-        };
-        let mut cache = ResponseCache::new();
-        cache.populate_uniform(cfg.files, cfg.file_size);
-        net.lock().listen(cfg.port);
-        let app = App(Arc::new(AppInner {
-            state: Mutex::new(SwsState {
-                conns: HashMap::new(),
-                cache,
-                accepted: 0,
-                accept_pending: false,
-                stats: SwsStats::default(),
-            }),
-            net,
-            driver,
-            cfg,
-            h,
-            colors,
-        }));
-        rt.register(app.epoll_event());
-        let inner = Arc::clone(&app.0);
-        Sws {
-            stats: Arc::new(move || inner.state.lock().stats),
-        }
-    }
-
-    /// Current server-side counters.
-    pub fn stats(&self) -> SwsStats {
-        (self.stats)()
-    }
-}
-
-/// State shared by the typed SWS stages ([`SwsService`]).
+/// State shared by the nine stages of one [`SwsService`].
 struct SwsShared<D> {
     state: Mutex<SwsState>,
     net: Arc<Mutex<SimNet>>,
@@ -754,9 +584,7 @@ impl<D: Driver + 'static> Stage for DecAcceptedStage<D> {
 /// `Epoll` + `RegisterFdInEpoll` share a serial color, `Accept` +
 /// `DecClientAccepted` another, the per-request stages are keyed by
 /// descriptor — but the colors themselves come from the pipeline's
-/// collision-checked allocator, not hand-picked constants. The raw
-/// event-API implementation survives as [`Sws`] (the low-level layer;
-/// the N-copy comparator builds its color planes on it).
+/// collision-checked allocator, not hand-picked constants.
 pub struct SwsService<D> {
     net: Arc<Mutex<SimNet>>,
     driver: Arc<Mutex<D>>,
@@ -791,6 +619,11 @@ impl<D: Driver + 'static> SwsService<D> {
     /// let mut sfs_colors = ColorSpace::for_stages();
     /// sfs_colors.reserve_range(ColorRange::new(0x001, 0x0FF)); // SWS's
     /// ```
+    ///
+    /// Several copies of *this* service need no reservations: build
+    /// copy `c` on [`ColorSpace::congruent`]`(c, copies)` and their
+    /// colors are disjoint by residue — with `copies` = the core count
+    /// that is the N-copy deployment ([`comparators::install_ncopy`]).
     pub fn with_colors(mut self, colors: ColorSpace) -> Self {
         self.colors = Some(colors);
         self
@@ -903,263 +736,6 @@ impl<D: Driver + 'static> Service for SwsService<D> {
     }
 }
 
-impl<D: Driver + 'static> App<D> {
-    fn epoll_event(&self) -> Event {
-        let app = self.clone();
-        Event::for_handler(self.0.colors.epoll, self.0.h.epoll).with_action(move |ctx| {
-            let now = ctx.now();
-            let inner = &app.0;
-            let mut net = inner.net.lock();
-            let done = inner.driver.lock().advance(&mut net, now);
-            let events = net.poll(now);
-            ctx.charge(inner.cfg.costs.epoll_per_event * events.len() as u64);
-            {
-                let mut st = inner.state.lock();
-                for e in events {
-                    match e {
-                        NetEvent::Acceptable(_) => {
-                            if !st.accept_pending && st.accepted < inner.cfg.max_clients {
-                                st.accept_pending = true;
-                                ctx.register(app.accept_event());
-                            }
-                        }
-                        NetEvent::Readable(fd) | NetEvent::PeerClosed(fd) => {
-                            if let Some(conn) = st.conns.get_mut(&fd) {
-                                if conn.registered && !conn.read_pending {
-                                    conn.read_pending = true;
-                                    ctx.register(app.read_request_event(fd));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // Re-arm: wake exactly when the network or the clients next
-            // have something for us.
-            let next = [net.next_activity(now), inner.driver.lock().next_due(now)]
-                .into_iter()
-                .flatten()
-                .min();
-            drop(net);
-            match next {
-                Some(t) => ctx.register_after(
-                    t.saturating_sub(now).max(inner.cfg.min_poll),
-                    app.epoll_event(),
-                ),
-                None if !done => ctx.register_after(inner.cfg.poll_interval, app.epoll_event()),
-                None => {
-                    // Load finished and the network is silent: stop
-                    // re-arming so the simulation can drain and return.
-                }
-            }
-        })
-    }
-
-    fn accept_event(&self) -> Event {
-        let app = self.clone();
-        Event::for_handler(self.0.colors.accept, self.0.h.accept).with_action(move |ctx| {
-            let inner = &app.0;
-            let now = ctx.now();
-            let mut net = inner.net.lock();
-            let mut st = inner.state.lock();
-            // Accept a bounded batch per event (the accept-batching
-            // factor of Brecht et al., which the paper cites), then
-            // yield and re-register so one connection storm cannot
-            // monopolize the core.
-            let mut first = true;
-            let mut batch = 0;
-            while st.accepted < inner.cfg.max_clients && batch < ACCEPT_BATCH {
-                let Some(fd) = net.accept(inner.cfg.port, now) else {
-                    break;
-                };
-                if !first {
-                    ctx.charge(inner.cfg.costs.accept);
-                }
-                first = false;
-                batch += 1;
-                st.accepted += 1;
-                st.stats.accepted += 1;
-                st.conns.insert(fd, ConnState::default());
-                ctx.register(app.register_fd_event(fd));
-            }
-            if batch == ACCEPT_BATCH && st.accepted < inner.cfg.max_clients {
-                // More connections may be pending: keep accepting.
-                ctx.register(app.accept_event());
-            } else {
-                st.accept_pending = false;
-            }
-        })
-    }
-
-    fn register_fd_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        // Colored like Epoll "in order to manage concurrency" (paper).
-        Event::for_handler(self.0.colors.epoll, self.0.h.register_fd).with_action(move |_ctx| {
-            let mut st = app.0.state.lock();
-            if let Some(conn) = st.conns.get_mut(&fd) {
-                conn.registered = true;
-            }
-        })
-    }
-
-    fn read_request_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        Event::for_handler(self.0.colors.fd_color(fd), self.0.h.read_request).with_action(
-            move |ctx| {
-                let inner = &app.0;
-                let now = ctx.now();
-                let mut net = inner.net.lock();
-                let data = net.read(fd, now);
-                // EOF only counts once all data has been consumed.
-                let hup = data.is_empty() && net.peer_closed(fd, now);
-                drop(net);
-                let mut st = inner.state.lock();
-                let Some(conn) = st.conns.get_mut(&fd) else {
-                    return;
-                };
-                conn.read_pending = false;
-                if hup {
-                    if conn.parser.has_partial() {
-                        // The peer abandoned a request mid-flight:
-                        // exactly one carried request fails.
-                        ctx.fail_request();
-                        st.stats.aborted += 1;
-                    }
-                    ctx.register(app.close_event(fd));
-                    return;
-                }
-                if !data.is_empty() {
-                    conn.parser.feed(&data);
-                    ctx.register(app.parse_request_event(fd));
-                }
-            },
-        )
-    }
-
-    fn parse_request_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        Event::for_handler(self.0.colors.fd_color(fd), self.0.h.parse_request).with_action(
-            move |ctx| {
-                let inner = &app.0;
-                let mut st = inner.state.lock();
-                let Some(conn) = st.conns.get_mut(&fd) else {
-                    return;
-                };
-                match conn.parser.next_request() {
-                    Some(Ok(req)) => {
-                        conn.close_after |= !req.keep_alive;
-                        conn.reqs.push_back(Ok(req));
-                        ctx.register(app.get_from_cache_event(fd));
-                    }
-                    None => {
-                        // Wait for more bytes; Epoll will re-trigger a read.
-                    }
-                    Some(Err(_)) => {
-                        conn.reqs.push_back(Err(Response::bad_request()));
-                        conn.close_after = true;
-                        st.stats.bad_request += 1;
-                        ctx.register(app.get_from_cache_event(fd));
-                    }
-                }
-            },
-        )
-    }
-
-    fn get_from_cache_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        Event::for_handler(self.0.colors.fd_color(fd), self.0.h.get_from_cache).with_action(
-            move |ctx| {
-                let inner = &app.0;
-                let mut st = inner.state.lock();
-                let Some(conn) = st.conns.get_mut(&fd) else {
-                    return;
-                };
-                let Some(slot) = conn.reqs.pop_front() else {
-                    return;
-                };
-                let resp = match slot {
-                    Ok(req) => match st.cache.lookup(&req.path) {
-                        Some(r) => r.clone(),
-                        None => Response::not_found(),
-                    },
-                    // Unparseable request: its `400` passes through.
-                    Err(prebuilt) => prebuilt,
-                };
-                let conn = st.conns.get_mut(&fd).expect("checked above");
-                conn.resps.push_back(resp);
-                ctx.register(app.write_response_event(fd));
-            },
-        )
-    }
-
-    fn write_response_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        Event::for_handler(self.0.colors.fd_color(fd), self.0.h.write_response).with_action(
-            move |ctx| {
-                let inner = &app.0;
-                let now = ctx.now();
-                let mut st = inner.state.lock();
-                let Some(conn) = st.conns.get_mut(&fd) else {
-                    return;
-                };
-                let Some(resp) = conn.resps.pop_front() else {
-                    return;
-                };
-                ctx.charge(resp.wire_len() as u64 * inner.cfg.costs.write_per_byte_milli / 1_000);
-                st.stats.responses += 1;
-                match resp.status() {
-                    200 => st.stats.ok += 1,
-                    404 => st.stats.not_found += 1,
-                    // 400s are counted at parse time.
-                    _ => {}
-                }
-                let close_after = {
-                    let conn = st.conns.get_mut(&fd).expect("checked above");
-                    conn.close_after
-                };
-                let more = {
-                    let conn = st.conns.get_mut(&fd).expect("checked above");
-                    conn.parser.has_partial()
-                };
-                drop(st);
-                inner.net.lock().write(fd, now, resp.to_vec());
-                if close_after {
-                    ctx.register(app.close_event(fd));
-                } else if more {
-                    // Pipelined request already buffered.
-                    ctx.register(app.parse_request_event(fd));
-                }
-            },
-        )
-    }
-
-    fn close_event(&self, fd: Fd) -> Event {
-        let app = self.clone();
-        Event::for_handler(self.0.colors.fd_color(fd), self.0.h.close).with_action(move |ctx| {
-            let inner = &app.0;
-            let now = ctx.now();
-            let mut net = inner.net.lock();
-            net.close(fd, now);
-            net.reap(fd);
-            drop(net);
-            let mut st = inner.state.lock();
-            if st.conns.remove(&fd).is_some() {
-                st.stats.closed += 1;
-                ctx.register(app.dec_accepted_event());
-            }
-        })
-    }
-
-    fn dec_accepted_event(&self) -> Event {
-        let app = self.clone();
-        // Colored like Accept "to manage concurrency" (paper).
-        Event::for_handler(self.0.colors.accept, self.0.h.dec_accepted).with_action(move |_ctx| {
-            let mut st = app.0.state.lock();
-            st.accepted = st.accepted.saturating_sub(1);
-        })
-    }
-}
-
 /// The HTTP client protocol for SWS load: each request fetches one of
 /// the server's prebuilt files; responses are validated by status line
 /// and `Content-Length` framing.
@@ -1229,70 +805,51 @@ mod tests {
     use mely_loadgen::{ClosedLoopLoad, LoadConfig};
     use mely_net::NetConfig;
 
-    fn run_sws(
-        flavor: Flavor,
+    /// One simulated run of a default-configured [`SwsService`] (Mely
+    /// flavor) under `clients` closed-loop clients speaking `protocol`.
+    fn serve<P: ClientProtocol + 'static>(
+        cores: usize,
         ws: WsPolicy,
+        protocol: P,
         clients: usize,
+        requests_per_conn: u64,
         duration: u64,
-    ) -> (SwsStats, mely_loadgen::LoadStats, RunReport) {
+    ) -> (SwsStats, Arc<Mutex<ClosedLoopLoad<P>>>, RunReport) {
         let mut rt = RuntimeBuilder::new()
-            .cores(8)
-            .flavor(flavor)
+            .cores(cores)
+            .flavor(Flavor::Mely)
             .workstealing(ws)
             .build(ExecKind::Sim);
         let net = Arc::new(Mutex::new(SimNet::new(NetConfig::default())));
         let cfg = SwsConfig::default();
         let load = ClosedLoopLoad::new(
-            HttpProtocol::new(cfg.files),
+            protocol,
             LoadConfig {
                 clients,
                 ports: vec![cfg.port],
-                requests_per_conn: 10,
+                requests_per_conn,
                 duration,
                 ..LoadConfig::default()
             },
         );
         let driver = Arc::new(Mutex::new(load));
-        let sws = Sws::install(&mut rt, Arc::clone(&net), Arc::clone(&driver), cfg);
+        let svc = rt.install(SwsService::new(net, Arc::clone(&driver), cfg));
         let report = rt.run();
-        let stats = driver.lock().stats();
-        (sws.stats(), stats, report)
+        (svc.stats(), driver, report)
+    }
+
+    fn http() -> HttpProtocol {
+        HttpProtocol::new(SwsConfig::default().files)
     }
 
     #[test]
     fn serves_requests_end_to_end() {
-        let (srv, cli, report) = run_sws(Flavor::Mely, WsPolicy::off(), 8, 30_000_000);
+        let (srv, driver, report) = serve(8, WsPolicy::off(), http(), 8, 10, 30_000_000);
+        let cli = driver.lock().stats();
         assert!(cli.responses > 10, "got {}", cli.responses);
         assert_eq!(srv.responses, srv.ok, "all 200s");
         assert!(srv.responses >= cli.responses);
         assert!(report.events_processed() > cli.responses * 4);
-    }
-
-    #[test]
-    fn clients_verify_status_lines() {
-        let mut rt = RuntimeBuilder::new()
-            .cores(4)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::off())
-            .build(ExecKind::Sim);
-        let net = Arc::new(Mutex::new(SimNet::new(NetConfig::default())));
-        let cfg = SwsConfig::default();
-        let load = ClosedLoopLoad::new(
-            HttpProtocol::new(cfg.files),
-            LoadConfig {
-                clients: 4,
-                ports: vec![cfg.port],
-                requests_per_conn: 5,
-                duration: 20_000_000,
-                ..LoadConfig::default()
-            },
-        );
-        let driver = Arc::new(Mutex::new(load));
-        let _sws = Sws::install(&mut rt, net, Arc::clone(&driver), cfg);
-        rt.run();
-        let d = driver.lock();
-        assert!(d.protocol().ok_responses() > 0);
-        assert_eq!(d.protocol().error_responses(), 0);
     }
 
     #[test]
@@ -1307,27 +864,9 @@ mod tests {
                 self.0.response_len(buf)
             }
         }
-        let mut rt = RuntimeBuilder::new()
-            .cores(2)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::off())
-            .build(ExecKind::Sim);
-        let net = Arc::new(Mutex::new(SimNet::new(NetConfig::default())));
-        let load = ClosedLoopLoad::new(
-            BadPath(HttpProtocol::new(1)),
-            LoadConfig {
-                clients: 1,
-                ports: vec![80],
-                requests_per_conn: 3,
-                duration: 10_000_000,
-                ..LoadConfig::default()
-            },
-        );
-        let driver = Arc::new(Mutex::new(load));
-        let sws = Sws::install(&mut rt, net, driver, SwsConfig::default());
-        rt.run();
-        assert!(sws.stats().not_found > 0);
-        assert_eq!(sws.stats().ok, 0);
+        let (srv, _, _) = serve(2, WsPolicy::off(), BadPath(http()), 1, 3, 10_000_000);
+        assert!(srv.not_found > 0);
+        assert_eq!(srv.ok, 0);
     }
 
     #[test]
@@ -1342,27 +881,9 @@ mod tests {
                 HttpProtocol::new(1).response_len(buf)
             }
         }
-        let mut rt = RuntimeBuilder::new()
-            .cores(2)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::off())
-            .build(ExecKind::Sim);
-        let net = Arc::new(Mutex::new(SimNet::new(NetConfig::default())));
-        let load = ClosedLoopLoad::new(
-            Garbage,
-            LoadConfig {
-                clients: 1,
-                ports: vec![80],
-                requests_per_conn: 2,
-                duration: 10_000_000,
-                ..LoadConfig::default()
-            },
-        );
-        let driver = Arc::new(Mutex::new(load));
-        let sws = Sws::install(&mut rt, net, driver, SwsConfig::default());
-        rt.run();
-        assert!(sws.stats().bad_request > 0);
-        assert!(sws.stats().closed > 0, "400 closes the connection");
+        let (srv, _, _) = serve(2, WsPolicy::off(), Garbage, 1, 2, 10_000_000);
+        assert!(srv.bad_request > 0);
+        assert!(srv.closed > 0, "400 closes the connection");
     }
 
     #[test]
@@ -1378,34 +899,49 @@ mod tests {
     }
 
     #[test]
-    fn stage_service_serves_requests_and_reports_latency() {
-        let mut rt = RuntimeBuilder::new()
-            .cores(8)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::improved())
-            .build(ExecKind::Sim);
-        let net = Arc::new(Mutex::new(SimNet::new(mely_net::NetConfig::default())));
-        let cfg = SwsConfig::default();
-        let load = ClosedLoopLoad::new(
-            HttpProtocol::new(cfg.files),
-            LoadConfig {
-                clients: 16,
-                ports: vec![cfg.port],
-                requests_per_conn: 10,
-                duration: 30_000_000,
-                ..LoadConfig::default()
-            },
+    fn stats_sum_covers_every_counter() {
+        let mut total = SwsStats {
+            responses: 1,
+            ok: 2,
+            not_found: 3,
+            bad_request: 4,
+            accepted: 5,
+            closed: 6,
+            aborted: 7,
+        };
+        total += SwsStats {
+            responses: 10,
+            ok: 20,
+            not_found: 30,
+            bad_request: 40,
+            accepted: 50,
+            closed: 60,
+            aborted: 70,
+        };
+        assert_eq!(
+            total,
+            SwsStats {
+                responses: 11,
+                ok: 22,
+                not_found: 33,
+                bad_request: 44,
+                accepted: 55,
+                closed: 66,
+                aborted: 77,
+            }
         );
-        let driver = Arc::new(Mutex::new(load));
-        let svc = rt.install(SwsService::new(net, Arc::clone(&driver), cfg));
-        let report = rt.run();
-        let srv = svc.stats();
+    }
+
+    #[test]
+    fn stage_service_serves_requests_and_reports_latency() {
+        let (srv, driver, report) = serve(8, WsPolicy::improved(), http(), 16, 10, 30_000_000);
         assert!(srv.responses > 20, "served {}", srv.responses);
         assert_eq!(srv.responses, srv.ok, "all 200s");
         // Every response closed one request of the latency pipeline.
         assert_eq!(report.completed_requests(), srv.responses);
         assert!(report.latency_p50() > 0, "multi-hop requests take time");
         assert!(report.latency_p50() <= report.latency_p99());
+        // The clients verified every status line they were sent.
         let d = driver.lock();
         assert!(d.protocol().ok_responses() > 0);
         assert_eq!(d.protocol().error_responses(), 0);
@@ -1415,59 +951,31 @@ mod tests {
     fn stage_service_is_deterministic_on_the_simulator() {
         // The network-driven SWS is time-driven (poll loops, closed-loop
         // clients), so event counts are not structural across executors —
-        // but on the deterministic simulator the STAGE port must serve
-        // every request the clients issue, identically run to run,
-        // including its request accounting.
-        let run_stage = || {
-            let mut rt = RuntimeBuilder::new()
-                .cores(8)
-                .flavor(Flavor::Mely)
-                .workstealing(WsPolicy::improved())
-                .build(ExecKind::Sim);
-            let net = Arc::new(Mutex::new(SimNet::new(mely_net::NetConfig::default())));
-            let cfg = SwsConfig::default();
-            let load = ClosedLoopLoad::new(
-                HttpProtocol::new(cfg.files),
-                LoadConfig {
-                    clients: 16,
-                    ports: vec![cfg.port],
-                    requests_per_conn: 10,
-                    duration: 20_000_000,
-                    ..LoadConfig::default()
-                },
-            );
-            let driver = Arc::new(Mutex::new(load));
-            let svc = rt.install(SwsService::new(net, driver, cfg));
-            let report = rt.run();
+        // but on the deterministic simulator it must serve every request
+        // the clients issue, identically run to run, including its
+        // request accounting.
+        let run = || {
+            let (srv, _, report) = serve(8, WsPolicy::improved(), http(), 16, 10, 20_000_000);
             (
                 report.fingerprint(),
-                svc.stats().responses,
+                srv.responses,
                 report.events_processed(),
                 report.completed_requests(),
                 report.latency_p99(),
             )
         };
-        let a = run_stage();
-        let b = run_stage();
+        let a = run();
+        let b = run();
         assert!(a.1 > 0, "must actually serve requests");
         // Fingerprint equality pins the whole per-core completion
         // sequence, not just the aggregate counts.
         assert_eq!(a, b, "deterministic replay of the stage pipeline");
-
-        // The raw low-level Sws, by contrast, never opens requests: the
-        // latency pipeline is a stage-layer feature.
-        let (_, _, report) = run_sws(Flavor::Mely, WsPolicy::improved(), 16, 20_000_000);
-        assert_eq!(
-            report.completed_requests(),
-            0,
-            "raw Sws records no requests"
-        );
     }
 
     #[test]
     fn workstealing_spreads_work_across_cores() {
-        let (_, cli, report) = run_sws(Flavor::Mely, WsPolicy::improved(), 64, 40_000_000);
-        assert!(cli.responses > 50);
+        let (_, driver, report) = serve(8, WsPolicy::improved(), http(), 64, 10, 40_000_000);
+        assert!(driver.lock().stats().responses > 50);
         let active = report
             .per_core()
             .iter()

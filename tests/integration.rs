@@ -13,7 +13,7 @@ use mely_repro::bench::PaperConfig;
 use mely_repro::core::prelude::*;
 use mely_repro::loadgen::{ClosedLoopLoad, LoadConfig};
 use mely_repro::net::{NetConfig, SimNet};
-use mely_repro::sws::{Sws, SwsConfig};
+use mely_repro::sws::{SwsConfig, SwsService};
 
 const QUICK: u64 = 20_000_000;
 
@@ -147,13 +147,18 @@ fn server_survives_a_client_that_disconnects_mid_request() {
         },
     );
     let driver = Arc::new(PlMutex::new(load));
-    let sws = Sws::install(&mut rt, net, driver, SwsConfig::default());
+    let sws = rt.install(SwsService::new(net, driver, SwsConfig::default()));
     let report = rt.run();
     // No responses, but the server accepted, saw the hangups, closed and
     // the simulation drained without livelock.
-    assert!(sws.stats().accepted >= 3);
-    assert_eq!(sws.stats().ok, 0);
+    let stats = sws.stats();
+    assert!(stats.accepted >= 3);
+    assert_eq!(stats.ok, 0);
     assert!(report.events_processed() > 0);
+    // Each abandoned request is accounted for, once, on both ledgers.
+    assert!(stats.aborted >= 3);
+    assert_eq!(report.failed_requests(), stats.aborted);
+    assert_eq!(report.completed_requests(), 0);
 }
 
 #[test]
