@@ -19,7 +19,10 @@ pub trait Driver: Send {
 
     /// The next virtual time at which this driver wants to act, if any
     /// (used by the server's poll loop to re-arm its timer precisely).
-    fn next_due(&self, now: u64) -> Option<u64>;
+    /// `None`, the default, leaves the loop on its poll interval.
+    fn next_due(&self, _now: u64) -> Option<u64> {
+        None
+    }
 }
 
 /// A driver with no clients; useful in unit tests of server plumbing.
@@ -29,10 +32,6 @@ pub struct IdleDriver;
 impl Driver for IdleDriver {
     fn advance(&mut self, _net: &mut SimNet, _now: u64) -> bool {
         true
-    }
-
-    fn next_due(&self, _now: u64) -> Option<u64> {
-        None
     }
 }
 

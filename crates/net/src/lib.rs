@@ -44,7 +44,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 pub mod driver;
-pub mod inject;
 #[cfg(unix)]
 pub mod tcp;
 
@@ -133,6 +132,36 @@ struct Conn {
     server_closed: bool,
     /// Set once `PeerClosed` was both visible and reported/consumed.
     hup_reported: bool,
+    /// Already on the output watch's ready list (see [`SimNet::watch_tx`]).
+    tx_listed: bool,
+}
+
+/// An installed output watch: who to tell, and what about.
+struct TxWatch {
+    signal: Box<dyn Fn() + Send>,
+    /// Connections the server wrote to or closed since the last
+    /// [`SimNet::take_tx_ready`], each at most once.
+    ready: Vec<Fd>,
+}
+
+impl fmt::Debug for TxWatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TxWatch")
+            .field("ready", &self.ready)
+            .finish_non_exhaustive()
+    }
+}
+
+impl TxWatch {
+    /// Lists `fd` (once) and signals on the list's empty→non-empty edge.
+    fn note(&mut self, fd: Fd, conn: &mut Conn) {
+        if !std::mem::replace(&mut conn.tx_listed, true) {
+            self.ready.push(fd);
+            if self.ready.len() == 1 {
+                (self.signal)();
+            }
+        }
+    }
 }
 
 /// The simulated network fabric.
@@ -146,6 +175,7 @@ pub struct SimNet {
     bytes_c2s: u64,
     bytes_s2c: u64,
     accepted_total: u64,
+    tx_watch: Option<TxWatch>,
 }
 
 impl SimNet {
@@ -184,6 +214,7 @@ impl SimNet {
                 accepted: false,
                 server_closed: false,
                 hup_reported: false,
+                tx_listed: false,
             },
         );
         self.listeners
@@ -252,6 +283,9 @@ impl SimNet {
             if !c.server_closed {
                 self.bytes_s2c += data.len() as u64;
                 c.s2c.write(now + delay, data);
+                if let Some(w) = &mut self.tx_watch {
+                    w.note(fd, c);
+                }
             }
         }
     }
@@ -264,7 +298,39 @@ impl SimNet {
             if c.s2c.closed_at.is_none() {
                 c.s2c.closed_at = Some(now + delay);
             }
+            if let Some(w) = &mut self.tx_watch {
+                w.note(fd, c);
+            }
         }
+    }
+
+    /// Client side: makes server output event-driven. From now on every
+    /// server-side [`write`](SimNet::write) or [`close`](SimNet::close)
+    /// puts its descriptor on a ready list (at most once until taken),
+    /// and `signal` runs whenever that list goes from empty to
+    /// non-empty — inside the writing call, so keep it to a wake-up
+    /// (the TCP gateway writes an `eventfd`). Simulated clients learn
+    /// when to look from
+    /// [`client_next_visibility`](SimNet::client_next_visibility) and
+    /// install none; an unwatched network records nothing.
+    pub fn watch_tx(&mut self, signal: impl Fn() + Send + 'static) {
+        self.tx_watch = Some(TxWatch {
+            signal: Box::new(signal),
+            ready: Vec::new(),
+        });
+    }
+
+    /// Client side: moves the watched ready list into `out`. A listed
+    /// descriptor may have been reaped since; every client-side call
+    /// treats that as closed and empty.
+    pub fn take_tx_ready(&mut self, out: &mut Vec<Fd>) {
+        let Some(w) = &mut self.tx_watch else { return };
+        for fd in &w.ready {
+            if let Some(c) = self.conns.get_mut(fd) {
+                c.tx_listed = false;
+            }
+        }
+        out.append(&mut w.ready);
     }
 
     /// Client side: earliest time after `now` at which more
@@ -394,6 +460,8 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+    use std::sync::Arc;
 
     fn net() -> SimNet {
         SimNet::new(NetConfig { one_way_delay: 100 })
@@ -519,6 +587,52 @@ mod tests {
         assert_eq!(s.bytes_sent, 20);
         assert_eq!(s.accepted, 1);
         assert!(s.to_string().contains("rx=10B"));
+    }
+
+    #[test]
+    fn output_watch_lists_an_fd_once_and_signals_per_empty_edge() {
+        let mut n = net();
+        n.listen(80);
+        let (a, b) = (n.connect(80, 0).unwrap(), n.connect(80, 0).unwrap());
+        n.accept(80, 100).unwrap();
+        n.accept(80, 100).unwrap();
+        let signals = Arc::new(AtomicU32::new(0));
+        let counter = Arc::clone(&signals);
+        n.watch_tx(move || {
+            counter.fetch_add(1, Relaxed);
+        });
+        n.write(a, 100, b"x".to_vec());
+        n.write(a, 100, b"y".to_vec());
+        n.close(a, 100);
+        n.write(b, 100, b"z".to_vec());
+        assert_eq!(signals.load(Relaxed), 1, "only the first listing signals");
+        n.reap(a);
+        let mut ready = Vec::new();
+        n.take_tx_ready(&mut ready);
+        assert_eq!(ready, [a, b]);
+        // A listed descriptor reaped since reads as closed and empty.
+        assert!(n.client_read(a, 1_000).is_empty() && n.client_sees_close(a, 1_000));
+        assert_eq!(n.client_next_visibility(a, 0), None);
+        n.take_tx_ready(&mut ready);
+        assert_eq!(ready, [a, b], "taken means gone");
+        n.write(b, 200, b"again".to_vec());
+        assert_eq!(signals.load(Relaxed), 2, "the list was empty again");
+        ready.clear();
+        n.take_tx_ready(&mut ready);
+        assert_eq!(ready, [b]);
+    }
+
+    #[test]
+    fn an_unwatched_net_records_no_output() {
+        let mut n = net();
+        n.listen(80);
+        let fd = n.connect(80, 0).unwrap();
+        n.accept(80, 100).unwrap();
+        n.write(fd, 100, b"x".to_vec());
+        n.close(fd, 100);
+        let mut ready = Vec::new();
+        n.take_tx_ready(&mut ready);
+        assert!(ready.is_empty());
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl WriteBuf {
     }
 }
 
-/// Maps an io error kind for accept failures the gateway treats as
-/// shed-not-fatal: descriptor exhaustion.
-pub(crate) fn is_fd_exhaustion(errno: i32) -> bool {
-    errno == libc::EMFILE || errno == libc::ENFILE
-}
-
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;

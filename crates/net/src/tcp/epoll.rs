@@ -94,7 +94,7 @@ pub struct Epoll {
     fd: RawFd,
 }
 
-fn last_error() -> io::Error {
+pub(super) fn last_error() -> io::Error {
     io::Error::from_raw_os_error(libc::errno())
 }
 
