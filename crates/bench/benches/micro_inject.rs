@@ -40,10 +40,10 @@ const COLORS_PER_PRODUCER: u16 = 8;
 /// Repetitions per configuration; the median filters scheduler noise
 /// without rewarding a producer that got a whole timeslice to itself.
 const REPS: usize = 5;
-/// Declared cost of injected events. Nonzero so the workers stay busy
-/// popping and executing (cycling their queue locks, as a loaded server
-/// would) instead of idle-yielding — an idle, yielding consumer makes
-/// the spinlock look artificially cheap on an oversubscribed host.
+/// Cost the injected events burn in their bodies. Nonzero so the workers
+/// stay busy popping and executing (cycling their queue locks, as a loaded
+/// server would) instead of idle-yielding — an idle, yielding consumer
+/// makes the spinlock look artificially cheap on an oversubscribed host.
 const EVENT_COST: u64 = 1_000;
 
 /// Injects `per_producer` events from each of `producers` threads into a

@@ -70,14 +70,16 @@ fn build(limits: QueueLimits) -> Runtime {
 
 /// The heavy-tailed request event for producer `p`'s `i`-th injection:
 /// Zipf color from the shared hot set, Pareto cost, and an action that
-/// closes the request with its injection-to-execution latency.
+/// burns that cost and closes the request with its end-to-end latency.
 fn make_event(zipf: &Zipf, pareto: &Pareto, p: usize, i: u64) -> Event {
     let mut rng = StdRng::seed_from_u64(((p as u64) << 32) ^ i ^ 0x9E37_79B9_7F4A_7C15);
     let color = Color::new(zipf.sample(&mut rng) as u16);
     let cost = (pareto.sample(&mut rng) as u64).min(COST_CAP);
     let t0 = cycles::now();
-    Event::new(color, cost)
-        .with_action(move |ctx| ctx.complete_request(cycles::now().wrapping_sub(t0)))
+    Event::new(color, cost).with_action(move |ctx| {
+        cycles::spin(cost);
+        ctx.complete_request(cycles::now().wrapping_sub(t0))
+    })
 }
 
 /// Runs one scenario: `events` injections per producer, paced at one

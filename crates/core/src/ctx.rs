@@ -89,8 +89,8 @@ impl<'a> Ctx<'a> {
 
     /// Accounts `cycles` of CPU work to this handler execution, *in
     /// addition to* the event's declared cost. The simulation executor
-    /// advances the core's virtual clock; the threaded executor spins for
-    /// that many real cycles.
+    /// advances the core's virtual clock; the threaded executor accounts
+    /// it and never waits it out (like [`Ctx::touch`]).
     pub fn charge(&mut self, cycles: u64) {
         self.effects.charged += cycles;
     }

@@ -33,13 +33,10 @@ pub fn now() -> u64 {
     }
 }
 
-/// Busy-spins for approximately `cycles` cycles. Used by the threaded
-/// executor to materialise an event's declared processing cost.
+/// Busy-spins for approximately `cycles` cycles: real service time for
+/// synthetic handlers and tests to burn. No executor calls it.
 #[inline]
 pub fn spin(cycles: u64) {
-    if cycles == 0 {
-        return;
-    }
     let start = now();
     while now().wrapping_sub(start) < cycles {
         std::hint::spin_loop();

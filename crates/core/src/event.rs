@@ -63,7 +63,8 @@ pub struct Event {
 
 impl Event {
     /// Creates an event with an explicit processing-cost estimate in
-    /// cycles and the default penalty of 1.
+    /// cycles (the simulator's input and the steal heuristics' hint;
+    /// real threads never wait it out) and the default penalty of 1.
     pub fn new(color: Color, cost: u64) -> Self {
         Event {
             color,

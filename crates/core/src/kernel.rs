@@ -7,10 +7,10 @@
 //! [`steal_attempt`] are that algorithm plus this repository's
 //! admission, fault and accounting rules, monomorphised over a per-core
 //! [`CoreEnv`]. The environment supplies only what genuinely differs
-//! between the simulator and real threads: the clock and how cost is
-//! paid, how a victim's queue is reached, and where a timer or a routed
-//! event goes. The simulator's perturbation draws and the threaded
-//! executor's inbox rescue stay in the drivers.
+//! between the simulator and real threads: the clock and an event's
+//! cost (declared vs. real time), how a victim's queue is reached, and
+//! where a timer or a routed event goes. The simulator's perturbation
+//! draws and the threaded executor's inbox rescue stay in the drivers.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -69,11 +69,11 @@ pub(crate) trait CoreEnv {
 
     /// The time a handler reads through [`Ctx::now`].
     fn now(&self) -> u64;
-    /// Pays what is known before the handler runs (dispatch, declared
-    /// cost and data set); the returned stamp goes to `finish_event`.
+    /// Opens a dispatch and returns the stamp for `finish_event`; the
+    /// simulator pays the dispatch, declared cost and data set here.
     fn start_event(&mut self, ev: &Event) -> u64;
-    /// Pays the handler's charges and touches (`fx` is `None` when it
-    /// panicked) and returns the cycles the whole dispatch took.
+    /// The cycles the whole dispatch took; the simulator first pays the
+    /// handler's charges and touches (`fx` is `None` when it panicked).
     fn finish_event(&mut self, stamp: u64, color: Color, fx: Option<&CtxEffects>) -> u64;
 
     /// Arms a timer `delay` cycles from now.

@@ -190,7 +190,7 @@ impl<M> StageSpec<M> {
         }
     }
 
-    /// Sets the annotated average cost in cycles.
+    /// Sets the annotated average cost in cycles: simulator input, steal hint.
     pub fn cost(mut self, cycles: u64) -> Self {
         self.handler = self.handler.cost(cycles);
         self

@@ -53,6 +53,7 @@ use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 
 use mely_core::color::Color;
+use mely_core::cycles;
 use mely_core::event::Event;
 use mely_core::exec::Injector;
 use rand::distributions::{Distribution, Pareto, Zipf};
@@ -91,7 +92,7 @@ pub struct InjectorConfig {
     /// (disjoint across producers, so producers never serialize on a
     /// color).
     pub colors: u16,
-    /// Declared processing cost of each event, in cycles.
+    /// Cost of each event, in cycles: declared, and burned by its body.
     pub cost: u64,
     /// Injection path.
     pub mode: InjectMode,
@@ -203,21 +204,23 @@ impl InjectorPool {
             // in `spawn`; colors start at 1 to avoid the
             // fully-serializing default color 0).
             let base = 1 + p as u64 * u64::from(cfg.colors);
-            let ev = match cfg.mode {
+            let (color, cost) = match cfg.mode {
                 InjectMode::Inbox | InjectMode::DirectLock => {
-                    let color = Color::new((base + i % u64::from(cfg.colors)) as u16);
-                    Event::new(color, cfg.cost)
+                    (base + i % u64::from(cfg.colors), cfg.cost)
                 }
                 InjectMode::HeavyTail => {
                     let mut rng =
                         StdRng::seed_from_u64(((p as u64) << 32) ^ i ^ 0x9E37_79B9_7F4A_7C15);
                     // Zipf rank 1 (the hottest) maps to the first color
                     // of the producer's range.
-                    let color = Color::new((base + zipf.sample(&mut rng) - 1) as u16);
-                    let cost = (pareto.sample(&mut rng) as u64).min(cost_cap);
-                    Event::new(color, cost)
+                    let color = base + zipf.sample(&mut rng) - 1;
+                    (color, (pareto.sample(&mut rng) as u64).min(cost_cap))
                 }
             };
+            // The body burns what the event declares: no executor
+            // manufactures service time for a synthetic load.
+            let ev = Event::new(Color::new(color as u16), cost);
+            let ev = ev.with_action(move |_| cycles::spin(cost));
             match cfg.mode {
                 InjectMode::Inbox | InjectMode::HeavyTail => injector.inject(ev),
                 InjectMode::DirectLock => injector.inject_locked(ev),

@@ -7,6 +7,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+use mely_repro::core::cycles;
 use mely_repro::core::prelude::*;
 
 fn main() {
@@ -24,10 +25,15 @@ fn main() {
 
     // 400 independent events, all placed on core 0: a badly unbalanced
     // load. Each carries its own color, so they may run concurrently —
-    // once thieves move them.
+    // once thieves move them. The declared 25 000 cycles are the event's
+    // virtual time under `sim` and what thieves weigh it by; under
+    // `threaded` an event costs what its action takes, so the action
+    // burns them for real.
     for i in 0..400u16 {
         rt.register_pinned(
-            Event::new(Color::new(i + 1), 25_000).named("quickstart-work"),
+            Event::new(Color::new(i + 1), 25_000)
+                .named("quickstart-work")
+                .with_action(|_| cycles::spin(25_000)),
             0,
         );
     }

@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mely_repro::core::cycles;
 use mely_repro::core::prelude::*;
 
 fn main() {
@@ -22,12 +23,15 @@ fn main() {
         .build(kind);
 
     let sum = Arc::new(AtomicU64::new(0));
-    // 200 colored tasks, all pinned to core 0; each spins its declared
-    // cost for real under threads, then does real work in its action.
+    // 200 colored tasks, all pinned to core 0. The declared 20 000
+    // cycles are virtual time under `sim` and the thieves' hint under
+    // threads, where a task costs what its action takes: the action
+    // burns them, then does its real work.
     for i in 0..200u16 {
         let sum = Arc::clone(&sum);
         rt.register_pinned(
             Event::new(Color::new(i + 1), 20_000).with_action(move |_ctx| {
+                cycles::spin(20_000);
                 sum.fetch_add(u64::from(i) + 1, Ordering::Relaxed);
             }),
             0,

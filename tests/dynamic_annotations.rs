@@ -8,6 +8,7 @@
 //! replaces the annotation, the colors become worthy, and stealing
 //! resumes.
 
+use mely_repro::core::cycles;
 use mely_repro::core::handler::HandlerSpec;
 use mely_repro::core::prelude::*;
 
@@ -61,6 +62,45 @@ fn measured_costs_recover_from_a_wrong_annotation() {
         measured.kevents_per_sec(),
         annotated.kevents_per_sec()
     );
+}
+
+/// The same mistake on real threads, where nothing is charged: the
+/// handler's body *takes* 30K cycles, and the time the kernel measures
+/// around it is what a `.measured()` handler hands to time-left.
+fn run_rounds_threaded(measured: bool) -> (u64, u64) {
+    let mut rt = RuntimeBuilder::new()
+        .cores(4)
+        .flavor(Flavor::Mely)
+        .workstealing(WsPolicy::base().with_time_left(true))
+        .build(ExecKind::Threaded);
+    let spec = HandlerSpec::new("mis-annotated").cost(50);
+    let spec = if measured { spec.measured() } else { spec };
+    let handler = rt.register_handler(spec);
+    let mut steals = 0;
+    for _round in 0..6 {
+        for i in 0..256u16 {
+            rt.register_pinned(
+                Event::for_handler(Color::new(i + 1), handler)
+                    .with_action(|_| cycles::spin(30_000)),
+                0,
+            );
+        }
+        steals += rt.run().total().steals;
+    }
+    (steals, rt.handler_estimate(handler))
+}
+
+#[test]
+fn measured_costs_recover_from_a_wrong_annotation_on_threads() {
+    // Annotated: 50 stays 50, below the steal-cost estimate, so no
+    // color is ever worthy and that estimate never moves either.
+    assert_eq!(run_rounds_threaded(false), (0, 50));
+
+    // Measured: the first round runs serially on core 0 and teaches the
+    // registry the real cost; later rounds register worthy colors.
+    let (steals, est) = run_rounds_threaded(true);
+    assert!(est > 10_000, "EWMA must follow the real 30K, got {est}");
+    assert!(steals > 0, "worthy colors get stolen");
 }
 
 #[test]
