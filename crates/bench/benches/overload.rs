@@ -18,20 +18,16 @@
 //! - `overload/p99_{1x,2x,4x}` — 99th-percentile end-to-end latency of
 //!   the *admitted* requests, in cycles.
 //!
-//! The acceptance bars (checked by `bench_gate` in CI): goodput at 4×
-//! stays ≥ 0.9× goodput at 1× (shedding at the admission boundary keeps
-//! the runtime at capacity instead of collapsing), and p99 at 4× stays
-//! within a bounded multiple of p99 at 1× (admitted events wait in
-//! queues whose depth the limits cap — overload cannot grow the tail
-//! without bound).
-//!
-//! These ids are not in `benches/baseline.json`: goodput is
-//! higher-is-better, so the regression gate's lower-is-better
-//! comparison does not apply; the ratio gates above are the contract.
+//! The acceptance bars, which the bench checks itself (non-zero exit):
+//! goodput at 4× stays ≥ [`MIN_GOODPUT_4X_OVER_1X`] × goodput at 1×
+//! (shedding at the admission boundary keeps the runtime at capacity
+//! instead of collapsing), and p99 at 4× stays ≤
+//! [`MAX_P99_BOUNDED_OVER_UNBOUNDED`] × the p99 of the same 4× load on
+//! an unbounded runtime (admitted events wait in queues whose depth the
+//! limits cap — the limits, not luck, bound the tail).
 
 use std::time::Instant;
 
-use criterion::{emit_json, measure_budget};
 use mely_core::cycles;
 use mely_core::prelude::*;
 use mely_loadgen::threaded::InjectorPool;
@@ -43,6 +39,14 @@ use rand::SeedableRng;
 const CORES: usize = 4;
 /// Open-loop producer threads (pacing is per producer).
 const PRODUCERS: usize = 4;
+/// Events per producer at the nominal (1x) rate; the kx scenario
+/// injects k times as many over the same wall time.
+const EVENTS_PER_PRODUCER: u64 = 24_000;
+/// Tripwires, set under the locally measured 2.2-2.8 and over the
+/// measured 0.008-0.125: shared runners are noisy, ratios are not
+/// machine-specific.
+const MIN_GOODPUT_4X_OVER_1X: f64 = 0.9;
+const MAX_P99_BOUNDED_OVER_UNBOUNDED: f64 = 0.25;
 /// Colors in the shared hot set (Zipf rank 1 = color 1 is the hottest).
 const COLORS: u64 = 64;
 /// Pareto scale (minimum service cost) in cycles; mean with shape 1.5
@@ -127,18 +131,13 @@ fn run_scenario(
 }
 
 fn main() {
-    // Budget-scaled scenario size: events per producer at the nominal
-    // (1x) rate; the kx scenario injects k times as many over the same
-    // wall time.
-    let per_producer = (measure_budget().as_millis() as u64 * 120).clamp(4_000, 40_000);
-
     // Closed-loop capacity probe on an unbounded runtime: how fast do
     // the workers absorb this exact mix? This is an optimistic floor
     // for the per-event interval — burst arrival amortizes queue locks
     // and inbox merges that paced arrival pays per event.
-    let (probe, _) = run_scenario(QueueLimits::unbounded(), per_producer, None);
+    let (probe, _) = run_scenario(QueueLimits::unbounded(), EVENTS_PER_PRODUCER, None);
     let probe_start = cycles::now();
-    let (probe2, _) = run_scenario(QueueLimits::unbounded(), per_producer, None);
+    let (probe2, _) = run_scenario(QueueLimits::unbounded(), EVENTS_PER_PRODUCER, None);
     let probe_cycles = cycles::now() - probe_start;
     let absorbed = probe2.events_processed().max(1);
     let capacity_cpe = (probe_cycles / absorbed).max(1);
@@ -156,9 +155,9 @@ fn main() {
     // producers themselves take CPU from the workers.
     let mut nominal_interval = capacity_cpe * PRODUCERS as u64 * 10 / 8;
     for _ in 0..4 {
-        let (trial, _) = run_scenario(limits, per_producer / 4, Some(nominal_interval));
+        let (trial, _) = run_scenario(limits, EVENTS_PER_PRODUCER / 4, Some(nominal_interval));
         let offered = trial.offered_requests().max(1);
-        if trial.shed_requests() * 20 <= offered {
+        if trial.total().shed_requests * 20 <= offered {
             break;
         }
         nominal_interval *= 2;
@@ -169,36 +168,52 @@ fn main() {
     // measures the same saturated system three ways.
     nominal_interval = nominal_interval * 3 / 2;
 
-    for k in [1u64, 2, 4] {
-        let (report, secs) = run_scenario(limits, per_producer * k, Some(nominal_interval / k));
-        let goodput = report.goodput() as f64 / secs.max(1e-9);
+    // (goodput in req/s, p99 in cycles) at 1x, 2x and 4x nominal.
+    let loaded = [1u64, 2, 4].map(|k| {
+        let (report, secs) =
+            run_scenario(limits, EVENTS_PER_PRODUCER * k, Some(nominal_interval / k));
+        let t = report.total();
+        let goodput = t.completed_requests as f64 / secs.max(1e-9);
         let p99 = report.latency_p99() as f64;
-        let offered = report.offered_requests();
         println!(
             "overload/{k}x: goodput {goodput:>12.0} req/s  p99 {p99:>12.0} cy  \
-             (completed {}, shed {} [{} by color] of {offered} offered)",
-            report.goodput(),
-            report.shed_requests(),
-            report.shed_by_color(),
+             (completed {}, shed {} [{} by color] of {} offered)",
+            t.completed_requests,
+            t.shed_requests,
+            t.shed_by_color,
+            report.offered_requests(),
         );
-        emit_json(&format!("overload/goodput_{k}x"), goodput);
-        emit_json(&format!("overload/p99_{k}x"), p99);
-    }
+        (goodput, p99)
+    });
+    let [(goodput_1x, _), _, (goodput_4x, p99_4x)] = loaded;
 
     // Control: the same 4x overload with no limits. Nothing is shed, so
     // every admitted event queues behind the whole backlog and the tail
-    // grows with offered load; the CI gate asserts the bounded p99
-    // stays a small fraction of this (i.e. the limits, not luck, bound
-    // the tail).
+    // grows with offered load.
     let (report, _) = run_scenario(
         QueueLimits::unbounded(),
-        per_producer * 4,
+        EVENTS_PER_PRODUCER * 4,
         Some(nominal_interval / 4),
     );
-    let p99 = report.latency_p99() as f64;
+    let p99_unbounded = report.latency_p99() as f64;
     println!(
-        "overload/4x unbounded control: p99 {p99:>12.0} cy (completed {})",
-        report.goodput()
+        "overload/4x unbounded control: p99 {p99_unbounded:>12.0} cy (completed {})",
+        report.completed_requests()
     );
-    emit_json("overload/p99_4x_unbounded", p99);
+
+    let goodput_ratio = goodput_4x / goodput_1x.max(1e-9);
+    let p99_ratio = p99_4x / p99_unbounded.max(1e-9);
+    println!("overload/goodput 4x over 1x: {goodput_ratio:.2}; p99 4x bounded over unbounded: {p99_ratio:.3}");
+    let mut failed = false;
+    if goodput_ratio < MIN_GOODPUT_4X_OVER_1X {
+        eprintln!("FAIL: goodput collapsed under overload ({goodput_ratio:.2} < {MIN_GOODPUT_4X_OVER_1X})");
+        failed = true;
+    }
+    if p99_ratio > MAX_P99_BOUNDED_OVER_UNBOUNDED {
+        eprintln!("FAIL: the limits do not bound the tail ({p99_ratio:.3} > {MAX_P99_BOUNDED_OVER_UNBOUNDED})");
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }

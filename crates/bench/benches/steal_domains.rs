@@ -16,20 +16,12 @@
 //! cache level the thief/victim pair shares) and prints it next to the
 //! *measured* steal cost the simulator charged.
 //!
-//! Emitted ids (not in `benches/baseline.json`; the contract is the
-//! ratio, gated by `bench_gate --max-ratio`):
-//!
-//! - `steal/remote_frac_{policy}` — fraction of successful steals that
-//!   crossed sockets;
-//! - `steal/predicted_xfer_{policy}` — predicted transfer cycles.
-//!
-//! CI gates `steal/predicted_xfer_hierarchical` against
-//! `steal/predicted_xfer_flat`: hierarchical must predict strictly
-//! lower cross-socket traffic.
+//! The run is deterministic, so the contract — hierarchical predicts
+//! well under flat's cross-socket traffic — is pinned exactly by the
+//! golden output CI diffs (`benches/golden/steal_domains.txt`).
 
 use std::sync::Arc;
 
-use criterion::{emit_json, measure_budget};
 use mely_bench::steal::{predicted_transfer_cycles, tier_split};
 use mely_core::prelude::*;
 
@@ -42,9 +34,12 @@ const SPEC: &str = "2s×4c×2t/l2=2/llc=8";
 /// color queue's events plus the data they touch): 4 KiB.
 const WORKSET_BYTES: u64 = 4 << 10;
 
+/// Single-color events seeded on each of the two hot cores.
+const EVENTS_PER_HOT_CORE: u16 = 200;
+
 /// Runs the two-hot-cores workload under `policy` and returns the
 /// report. Deterministic: same policy, same schedule, same counters.
-fn run(machine: &MachineModel, policy: Arc<dyn StealPolicy>, per_core: u16) -> RunReport {
+fn run(machine: &MachineModel, policy: Arc<dyn StealPolicy>) -> RunReport {
     let mut rt = RuntimeBuilder::new()
         .cores(machine.num_cores())
         .machine(machine.clone())
@@ -53,7 +48,7 @@ fn run(machine: &MachineModel, policy: Arc<dyn StealPolicy>, per_core: u16) -> R
         .steal_policy(policy)
         .build(ExecKind::Sim);
     for (hot, base) in [(0usize, 1u16), (8, 20_000)] {
-        for i in 0..per_core {
+        for i in 0..EVENTS_PER_HOT_CORE {
             rt.register_pinned(Event::new(Color::new(base + i), 30_000), hot);
         }
     }
@@ -63,10 +58,9 @@ fn run(machine: &MachineModel, policy: Arc<dyn StealPolicy>, per_core: u16) -> R
 fn main() {
     let machine = MachineModel::from_spec(SPEC).expect("valid spec");
     let domains = StealDomains::new(&machine, machine.num_cores());
-    let per_core = (measure_budget().as_millis() as u64 / 2).clamp(200, 2_000) as u16;
 
     println!(
-        "steal-domain ablation on {} ({per_core} events per hot core)",
+        "steal-domain ablation on {} ({EVENTS_PER_HOT_CORE} events per hot core)",
         machine.name()
     );
     println!(
@@ -82,7 +76,7 @@ fn main() {
     ];
     for policy in policies {
         let name = policy.name();
-        let r = run(&machine, policy, per_core);
+        let r = run(&machine, policy);
         let by_tier = r.steals_by_tier();
         let steals = r.total().steals.max(1);
         let remote_frac = by_tier[3] as f64 / steals as f64;
@@ -97,7 +91,5 @@ fn main() {
             predicted,
             measured
         );
-        emit_json(&format!("steal/remote_frac_{name}"), remote_frac);
-        emit_json(&format!("steal/predicted_xfer_{name}"), predicted as f64);
     }
 }

@@ -45,10 +45,10 @@
 //! `CoreMetrics::admission_rejects`. An event *dropped* by the
 //! [`AdmissionPolicy::Shed`] policy additionally counts in
 //! `CoreMetrics::shed_requests` (and `shed_by_color` when the reason was
-//! [`OverloadReason::ColorHot`]). [`crate::metrics::RunReport::goodput`]
-//! is the completed-request count;
+//! [`OverloadReason::ColorHot`]). Goodput is
+//! [`crate::metrics::RunReport::completed_requests`];
 //! [`crate::metrics::RunReport::offered_requests`] adds the sheds back,
-//! so `goodput / offered` is the fraction of offered load that survived
+//! so `completed / offered` is the fraction of offered load that survived
 //! admission and completed.
 
 use std::fmt;
@@ -529,7 +529,7 @@ mod tests {
         // Draining the admitted events releases the occupancy.
         let mut rt = rt.into_threaded();
         assert_eq!(rt.run().events_processed(), 3);
-        let inj = rt.handle();
+        let inj = rt.injector();
         assert!(inj.try_inject(Event::new(Color::new(3), 0)).is_ok());
     }
 
@@ -616,7 +616,7 @@ mod tests {
         assert_eq!(inj.outstanding(), 0, "nothing buffered while stopped");
         let r = rt.run(); // consumes the stop, executes nothing
         assert_eq!(r.events_processed(), 0);
-        assert!(r.admission_rejects() >= 2);
+        assert!(r.total().admission_rejects >= 2);
         // After the stop is consumed, admission works again.
         let inj = rt.injector();
         assert!(inj.try_inject(Event::new(Color::new(3), 0)).is_ok());
@@ -636,9 +636,9 @@ mod tests {
         }
         let r = rt.run();
         assert_eq!(r.events_processed(), 2, "cap admits two");
-        assert_eq!(r.shed_requests(), 8);
+        assert_eq!(r.total().shed_requests, 8);
         assert_eq!(r.total().shed_by_color, 8);
-        assert_eq!(r.admission_rejects(), 8);
-        assert_eq!(r.offered_requests(), r.goodput() + 8);
+        assert_eq!(r.total().admission_rejects, 8);
+        assert_eq!(r.offered_requests(), r.completed_requests() + 8);
     }
 }

@@ -149,7 +149,7 @@ impl<'a> Ctx<'a> {
 
     /// Records the failure of one end-to-end request: the executing
     /// core's `failed_requests` counter grows, surfaced as
-    /// [`RunReport::failed_requests`](crate::metrics::RunReport::failed_requests)
+    /// [`CoreMetrics::failed_requests`](crate::metrics::CoreMetrics::failed_requests)
     /// and part of
     /// [`RunReport::offered_requests`](crate::metrics::RunReport::offered_requests).
     /// A failed request records no latency sample — the pair of this

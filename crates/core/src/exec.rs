@@ -35,10 +35,10 @@
 //! queue-limit hits through the configured
 //! [`AdmissionPolicy`], the fallible `try_` twins
 //! return the [`Overload`] to the caller. The full
-//! four-way table (plus twins) lives on [`Injector`]; the former
-//! `register`/`register_direct`/`register_after` trio on
-//! [`RuntimeHandle`] has been removed in favor of the unified
-//! `inject*` names.
+//! four-way table (plus twins) lives on [`Injector`]. Each executor
+//! offers only a primitive admit-and-enqueue; the policy loop, the
+//! fallible twins and the reject/shed accounting are written once on
+//! top of it, in this module.
 //!
 //! # Examples
 //!
@@ -83,7 +83,7 @@ use crate::metrics::RunReport;
 use crate::runtime::Flavor;
 use crate::sim::SimRuntime;
 use crate::steal::WsPolicy;
-use crate::threaded::{RuntimeHandle, ThreadedRuntime};
+use crate::threaded::{self, ThreadedRuntime};
 
 /// Which executor to build: the deterministic simulation or the real
 /// one-OS-thread-per-core runtime.
@@ -230,6 +230,91 @@ pub trait Service {
     fn install(&mut self, exec: &mut dyn Executor);
 }
 
+/// What one executor offers an external producer: its primitive door.
+/// [`Injector`]'s five entry points — the admission-policy loop, the
+/// fallible twins and the reject/shed accounting — are written once
+/// over this trait ([`resolve_by_policy`], [`admit_or_report`],
+/// [`enqueue_or_shed`]) and monomorphised per executor. Nothing here
+/// counts a reject or a shed.
+pub(crate) trait Door {
+    /// The runtime's limits, policy and producer-side counters.
+    fn admission(&self) -> &AdmissionCtl;
+
+    /// Admits `ev` against the quarantine set and the queue limits and
+    /// enqueues it — now, or to fire after `delay` cycles — or hands it
+    /// back with the [`Overload`] so a policy loop can retry it.
+    fn try_enqueue(&self, delay: Option<u64>, ev: Event) -> Result<(), (Overload, Event)>;
+
+    /// Enqueues past the queue limits (`None`: right away, taking the
+    /// owning core's lock on threads; `Some`: after a delay). `Err`
+    /// names why the door takes nothing of this color whatever the
+    /// limits say, and the event is dropped.
+    fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason>;
+
+    /// Whether a stop has been requested.
+    fn stopped(&self) -> bool;
+
+    /// Waits out one [`AdmissionPolicy::RetryAfter`] hint.
+    fn wait_out(&self, hint: u64);
+}
+
+/// The infallible admission path ([`Injector::inject`]): a limit hit is
+/// resolved by the runtime's [`AdmissionPolicy`] — shed (drop + count),
+/// or block/pace until admitted. The reject counter advances once per
+/// event, on its first failed attempt. Quarantine never clears and a
+/// stopping executor stops draining, so both shed under every policy:
+/// waiting on either would strand the producer.
+fn resolve_by_policy<D: Door>(door: &D, mut ev: Event) {
+    let ctl = door.admission();
+    let mut first_reject = true;
+    loop {
+        let (ov, back) = match door.try_enqueue(None, ev) {
+            Ok(()) => return,
+            Err(rejected) => rejected,
+        };
+        if first_reject {
+            ctl.note_reject();
+            first_reject = false;
+        }
+        if ctl.policy == AdmissionPolicy::Shed
+            || ov.reason == OverloadReason::Quarantined
+            || door.stopped()
+        {
+            ctl.note_shed(ov.reason);
+            return;
+        }
+        if ctl.policy == AdmissionPolicy::RetryAfter {
+            door.wait_out(ov.retry_after_hint);
+        } else {
+            std::thread::yield_now();
+        }
+        ev = back;
+    }
+}
+
+/// The fallible twins ([`Injector::try_inject`],
+/// [`Injector::try_inject_after`]): one attempt, one counted reject, the
+/// [`Overload`] to the caller.
+fn admit_or_report<D: Door>(door: &D, delay: Option<u64>, ev: Event) -> Result<Admitted, Overload> {
+    match door.try_enqueue(delay, ev) {
+        Ok(()) => Ok(Admitted),
+        Err((ov, _dropped)) => {
+            door.admission().note_reject();
+            Err(ov)
+        }
+    }
+}
+
+/// The unchecked paths ([`Injector::inject_locked`],
+/// [`Injector::inject_after`], the threaded runtime's own `register`):
+/// an event the door refuses counts one reject plus one shed.
+pub(crate) fn enqueue_or_shed<D: Door>(door: &D, delay: Option<u64>, ev: Event) {
+    if let Err(reason) = door.enqueue_unchecked(delay, ev) {
+        door.admission().note_reject();
+        door.admission().note_shed(reason);
+    }
+}
+
 /// The simulator's external-producer mailbox: a mutex-protected buffer
 /// the run loop drains at iteration boundaries, giving [`Injector`]s a
 /// target on an executor that is otherwise single-threaded.
@@ -241,8 +326,9 @@ pub trait Service {
 /// scheduling — and is intended for running threaded-style producer
 /// code unmodified, not for cycle-accurate claims.
 pub(crate) struct SimMailbox {
-    /// Buffered entries: immediate events and (delay, event) pairs.
-    queue: Mutex<Vec<MailboxEntry>>,
+    /// Buffered entries: `(None, ev)` is immediate, `(Some(delay), ev)`
+    /// arms a timer.
+    queue: Mutex<Vec<(Option<u64>, Event)>>,
     /// Entries pushed but not yet drained by the run loop.
     buffered: AtomicU64,
     /// Live keepalive guards: the run loop does not exit while nonzero.
@@ -279,25 +365,6 @@ impl Default for SimMailbox {
     }
 }
 
-pub(crate) enum MailboxEntry {
-    Now(Event),
-    After(u64, Event),
-}
-
-impl MailboxEntry {
-    fn event(&self) -> &Event {
-        match self {
-            MailboxEntry::Now(ev) | MailboxEntry::After(_, ev) => ev,
-        }
-    }
-
-    fn event_mut(&mut self) -> &mut Event {
-        match self {
-            MailboxEntry::Now(ev) | MailboxEntry::After(_, ev) => ev,
-        }
-    }
-}
-
 impl SimMailbox {
     pub(crate) fn new(admission: AdmissionCtl, num_cores: usize, faults: Arc<FaultCtl>) -> Self {
         let tracked = if admission.limits.per_core_events.is_some() {
@@ -320,98 +387,11 @@ impl SimMailbox {
         }
     }
 
-    fn push_raw(&self, entry: MailboxEntry) {
+    fn push_raw(&self, delay: Option<u64>, ev: Event) {
         // Count before publishing so `outstanding` never under-reports
         // (the symmetric discipline to the threaded inbox's counter).
         self.buffered.fetch_add(1, Ordering::AcqRel);
-        self.queue.lock().push(entry);
-    }
-
-    /// Enqueue without limit checks (the `inject_locked` /
-    /// `inject_after` paths). Two checks still apply: a stopped run
-    /// loop never drains its mailbox, so buffering into it would leak
-    /// the event forever — the historical footgun — and a quarantined
-    /// color's events would only be drained and discarded by the run
-    /// loop anyway. Such pushes are dropped and counted as a reject
-    /// plus a shed instead.
-    fn push_unchecked(&self, entry: MailboxEntry) {
-        if self.stop_requested() {
-            self.admission.note_reject();
-            self.admission.note_shed(OverloadReason::InboxBacklog);
-            return;
-        }
-        if self.faults.is_quarantined(entry.event().color()) {
-            self.admission.note_reject();
-            self.admission.note_shed(OverloadReason::Quarantined);
-            return;
-        }
-        self.push_raw(entry);
-    }
-
-    /// The fallible admission path into the mailbox: checks the stop
-    /// flag and the configured limits, claiming the per-color slot last.
-    /// Returns the entry on rejection so policy loops can retry it.
-    /// Does not count the reject — the caller owns attempt accounting.
-    fn try_push(&self, mut entry: MailboxEntry) -> Result<Admitted, (Overload, MailboxEntry)> {
-        if self.stop_requested() {
-            // The run loop will never drain again: unconditional reject
-            // (reason InboxBacklog — the backlog can only grow).
-            let ov = self.admission.overload(
-                OverloadReason::InboxBacklog,
-                self.buffered.load(Ordering::Acquire),
-            );
-            return Err((ov, entry));
-        }
-        let color = entry.event().color();
-        let verdict = self.admission.admit(&self.faults, entry.event_mut(), || {
-            // Dispatch estimate: the color's home core (exact unless
-            // workstealing moved the color), occupancy as last
-            // published by the run loop (tracked only under a per-core
-            // limit).
-            let core_occ = self.core_occupancy.get(color.home_core(self.num_cores));
-            (
-                core_occ.map_or(0, |occ| u64::from(occ.load(Ordering::Acquire))),
-                self.buffered.load(Ordering::Acquire),
-            )
-        });
-        if let Err(ov) = verdict {
-            return Err((ov, entry));
-        }
-        self.push_raw(entry);
-        Ok(Admitted)
-    }
-
-    /// The infallible admission path: resolves a limit hit per `policy`
-    /// — shed (drop + count) or wait for the run loop to drain, escaping
-    /// by shedding if the simulation is stopped while the producer
-    /// waits. (The `retry_after_hint` is in *virtual* cycles, which a
-    /// real-time producer thread cannot sleep on; both waiting policies
-    /// therefore yield between attempts here.)
-    pub(crate) fn push_with_policy(&self, mut entry: MailboxEntry, policy: AdmissionPolicy) {
-        let mut first_reject = true;
-        loop {
-            entry = match self.try_push(entry) {
-                Ok(_) => return,
-                Err((ov, back)) => {
-                    if first_reject {
-                        self.admission.note_reject();
-                        first_reject = false;
-                    }
-                    // Quarantine never clears while the runtime runs, so
-                    // the waiting policies shed too — blocking on a
-                    // poisoned color would hang the producer forever.
-                    if policy == AdmissionPolicy::Shed
-                        || ov.reason == OverloadReason::Quarantined
-                        || self.stop_requested()
-                    {
-                        self.admission.note_shed(ov.reason);
-                        return;
-                    }
-                    std::thread::yield_now();
-                    back
-                }
-            };
-        }
+        self.queue.lock().push((delay, ev));
     }
 
     /// Publishes one core's queue length for the per-core admission
@@ -430,7 +410,7 @@ impl SimMailbox {
     }
 
     /// Takes the whole backlog. Called by the sim run loop.
-    pub(crate) fn drain(&self) -> Vec<MailboxEntry> {
+    pub(crate) fn drain(&self) -> Vec<(Option<u64>, Event)> {
         if self.buffered.load(Ordering::Acquire) == 0 {
             return Vec::new();
         }
@@ -450,10 +430,6 @@ impl SimMailbox {
         self.keepalive.load(Ordering::Acquire) > 0 || self.buffered.load(Ordering::Acquire) > 0
     }
 
-    pub(crate) fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
     pub(crate) fn clear_stop(&self) {
         self.stop.store(false, Ordering::Release);
     }
@@ -464,24 +440,113 @@ impl SimMailbox {
         self.idle.store(idle, Ordering::Release);
     }
 
-    fn machine_idle(&self) -> bool {
-        self.idle.load(Ordering::Acquire)
+    fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+    }
+
+    /// Entries pushed but not yet absorbed by the run loop.
+    fn outstanding(&self) -> u64 {
+        self.buffered.load(Ordering::Acquire)
+    }
+
+    fn keepalive(self: &Arc<Self>) -> KeepAlive {
+        self.keepalive.fetch_add(1, Ordering::AcqRel);
+        let m = Arc::clone(self);
+        KeepAlive::new(move || {
+            m.keepalive.fetch_sub(1, Ordering::AcqRel);
+        })
+    }
+
+    /// Waits for the mailbox to drain *and* the simulated machine to go
+    /// idle (queues and timers empty), then stops.
+    fn stop_when_idle(&self) {
+        while self.outstanding() > 0 || !self.idle.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        self.stop();
+    }
+}
+
+impl Door for SimMailbox {
+    fn admission(&self) -> &AdmissionCtl {
+        &self.admission
+    }
+
+    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), (Overload, Event)> {
+        if self.stopped() {
+            // The run loop will never drain again: unconditional reject
+            // (reason InboxBacklog — the backlog can only grow).
+            let ov = self
+                .admission
+                .overload(OverloadReason::InboxBacklog, self.outstanding());
+            return Err((ov, ev));
+        }
+        let color = ev.color();
+        let verdict = self.admission.admit(&self.faults, &mut ev, || {
+            // Dispatch estimate: the color's home core (exact unless
+            // workstealing moved the color), occupancy as last
+            // published by the run loop (tracked only under a per-core
+            // limit).
+            let core_occ = self.core_occupancy.get(color.home_core(self.num_cores));
+            (
+                core_occ.map_or(0, |occ| u64::from(occ.load(Ordering::Acquire))),
+                self.outstanding(),
+            )
+        });
+        if let Err(ov) = verdict {
+            return Err((ov, ev));
+        }
+        self.push_raw(delay, ev);
+        Ok(())
+    }
+
+    /// Two checks still apply: a stopped run loop never drains its
+    /// mailbox, so buffering into it would leak the event forever, and a
+    /// quarantined color's events would only be drained and discarded by
+    /// the run loop anyway.
+    fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason> {
+        if self.stopped() {
+            return Err(OverloadReason::InboxBacklog);
+        }
+        if self.faults.is_quarantined(ev.color()) {
+            return Err(OverloadReason::Quarantined);
+        }
+        self.push_raw(delay, ev);
+        Ok(())
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// The hint is in *virtual* cycles, which a real-time producer
+    /// thread cannot sleep on: yield and let the run loop drain.
+    fn wait_out(&self, _hint: u64) {
+        std::thread::yield_now();
     }
 }
 
 #[derive(Clone)]
 enum InjectorInner {
     Sim(Arc<SimMailbox>),
-    Threaded(RuntimeHandle),
+    Threaded(Arc<threaded::Shared>),
+}
+
+/// Evaluates `$body` with `$door` bound to the executor's door, once
+/// per variant, so every entry point is monomorphised — no `dyn` call
+/// on the injection path.
+macro_rules! with_door {
+    ($injector:expr, $door:ident => $body:expr) => {
+        match &$injector.inner {
+            InjectorInner::Sim($door) => $body,
+            InjectorInner::Threaded($door) => $body,
+        }
+    };
 }
 
 /// A cloneable, `Send` handle for registering events into a running
-/// executor from other threads — the unified face of the threaded
-/// runtime's [`RuntimeHandle`] and the simulator's mailbox.
-///
-/// Obtained from [`Executor::injector`]; also constructible from a
-/// [`RuntimeHandle`] via `From`, so pre-existing threaded code can hand
-/// its handle to the trait-based bridges unchanged.
+/// executor from other threads: the one producer door of both
+/// executors, obtained from [`Executor::injector`].
 ///
 /// # The injection surface
 ///
@@ -498,21 +563,24 @@ enum InjectorInner {
 /// [`Injector::try_inject_after`] is the fallible twin of
 /// `inject_after`: its admission check runs at *registration* time
 /// against current occupancy, and an admitted event holds its per-color
-/// slot across the delay. On a stopped simulator every path rejects
-/// (and the infallible ones drop + count) instead of buffering forever.
+/// slot across the delay. A quarantined color is refused on every path,
+/// and on a stopped simulator every path rejects (the infallible ones
+/// drop + count) instead of buffering forever.
 #[derive(Clone)]
 pub struct Injector {
     inner: InjectorInner,
-    /// Per-injector override of the runtime's [`AdmissionPolicy`]
-    /// (`None` = use the runtime default).
-    policy: Option<AdmissionPolicy>,
 }
 
 impl Injector {
     pub(crate) fn for_sim(mailbox: Arc<SimMailbox>) -> Self {
         Injector {
             inner: InjectorInner::Sim(mailbox),
-            policy: None,
+        }
+    }
+
+    pub(crate) fn for_threaded(shared: Arc<threaded::Shared>) -> Self {
+        Injector {
+            inner: InjectorInner::Threaded(shared),
         }
     }
 
@@ -524,40 +592,14 @@ impl Injector {
         }
     }
 
-    /// Returns an injector whose *infallible* paths resolve limit hits
-    /// with `policy` instead of the runtime default — admission is
-    /// selectable per producer (e.g. a shedding ingress next to a
-    /// blocking batch loader on one runtime). Clones inherit the
-    /// override.
-    #[must_use]
-    pub fn with_admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// The [`AdmissionPolicy`] override this injector carries, if any
-    /// (set by [`Injector::with_admission`]).
-    pub fn admission_override(&self) -> Option<AdmissionPolicy> {
-        self.policy
-    }
-
     /// Registers an event through the owning core's lock-free injection
     /// inbox (threaded) or the run-loop mailbox (sim) — the producer
     /// never contends on a dispatch lock. The canonical *infallible*
     /// injection path: with bounded queues, a limit hit is resolved by
-    /// the effective [`AdmissionPolicy`] rather than reported (see the
+    /// the runtime's [`AdmissionPolicy`] rather than reported (see the
     /// table on [`Injector`]).
     pub fn inject(&self, ev: Event) {
-        match &self.inner {
-            InjectorInner::Sim(m) => m.push_with_policy(
-                MailboxEntry::Now(ev),
-                self.policy.unwrap_or(m.admission.policy),
-            ),
-            InjectorInner::Threaded(h) => match self.policy {
-                None => h.inject(ev),
-                Some(p) => h.inject_with_policy(ev, p),
-            },
-        }
+        with_door!(self, d => resolve_by_policy(&**d, ev))
     }
 
     /// The fallible admission path: admits `ev` or returns the
@@ -566,13 +608,7 @@ impl Injector {
     /// [`AdmissionPolicy`]; each rejected call counts one
     /// `admission_rejects`.
     pub fn try_inject(&self, ev: Event) -> Result<Admitted, Overload> {
-        match &self.inner {
-            InjectorInner::Sim(m) => m.try_push(MailboxEntry::Now(ev)).map_err(|(ov, _entry)| {
-                m.admission.note_reject();
-                ov
-            }),
-            InjectorInner::Threaded(h) => h.try_inject(ev),
-        }
+        with_door!(self, d => admit_or_report(&**d, None, ev))
     }
 
     /// Registers an event by taking the owning core's dispatch spinlock
@@ -582,10 +618,7 @@ impl Injector {
     /// admission boundary: queue limits are bypassed (legacy semantics,
     /// unchanged by the overload redesign).
     pub fn inject_locked(&self, ev: Event) {
-        match &self.inner {
-            InjectorInner::Sim(m) => m.push_unchecked(MailboxEntry::Now(ev)),
-            InjectorInner::Threaded(h) => h.inject_locked(ev),
-        }
+        with_door!(self, d => enqueue_or_shed(&**d, None, ev))
     }
 
     /// Registers an event to fire after `delay` cycles: virtual cycles
@@ -595,45 +628,27 @@ impl Injector {
     /// [`Injector::try_inject_after`] to subject delayed work to
     /// admission control.
     pub fn inject_after(&self, delay: u64, ev: Event) {
-        match &self.inner {
-            InjectorInner::Sim(m) => m.push_unchecked(MailboxEntry::After(delay, ev)),
-            InjectorInner::Threaded(h) => h.inject_after(delay, ev),
-        }
+        with_door!(self, d => enqueue_or_shed(&**d, Some(delay), ev))
     }
 
     /// The fallible twin of [`Injector::inject_after`]: the admission
     /// check runs *now*, against current occupancy, and an admitted
     /// event holds its per-color slot across the delay.
     pub fn try_inject_after(&self, delay: u64, ev: Event) -> Result<Admitted, Overload> {
-        match &self.inner {
-            InjectorInner::Sim(m) => {
-                m.try_push(MailboxEntry::After(delay, ev))
-                    .map_err(|(ov, _entry)| {
-                        m.admission.note_reject();
-                        ov
-                    })
-            }
-            InjectorInner::Threaded(h) => h.try_inject_after(delay, ev),
-        }
+        with_door!(self, d => admit_or_report(&**d, Some(delay), ev))
     }
 
     /// Asks the executor to stop at the next opportunity; events still
     /// queued may not execute (the usual producer/stop race).
     pub fn stop(&self) {
-        match &self.inner {
-            InjectorInner::Sim(m) => m.stop.store(true, Ordering::Release),
-            InjectorInner::Threaded(h) => h.stop(),
-        }
+        with_door!(self, d => d.stop())
     }
 
     /// Events handed to this executor but not yet executed (threaded)
     /// or not yet absorbed by the run loop (sim). An estimate intended
     /// for idle checks, not exact accounting.
     pub fn outstanding(&self) -> u64 {
-        match &self.inner {
-            InjectorInner::Sim(m) => m.buffered.load(Ordering::Acquire),
-            InjectorInner::Threaded(h) => h.outstanding(),
-        }
+        with_door!(self, d => d.outstanding())
     }
 
     /// Keeps the executor alive while the returned guard lives, even
@@ -642,16 +657,7 @@ impl Injector {
     /// the sim run loop returns) the moment everything registered so
     /// far has executed. Pair with [`Injector::stop_when_idle`].
     pub fn keepalive(&self) -> KeepAlive {
-        match &self.inner {
-            InjectorInner::Sim(m) => {
-                m.keepalive.fetch_add(1, Ordering::AcqRel);
-                let m = Arc::clone(m);
-                KeepAlive::new(move || {
-                    m.keepalive.fetch_sub(1, Ordering::AcqRel);
-                })
-            }
-            InjectorInner::Threaded(h) => h.keepalive(),
-        }
+        with_door!(self, d => d.keepalive())
     }
 
     /// Blocks until every registered event has been executed, then
@@ -663,30 +669,7 @@ impl Injector {
     /// (queues and timers empty). Events injected concurrently with the
     /// stop may or may not run — the usual producer/stop race.
     pub fn stop_when_idle(&self) {
-        match &self.inner {
-            InjectorInner::Sim(m) => {
-                while m.buffered.load(Ordering::Acquire) > 0 || !m.machine_idle() {
-                    std::thread::yield_now();
-                }
-                m.stop.store(true, Ordering::Release);
-            }
-            InjectorInner::Threaded(h) => h.stop_when_idle(),
-        }
-    }
-}
-
-impl From<RuntimeHandle> for Injector {
-    fn from(handle: RuntimeHandle) -> Self {
-        Injector {
-            inner: InjectorInner::Threaded(handle),
-            policy: None,
-        }
-    }
-}
-
-impl From<&RuntimeHandle> for Injector {
-    fn from(handle: &RuntimeHandle) -> Self {
-        Injector::from(handle.clone())
+        with_door!(self, d => d.stop_when_idle())
     }
 }
 
@@ -698,9 +681,8 @@ impl fmt::Debug for Injector {
     }
 }
 
-/// RAII guard from [`Injector::keepalive`] /
-/// [`RuntimeHandle::keepalive`]; dropping it lets the executor wind
-/// down once no real events remain.
+/// RAII guard from [`Injector::keepalive`]; dropping it lets the
+/// executor wind down once no real events remain.
 pub struct KeepAlive {
     release: Option<Box<dyn FnOnce() + Send>>,
 }
@@ -763,8 +745,7 @@ impl Runtime {
     }
 
     /// The concrete threaded runtime, when this is
-    /// [`Runtime::Threaded`] — for threaded-only facilities
-    /// ([`ThreadedRuntime::handle`]).
+    /// [`Runtime::Threaded`].
     pub fn as_threaded(&self) -> Option<&ThreadedRuntime> {
         match self {
             Runtime::Sim(_) => None,

@@ -254,8 +254,8 @@ impl ScheduleRng {
 /// };
 /// let (a, b) = (run(3), run(3));
 /// // Same seed: same fault sites, same fingerprint.
-/// assert_eq!(a.faults(), b.faults());
-/// assert!(a.faults() > 0, "20% panic rate over 64 events");
+/// assert_eq!(a.total().faults, b.total().faults);
+/// assert!(a.total().faults > 0, "20% panic rate over 64 events");
 /// assert_eq!(a.fingerprint(), b.fingerprint());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -108,7 +108,7 @@ pub mod prelude {
         default_steal_policy, FlatPolicy, HierarchicalPolicy, PaperBasePolicy, PaperImprovedPolicy,
         StealDomains, StealPolicy, StealTier, WsPolicy,
     };
-    pub use crate::threaded::{RuntimeHandle, ThreadedRuntime};
+    pub use crate::threaded::ThreadedRuntime;
     pub use mely_topology::MachineModel;
 }
 

@@ -516,35 +516,12 @@ impl RunReport {
         [t.steals_smt, t.steals_llc, t.steals_socket, t.steals_remote]
     }
 
-    /// Events injected through the lock-free inboxes (threaded executor;
-    /// always 0 under simulation).
-    pub fn inbox_pushes(&self) -> u64 {
-        self.total().inbox_pushes
-    }
-
-    /// Events drained out of the inboxes into the per-core queues.
-    pub fn inbox_drained(&self) -> u64 {
-        self.total().inbox_drained
-    }
-
     /// Mean events merged per non-empty inbox drain — each drain is one
     /// lock acquisition, so this is the producer-side lock amortization
     /// factor. `None` when nothing was drained.
     pub fn avg_inbox_drain_batch(&self) -> Option<f64> {
         let t = self.total();
         (t.inbox_drain_batches > 0).then(|| t.inbox_drained as f64 / t.inbox_drain_batches as f64)
-    }
-
-    /// Inbox pushes served by the node recycling pool instead of the
-    /// allocator (threaded executor; 0 under simulation).
-    pub fn inbox_node_reuse(&self) -> u64 {
-        self.total().inbox_node_reuse
-    }
-
-    /// Color-queue creations served by the queue's buffer pool instead
-    /// of the allocator (Mely flavor; 0 for Libasync).
-    pub fn queue_buf_reuse(&self) -> u64 {
-        self.total().queue_buf_reuse
     }
 
     /// Requests completed through the per-request latency pipeline
@@ -577,66 +554,18 @@ impl RunReport {
         h
     }
 
-    /// Goodput: requests that made it through admission *and* completed
-    /// — the numerator of every overload-engineering plot. An alias of
-    /// [`RunReport::completed_requests`], named for the offered-load
-    /// accounting identity `offered = goodput + shed`.
-    pub fn goodput(&self) -> u64 {
-        self.completed_requests()
-    }
-
-    /// Offered load: completed requests, plus the requests shed at
-    /// admission, plus the requests failed by faults. `goodput() /
-    /// offered_requests()` is the fraction of offered load that
-    /// survived overload control *and* fault containment; the identity
-    /// `offered = goodput + failed + shed` always holds.
+    /// Offered load: completed requests (the goodput), plus the requests
+    /// shed at admission, plus the requests failed by faults.
+    /// `completed_requests() / offered_requests()` is the fraction of
+    /// offered load that survived overload control *and* fault
+    /// containment.
     pub fn offered_requests(&self) -> u64 {
         let t = self.total();
         t.completed_requests + t.shed_requests + t.failed_requests
     }
 
-    /// Events dropped at the admission boundary by the shed path.
-    pub fn shed_requests(&self) -> u64 {
-        self.total().shed_requests
-    }
-
-    /// Sheds caused specifically by a hot color's per-color limit.
-    pub fn shed_by_color(&self) -> u64 {
-        self.total().shed_by_color
-    }
-
-    /// Rejected admission attempts (fallible and infallible paths; see
-    /// [`CoreMetrics::admission_rejects`]).
-    pub fn admission_rejects(&self) -> u64 {
-        self.total().admission_rejects
-    }
-
-    /// Contained faults over the whole run: handler panics (organic or
-    /// injected), injected drops, and worker deaths. See
-    /// [`crate::fault`].
-    pub fn faults(&self) -> u64 {
-        self.total().faults
-    }
-
-    /// Requests that failed because their carrying event faulted or was
-    /// discarded by a quarantine drain.
-    pub fn failed_requests(&self) -> u64 {
-        self.total().failed_requests
-    }
-
-    /// Events discarded because their color was quarantined (queue
-    /// drains plus admission-side quarantine sheds).
-    pub fn shed_by_fault(&self) -> u64 {
-        self.total().shed_by_fault
-    }
-
-    /// Colors quarantined during this run.
-    pub fn quarantined_colors(&self) -> u64 {
-        self.total().quarantined_colors
-    }
-
     /// The recorded [`Fault`]s of this run, in per-core recording order
-    /// (capped at an internal limit; [`RunReport::faults`] stays exact
+    /// (capped at an internal limit; [`CoreMetrics::faults`] stays exact
     /// past it). Empty when the run was fault-free.
     pub fn fault_log(&self) -> &[Fault] {
         &self.fault_log
@@ -772,11 +701,12 @@ mod tests {
             ..Default::default()
         };
         let r = RunReport::new(vec![a, b], 100, 1_000, WsPolicy::off());
-        assert_eq!(r.inbox_pushes(), 12);
-        assert_eq!(r.inbox_drained(), 12);
-        assert_eq!(r.total().inbox_rerouted, 1);
-        assert_eq!(r.inbox_node_reuse(), 8);
-        assert_eq!(r.queue_buf_reuse(), 6);
+        let t = r.total();
+        assert_eq!(
+            (t.inbox_pushes, t.inbox_drained, t.inbox_rerouted),
+            (12, 12, 1)
+        );
+        assert_eq!((t.inbox_node_reuse, t.queue_buf_reuse), (8, 6));
         assert_eq!(r.avg_inbox_drain_batch().unwrap(), 3.0);
         let quiet = RunReport::new(vec![m(1, 0)], 100, 1_000, WsPolicy::off());
         assert!(quiet.avg_inbox_drain_batch().is_none());
@@ -796,12 +726,11 @@ mod tests {
             ..Default::default()
         };
         let r = RunReport::new(vec![a, b], 100, 1_000, WsPolicy::off());
-        assert_eq!(r.goodput(), 15);
-        assert_eq!(r.goodput(), r.completed_requests());
-        assert_eq!(r.shed_requests(), 3);
-        assert_eq!(r.shed_by_color(), 2);
-        assert_eq!(r.admission_rejects(), 5);
-        assert_eq!(r.offered_requests(), r.goodput() + r.shed_requests());
+        let t = r.total();
+        assert_eq!(r.completed_requests(), 15);
+        assert_eq!((t.shed_requests, t.shed_by_color), (3, 2));
+        assert_eq!(t.admission_rejects, 5);
+        assert_eq!(r.offered_requests(), 15 + 3);
     }
 
     #[test]
@@ -823,14 +752,10 @@ mod tests {
             ..Default::default()
         };
         let r = RunReport::new(vec![a, b], 100, 1_000, WsPolicy::off());
-        assert_eq!(r.faults(), 2);
-        assert_eq!(r.failed_requests(), 3);
-        assert_eq!(r.shed_by_fault(), 4);
-        assert_eq!(r.quarantined_colors(), 1);
-        assert_eq!(
-            r.offered_requests(),
-            r.goodput() + r.failed_requests() + r.shed_requests()
-        );
+        let t = r.total();
+        assert_eq!((t.faults, t.failed_requests), (2, 3));
+        assert_eq!((t.shed_by_fault, t.quarantined_colors), (4, 1));
+        assert_eq!(r.offered_requests(), 15 + 3 + 3);
         assert!(r.fault_log().is_empty(), "no log attached");
     }
 

@@ -562,11 +562,6 @@ impl MelyQueue {
             .map(|e| e.visible_at)
     }
 
-    /// The color currently being batch-processed, if any (used by tests).
-    pub fn current_color(&self) -> Option<Color> {
-        self.cur.map(|(_, c, _)| c)
-    }
-
     /// Base-algorithm color choice on the Mely structure: walks the
     /// core-queue and returns the first color-queue whose color is not
     /// `in_flight` and which holds less than half of the queued events
@@ -619,28 +614,6 @@ impl MelyQueue {
     /// Panics if `slot` is not a live color-queue.
     pub fn slot_color(&self, slot: usize) -> Color {
         self.slots[slot].as_ref().expect("slot is live").color
-    }
-
-    /// Number of events in `slot`'s color-queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not a live color-queue.
-    pub fn slot_len(&self, slot: usize) -> usize {
-        self.slots[slot]
-            .as_ref()
-            .expect("slot is live")
-            .events
-            .len()
-    }
-
-    /// Cumulative declared cost of `slot`'s color-queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is not a live color-queue.
-    pub fn slot_cum_cost(&self, slot: usize) -> u64 {
-        self.slots[slot].as_ref().expect("slot is live").cum_cost
     }
 
     /// Detaches a whole color-queue in O(1) — Mely's steal primitive.

@@ -167,9 +167,7 @@ impl RuntimeBuilder {
     /// What the infallible injection path does when a queue limit is hit
     /// (default [`AdmissionPolicy::Block`]); the fallible
     /// [`crate::exec::Injector::try_inject`] path ignores this and
-    /// returns the rejection to the caller. Individual injectors can
-    /// override it with
-    /// [`crate::exec::Injector::with_admission`].
+    /// returns the rejection to the caller.
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = policy;
         self
@@ -406,8 +404,8 @@ mod tests {
     /// The 0.2 deprecation cycle is complete: the `build_sim` /
     /// `build_threaded` shims, the `register`/`register_direct`/
     /// `register_after` alias trio and the `label()` Display aliases are
-    /// gone. This test pins their *replacements* — the exact surface the
-    /// README migration table points migrating callers at.
+    /// gone, and so is the threaded-only injection handle. This test
+    /// pins their *replacements*.
     #[test]
     fn removed_aliases_have_working_replacements() {
         // `build_sim()` → `build(ExecKind::Sim)` (+ `into_sim` when the
@@ -427,14 +425,16 @@ mod tests {
         assert_eq!(Flavor::Mely.to_string(), "Mely");
         assert!(!crate::steal::WsPolicy::improved().to_string().is_empty());
 
-        // `register`/`register_direct`/`register_after` →
-        // `inject`/`inject_locked`/`inject_after`.
+        // `register`/`register_direct`/`register_after` on a threaded
+        // handle → `inject`/`inject_locked`/`inject_after` on
+        // `rt.injector()`.
         use crate::color::Color;
         use crate::event::Event;
+        use crate::exec::Executor;
         rt.register(Event::new(Color::new(1), 0).with_action(|ctx| {
             ctx.register_after(50_000_000, Event::new(Color::new(1), 0));
         }));
-        let handle = rt.handle();
+        let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             handle.inject(Event::new(Color::new(7), 0));
             handle.inject_locked(Event::new(Color::new(8), 0));
@@ -457,7 +457,7 @@ mod tests {
             .admission(AdmissionPolicy::Shed)
             .build(ExecKind::Threaded)
             .into_threaded();
-        let handle = rt.handle();
+        let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             handle.inject(Event::new(Color::new(7), 0));
             handle.inject_locked(Event::new(Color::new(8), 0));
@@ -466,7 +466,7 @@ mod tests {
         injector.join().unwrap();
         let r = rt.run();
         assert_eq!(r.events_processed(), 3);
-        assert_eq!(r.shed_requests(), 0);
+        assert_eq!(r.total().shed_requests, 0);
     }
 
     #[test]

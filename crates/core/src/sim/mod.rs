@@ -45,7 +45,7 @@ use crate::cost::{CostParams, Ewma};
 use crate::ctx::CtxEffects;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
-use crate::exec::{ExecKind, Executor, Injector, MailboxEntry, SimMailbox};
+use crate::exec::{Door, ExecKind, Executor, Injector, SimMailbox};
 use crate::fault::{FaultCtl, FaultPolicy};
 use crate::fuzz::{FaultPlan, SchedulePerturbation, ScheduleRng};
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
@@ -379,7 +379,7 @@ impl SimRuntime {
             if self.stopped {
                 break;
             }
-            if self.mailbox.stop_requested() {
+            if self.mailbox.stopped() {
                 break;
             }
             self.drain_mailbox();
@@ -495,13 +495,13 @@ impl SimRuntime {
         if let Some(rng) = self.perturb_rng(|p| p.perturb_mailbox) {
             rng.shuffle(&mut batch);
         }
-        for entry in batch {
-            match entry {
-                MailboxEntry::Now(ev) => {
+        for (delay, ev) in batch {
+            match delay {
+                None => {
                     let owner = self.owner_of(ev.color());
                     self.push_to(owner, ev, 0);
                 }
-                MailboxEntry::After(delay, ev) => self.arm_timer(self.virtual_now() + delay, ev),
+                Some(delay) => self.arm_timer(self.virtual_now() + delay, ev),
             }
         }
     }

@@ -302,8 +302,8 @@ struct Entry {
 ///
 /// Entries are a linear-scanned `Vec`: pipelines have a handful of
 /// stages, and comparing a few `TypeId`s beats hashing one on the
-/// per-event emit path (the `micro_stage` bench gates this path at
-/// ≤10 % over raw closure chains).
+/// per-event emit path (the benchmark's `core.stage.typed_over_raw`
+/// holds this path at ≤10 % over raw closure chains).
 struct Router {
     /// Stage `TypeId`s, scanned densely (16-byte stride) ...
     ids: Vec<TypeId>,
@@ -385,7 +385,7 @@ fn emit<N: Stage>(
         // interned routing table: constructing this closure moves no
         // `Arc`, touches no refcount, and execution needs no second
         // lookup — the typed hop is one static call away from the raw
-        // boxed closure it replaces (gated by `micro_stage`).
+        // boxed closure it replaces (gated by `core.stage.typed_over_raw`).
         let req = req.stamped(ctx.now());
         let mut sctx = StageCtx {
             ctx,
@@ -518,7 +518,7 @@ impl<'a, 'b> StageCtx<'a, 'b> {
 
     /// Fails the current request: the executing core's
     /// `failed_requests` counter grows (surfaced as
-    /// [`RunReport::failed_requests`](crate::metrics::RunReport::failed_requests))
+    /// [`CoreMetrics::failed_requests`](crate::metrics::CoreMetrics::failed_requests))
     /// and no latency is recorded — the error twin of
     /// [`StageCtx::complete`], for requests the pipeline carried but
     /// could not answer (the client reset mid-request, the backend
@@ -874,7 +874,7 @@ impl Service for Pipeline {
         // The routing table is interned for the process lifetime: every
         // emitted event's closure carries a `Copy` `&'static` reference
         // instead of an `Arc`, keeping refcount traffic off the
-        // per-event dispatch path (the `micro_stage` gate). A pipeline
+        // per-event dispatch path (the `typed_over_raw` gate). A pipeline
         // is installed once and its stages live as long as events can
         // reference them, so the leak is one routing table per
         // installed pipeline — static configuration, not per-request

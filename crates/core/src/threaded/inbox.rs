@@ -1,7 +1,7 @@
 //! Lock-free injection inboxes for the threaded executor.
 //!
 //! Before this module existed, every cross-thread producer — a cloned
-//! [`super::RuntimeHandle`], the timer heap, a load generator — had to
+//! [`crate::exec::Injector`], the timer heap, a load generator — had to
 //! acquire the destination core's [`crate::sync::SpinLock`] for every
 //! single event, contending head-on with the core's own dispatch loop
 //! (and with thieves migrating colors). The paper's argument is exactly

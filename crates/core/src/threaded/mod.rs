@@ -27,7 +27,7 @@
 //! One deliberate *extension* beyond the paper's implementation:
 //!
 //! - **Lock-free injection inboxes.** External producers (a cloned
-//!   [`RuntimeHandle`], the timer heap, the load-generation layers) do
+//!   [`Injector`], the timer heap, the load-generation layers) do
 //!   not take the destination core's spinlock per event; they push onto
 //!   the core's [`InjectionInbox`] — a lock-free MPSC stack — and the
 //!   core merges the whole backlog into its queue under a single lock
@@ -36,7 +36,7 @@
 //!   core's own lock (exactly the guarantee the two-lock migration
 //!   relies on) and re-routes any event whose color has been stolen in
 //!   the meantime. See [`inbox`] for the data structure and
-//!   [`RuntimeHandle::inject_locked`] for the legacy per-event-lock
+//!   [`Injector::inject_locked`] for the legacy per-event-lock
 //!   path (kept for benchmarking the difference). The steady-state
 //!   dispatch path is allocation-free end to end: the inbox recycles
 //!   its Treiber nodes, each worker reuses one drain buffer across
@@ -54,14 +54,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::admission::{AdmissionCtl, AdmissionPolicy, Admitted, Overload, OverloadReason};
+use crate::admission::{AdmissionCtl, Overload, OverloadReason};
 use crate::color::{Color, COLOR_SPACE};
 use crate::cost::Ewma;
 use crate::ctx::CtxEffects;
 use crate::cycles;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
-use crate::exec::{ExecKind, Executor, Injector};
+use crate::exec::{enqueue_or_shed, Door, ExecKind, Executor, Injector};
 use crate::fault::{Fault, FaultCtl, FaultKind, FaultPolicy};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
@@ -110,13 +110,14 @@ impl CoreShared {
     }
 }
 
-struct Shared {
+/// Everything the workers and the producers share; an
+/// [`Injector`] holds it directly and reaches it through [`Door`].
+pub(crate) struct Shared {
     cores: Vec<CoreShared>,
     color_owner: Vec<AtomicU32>,
     registry: HandlerRegistry,
     machine: MachineModel,
-    /// Steal tiers of the running cores (see [`crate::steal::domains`]);
-    /// also the socket map for [`RuntimeHandle::with_home_socket`].
+    /// Steal tiers of the running cores (see [`crate::steal::domains`]).
     domains: StealDomains,
     /// Victim selection and steal budgets (see [`StealPolicy`]).
     policy: Arc<dyn StealPolicy>,
@@ -182,7 +183,7 @@ impl Shared {
     /// that core's spinlock. Retries if a concurrent steal moves the
     /// color between lookup and lock. This is the *direct* path, used by
     /// worker threads themselves (handler registrations, inbox-drain
-    /// re-routes) and by [`RuntimeHandle::inject_locked`].
+    /// re-routes) and by [`Injector::inject_locked`].
     fn route(&self, mut ev: Event) {
         self.prepare(&mut ev);
         self.route_prepared(ev);
@@ -224,45 +225,6 @@ impl Shared {
         self.inject(ev);
     }
 
-    /// The fallible admission decision ([`AdmissionCtl::admit`]) against
-    /// the owning core's current occupancy.
-    fn try_admit(&self, ev: &mut Event) -> Result<(), Overload> {
-        let color = ev.color();
-        self.admission.admit(&self.faults, ev, || {
-            let core = &self.cores[self.owner_of(color) as usize];
-            (core.load_estimate() as u64, core.inbox.len() as u64)
-        })
-    }
-
-    /// Producer-boundary quarantine gate for the *infallible* injection
-    /// paths: a quarantined color's events are shed (and counted)
-    /// rather than queued for a pop-time drain, mirroring the sim
-    /// mailbox's unchecked push. Quarantine never clears, so blocking or
-    /// pacing on it would strand the producer forever.
-    fn shed_if_quarantined(&self, ev: &Event) -> bool {
-        if self.faults.is_quarantined(ev.color()) {
-            self.admission.note_reject();
-            self.admission.note_shed(OverloadReason::Quarantined);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The fallible twin of [`Shared::register_injected`]: admits or
-    /// returns the event to the caller (for retry loops) alongside the
-    /// [`Overload`]. Does *not* count the reject — the caller decides
-    /// the attempt accounting.
-    fn try_register_injected(&self, mut ev: Event) -> Result<Admitted, (Overload, Event)> {
-        match self.try_admit(&mut ev) {
-            Ok(()) => {
-                self.register_injected(ev);
-                Ok(Admitted)
-            }
-            Err(ov) => Err((ov, ev)),
-        }
-    }
-
     fn register_after(&self, delay: u64, event: Event) {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
         let due = cycles::now() + delay;
@@ -271,183 +233,22 @@ impl Shared {
             .lock()
             .push(Reverse(TimerEntry { due, seq, event }));
     }
-}
-
-/// Handle for injecting events into a running [`ThreadedRuntime`] from
-/// other threads (e.g. a load generator).
-#[derive(Clone)]
-pub struct RuntimeHandle {
-    shared: Arc<Shared>,
-    /// When set, unclaimed colors injected through this handle are homed
-    /// on a core of this socket (see [`RuntimeHandle::with_home_socket`]).
-    home_socket: Option<usize>,
-}
-
-impl RuntimeHandle {
-    /// Returns a handle whose injections prefer `socket`: an event whose
-    /// color has no owner yet is homed on one of that socket's running
-    /// cores (hash-spread within the socket) instead of the global hash
-    /// core. Colors that already have an owner are untouched — per-color
-    /// routing and mutual exclusion are unchanged — so this only segments
-    /// *new* colors, letting a producer pinned near one socket keep its
-    /// connections' events on local inboxes and queues. Sockets wrap
-    /// modulo the occupied-socket count, so any index is valid.
-    pub fn with_home_socket(mut self, socket: usize) -> Self {
-        self.home_socket = Some(socket % self.shared.domains.num_sockets());
-        self
-    }
-
-    /// Claims an unclaimed color for a core of the preferred socket
-    /// before the normal owner lookup runs. Lost CAS races are fine —
-    /// someone else claimed the color first and their choice wins.
-    fn preclaim(&self, ev: &Event) {
-        let Some(socket) = self.home_socket else {
-            return;
-        };
-        let slot = ev.color().value() as usize;
-        if self.shared.color_owner[slot].load(Ordering::Acquire) != NO_OWNER {
-            return;
-        }
-        let set = self.shared.domains.socket_cores(socket);
-        let home = set[ev.color().home_core(set.len())] as u32;
-        let _ = self.shared.color_owner[slot].compare_exchange(
-            NO_OWNER,
-            home,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-    }
-
-    /// Registers an event (hash-dispatched, or to the color's current
-    /// owner) through the owning core's lock-free injection inbox — the
-    /// producer never contends on the core's spinlock. The canonical
-    /// *infallible* injection path (see [`crate::exec`] for the unified
-    /// naming): with bounded queues, a limit hit is resolved by the
-    /// runtime's [`AdmissionPolicy`] instead of being returned.
-    pub fn inject(&self, ev: Event) {
-        if self.shared.shed_if_quarantined(&ev) {
-            return;
-        }
-        self.preclaim(&ev);
-        if self.shared.admission.is_unbounded() {
-            self.shared.register_injected(ev);
-            return;
-        }
-        self.inject_with_policy(ev, self.shared.admission.policy);
-    }
-
-    /// The fallible admission path: admits `ev` or returns an
-    /// [`Overload`] naming the limit that rejected it (the event is
-    /// dropped; clone-free retry loops belong to the infallible path's
-    /// [`AdmissionPolicy`]). Every rejected call counts one
-    /// `admission_rejects`.
-    pub fn try_inject(&self, ev: Event) -> Result<Admitted, Overload> {
-        self.preclaim(&ev);
-        self.shared.try_register_injected(ev).map_err(|(ov, _ev)| {
-            self.shared.admission.note_reject();
-            ov
-        })
-    }
-
-    /// The fallible twin of [`RuntimeHandle::inject_after`]: the
-    /// admission check runs *now*, at registration time, against the
-    /// current occupancy — by the time the timer fires the event is
-    /// already admitted (its per-color slot is held across the delay).
-    pub fn try_inject_after(&self, delay: u64, mut ev: Event) -> Result<Admitted, Overload> {
-        self.preclaim(&ev);
-        match self.shared.try_admit(&mut ev) {
-            Ok(()) => {
-                self.shared.register_after(delay, ev);
-                Ok(Admitted)
-            }
-            Err(ov) => {
-                self.shared.admission.note_reject();
-                Err(ov)
-            }
-        }
-    }
-
-    /// Resolves a limit hit per `policy`: shed (drop + count), or
-    /// block/pace until admitted — escaping by shedding if the runtime
-    /// is asked to stop while the producer waits (blocking on a stopping
-    /// runtime would deadlock). The reject counter advances once per
-    /// event, on its first failed attempt.
-    pub(crate) fn inject_with_policy(&self, mut ev: Event, policy: AdmissionPolicy) {
-        let mut first_reject = true;
-        loop {
-            ev = match self.shared.try_register_injected(ev) {
-                Ok(_) => return,
-                Err((ov, back)) => {
-                    if first_reject {
-                        self.shared.admission.note_reject();
-                        first_reject = false;
-                    }
-                    // Quarantine sheds under every policy (the color
-                    // never recovers, so block/pace would never admit).
-                    if policy == AdmissionPolicy::Shed
-                        || ov.reason == OverloadReason::Quarantined
-                        || self.shared.stop.load(Ordering::Acquire)
-                    {
-                        self.shared.admission.note_shed(ov.reason);
-                        return;
-                    }
-                    if policy == AdmissionPolicy::RetryAfter {
-                        let until = cycles::now().wrapping_add(ov.retry_after_hint);
-                        while cycles::now() < until && !self.shared.stop.load(Ordering::Acquire) {
-                            std::thread::yield_now();
-                        }
-                    } else {
-                        std::thread::yield_now();
-                    }
-                    back
-                }
-            };
-        }
-    }
-
-    /// Registers an event by taking the owning core's spinlock directly,
-    /// bypassing the inbox. This is the pre-inbox injection path, kept so
-    /// `micro_inject` can measure what the inbox buys; prefer
-    /// [`RuntimeHandle::inject`].
-    pub fn inject_locked(&self, ev: Event) {
-        if self.shared.shed_if_quarantined(&ev) {
-            return;
-        }
-        self.preclaim(&ev);
-        self.shared.register(ev);
-    }
-
-    /// Registers an event to fire after `delay` cycles (measured on the
-    /// shared cycle clock). The firing itself is injected through the
-    /// owning core's inbox.
-    pub fn inject_after(&self, delay: u64, ev: Event) {
-        if self.shared.shed_if_quarantined(&ev) {
-            return;
-        }
-        self.preclaim(&ev);
-        self.shared.register_after(delay, ev);
-    }
 
     /// Asks every worker to stop at the next opportunity.
-    pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
     }
 
     /// Events registered but not yet executed.
-    pub fn outstanding(&self) -> u64 {
-        self.shared.outstanding.load(Ordering::Acquire) & EVENT_MASK
+    pub(crate) fn outstanding(&self) -> u64 {
+        self.outstanding.load(Ordering::Acquire) & EVENT_MASK
     }
 
-    /// Keeps the runtime's workers alive while the returned guard lives,
-    /// even with no events pending — the idiom for external producers
-    /// that will inject *later* (without it, workers exit the moment
-    /// everything registered so far has executed). Pair with
-    /// [`RuntimeHandle::stop_when_idle`].
-    pub fn keepalive(&self) -> KeepAlive {
-        self.shared
-            .outstanding
-            .fetch_add(KEEPALIVE_UNIT, Ordering::AcqRel);
-        let shared = Arc::clone(&self.shared);
+    /// Keeps the workers alive while the returned guard lives, even
+    /// with no events pending.
+    pub(crate) fn keepalive(self: &Arc<Self>) -> KeepAlive {
+        self.outstanding.fetch_add(KEEPALIVE_UNIT, Ordering::AcqRel);
+        let shared = Arc::clone(self);
         KeepAlive::new(move || {
             shared
                 .outstanding
@@ -459,14 +260,63 @@ impl RuntimeHandle {
     /// [`KeepAlive`] guards remain outstanding), then stops the
     /// runtime. The token/event split lives in one atomic, so the idle
     /// check is a consistent snapshot — a concurrently dropped guard
-    /// cannot make this stop while real events are pending. Events
-    /// injected concurrently with the stop may or may not run — the
-    /// usual producer/stop race.
-    pub fn stop_when_idle(&self) {
-        while self.shared.outstanding.load(Ordering::Acquire) & EVENT_MASK != 0 {
+    /// cannot make this stop while real events are pending.
+    pub(crate) fn stop_when_idle(&self) {
+        while self.outstanding() != 0 {
             std::thread::yield_now();
         }
         self.stop();
+    }
+}
+
+impl Door for Shared {
+    fn admission(&self) -> &AdmissionCtl {
+        &self.admission
+    }
+
+    /// Admission runs against the owning core's current occupancy; an
+    /// admitted event goes through that core's lock-free inbox, or onto
+    /// the timer heap holding its per-color slot across the delay.
+    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), (Overload, Event)> {
+        let color = ev.color();
+        let verdict = self.admission.admit(&self.faults, &mut ev, || {
+            let core = &self.cores[self.owner_of(color) as usize];
+            (core.load_estimate() as u64, core.inbox.len() as u64)
+        });
+        if let Err(ov) = verdict {
+            return Err((ov, ev));
+        }
+        match delay {
+            None => self.register_injected(ev),
+            Some(delay) => self.register_after(delay, ev),
+        }
+        Ok(())
+    }
+
+    /// A quarantined color's events are refused rather than queued for
+    /// a pop-time drain; a stop request refuses nothing here (the
+    /// workers drop what is still queued when they exit).
+    fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason> {
+        if self.faults.is_quarantined(ev.color()) {
+            return Err(OverloadReason::Quarantined);
+        }
+        match delay {
+            None => self.register(ev),
+            Some(delay) => self.register_after(delay, ev),
+        }
+        Ok(())
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Paces on the shared cycle clock, giving up early on a stop.
+    fn wait_out(&self, hint: u64) {
+        let until = cycles::now().wrapping_add(hint);
+        while cycles::now() < until && !self.stopped() {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -562,10 +412,7 @@ impl ThreadedRuntime {
     /// Registers an event before or during the run. Events of a
     /// quarantined color are shed (see [`crate::fault`]).
     pub fn register(&self, ev: Event) {
-        if self.shared.shed_if_quarantined(&ev) {
-            return;
-        }
-        self.shared.register(ev);
+        enqueue_or_shed(&*self.shared, None, ev);
     }
 
     /// Registers an event and pins its color to `core`.
@@ -575,19 +422,11 @@ impl ThreadedRuntime {
     /// Panics if `core` is out of range.
     pub fn register_pinned(&self, ev: Event, core: usize) {
         assert!(core < self.shared.cores.len(), "core out of range");
-        if self.shared.shed_if_quarantined(&ev) {
-            return;
+        if !self.shared.faults.is_quarantined(ev.color()) {
+            self.shared.color_owner[ev.color().value() as usize]
+                .store(core as u32, Ordering::Release);
         }
-        self.shared.color_owner[ev.color().value() as usize].store(core as u32, Ordering::Release);
-        self.shared.register(ev);
-    }
-
-    /// A cloneable handle for injecting events from other threads.
-    pub fn handle(&self) -> RuntimeHandle {
-        RuntimeHandle {
-            shared: Arc::clone(&self.shared),
-            home_socket: None,
-        }
+        enqueue_or_shed(&*self.shared, None, ev);
     }
 
     /// The workstealing policy.
@@ -613,7 +452,7 @@ impl ThreadedRuntime {
 
     /// Runs until every registered event (and every event they spawn) has
     /// executed, then returns the report. Workers also exit on
-    /// [`crate::ctx::Ctx::stop_runtime`] or [`RuntimeHandle::stop`]. Can
+    /// [`crate::ctx::Ctx::stop_runtime`] or [`Injector::stop`]. Can
     /// be called again after registering more events; each call reports
     /// the events executed by *that* run (plus cumulative inbox
     /// counters).
@@ -728,7 +567,7 @@ impl Executor for ThreadedRuntime {
     }
 
     fn injector(&self) -> Injector {
-        Injector::from(self.handle())
+        Injector::for_threaded(Arc::clone(&self.shared))
     }
 
     fn run(&mut self) -> RunReport {
@@ -1157,7 +996,7 @@ mod tests {
             // to be scheduled (~20 ms of virtual headroom).
             ctx.register_after(50_000_000, Event::new(Color::new(1), 0));
         }));
-        let handle = rt.handle();
+        let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             for i in 0..20u16 {
                 handle.inject(Event::new(Color::new(i + 10), 0));
@@ -1166,10 +1005,10 @@ mod tests {
         let r = rt.run();
         injector.join().unwrap();
         assert!(r.events_processed() >= 21);
-        // Handle registrations and the timer firing all went through the
+        // Injector registrations and the timer firing all went through the
         // lock-free inboxes, and every push was eventually drained.
-        assert!(r.inbox_pushes() >= 21);
-        assert_eq!(r.inbox_drained(), r.inbox_pushes());
+        assert!(r.total().inbox_pushes >= 21);
+        assert_eq!(r.total().inbox_drained, r.total().inbox_pushes);
         assert!(r.avg_inbox_drain_batch().unwrap() >= 1.0);
     }
 
@@ -1179,8 +1018,8 @@ mod tests {
         // Serialize everything on one color so the worker drains the
         // inbox in many small batches, recycling nodes in between, and
         // the queue keeps retiring and recreating the color-queue.
-        let keepalive = rt.handle().keepalive();
-        let handle = rt.handle();
+        let keepalive = rt.injector().keepalive();
+        let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             // Chunked with a drain barrier in between: waiting for
             // `outstanding` to hit zero guarantees the worker drained
@@ -1203,12 +1042,12 @@ mod tests {
         injector.join().unwrap();
         assert_eq!(r.events_processed(), 2_000);
         assert!(
-            r.inbox_node_reuse() > 0,
+            r.total().inbox_node_reuse > 0,
             "inbox node pool never hit: {:?}",
             r.total()
         );
         assert!(
-            r.queue_buf_reuse() > 0,
+            r.total().queue_buf_reuse > 0,
             "queue buffer pool never hit: {:?}",
             r.total()
         );
@@ -1217,8 +1056,8 @@ mod tests {
     #[test]
     fn keepalive_holds_workers_and_stop_when_idle_drains() {
         let mut rt = rt(Flavor::Mely, WsPolicy::off(), 2);
-        let keepalive = rt.handle().keepalive();
-        let handle = rt.handle();
+        let keepalive = rt.injector().keepalive();
+        let handle = rt.injector();
         let done = Arc::new(AtomicU64::new(0));
         let d = Arc::clone(&done);
         let injector = std::thread::spawn(move || {
@@ -1246,7 +1085,7 @@ mod tests {
         rt.register(Event::new(Color::new(1), 0).with_action(|ctx| {
             ctx.register_after(50_000_000, Event::new(Color::new(1), 0));
         }));
-        let handle = rt.handle();
+        let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             for i in 0..40u16 {
                 let ev = Event::new(Color::new(i % 8 + 10), 0);
@@ -1260,7 +1099,7 @@ mod tests {
         let r = rt.run();
         injector.join().unwrap();
         assert_eq!(r.events_processed(), 42);
-        assert!(r.inbox_pushes() >= 20, "inbox path used for half");
+        assert!(r.total().inbox_pushes >= 20, "inbox path used for half");
     }
 
     // The inject/inject_locked/inject_after trio is pinned by the

@@ -171,18 +171,15 @@ impl Drop for CountGuard {
 }
 
 impl InjectorPool {
-    /// Starts `cfg.producers` threads injecting through `injector` —
-    /// anything convertible to an [`Injector`], i.e. the value of
-    /// [`Executor::injector`](mely_core::exec::Executor::injector) or a
-    /// threaded [`RuntimeHandle`](mely_core::threaded::RuntimeHandle).
+    /// Starts `cfg.producers` threads injecting through `injector`, the
+    /// value of [`Executor::injector`](mely_core::exec::Executor::injector).
     ///
     /// # Panics
     ///
     /// Panics if `cfg.producers` or `cfg.colors` is zero, or if
     /// `producers * colors` exceeds the 16-bit color space (the
     /// disjoint-per-producer color ranges could not exist).
-    pub fn spawn(injector: impl Into<Injector>, cfg: InjectorConfig) -> Self {
-        let injector = injector.into();
+    pub fn spawn(injector: Injector, cfg: InjectorConfig) -> Self {
         assert!(cfg.producers > 0, "need at least one producer");
         assert!(cfg.colors > 0, "need at least one color per producer");
         assert!(
@@ -374,7 +371,7 @@ mod tests {
     fn inbox_pool_injects_everything() {
         let r = run_with_pool(ExecKind::Threaded, InjectMode::Inbox);
         assert!(r.events_processed() >= 1_500);
-        assert!(r.inbox_pushes() >= 1_500, "inbox path must be used");
+        assert!(r.total().inbox_pushes >= 1_500, "inbox path must be used");
     }
 
     #[test]

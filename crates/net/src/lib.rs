@@ -341,12 +341,6 @@ impl SimNet {
         self.conns.get(&fd).and_then(|c| c.s2c.next_visibility(now))
     }
 
-    /// Server side: earliest time after `now` at which more
-    /// client-to-server data becomes visible on `fd`.
-    pub fn server_next_visibility(&self, fd: Fd, now: u64) -> Option<u64> {
-        self.conns.get(&fd).and_then(|c| c.c2s.next_visibility(now))
-    }
-
     /// Client side: bytes currently readable on `fd`.
     pub fn client_readable_len(&self, fd: Fd, now: u64) -> usize {
         self.conns.get(&fd).map_or(0, |c| c.s2c.readable_len(now))

@@ -654,13 +654,13 @@ impl<D: Driver + 'static> SwsService<D> {
     /// # Panics
     ///
     /// Panics if the service has not been installed yet.
-    pub fn waker(&self, injector: impl Into<Injector>) -> SwsWaker {
+    pub fn waker(&self, injector: Injector) -> SwsWaker {
         let shared = Arc::clone(self.installed.as_ref().expect("service not installed"));
         let sender = self
             .pipeline
             .as_ref()
             .expect("service not installed")
-            .sender(injector.into());
+            .sender(injector);
         SwsWaker {
             wake: Arc::new(move || {
                 if !shared.wake_pending.swap(true, Ordering::AcqRel) {

@@ -319,16 +319,6 @@ impl MachineModel {
         sysfs::discover(Path::new("/sys/devices/system/cpu"))
     }
 
-    /// Like [`MachineModel::discover`] but reading from an arbitrary root
-    /// directory laid out like `/sys/devices/system/cpu` (used in tests).
-    ///
-    /// # Errors
-    ///
-    /// See [`MachineModel::discover`].
-    pub fn discover_from(root: &Path) -> Result<Self, DiscoverError> {
-        sysfs::discover(root)
-    }
-
     /// Human-readable model name.
     pub fn name(&self) -> &str {
         &self.name

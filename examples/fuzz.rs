@@ -126,15 +126,15 @@ fn chaos_sweep() {
             .build(ExecKind::Sim);
         install(&mut rt);
         let report = rt.run();
-        total_faults += report.faults();
+        total_faults += report.total().faults;
         println!(
             "seed {seed:#06x}  fingerprint {}  events {:>3}  faults {:>2}  \
              quarantined {:>2}  shed-by-fault {:>3}  of {:>3} registered",
             report.fingerprint(),
             report.events_processed(),
-            report.faults(),
-            report.quarantined_colors(),
-            report.shed_by_fault(),
+            report.total().faults,
+            report.total().quarantined_colors,
+            report.total().shed_by_fault,
             report.total().registered,
         );
         // Containment accounting. Every *queued* event ends exactly one

@@ -117,8 +117,8 @@ fn main() {
         rps: client.rps(),
         p50_us: cycles_to_us(report.latency_p50()),
         p99_us: cycles_to_us(report.latency_p99()),
-        sheds: report.shed_requests() + gw.accept_sheds,
-        faults: report.failed_requests() + gw.resets,
+        sheds: report.total().shed_requests + gw.accept_sheds,
+        faults: report.total().failed_requests + gw.resets,
         steals_by_tier: report.steals_by_tier(),
     };
     let block = format!("{}\n{}\n", RunSummary::header(), row);

@@ -80,11 +80,11 @@ fn main() {
     println!(
         "injected         : {} executed of {} pushed via inboxes",
         injected.load(Ordering::Relaxed),
-        report.inbox_pushes()
+        report.total().inbox_pushes
     );
     println!(
         "inbox drains     : {} events in {} batches (avg {:.1}/drain, {} re-routed after steals)",
-        report.inbox_drained(),
+        report.total().inbox_drained,
         report.total().inbox_drain_batches,
         report.avg_inbox_drain_batch().unwrap_or(0.0),
         report.total().inbox_rerouted,

@@ -23,8 +23,8 @@ fn summarize(r: &SwsRun, clients: usize, duration: u64) -> RunSummary {
         },
         p50_us: cycles_to_us(r.report.latency_p50()),
         p99_us: cycles_to_us(r.report.latency_p99()),
-        sheds: r.report.shed_requests(),
-        faults: r.report.failed_requests(),
+        sheds: r.report.total().shed_requests,
+        faults: r.report.total().failed_requests,
         steals_by_tier: r.report.steals_by_tier(),
     }
 }

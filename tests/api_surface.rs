@@ -53,7 +53,6 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "RunReport",
     "Runtime",
     "RuntimeBuilder",
-    "RuntimeHandle",
     "SchedulePerturbation",
     "ScheduleRng",
     "Service",
@@ -114,7 +113,6 @@ fn every_export_resolves() {
     ty::<p::RunReport>();
     ty::<p::Runtime>();
     ty::<p::RuntimeBuilder>();
-    ty::<p::RuntimeHandle>();
     ty::<p::SchedulePerturbation>();
     ty::<p::ScheduleRng>();
     ty::<dyn p::Service>();

@@ -140,8 +140,9 @@ fn chaos_file_server_survives_injected_faults_on_sim() {
         );
         // Accounting: goodput + failures + sheds is exactly the offered
         // load — faults fail requests, they never lose them silently.
+        let t = report.total();
         assert_eq!(
-            report.completed_requests() + report.failed_requests() + report.shed_requests(),
+            t.completed_requests + t.failed_requests + t.shed_requests,
             report.offered_requests(),
             "seed {seed:#x}: request accounting broken\n{cmd}"
         );
@@ -152,11 +153,11 @@ fn chaos_file_server_survives_injected_faults_on_sim() {
             .any(|f| matches!(f.kind, FaultKind::InjectedPanic))
         {
             assert!(
-                report.quarantined_colors() > 0,
+                t.quarantined_colors > 0,
                 "seed {seed:#x}: a panic left no quarantine\n{cmd}"
             );
         }
-        total_faults += report.faults();
+        total_faults += t.faults;
     }
     assert!(
         total_faults > 0,
@@ -187,13 +188,14 @@ fn chaos_file_server_survives_injected_faults_on_threaded() {
             stats.verified, stats.reads,
             "seed {seed:#x}: unverified responses\n{cmd}"
         );
+        let t = report.total();
         assert_eq!(
-            report.completed_requests() + report.failed_requests() + report.shed_requests(),
+            t.completed_requests + t.failed_requests + t.shed_requests,
             report.offered_requests(),
             "seed {seed:#x}: request accounting broken\n{cmd}"
         );
         assert!(
-            report.faults() >= report.fault_log().len() as u64,
+            t.faults >= report.fault_log().len() as u64,
             "seed {seed:#x}: counters disagree with the log\n{cmd}"
         );
     }
@@ -213,9 +215,10 @@ fn same_fault_seed_replays_identical_fault_schedule() {
             r2.fingerprint(),
             "seed {seed:#x}: fingerprints diverged\n{cmd}"
         );
+        let (t1, t2) = (r1.total(), r2.total());
         assert_eq!(
-            (r1.faults(), r1.failed_requests(), r1.shed_by_fault()),
-            (r2.faults(), r2.failed_requests(), r2.shed_by_fault()),
+            (t1.faults, t1.failed_requests, t1.shed_by_fault),
+            (t2.faults, t2.failed_requests, t2.shed_by_fault),
             "seed {seed:#x}: fault counters diverged\n{cmd}"
         );
         assert_eq!(
@@ -255,7 +258,11 @@ fn noop_fault_plan_leaves_the_canonical_schedule_untouched() {
         let mut rt = b.build(ExecKind::Sim);
         rt.install(FileServerService::new(sfs_config()));
         let report = rt.run();
-        (report.fingerprint(), report.faults(), report.wall_cycles())
+        (
+            report.fingerprint(),
+            report.total().faults,
+            report.wall_cycles(),
+        )
     };
     let canonical = run(None);
     assert_eq!(canonical.1, 0, "no faults without a plan");
@@ -274,8 +281,9 @@ fn noop_fault_plan_leaves_the_canonical_schedule_untouched() {
 }
 
 /// After a handler panic quarantines a color, admission for that color
-/// is refused with [`OverloadReason::Quarantined`] — producers observe
-/// the degradation instead of feeding a silent drain.
+/// is refused with [`OverloadReason::Quarantined`] at every injector
+/// entry point — producers observe the degradation instead of feeding a
+/// silent drain.
 #[test]
 fn quarantined_color_rejects_subsequent_admission() {
     quiet_deliberate_panics();
@@ -288,20 +296,43 @@ fn quarantined_color_rejects_subsequent_admission() {
         rt.register(Event::new(bad, 100).with_action(|_| panic!("chaos-panic: poison")));
         rt.register(Event::new(Color::new(9), 100));
         let report = rt.run();
-        assert_eq!(report.faults(), 1, "{kind}");
-        assert_eq!(report.quarantined_colors(), 1, "{kind}");
+        assert_eq!(report.total().faults, 1, "{kind}");
+        assert_eq!(report.total().quarantined_colors, 1, "{kind}");
         // The healthy color was untouched.
         assert_eq!(report.events_processed(), 1, "{kind}");
-        // Post-quarantine admission fails fast, with the typed reason.
-        let err = rt
-            .injector()
-            .try_inject(Event::new(bad, 100))
-            .expect_err("quarantined color must not admit");
-        assert_eq!(err.reason, OverloadReason::Quarantined, "{kind}");
+        // Post-quarantine, every producer entry point refuses the color
+        // with one ledger on both executors: the fallible twins return
+        // the typed reason and count a reject each, the infallible three
+        // count a reject plus a shed each.
+        let inj = rt.injector();
+        let ran = Arc::new(AtomicU64::new(0));
+        let probe = |color| {
+            let ran = Arc::clone(&ran);
+            Event::new(color, 100).with_action(move |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        for refused in [
+            inj.try_inject(probe(bad)),
+            inj.try_inject_after(1_000, probe(bad)),
+        ] {
+            let err = refused.expect_err("quarantined color must not admit");
+            assert_eq!(err.reason, OverloadReason::Quarantined, "{kind}");
+        }
+        inj.inject(probe(bad));
+        inj.inject_locked(probe(bad));
+        inj.inject_after(1_000, probe(bad));
+        assert_eq!(inj.outstanding(), 0, "{kind}: nothing was queued");
         // The healthy color still admits.
-        rt.injector()
-            .try_inject(Event::new(Color::new(9), 100))
+        inj.try_inject(probe(Color::new(9)))
             .expect("healthy colors admit");
+        let t = rt.run().total();
+        assert_eq!(
+            (t.admission_rejects, t.shed_requests, t.shed_by_fault),
+            (5, 3, 3),
+            "{kind}"
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "{kind}: only color 9 ran");
     }
 }
 
@@ -446,7 +477,7 @@ fn assert_chaos_pipeline_invariants(
     // No request lost: each seed either completed or was failed by a
     // fault (panic, quarantine drain, or fan-out shed).
     prop_assert_eq!(
-        report.completed_requests() + report.failed_requests(),
+        report.completed_requests() + report.total().failed_requests,
         offered
     );
     // Exclusion held for every key, poisoned or not.
@@ -462,11 +493,11 @@ fn assert_chaos_pipeline_invariants(
     }
     // A clean run is exactly clean.
     if poison_keys == 0 {
-        prop_assert_eq!(report.faults(), 0);
+        prop_assert_eq!(report.total().faults, 0);
         prop_assert_eq!(report.completed_requests(), offered);
         prop_assert_eq!(probe.panics.load(Ordering::SeqCst), 0);
     } else {
-        prop_assert_eq!(report.faults(), probe.panics.load(Ordering::SeqCst));
+        prop_assert_eq!(report.total().faults, probe.panics.load(Ordering::SeqCst));
     }
     Ok(())
 }

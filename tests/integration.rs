@@ -157,7 +157,7 @@ fn server_survives_a_client_that_disconnects_mid_request() {
     assert!(report.events_processed() > 0);
     // Each abandoned request is accounted for, once, on both ledgers.
     assert!(stats.aborted >= 3);
-    assert_eq!(report.failed_requests(), stats.aborted);
+    assert_eq!(report.total().failed_requests, stats.aborted);
     assert_eq!(report.completed_requests(), 0);
 }
 

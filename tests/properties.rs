@@ -378,9 +378,10 @@ proptest! {
         // Accounting identity: offered = admitted + shed, and with only
         // a per-color limit configured every shed is a color shed.
         let offered_total = colors.len() as u64;
-        prop_assert_eq!(report.shed_requests(), offered_total - expected_admitted);
-        prop_assert_eq!(report.shed_by_color(), report.shed_requests());
-        prop_assert_eq!(report.admission_rejects(), report.shed_requests());
+        let t = report.total();
+        prop_assert_eq!(t.shed_requests, offered_total - expected_admitted);
+        prop_assert_eq!(t.shed_by_color, t.shed_requests);
+        prop_assert_eq!(t.admission_rejects, t.shed_requests);
     }
 }
 
@@ -446,8 +447,9 @@ proptest! {
         // Mid-pipeline registrations are never shed.
         prop_assert_eq!(followups.load(Ordering::Relaxed), executed);
         // offered = executed + shed; only the per-color limit is set.
-        prop_assert_eq!(executed + report.shed_requests(), offered);
-        prop_assert_eq!(report.shed_by_color(), report.shed_requests());
+        let t = report.total();
+        prop_assert_eq!(executed + t.shed_requests, offered);
+        prop_assert_eq!(t.shed_by_color, t.shed_requests);
         prop_assert_eq!(report.events_processed(), 2 * executed);
     }
 }
