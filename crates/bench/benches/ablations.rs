@@ -10,6 +10,28 @@ use mely_bench::workloads::UnbalancedCfg;
 use mely_core::cost::CostParams;
 use mely_core::prelude::*;
 
+/// The unbalanced workload's fork/join rounds on a runtime configured by
+/// the caller; returns the last round's (cumulative) report.
+fn run_rounds(mut rt: Runtime, cfg: &UnbalancedCfg) -> RunReport {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+    loop {
+        for i in 0..cfg.events_per_round {
+            let color = Color::new((1 + (i % 65_000)) as u16);
+            let cost = if rng.gen_range(0u32..100) < cfg.long_pct {
+                rng.gen_range(cfg.long_cost.0..=cfg.long_cost.1)
+            } else {
+                cfg.short_cost
+            };
+            rt.register_pinned(Event::new(color, cost), 0);
+        }
+        let report = rt.run();
+        if report.wall_cycles() >= cfg.duration {
+            return report;
+        }
+    }
+}
+
 fn heuristic_matrix() {
     let cfg = UnbalancedCfg::default();
     let mut t = TextTable::new(vec!["locality", "time-left", "penalty", "KEvents/s"]);
@@ -19,30 +41,12 @@ fn heuristic_matrix() {
             .with_locality(loc)
             .with_time_left(tl)
             .with_penalty(pen);
-        // Reuse the workload runner through a custom config.
-        let r = {
-            let mut rt = RuntimeBuilder::new()
-                .cores(cfg.cores)
-                .flavor(Flavor::Mely)
-                .workstealing(ws)
-                .build(ExecKind::Sim)
-                .into_sim();
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-            while rt.virtual_now() < cfg.duration {
-                for i in 0..cfg.events_per_round {
-                    let color = Color::new((1 + (i % 65_000)) as u16);
-                    let cost = if rng.gen_range(0u32..100) < cfg.long_pct {
-                        rng.gen_range(cfg.long_cost.0..=cfg.long_cost.1)
-                    } else {
-                        cfg.short_cost
-                    };
-                    rt.register_pinned(Event::new(color, cost), 0);
-                }
-                rt.run();
-            }
-            rt.report()
-        };
+        let rt = RuntimeBuilder::new()
+            .cores(cfg.cores)
+            .flavor(Flavor::Mely)
+            .workstealing(ws)
+            .build(ExecKind::Sim);
+        let r = run_rounds(rt, &cfg);
         t.row(vec![
             loc.to_string(),
             tl.to_string(),
@@ -60,30 +64,15 @@ fn batch_threshold_sweep() {
     ]);
     for thr in [1u32, 2, 10, 50, 1_000] {
         let cfg = UnbalancedCfg::default();
-        let mut rt = RuntimeBuilder::new()
+        let rt = RuntimeBuilder::new()
             .cores(cfg.cores)
             .flavor(Flavor::Mely)
             .workstealing(WsPolicy::base().with_time_left(true))
             .batch_threshold(thr)
-            .build(ExecKind::Sim)
-            .into_sim();
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        while rt.virtual_now() < cfg.duration {
-            for i in 0..cfg.events_per_round {
-                let color = Color::new((1 + (i % 65_000)) as u16);
-                let cost = if rng.gen_range(0u32..100) < cfg.long_pct {
-                    rng.gen_range(cfg.long_cost.0..=cfg.long_cost.1)
-                } else {
-                    cfg.short_cost
-                };
-                rt.register_pinned(Event::new(color, cost), 0);
-            }
-            rt.run();
-        }
+            .build(ExecKind::Sim);
         t.row(vec![
             thr.to_string(),
-            format!("{:.0}", rt.report().kevents_per_sec()),
+            format!("{:.0}", run_rounds(rt, &cfg).kevents_per_sec()),
         ]);
     }
     t.print("Ablation 2: batch threshold (paper fixes 10)");
@@ -100,7 +89,7 @@ fn scan_cost_sensitivity() {
             events_per_round: 5_000,
             ..UnbalancedCfg::default()
         };
-        let mut rt = RuntimeBuilder::new()
+        let rt = RuntimeBuilder::new()
             .cores(cfg.cores)
             .flavor(Flavor::Libasync)
             .workstealing(WsPolicy::base())
@@ -108,25 +97,10 @@ fn scan_cost_sensitivity() {
                 scan_per_event: scan,
                 ..CostParams::default()
             })
-            .build(ExecKind::Sim)
-            .into_sim();
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        while rt.virtual_now() < cfg.duration {
-            for i in 0..cfg.events_per_round {
-                let color = Color::new((1 + (i % 65_000)) as u16);
-                let cost = if rng.gen_range(0u32..100) < cfg.long_pct {
-                    rng.gen_range(cfg.long_cost.0..=cfg.long_cost.1)
-                } else {
-                    cfg.short_cost
-                };
-                rt.register_pinned(Event::new(color, cost), 0);
-            }
-            rt.run();
-        }
+            .build(ExecKind::Sim);
         t.row(vec![
             scan.to_string(),
-            format!("{:.0}", rt.report().kevents_per_sec()),
+            format!("{:.0}", run_rounds(rt, &cfg).kevents_per_sec()),
         ]);
     }
     t.print("Ablation 3: Libasync-WS collapse vs per-event scan cost");

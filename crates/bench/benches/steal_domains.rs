@@ -37,14 +37,14 @@ const WORKSET_BYTES: u64 = 4 << 10;
 /// Single-color events seeded on each of the two hot cores.
 const EVENTS_PER_HOT_CORE: u16 = 200;
 
-/// Runs the two-hot-cores workload under `policy` and returns the
-/// report. Deterministic: same policy, same schedule, same counters.
-fn run(machine: &MachineModel, policy: Arc<dyn StealPolicy>) -> RunReport {
+/// Runs the two-hot-cores workload under `ws` and `policy` and returns
+/// the report. Deterministic: same policy, same schedule, same counters.
+fn run(machine: &MachineModel, ws: WsPolicy, policy: Arc<dyn StealPolicy>) -> RunReport {
     let mut rt = RuntimeBuilder::new()
         .cores(machine.num_cores())
         .machine(machine.clone())
         .flavor(Flavor::Mely)
-        .workstealing(WsPolicy::base())
+        .workstealing(ws)
         .steal_policy(policy)
         .build(ExecKind::Sim);
     for (hot, base) in [(0usize, 1u16), (8, 20_000)] {
@@ -68,15 +68,16 @@ fn main() {
         "policy", "KEvents/s", "steals smt/llc/s/r", "remote%", "predicted cy", "measured cy"
     );
 
-    let policies: [Arc<dyn StealPolicy>; 4] = [
-        Arc::new(FlatPolicy),
-        Arc::new(HierarchicalPolicy),
-        Arc::new(PaperBasePolicy),
-        Arc::new(PaperImprovedPolicy),
+    // Flat follows the locality toggle: off is the paper's Figure 2
+    // order, on its Section III-A cache-distance order.
+    let base = WsPolicy::base();
+    let rows: [(&str, WsPolicy, Arc<dyn StealPolicy>); 3] = [
+        ("flat", base, Arc::new(FlatPolicy)),
+        ("flat+loc", base.with_locality(true), Arc::new(FlatPolicy)),
+        ("hierarchical", base, Arc::new(HierarchicalPolicy)),
     ];
-    for policy in policies {
-        let name = policy.name();
-        let r = run(&machine, policy);
+    for (name, ws, policy) in rows {
+        let r = run(&machine, ws, policy);
         let by_tier = r.steals_by_tier();
         let steals = r.total().steals.max(1);
         let remote_frac = by_tier[3] as f64 / steals as f64;

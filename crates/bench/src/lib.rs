@@ -14,7 +14,9 @@
 //!   cachesim-predicted transfer cycles for the locality ablations.
 //!
 //! Each `benches/*.rs` target (with `harness = false`) regenerates one
-//! table or figure; see DESIGN.md's experiment index.
+//! table or figure, named after it (`table3_base_ws`, `fig7_sws_full`, …);
+//! the deterministic ones are pinned by `benches/golden/` (README,
+//! *Benchmark regression gate*).
 
 pub mod scenarios;
 pub mod steal;

@@ -82,8 +82,7 @@ pub fn cache_efficient(config: PaperConfig, cfg: &CacheEfficientCfg) -> RunRepor
         .workstealing(ws)
         .track_cache(true)
         .machine(mely_topology::MachineModel::xeon_e5410())
-        .build(ExecKind::Sim)
-        .into_sim();
+        .build(ExecKind::Sim);
     let h_a = rt.register_handler(HandlerSpec::new("A").cost(cfg.a_cost));
     let h_b = rt.register_handler(HandlerSpec::new("B").cost(cfg.b_cost));
     let h_c = rt.register_handler(HandlerSpec::new("C").cost(cfg.c_cost));
@@ -147,7 +146,8 @@ pub fn cache_efficient(config: PaperConfig, cfg: &CacheEfficientCfg) -> RunRepor
         }
         rt.run();
     }
-    rt.report()
+    // Nothing is queued any more: this only reads the cumulative report.
+    rt.run()
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@ use std::sync::Arc;
 use mely_core::dataset::DataSetRef;
 use mely_core::metrics::RunReport;
 use mely_core::prelude::*;
-use mely_core::sim::SimRuntime;
 
 use crate::PaperConfig;
 
@@ -87,14 +86,13 @@ pub fn penalty(config: PaperConfig, cfg: &PenaltyCfg) -> RunReport {
     let (flavor, ws) = config.setup();
     // Full-size Xeon caches: like the paper's, the whole set of arrays
     // fits one 6 MB L2, so misses come from *migration*, not capacity.
-    let mut rt: SimRuntime = RuntimeBuilder::new()
+    let mut rt = RuntimeBuilder::new()
         .cores(cfg.cores)
         .flavor(flavor)
         .workstealing(ws)
         .track_cache(true)
         .machine(mely_topology::MachineModel::xeon_e5410())
-        .build(ExecKind::Sim)
-        .into_sim();
+        .build(ExecKind::Sim);
     let cfg = Arc::new(cfg.clone());
     let h_a = rt.register_handler(mely_core::handler::HandlerSpec::new("A").cost(cfg.a_cost));
     let h_b = rt.register_handler(
@@ -157,7 +155,8 @@ mod tests {
         // The paper reports +53% throughput for penalty-aware stealing;
         // our simulator reproduces the *direction* of the cache effect
         // (fewer misses, no migrated chains) with throughput at parity —
-        // the gap between the two is recorded in EXPERIMENTS.md.
+        // the gap is printed by `table5_penalty_aware` (pinned in
+        // `benches/golden/`) and tracked as ROADMAP item 1.
         let base = penalty(PaperConfig::MelyBaseWs, &quick());
         let pen = penalty(PaperConfig::MelyPenaltyWs, &quick());
         assert!(

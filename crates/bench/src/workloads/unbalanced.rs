@@ -10,7 +10,7 @@
 //! Defaults are scaled (fewer events per round, shorter wall time) so a
 //! full four-configuration table runs in seconds on a laptop; ratios
 //! between configurations — the paper's result — are insensitive to the
-//! scaling (see DESIGN.md).
+//! scaling.
 
 use mely_core::metrics::RunReport;
 use mely_core::prelude::*;
@@ -60,10 +60,9 @@ pub fn unbalanced(config: PaperConfig, cfg: &UnbalancedCfg) -> RunReport {
         .cores(cfg.cores)
         .flavor(flavor)
         .workstealing(ws)
-        .build(ExecKind::Sim)
-        .into_sim();
+        .build(ExecKind::Sim);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    while rt.virtual_now() < cfg.duration {
+    loop {
         // One fork/join round: independent colors, all pinned on core 0.
         for i in 0..cfg.events_per_round {
             let color = Color::new((1 + (i % 65_000)) as u16);
@@ -74,10 +73,13 @@ pub fn unbalanced(config: PaperConfig, cfg: &UnbalancedCfg) -> RunReport {
             };
             rt.register_pinned(Event::new(color, cost).named("unbalanced"), 0);
         }
-        // Join: run() drains the round completely.
-        rt.run();
+        // Join: run() drains the round completely; virtual time and
+        // counters accumulate across rounds.
+        let report = rt.run();
+        if report.wall_cycles() >= cfg.duration {
+            return report;
+        }
     }
-    rt.report()
 }
 
 #[cfg(test)]
@@ -154,37 +156,5 @@ mod tests {
         let b = unbalanced(PaperConfig::MelyImprovedWs, &quick());
         assert_eq!(a.events_processed(), b.events_processed());
         assert_eq!(a.wall_cycles(), b.wall_cycles());
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn diag() {
-        for cfgp in [
-            PaperConfig::Libasync,
-            PaperConfig::LibasyncWs,
-            PaperConfig::Mely,
-            PaperConfig::MelyBaseWs,
-            PaperConfig::MelyTimeWs,
-        ] {
-            let cfg = UnbalancedCfg {
-                events_per_round: 2_000,
-                duration: 8_000_000,
-                ..UnbalancedCfg::default()
-            };
-            let r = unbalanced(cfgp, &cfg);
-            let t = r.total();
-            eprintln!(
-                "{:<22} ev={} wall={} kev/s={:.0} steals={} stolen_ev={} avg_steal={:.0} avg_stolen={:.0} fail_cy={} lock%={:.1}",
-                cfgp, t.events_processed, r.wall_cycles(), r.kevents_per_sec(),
-                t.steals, t.stolen_events,
-                r.avg_steal_cycles().unwrap_or(0.0), r.avg_stolen_cost().unwrap_or(0.0),
-                t.failed_steal_cycles, r.lock_time_fraction()*100.0
-            );
-        }
     }
 }

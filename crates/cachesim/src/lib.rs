@@ -232,14 +232,6 @@ impl Hierarchy {
         Some(self.stats[core][idx])
     }
 
-    /// Total misses at `level` summed over all cores.
-    pub fn total_misses(&self, level: u8) -> u64 {
-        let Some(idx) = self.levels.iter().position(|l| l.level == level) else {
-            return 0;
-        };
-        self.stats.iter().map(|s| s[idx].misses).sum()
-    }
-
     /// Number of accesses that went all the way to memory, per core.
     pub fn mem_accesses(&self, core: usize) -> u64 {
         self.mem_accesses[core]
@@ -254,14 +246,6 @@ impl Hierarchy {
                 c.flush();
             }
         }
-    }
-
-    /// Resets all statistics (keeps cache contents).
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            s.iter_mut().for_each(|l| *l = LevelStats::default());
-        }
-        self.mem_accesses.iter_mut().for_each(|m| *m = 0);
     }
 }
 
@@ -403,7 +387,6 @@ mod tests {
         let (_, m1) = h.sweep(0, 0, 1, 2);
         assert_eq!(m1, 1);
         h.flush();
-        h.reset_stats();
         let (_, m2) = h.sweep(0, 63, 65, 2);
         assert_eq!(m2, 2);
         // Zero-length sweep touches nothing.
@@ -419,11 +402,9 @@ mod tests {
         assert_eq!(s1.hits, 1);
         assert_eq!(s1.misses, 1);
         assert_eq!(h.level_stats(1, 1).unwrap(), LevelStats::default());
-        assert_eq!(h.total_misses(2), 1);
+        assert_eq!(h.level_stats(0, 2).unwrap().misses, 1);
         assert_eq!(h.mem_accesses(0), 1);
         assert!(h.level_stats(0, 3).is_none());
-        h.reset_stats();
-        assert_eq!(h.total_misses(2), 0);
     }
 
     #[test]

@@ -164,10 +164,6 @@ pub enum AdmissionPolicy {
     /// [`OverloadReason::ColorHot`]). Load-shedding for open-loop
     /// producers that must never stall.
     Shed,
-    /// Wait like [`AdmissionPolicy::Block`], but pace the retries by the
-    /// rejection's `retry_after_hint` instead of re-checking as fast as
-    /// possible.
-    RetryAfter,
 }
 
 impl fmt::Display for AdmissionPolicy {
@@ -175,7 +171,6 @@ impl fmt::Display for AdmissionPolicy {
         f.write_str(match self {
             AdmissionPolicy::Block => "block",
             AdmissionPolicy::Shed => "shed",
-            AdmissionPolicy::RetryAfter => "retry-after",
         })
     }
 }
@@ -221,8 +216,8 @@ pub struct Overload {
     pub reason: OverloadReason,
     /// Rough cycles until the congested queue may have drained enough to
     /// retry: the observed backlog times a nominal per-event dispatch
-    /// cost. A pacing hint for [`AdmissionPolicy::RetryAfter`]-style
-    /// producers, not a guarantee.
+    /// cost. A pacing hint for the [`crate::exec::Injector::try_inject`]
+    /// caller, not a guarantee.
     pub retry_after_hint: u64,
 }
 
@@ -293,10 +288,6 @@ impl AdmissionCtl {
             shed_by_color: AtomicU64::new(0),
             shed_by_fault: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn unbounded() -> Self {
-        Self::new(QueueLimits::default(), AdmissionPolicy::default())
     }
 
     /// Fast-path predicate: no limit configured, admission always
@@ -455,7 +446,6 @@ mod tests {
         assert!(!l.is_unbounded());
         assert_eq!(l.to_string(), "per_core=unbounded, per_color=64, inbox=9");
         assert_eq!(AdmissionPolicy::Shed.to_string(), "shed");
-        assert_eq!(AdmissionPolicy::RetryAfter.to_string(), "retry-after");
         assert_eq!(OverloadReason::ColorHot.to_string(), "color hot");
         let ov = Overload {
             reason: OverloadReason::PerCoreFull,
@@ -498,7 +488,7 @@ mod tests {
 
     #[test]
     fn retry_hint_scales_with_backlog() {
-        let ctl = AdmissionCtl::unbounded();
+        let ctl = AdmissionCtl::new(QueueLimits::default(), AdmissionPolicy::default());
         let small = ctl.overload(OverloadReason::InboxBacklog, 2);
         let large = ctl.overload(OverloadReason::InboxBacklog, 2_000);
         assert!(small.retry_after_hint < large.retry_after_hint);
@@ -510,7 +500,7 @@ mod tests {
     /// rejection saturates (repeats do not corrupt the occupancy).
     #[test]
     fn threaded_color_boundary_full_one_below_saturating() {
-        let rt = RuntimeBuilder::new()
+        let mut rt = RuntimeBuilder::new()
             .cores(1)
             .queue_limits(QueueLimits::default().per_color_events(2))
             .build(ExecKind::Threaded);
@@ -527,7 +517,6 @@ mod tests {
         }
         assert!(inj.try_inject(Event::new(Color::new(4), 0)).is_ok());
         // Draining the admitted events releases the occupancy.
-        let mut rt = rt.into_threaded();
         assert_eq!(rt.run().events_processed(), 3);
         let inj = rt.injector();
         assert!(inj.try_inject(Event::new(Color::new(3), 0)).is_ok());
@@ -567,7 +556,7 @@ mod tests {
 
     #[test]
     fn sim_color_and_backlog_boundaries() {
-        let rt = RuntimeBuilder::new()
+        let mut rt = RuntimeBuilder::new()
             .cores(1)
             .queue_limits(QueueLimits::default().per_color_events(1))
             .build(ExecKind::Sim);
@@ -578,7 +567,6 @@ mod tests {
             .expect_err("color cap");
         assert_eq!(err.reason, OverloadReason::ColorHot);
         assert!(inj.try_inject(Event::new(Color::new(6), 10)).is_ok());
-        let mut rt = rt.into_sim();
         assert_eq!(rt.run().events_processed(), 2);
         // Execution released the color slot.
         assert!(rt

@@ -69,36 +69,24 @@ impl From<u16> for Color {
 /// An inclusive range of colors — the unit of the color-space
 /// partition.
 ///
-/// Two canonical ranges partition the non-default colors, formalizing
-/// what used to be an ad-hoc convention in `mely-net`:
-///
-/// - [`ColorRange::CONNECTIONS`] (`1..=0x7FFF`) — *keyed* colors for
-///   per-entity serialization (connections, sessions, requests). Keys
-///   hash into the range with [`ColorRange::keyed`]; a hash collision
-///   merely serializes the two entities, which is always safe.
-/// - [`ColorRange::LISTENERS`] (`0x8000..=0xFFFF`) — *structured*
-///   colors derived from listener ports, disjoint from every
-///   connection color so accept storms cannot serialize behind request
-///   processing.
-///
-/// The stage layer further splits the connection range into two
-/// *planes*: [`ColorRange::STAGE_SERIAL`] (allocator territory —
-/// [`ColorSpace::for_stages`] hands serial stage colors out of it) and
-/// [`ColorRange::STAGE_KEYED`] (hash territory — `StageSpec::keyed`
-/// colors land there). The split makes serial-vs-keyed collisions
-/// impossible by construction; the raw `mely-net` bridge keeps hashing
-/// over the full [`ColorRange::CONNECTIONS`], where any collision is
-/// still safe (it only serializes).
+/// The stage layer uses the lower half of the non-default colors,
+/// split into two *planes*: [`ColorRange::STAGE_SERIAL`] (allocator
+/// territory — [`ColorSpace::for_stages`] hands serial stage colors out
+/// of it) and [`ColorRange::STAGE_KEYED`] (hash territory —
+/// `StageSpec::keyed` colors land there; keys hash into it with
+/// [`ColorRange::keyed`], and a hash collision merely serializes the
+/// two entities, which is always safe). The split makes
+/// serial-vs-keyed collisions impossible by construction.
 ///
 /// # Examples
 ///
 /// ```
 /// use mely_core::color::ColorRange;
 ///
-/// let c = ColorRange::CONNECTIONS.keyed(12_345);
-/// assert!(ColorRange::CONNECTIONS.contains(c));
+/// let c = ColorRange::STAGE_KEYED.keyed(12_345);
+/// assert!(ColorRange::STAGE_KEYED.contains(c));
 /// assert!(!c.is_default());
-/// assert!(!ColorRange::LISTENERS.contains(c));
+/// assert!(!ColorRange::STAGE_SERIAL.contains(c));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ColorRange {
@@ -107,14 +95,7 @@ pub struct ColorRange {
 }
 
 impl ColorRange {
-    /// Keyed per-connection / per-session colors: `1..=0x7FFF`.
-    pub const CONNECTIONS: ColorRange = ColorRange::new(0x0001, 0x7FFF);
-
-    /// Listener (accept) colors: `0x8000..=0xFFFF`, disjoint from
-    /// [`ColorRange::CONNECTIONS`].
-    pub const LISTENERS: ColorRange = ColorRange::new(0x8000, 0xFFFF);
-
-    /// The *serial plane* of the connection range: the sub-range
+    /// The *serial plane*: the range
     /// [`ColorSpace::for_stages`] allocates serial stage colors from.
     /// Disjoint from [`ColorRange::STAGE_KEYED`], so an
     /// allocator-assigned stage color can never collide with a hashed
@@ -124,7 +105,7 @@ impl ColorRange {
     /// behind the poll loop.
     pub const STAGE_SERIAL: ColorRange = ColorRange::new(0x0001, 0x0FFF);
 
-    /// The *keyed plane* of the connection range: where the stage
+    /// The *keyed plane*: where the stage
     /// layer's `StageSpec::keyed` colors hash to. Keyed-vs-keyed
     /// collisions remain possible (and safe — they only serialize);
     /// keyed-vs-serial collisions are impossible by construction.
@@ -249,7 +230,7 @@ impl std::error::Error for ColorTaken {}
 /// let b = space.alloc();
 /// assert_ne!(a, b);
 /// assert!(!a.is_default());
-/// assert!(ColorRange::CONNECTIONS.contains(a));
+/// assert!(ColorRange::STAGE_SERIAL.contains(a));
 /// assert!(space.claim(a).is_err(), "collision-checked");
 /// ```
 #[derive(Clone)]
@@ -289,15 +270,15 @@ impl ColorSpace {
         s
     }
 
-    /// The stage layer's configuration: [`Color::DEFAULT`], the whole
-    /// [`ColorRange::LISTENERS`] range and the keyed plane
-    /// ([`ColorRange::STAGE_KEYED`]) reserved, so serial allocations
-    /// come from [`ColorRange::STAGE_SERIAL`] (4095 colors) and can
-    /// never shadow a listener or a hashed per-message stage color.
+    /// The stage layer's configuration: [`Color::DEFAULT`] and
+    /// everything above the serial plane (the keyed plane,
+    /// [`ColorRange::STAGE_KEYED`], and the unused upper half) reserved,
+    /// so serial allocations come from [`ColorRange::STAGE_SERIAL`]
+    /// (4095 colors) and can never shadow a hashed per-message stage
+    /// color.
     pub fn for_stages() -> Self {
         let mut s = ColorSpace::new();
-        s.reserve_range(ColorRange::LISTENERS);
-        s.reserve_range(ColorRange::STAGE_KEYED);
+        s.reserve_range(ColorRange::new(ColorRange::STAGE_KEYED.first, u16::MAX));
         s
     }
 
@@ -491,31 +472,13 @@ mod tests {
     }
 
     #[test]
-    fn canonical_ranges_partition_the_nonzero_space() {
-        let conns = ColorRange::CONNECTIONS;
-        let listeners = ColorRange::LISTENERS;
-        assert_eq!(conns.first(), Color::new(1));
-        assert_eq!(conns.last(), Color::new(0x7FFF));
-        assert_eq!(listeners.first(), Color::new(0x8000));
-        assert_eq!(listeners.last(), Color::new(0xFFFF));
-        assert_eq!(
-            conns.len() + listeners.len() + 1,
-            COLOR_SPACE as u32,
-            "ranges plus the default color cover the space exactly"
-        );
-        assert!(!conns.contains(Color::DEFAULT));
-        assert!(!listeners.contains(Color::DEFAULT));
-        assert!(!conns.contains(listeners.first()));
-        assert!(!listeners.contains(conns.last()));
-    }
-
-    #[test]
-    fn stage_planes_partition_the_connection_range() {
+    fn stage_planes_partition_the_lower_half() {
         let serial = ColorRange::STAGE_SERIAL;
         let keyed = ColorRange::STAGE_KEYED;
-        assert_eq!(serial.first(), ColorRange::CONNECTIONS.first());
-        assert_eq!(keyed.last(), ColorRange::CONNECTIONS.last());
-        assert_eq!(serial.len() + keyed.len(), ColorRange::CONNECTIONS.len());
+        assert_eq!(serial.first(), Color::new(1));
+        assert_eq!(keyed.last(), Color::new(0x7FFF));
+        assert_eq!(serial.len() + keyed.len(), 0x7FFF);
+        assert!(!serial.contains(Color::DEFAULT));
         assert!(!keyed.contains(serial.last()));
         assert!(!serial.contains(keyed.first()));
         // for_stages can therefore never hand out a keyed-plane color.
@@ -528,18 +491,18 @@ mod tests {
 
     #[test]
     fn keyed_colors_stay_in_range_and_avoid_default() {
+        let (lower, upper) = (
+            ColorRange::new(0x0001, 0x7FFF),
+            ColorRange::new(0x8000, 0xFFFF),
+        );
         for key in [0u64, 1, 0x7FFE, 0x7FFF, 0xFFFF, u64::MAX] {
-            let c = ColorRange::CONNECTIONS.keyed(key);
-            assert!(ColorRange::CONNECTIONS.contains(c), "key {key}");
+            let c = lower.keyed(key);
+            assert!(lower.contains(c), "key {key}");
             assert!(!c.is_default());
-            let l = ColorRange::LISTENERS.keyed(key);
-            assert!(ColorRange::LISTENERS.contains(l), "key {key}");
+            assert!(upper.contains(upper.keyed(key)), "key {key}");
         }
         // Wrap-around is modular, not truncating.
-        assert_eq!(
-            ColorRange::CONNECTIONS.keyed(0x7FFF),
-            ColorRange::CONNECTIONS.keyed(0)
-        );
+        assert_eq!(lower.keyed(0x7FFF), lower.keyed(0));
     }
 
     #[test]
@@ -562,14 +525,14 @@ mod tests {
     }
 
     #[test]
-    fn for_stages_reserves_listeners_and_default() {
+    fn for_stages_reserves_the_upper_half_and_default() {
         let mut s = ColorSpace::for_stages();
         assert!(s.is_used(Color::DEFAULT));
-        assert!(s.is_used(ColorRange::LISTENERS.first()));
-        assert!(s.is_used(ColorRange::LISTENERS.last()));
+        assert!(s.is_used(Color::new(0x8000)));
+        assert!(s.is_used(Color::new(0xFFFF)));
         assert!(s.claim(Color::new(0x8000)).is_err());
         let c = s.alloc();
-        assert!(ColorRange::CONNECTIONS.contains(c));
+        assert!(ColorRange::STAGE_SERIAL.contains(c));
     }
 
     #[test]

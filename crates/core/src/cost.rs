@@ -87,6 +87,10 @@ impl CostParams {
     }
 }
 
+/// The steal cost (cycles) the time-left heuristic assumes until the
+/// first monitored steal replaces it.
+pub(crate) const INITIAL_STEAL_ESTIMATE: u64 = 2_000;
+
 /// An exponentially-weighted moving average over `u64` samples with a
 /// fixed 1/8 smoothing factor (integer arithmetic, no drift).
 ///

@@ -178,11 +178,6 @@ impl Event {
     pub(crate) fn take_action(&mut self) -> Option<Action> {
         self.action.take()
     }
-
-    /// Whether a continuation is attached.
-    pub fn has_action(&self) -> bool {
-        self.action.is_some()
-    }
 }
 
 impl fmt::Debug for Event {
@@ -211,7 +206,7 @@ mod tests {
         assert_eq!(e.penalty(), 10);
         assert_eq!(e.name(), "x");
         assert!(e.handler().is_none());
-        assert!(!e.has_action());
+        assert!(e.action.is_none());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!
 //! - [`Executor`] — the runtime surface every executor implements:
 //!   handler registration, dataset allocation, event registration,
-//!   injector acquisition and [`Executor::run`]. Implemented by
-//!   [`SimRuntime`], [`ThreadedRuntime`] and the unified [`Runtime`]
-//!   enum that [`crate::runtime::RuntimeBuilder::build`] returns.
+//!   injector acquisition and [`Executor::run`]. Implemented by the
+//!   two crate-private executors and by [`Runtime`], the one public
+//!   executor type, which [`crate::runtime::RuntimeBuilder::build`]
+//!   returns.
 //! - [`Service`] — an application bundle (handler specs, initial
 //!   events, and event actions dispatching on [`crate::ctx::Ctx`]).
 //!   `rt.install(MyService)` works identically on both executors; the
@@ -77,23 +78,20 @@ use parking_lot::Mutex;
 use crate::admission::{AdmissionCtl, AdmissionPolicy, Admitted, Overload, OverloadReason};
 use crate::dataset::DataSetRef;
 use crate::event::Event;
-use crate::fault::FaultCtl;
 use crate::handler::{HandlerId, HandlerSpec};
 use crate::metrics::RunReport;
-use crate::runtime::Flavor;
-use crate::sim::SimRuntime;
+use crate::runtime::{Flavor, Resolved};
 use crate::steal::WsPolicy;
-use crate::threaded::{self, ThreadedRuntime};
+use crate::threaded;
 
 /// Which executor to build: the deterministic simulation or the real
 /// one-OS-thread-per-core runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecKind {
-    /// The deterministic discrete-event simulator ([`SimRuntime`]).
+    /// The deterministic discrete-event simulator.
     #[default]
     Sim,
-    /// The real executor with one OS thread per core
-    /// ([`ThreadedRuntime`]).
+    /// The real executor with one OS thread per core.
     Threaded,
 }
 
@@ -174,10 +172,11 @@ pub trait Executor {
 
     /// Runs until every registered event (and every event they spawn)
     /// has executed — or a handler called
-    /// [`crate::ctx::Ctx::stop_runtime`], an injector called
-    /// [`Injector::stop`], or (sim only) `max_cycles` elapsed — then
-    /// returns the report. Can be called again after registering more
-    /// events.
+    /// [`crate::ctx::Ctx::stop_runtime`] or an injector called
+    /// [`Injector::stop`] — then returns the report: cumulative over
+    /// every run so far on the simulator (virtual time and counters keep
+    /// accumulating), this run's events on threads. Can be called again
+    /// after registering more events.
     fn run(&mut self) -> RunReport;
 
     /// Installs a [`Service`]: the service registers its handlers and
@@ -253,14 +252,11 @@ pub(crate) trait Door {
 
     /// Whether a stop has been requested.
     fn stopped(&self) -> bool;
-
-    /// Waits out one [`AdmissionPolicy::RetryAfter`] hint.
-    fn wait_out(&self, hint: u64);
 }
 
 /// The infallible admission path ([`Injector::inject`]): a limit hit is
 /// resolved by the runtime's [`AdmissionPolicy`] — shed (drop + count),
-/// or block/pace until admitted. The reject counter advances once per
+/// or block until admitted. The reject counter advances once per
 /// event, on its first failed attempt. Quarantine never clears and a
 /// stopping executor stops draining, so both shed under every policy:
 /// waiting on either would strand the producer.
@@ -283,11 +279,7 @@ fn resolve_by_policy<D: Door>(door: &D, mut ev: Event) {
             ctl.note_shed(ov.reason);
             return;
         }
-        if ctl.policy == AdmissionPolicy::RetryAfter {
-            door.wait_out(ov.retry_after_hint);
-        } else {
-            std::thread::yield_now();
-        }
+        std::thread::yield_now();
         ev = back;
     }
 }
@@ -342,33 +334,22 @@ pub(crate) struct SimMailbox {
     /// absorption — the same contract as the threaded executor's
     /// outstanding-event count.
     idle: AtomicBool,
-    /// Queue limits, admission policy, per-color occupancy and the
-    /// reject/shed counters (see [`crate::admission`]).
-    pub(crate) admission: AdmissionCtl,
-    /// Fault policy, quarantine membership and the fault log, shared
-    /// with the run loop (see [`crate::fault`]). Injection into a
-    /// quarantined color is refused at this boundary so producers see
-    /// the failure instead of feeding a drain.
-    pub(crate) faults: Arc<FaultCtl>,
-    /// Simulated core count (for the per-core admission check's home-core
-    /// dispatch estimate).
-    num_cores: usize,
+    /// Shared with the run loop: the admission limits and counters, the
+    /// quarantine set (injection into a quarantined color is refused at
+    /// this boundary so producers see the failure instead of feeding a
+    /// drain) and the core count behind the per-core check's home-core
+    /// dispatch estimate.
+    cfg: Arc<Resolved>,
     /// Per-core queue lengths as last published by the run loop; empty
     /// unless a per-core limit is configured. An approximation for
     /// producers: exact between run-loop iterations, stale mid-step.
     core_occupancy: Box<[AtomicU32]>,
 }
 
-impl Default for SimMailbox {
-    fn default() -> Self {
-        SimMailbox::new(AdmissionCtl::unbounded(), 1, Arc::default())
-    }
-}
-
 impl SimMailbox {
-    pub(crate) fn new(admission: AdmissionCtl, num_cores: usize, faults: Arc<FaultCtl>) -> Self {
-        let tracked = if admission.limits.per_core_events.is_some() {
-            num_cores
+    pub(crate) fn new(cfg: Arc<Resolved>) -> Self {
+        let tracked = if cfg.admission.limits.per_core_events.is_some() {
+            cfg.cores
         } else {
             0
         };
@@ -380,9 +361,7 @@ impl SimMailbox {
             keepalive: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             idle: AtomicBool::new(true),
-            admission,
-            faults,
-            num_cores,
+            cfg,
             core_occupancy: occ.into_boxed_slice(),
         }
     }
@@ -469,25 +448,26 @@ impl SimMailbox {
 
 impl Door for SimMailbox {
     fn admission(&self) -> &AdmissionCtl {
-        &self.admission
+        &self.cfg.admission
     }
 
     fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), (Overload, Event)> {
+        let cfg = &*self.cfg;
         if self.stopped() {
             // The run loop will never drain again: unconditional reject
             // (reason InboxBacklog — the backlog can only grow).
-            let ov = self
+            let ov = cfg
                 .admission
                 .overload(OverloadReason::InboxBacklog, self.outstanding());
             return Err((ov, ev));
         }
         let color = ev.color();
-        let verdict = self.admission.admit(&self.faults, &mut ev, || {
+        let verdict = cfg.admission.admit(&cfg.faults, &mut ev, || {
             // Dispatch estimate: the color's home core (exact unless
             // workstealing moved the color), occupancy as last
             // published by the run loop (tracked only under a per-core
             // limit).
-            let core_occ = self.core_occupancy.get(color.home_core(self.num_cores));
+            let core_occ = self.core_occupancy.get(color.home_core(cfg.cores));
             (
                 core_occ.map_or(0, |occ| u64::from(occ.load(Ordering::Acquire))),
                 self.outstanding(),
@@ -508,7 +488,7 @@ impl Door for SimMailbox {
         if self.stopped() {
             return Err(OverloadReason::InboxBacklog);
         }
-        if self.faults.is_quarantined(ev.color()) {
+        if self.cfg.faults.is_quarantined(ev.color()) {
             return Err(OverloadReason::Quarantined);
         }
         self.push_raw(delay, ev);
@@ -517,12 +497,6 @@ impl Door for SimMailbox {
 
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::Acquire)
-    }
-
-    /// The hint is in *virtual* cycles, which a real-time producer
-    /// thread cannot sleep on: yield and let the run loop drain.
-    fn wait_out(&self, _hint: u64) {
-        std::thread::yield_now();
     }
 }
 
@@ -555,7 +529,7 @@ macro_rules! with_door {
 ///
 /// | method | admission | semantics |
 /// |---|---|---|
-/// | [`Injector::inject`] | infallible — a limit hit is resolved by the [`AdmissionPolicy`] (block / shed / pace) | enqueue to the color's owning core through its lock-free inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
+/// | [`Injector::inject`] | infallible — a limit hit is resolved by the [`AdmissionPolicy`] (block / shed) | enqueue to the color's owning core through its lock-free inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
 /// | [`Injector::try_inject`] | fallible — returns `Err(`[`Overload`]`)` naming the limit hit; the event is dropped | same enqueue; the caller owns the overload response (retry, degrade, reject upstream). |
 /// | [`Injector::inject_locked`] | none — bypasses queue limits entirely | enqueue by taking the owning core's dispatch spinlock (threaded). The pre-inbox legacy path, kept for measuring what the inbox buys; identical routing to `inject` on the simulator. |
 /// | [`Injector::inject_after`] | none — timers are scheduled work, not offered load | enqueue after a delay in cycles (virtual under sim, cycle-counter under threads). |
@@ -715,91 +689,17 @@ impl fmt::Debug for KeepAlive {
 }
 
 /// The unified runtime returned by
-/// [`crate::runtime::RuntimeBuilder::build`]: either executor behind
-/// one concrete type, usable wherever `&mut dyn Executor` is.
-pub enum Runtime {
-    /// The deterministic simulator (boxed: the sim state is large and
-    /// the enum is moved by value).
-    Sim(Box<SimRuntime>),
-    /// The threaded executor.
-    Threaded(ThreadedRuntime),
-}
+/// [`crate::runtime::RuntimeBuilder::build`] and the only public
+/// executor type: either executor behind one concrete type, usable
+/// wherever `&mut dyn Executor` is. Which one it holds is
+/// [`Executor::kind`]; everything an experiment reads back — virtual
+/// time, steals, cache misses — is in the [`RunReport`] that
+/// [`Executor::run`] returns.
+pub struct Runtime(Box<dyn Executor + Send>);
 
 impl Runtime {
-    /// The concrete simulator, when this is [`Runtime::Sim`] — for
-    /// sim-only facilities (`config()`, `virtual_now()`, cache stats).
-    pub fn as_sim(&self) -> Option<&SimRuntime> {
-        match self {
-            Runtime::Sim(rt) => Some(rt),
-            Runtime::Threaded(_) => None,
-        }
-    }
-
-    /// Mutable access to the concrete simulator, when this is
-    /// [`Runtime::Sim`].
-    pub fn as_sim_mut(&mut self) -> Option<&mut SimRuntime> {
-        match self {
-            Runtime::Sim(rt) => Some(rt),
-            Runtime::Threaded(_) => None,
-        }
-    }
-
-    /// The concrete threaded runtime, when this is
-    /// [`Runtime::Threaded`].
-    pub fn as_threaded(&self) -> Option<&ThreadedRuntime> {
-        match self {
-            Runtime::Sim(_) => None,
-            Runtime::Threaded(rt) => Some(rt),
-        }
-    }
-
-    /// Mutable access to the concrete threaded runtime, when this is
-    /// [`Runtime::Threaded`].
-    pub fn as_threaded_mut(&mut self) -> Option<&mut ThreadedRuntime> {
-        match self {
-            Runtime::Sim(_) => None,
-            Runtime::Threaded(rt) => Some(rt),
-        }
-    }
-
-    /// Unwraps the concrete simulator — for experiment drivers that
-    /// need sim-only facilities (virtual time, the cache simulator)
-    /// while still constructing through the unified builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is the threaded executor.
-    pub fn into_sim(self) -> SimRuntime {
-        match self {
-            Runtime::Sim(rt) => *rt,
-            Runtime::Threaded(_) => panic!("runtime is threaded, not sim"),
-        }
-    }
-
-    /// Unwraps the concrete threaded runtime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is the simulator.
-    pub fn into_threaded(self) -> ThreadedRuntime {
-        match self {
-            Runtime::Sim(_) => panic!("runtime is sim, not threaded"),
-            Runtime::Threaded(rt) => rt,
-        }
-    }
-
-    fn exec(&self) -> &dyn Executor {
-        match self {
-            Runtime::Sim(rt) => &**rt,
-            Runtime::Threaded(rt) => rt,
-        }
-    }
-
-    fn exec_mut(&mut self) -> &mut dyn Executor {
-        match self {
-            Runtime::Sim(rt) => &mut **rt,
-            Runtime::Threaded(rt) => rt,
-        }
+    pub(crate) fn new(exec: impl Executor + Send + 'static) -> Self {
+        Runtime(Box::new(exec))
     }
 }
 
@@ -815,47 +715,47 @@ impl fmt::Debug for Runtime {
 
 impl Executor for Runtime {
     fn kind(&self) -> ExecKind {
-        self.exec().kind()
+        self.0.kind()
     }
 
     fn cores(&self) -> usize {
-        self.exec().cores()
+        self.0.cores()
     }
 
     fn flavor(&self) -> Flavor {
-        self.exec().flavor()
+        self.0.flavor()
     }
 
     fn policy(&self) -> WsPolicy {
-        self.exec().policy()
+        self.0.policy()
     }
 
     fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
-        self.exec_mut().register_handler(spec)
+        self.0.register_handler(spec)
     }
 
     fn handler_estimate(&self, id: HandlerId) -> u64 {
-        self.exec().handler_estimate(id)
+        self.0.handler_estimate(id)
     }
 
     fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
-        self.exec_mut().alloc_dataset(len)
+        self.0.alloc_dataset(len)
     }
 
     fn register(&mut self, ev: Event) {
-        self.exec_mut().register(ev);
+        self.0.register(ev);
     }
 
     fn register_pinned(&mut self, ev: Event, core: usize) {
-        self.exec_mut().register_pinned(ev, core);
+        self.0.register_pinned(ev, core);
     }
 
     fn injector(&self) -> Injector {
-        self.exec().injector()
+        self.0.injector()
     }
 
     fn run(&mut self) -> RunReport {
-        self.exec_mut().run()
+        self.0.run()
     }
 }
 
@@ -911,18 +811,6 @@ mod tests {
             counts.push(rt.run().events_processed());
         }
         assert_eq!(counts, vec![40, 40]);
-    }
-
-    #[test]
-    fn runtime_exposes_the_concrete_executors() {
-        let mut rt = RuntimeBuilder::new().cores(2).build(ExecKind::Sim);
-        assert!(rt.as_sim().is_some());
-        assert!(rt.as_sim_mut().is_some());
-        assert!(rt.as_threaded().is_none());
-        let mut rt = RuntimeBuilder::new().cores(2).build(ExecKind::Threaded);
-        assert!(rt.as_threaded().is_some());
-        assert!(rt.as_threaded_mut().is_some());
-        assert!(rt.as_sim().is_none());
     }
 
     #[test]

@@ -192,19 +192,13 @@ pub(crate) const MAX_FAULT_LOG: usize = 1024;
 
 /// Shared supervision state of one runtime: the policy, the optional
 /// seeded injection plan, the quarantine set, and the capped fault log.
-/// Lives behind an `Arc` on the sim executor (run loop + mailbox) and
-/// inside `Shared` on the threaded one.
+/// Lives in the runtime's `Resolved`, which the run loop or workers and
+/// the producer door all reach.
 pub(crate) struct FaultCtl {
     pub(crate) policy: FaultPolicy,
     pub(crate) plan: Option<FaultPlan>,
     pub(crate) quarantined: QuarantineSet,
     log: Mutex<Vec<Fault>>,
-}
-
-impl Default for FaultCtl {
-    fn default() -> Self {
-        FaultCtl::new(FaultPolicy::default(), None)
-    }
 }
 
 impl FaultCtl {

@@ -14,6 +14,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::event::Event;
+
 /// Identifier of a registered handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HandlerId(u32);
@@ -170,6 +172,20 @@ impl HandlerRegistry {
     /// The workstealing penalty of `id`.
     pub fn penalty(&self, id: HandlerId) -> u32 {
         self.specs[id.index()].ws_penalty
+    }
+
+    /// Gives a freshly registered event what it left to its handler: the
+    /// cost estimate (declared cost 0) and the stealing penalty (declared
+    /// penalty 1).
+    pub(crate) fn fill_defaults(&self, ev: &mut Event) {
+        if let Some(h) = ev.handler {
+            if ev.cost == 0 {
+                ev.cost = self.estimate(h);
+            }
+            if ev.penalty == 1 {
+                ev.penalty = self.penalty(h);
+            }
+        }
     }
 
     /// Records one observed execution time for `id`. Only affects

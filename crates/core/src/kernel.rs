@@ -14,15 +14,14 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use crate::admission::AdmissionCtl;
 use crate::color::Color;
 use crate::ctx::{Ctx, CtxEffects};
 use crate::event::Event;
-use crate::fault::{kind_of_panic, Fault, FaultCtl, FaultKind, FaultPolicy, InjectedPanicMarker};
+use crate::fault::{kind_of_panic, Fault, FaultKind, FaultPolicy, InjectedPanicMarker};
 use crate::fuzz::ScheduleRng;
 use crate::handler::HandlerRegistry;
 use crate::metrics::CoreMetrics;
-use crate::steal::{StealContext, StealPolicy};
+use crate::runtime::Resolved;
 
 /// A pending delayed registration, ordered by due time then
 /// registration order (both executors keep a min-heap of these).
@@ -54,18 +53,17 @@ impl Ord for TimerEntry {
 pub(crate) struct CoreState<'a> {
     pub core: usize,
     pub metrics: &'a mut CoreMetrics,
-    pub faults: &'a FaultCtl,
-    pub admission: &'a AdmissionCtl,
-    pub registry: &'a HandlerRegistry,
     /// The fault-injection draw stream (`Some` iff a plan is armed).
     pub fault_rng: Option<&'a mut ScheduleRng>,
-    pub policy: &'a dyn StealPolicy,
-    pub steal_ctx: StealContext<'a>,
+    /// What the builder resolved: policies, machine, admission, faults.
+    pub cfg: &'a Resolved,
 }
 
 /// One core of one executor, as the kernel sees it.
 pub(crate) trait CoreEnv {
     fn state(&mut self) -> CoreState<'_>;
+    /// Where this executor keeps its handlers (it alone registers them).
+    fn registry(&self) -> &HandlerRegistry;
 
     /// The time a handler reads through [`Ctx::now`].
     fn now(&self) -> u64;
@@ -118,16 +116,16 @@ fn shed_by_fault(m: &mut CoreMetrics, ev: &Event) {
 pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
     let color = ev.color();
     let st = env.state();
-    let me = st.core;
+    let (me, faults) = (st.core, &st.cfg.faults);
     if ev.color_counted {
         // The admission boundary claimed a per-color in-flight slot for
         // this event; dispatching it frees the slot.
-        st.admission.release_color(color.value() as usize);
+        st.cfg.admission.release_color(color.value() as usize);
     }
     // Lazy quarantine drain: a poisoned color's events already queued
     // (or arriving via timers and steals) are discarded at pop time, so
     // the queues shrink through their normal machinery.
-    if st.faults.is_quarantined(color) {
+    if faults.is_quarantined(color) {
         shed_by_fault(st.metrics, &ev);
         return;
     }
@@ -135,14 +133,14 @@ pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
     // one draw per dispatch whenever a plan is armed (even at rate
     // zero), so changing one rate never shifts the other's sites.
     let mut inject_panic = false;
-    if let (Some(plan), Some(rng)) = (st.faults.plan, st.fault_rng) {
+    if let (Some(plan), Some(rng)) = (faults.plan, st.fault_rng) {
         if rng.chance(plan.drop_per_million, 1_000_000) {
             st.metrics
                 .note_fault(Some(color), FaultKind::InjectedDrop.code(), ev.seq);
             if ev.carries_request {
                 st.metrics.failed_requests += 1;
             }
-            st.faults.record(Fault {
+            faults.record(Fault {
                 color: Some(color),
                 handler: ev.handler(),
                 kind: FaultKind::InjectedDrop,
@@ -171,6 +169,7 @@ pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
     // charged, but counts neither an event nor a completion.
     let elapsed = env.finish_event(stamp, color, unwound.is_none().then_some(&fx));
     let st = env.state();
+    let faults = &st.cfg.faults;
     st.metrics.busy_cycles += elapsed;
     if let Some(payload) = unwound {
         let kind = kind_of_panic(payload.as_ref());
@@ -178,14 +177,14 @@ pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
         if ev.carries_request {
             st.metrics.failed_requests += 1;
         }
-        st.faults.record(Fault {
+        faults.record(Fault {
             color: Some(color),
             handler: ev.handler(),
             kind,
         });
-        match st.faults.policy {
+        match faults.policy {
             FaultPolicy::QuarantineColor => {
-                if st.faults.quarantined.quarantine(color) {
+                if faults.quarantined.quarantine(color) {
                     st.metrics.quarantined_colors += 1;
                 }
             }
@@ -202,12 +201,12 @@ pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
     }
     st.metrics.failed_requests += fx.failed;
     if let Some(h) = ev.handler() {
-        st.registry.record(h, elapsed);
+        env.registry().record(h, elapsed);
     }
 
     for (mut delay, ev2) in fx.delayed {
         let st = env.state();
-        if let (Some(plan), Some(rng)) = (st.faults.plan, st.fault_rng) {
+        if let (Some(plan), Some(rng)) = (st.cfg.faults.plan, st.fault_rng) {
             // Injected late timer: the delay stretches, the event still
             // fires. Fingerprint coverage comes from the shifted
             // completion order, not a fault record.
@@ -219,7 +218,7 @@ pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
     }
     for ev2 in fx.registrations {
         let st = env.state();
-        if st.faults.is_quarantined(ev2.color()) {
+        if st.cfg.faults.is_quarantined(ev2.color()) {
             // A surviving handler fanned out into a poisoned color:
             // shed at the registration boundary rather than queue work
             // the drain would discard anyway.
@@ -242,14 +241,17 @@ pub(crate) fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
     let st = env.state();
     let me = st.core;
     st.metrics.steal_attempts += 1;
-    let mut victims = st.policy.victims(me, &loads, &st.steal_ctx);
+    let mut victims = st.cfg.steal_policy.victims(me, &loads, &st.cfg.steal_ctx());
     env.perturb_victims(&mut victims);
     for v in victims {
         if v == me || v >= loads.len() || !env.worth_visiting(v) {
             continue;
         }
-        let st = env.state();
-        let budget = st.policy.steal_budget(me, v, &st.steal_ctx).max(1);
+        let cfg = env.state().cfg;
+        let budget = cfg
+            .steal_policy
+            .steal_budget(me, v, &cfg.steal_ctx())
+            .max(1);
         let Some((events, cost)) = env.migrate(v, budget) else {
             continue;
         };
@@ -259,8 +261,7 @@ pub(crate) fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
         st.metrics.steal_cycles += dur;
         st.metrics.stolen_events += events;
         st.metrics.stolen_cost_cycles += cost;
-        st.metrics
-            .note_steal_tier(st.steal_ctx.domains.tier_of(me, v));
+        st.metrics.note_steal_tier(st.cfg.domains.tier_of(me, v));
         env.record_steal_cost(dur);
         return true;
     }
@@ -273,21 +274,19 @@ pub(crate) fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
 mod tests {
     use super::*;
     use crate::admission::{AdmissionPolicy, QueueLimits};
+    use crate::fault::FaultCtl;
     use crate::fuzz::FaultPlan;
-    use crate::steal::{FlatPolicy, StealDomains, WsPolicy};
-    use mely_topology::MachineModel;
+    use crate::runtime::RuntimeBuilder;
+    use crate::steal::WsPolicy;
 
     /// An executor-free environment whose clock never moves: an event
     /// costs its declaration plus its handler's charge, effects are
     /// recorded as `(delay, color)` / color, and nothing can be stolen.
     struct Recording {
         m: CoreMetrics,
-        faults: FaultCtl,
-        admission: AdmissionCtl,
+        cfg: Resolved,
         registry: HandlerRegistry,
         rng: Option<ScheduleRng>,
-        machine: MachineModel,
-        domains: StealDomains,
         timers: Vec<(u64, u16)>,
         routed: Vec<u16>,
         stopped: bool,
@@ -298,17 +297,12 @@ mod tests {
             CoreState {
                 core: 0,
                 metrics: &mut self.m,
-                faults: &self.faults,
-                admission: &self.admission,
-                registry: &self.registry,
                 fault_rng: self.rng.as_mut(),
-                policy: &FlatPolicy,
-                steal_ctx: StealContext {
-                    ws: WsPolicy::base(),
-                    machine: &self.machine,
-                    domains: &self.domains,
-                },
+                cfg: &self.cfg,
             }
+        }
+        fn registry(&self) -> &HandlerRegistry {
+            &self.registry
         }
         fn now(&self) -> u64 {
             0
@@ -494,30 +488,32 @@ mod tests {
                 timer_spike_per_million: spike,
                 timer_spike_cycles: 500,
             });
-            let machine = MachineModel::xeon_e5410();
+            let mut builder = RuntimeBuilder::new()
+                .cores(2)
+                .workstealing(WsPolicy::base())
+                .queue_limits(QueueLimits::default().per_color_events(4))
+                .admission(AdmissionPolicy::Shed)
+                .fault_policy(case.policy);
+            if let Some(plan) = plan {
+                builder = builder.fault_plan(plan);
+            }
             let mut env = Recording {
                 m: CoreMetrics::default(),
-                faults: FaultCtl::new(case.policy, plan),
-                admission: AdmissionCtl::new(
-                    QueueLimits::default().per_color_events(4),
-                    AdmissionPolicy::Shed,
-                ),
+                cfg: builder.resolve(),
                 registry: HandlerRegistry::new(),
                 rng: plan.map(|p| p.rng()),
-                domains: StealDomains::new(&machine, 2),
-                machine,
                 timers: Vec::new(),
                 routed: Vec::new(),
                 stopped: false,
             };
             if let Some(c) = case.poisoned {
-                env.faults.quarantined.quarantine(Color::new(c));
+                env.cfg.faults.quarantined.quarantine(Color::new(c));
             }
             let mut ev = event(case.tail);
-            assert!(env
-                .admission
-                .admit(&FaultCtl::default(), &mut ev, || (0, 0))
-                .is_ok());
+            // Admitted before the case poisoned anything.
+            let clean = FaultCtl::new(FaultPolicy::default(), None);
+            let admitted = env.cfg.admission.admit(&clean, &mut ev, || (0, 0));
+            assert!(admitted.is_ok());
             let unwound = catch_unwind(AssertUnwindSafe(|| dispatch_one(&mut env, ev))).is_err();
             let name = case.name;
             assert_eq!(unwound, case.policy == FaultPolicy::Abort, "{name}");
@@ -526,16 +522,20 @@ mod tests {
             assert_eq!(env.timers, case.timers, "{name}");
             assert_eq!(env.stopped, case.stopped, "{name}");
             assert_eq!(
-                env.faults.is_quarantined(Color::new(7)),
+                env.cfg.faults.is_quarantined(Color::new(7)),
                 env.m.quarantined_colors == 1 || case.poisoned == Some(7),
                 "{name}"
             );
             assert_eq!(
-                env.faults.log_snapshot().len() as u64,
+                env.cfg.faults.log_snapshot().len() as u64,
                 env.m.faults,
                 "{name}"
             );
-            assert_eq!(env.admission.color_occupancy(7), 0, "slot freed: {name}");
+            assert_eq!(
+                env.cfg.admission.color_occupancy(7),
+                0,
+                "slot freed: {name}"
+            );
         }
     }
 }

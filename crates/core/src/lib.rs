@@ -14,14 +14,14 @@
 //!   the three workstealing heuristics of Section III (locality-aware,
 //!   time-left, penalty-aware), individually toggleable via [`WsPolicy`].
 //!
-//! Two executors run the same scheduler code:
+//! Two executors run the same scheduler code, chosen by [`ExecKind`]:
 //!
-//! - [`sim::SimRuntime`] — a deterministic discrete-event simulation of an
+//! - [`ExecKind::Sim`] — a deterministic discrete-event simulation of an
 //!   N-core machine (virtual cycle clocks, a spinlock contention model, the
 //!   paper's measured cost constants, and an optional cache simulator).
 //!   Every experiment of the paper's evaluation is reproduced on this
 //!   executor.
-//! - [`threaded::ThreadedRuntime`] — a real executor with one OS thread
+//! - [`ExecKind::Threaded`] — a real executor with one OS thread
 //!   per core and spinlock-protected queues, demonstrating that the
 //!   library is an actual runtime and providing the substrate for
 //!   integration tests (and for real speedups on a multicore host).
@@ -39,8 +39,10 @@
 //!
 //! Both executors sit behind one executor-agnostic API ([`exec`]):
 //! applications are written once against the [`exec::Executor`] and
-//! [`exec::Service`] traits and dispatched to either executor by
-//! [`runtime::RuntimeBuilder::build`].
+//! [`exec::Service`] traits, and [`runtime::RuntimeBuilder::build`]
+//! resolves the configuration once and hands back either executor as
+//! the one public executor type, [`Runtime`]. The executors themselves
+//! are private; of [`threaded`] only the injection inbox is public.
 //!
 //! # Quickstart
 //!
@@ -80,7 +82,7 @@ mod kernel;
 pub mod metrics;
 pub mod queue;
 pub mod runtime;
-pub mod sim;
+mod sim;
 pub mod stage;
 pub mod steal;
 pub mod sync;
@@ -100,15 +102,13 @@ pub mod prelude {
     pub use crate::handler::{HandlerId, HandlerSpec};
     pub use crate::metrics::{CoreMetrics, LatencyHistogram, RunFingerprint, RunReport};
     pub use crate::runtime::{Flavor, RuntimeBuilder};
-    pub use crate::sim::SimRuntime;
     pub use crate::stage::{
         Collected, Pipeline, PipelineBuilder, Stage, StageCtx, StageSender, StageSpec,
     };
     pub use crate::steal::{
-        default_steal_policy, FlatPolicy, HierarchicalPolicy, PaperBasePolicy, PaperImprovedPolicy,
-        StealDomains, StealPolicy, StealTier, WsPolicy,
+        default_steal_policy, FlatPolicy, HierarchicalPolicy, StealDomains, StealPolicy, StealTier,
+        WsPolicy,
     };
-    pub use crate::threaded::ThreadedRuntime;
     pub use mely_topology::MachineModel;
 }
 

@@ -275,8 +275,9 @@ impl MelyQueue {
         self.buf_reuses
     }
 
-    /// Empty buffers currently pooled (tests and debugging).
-    pub fn buf_pool_len(&self) -> usize {
+    /// Empty buffers currently pooled.
+    #[cfg(test)]
+    fn buf_pool_len(&self) -> usize {
         self.buf_pool.len()
     }
 

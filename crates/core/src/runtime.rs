@@ -6,12 +6,13 @@ use std::sync::Arc;
 use mely_topology::{CacheLevel, MachineModel};
 
 use crate::admission::{AdmissionCtl, AdmissionPolicy, QueueLimits};
-use crate::cost::CostParams;
+use crate::cost::{CostParams, INITIAL_STEAL_ESTIMATE};
 use crate::exec::{ExecKind, Runtime};
 use crate::fault::{FaultCtl, FaultPolicy};
 use crate::fuzz::{FaultPlan, SchedulePerturbation};
-use crate::sim::{SimConfig, SimRuntime};
-use crate::steal::{default_steal_policy, StealPolicy, WsPolicy};
+use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
+use crate::sim::SimRuntime;
+use crate::steal::{default_steal_policy, StealContext, StealDomains, StealPolicy, WsPolicy};
 use crate::threaded::ThreadedRuntime;
 
 /// Which runtime architecture to use (paper Sections II and IV).
@@ -46,9 +47,8 @@ impl fmt::Display for Flavor {
 ///     .cores(8)
 ///     .flavor(Flavor::Libasync)
 ///     .workstealing(WsPolicy::base())
-///     .build(ExecKind::Sim)
-///     .into_sim();
-/// assert_eq!(rt.config().cores, 8);
+///     .build(ExecKind::Sim);
+/// assert_eq!(rt.cores(), 8);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RuntimeBuilder {
@@ -59,8 +59,6 @@ pub struct RuntimeBuilder {
     costs: CostParams,
     batch_threshold: u32,
     track_cache: bool,
-    max_cycles: Option<u64>,
-    initial_steal_estimate: u64,
     queue_limits: QueueLimits,
     admission: AdmissionPolicy,
     perturb: Option<SchedulePerturbation>,
@@ -87,8 +85,6 @@ impl RuntimeBuilder {
             costs: CostParams::default(),
             batch_threshold: 10,
             track_cache: false,
-            max_cycles: None,
-            initial_steal_estimate: 2_000,
             queue_limits: QueueLimits::default(),
             admission: AdmissionPolicy::default(),
             perturb: None,
@@ -140,19 +136,6 @@ impl RuntimeBuilder {
     /// L2-misses-per-event metrics of Tables V and VI).
     pub fn track_cache(mut self, on: bool) -> Self {
         self.track_cache = on;
-        self
-    }
-
-    /// Hard virtual-time limit for [`SimRuntime::run`].
-    pub fn max_cycles(mut self, cycles: u64) -> Self {
-        self.max_cycles = Some(cycles);
-        self
-    }
-
-    /// Initial steal-cost estimate (cycles) used by the time-left
-    /// heuristic before the first monitored steal (default 2000).
-    pub fn initial_steal_estimate(mut self, cycles: u64) -> Self {
-        self.initial_steal_estimate = cycles;
         self
     }
 
@@ -251,26 +234,6 @@ impl RuntimeBuilder {
         self
     }
 
-    fn resolve(&self) -> (usize, MachineModel) {
-        let machine = match &self.machine {
-            Some(m) => m.clone(),
-            None => {
-                let wanted = self.cores.unwrap_or(8);
-                if wanted <= 8 {
-                    if self.track_cache {
-                        MachineModel::xeon_e5410_scaled()
-                    } else {
-                        MachineModel::xeon_e5410()
-                    }
-                } else {
-                    generic_machine(wanted)
-                }
-            }
-        };
-        let cores = self.cores.unwrap_or_else(|| machine.num_cores());
-        (cores, machine)
-    }
-
     /// Builds the requested executor behind the unified
     /// [`Runtime`] type — the one construction path of the
     /// executor-agnostic API ([`crate::exec`]).
@@ -292,58 +255,104 @@ impl RuntimeBuilder {
     /// Panics if the requested core count is zero or exceeds the machine
     /// model's cores.
     pub fn build(self, kind: ExecKind) -> Runtime {
+        let cfg = self.resolve();
         match kind {
-            ExecKind::Sim => Runtime::Sim(Box::new(self.make_sim())),
-            ExecKind::Threaded => Runtime::Threaded(self.make_threaded()),
+            ExecKind::Sim => Runtime::new(SimRuntime::new(cfg)),
+            ExecKind::Threaded => Runtime::new(ThreadedRuntime::new(cfg)),
         }
     }
 
-    pub(crate) fn make_sim(self) -> SimRuntime {
-        let (cores, machine) = self.resolve();
-        let steal_policy = self
-            .steal_policy
-            .unwrap_or_else(|| default_steal_policy(&machine));
-        SimRuntime::new(SimConfig {
+    /// Everything [`Self::build`] decides before it picks an executor.
+    pub(crate) fn resolve(self) -> Resolved {
+        let machine = self.machine.unwrap_or_else(|| {
+            let wanted = self.cores.unwrap_or(8);
+            if wanted > 8 {
+                generic_machine(wanted)
+            } else if self.track_cache {
+                MachineModel::xeon_e5410_scaled()
+            } else {
+                MachineModel::xeon_e5410()
+            }
+        });
+        let cores = self.cores.unwrap_or_else(|| machine.num_cores());
+        assert!(
+            (1..=machine.num_cores()).contains(&cores),
+            "machine model {} runs 1..={} cores (asked for {cores})",
+            machine.name(),
+            machine.num_cores(),
+        );
+        Resolved {
             cores,
             flavor: self.flavor,
             ws: self.ws,
+            steal_policy: self
+                .steal_policy
+                .unwrap_or_else(|| default_steal_policy(&machine)),
+            domains: StealDomains::new(&machine, cores),
             machine,
-            steal_policy,
-            costs: self.costs,
             batch_threshold: self.batch_threshold,
+            costs: self.costs,
             track_cache: self.track_cache,
-            max_cycles: self.max_cycles,
-            initial_steal_estimate: self.initial_steal_estimate,
-            queue_limits: self.queue_limits,
-            admission: self.admission,
             perturb: self.perturb,
-            fault_policy: self.fault_policy,
-            fault_plan: self.fault_plan,
-        })
+            admission: AdmissionCtl::new(self.queue_limits, self.admission),
+            faults: FaultCtl::new(self.fault_policy, self.fault_plan),
+        }
+    }
+}
+
+/// One runtime as [`RuntimeBuilder::build`] resolved it: everything that
+/// does not depend on which executor runs it, decided exactly once. Both
+/// executors, the simulator's mailbox and the kernel's per-core state
+/// borrow this one struct.
+pub(crate) struct Resolved {
+    /// Running cores (validated against `machine`).
+    pub cores: usize,
+    pub machine: MachineModel,
+    pub flavor: Flavor,
+    pub ws: WsPolicy,
+    /// Victim selection and steal budgets (see [`StealPolicy`]).
+    pub steal_policy: Arc<dyn StealPolicy>,
+    /// Steal tiers of the running cores (see [`crate::steal::domains`]).
+    pub domains: StealDomains,
+    pub batch_threshold: u32,
+    /// Virtual price of each runtime operation; the threaded executor
+    /// pays real time instead.
+    pub costs: CostParams,
+    /// Whether the simulator runs the cache simulator.
+    pub track_cache: bool,
+    /// Seeded schedule perturbation, simulator only: the threaded
+    /// executor's interleavings come from real OS scheduling, which is
+    /// the nondeterminism this mode emulates. The fault plan in `faults`,
+    /// by contrast, is honored on threads too — probabilistic there
+    /// rather than replayable.
+    pub perturb: Option<SchedulePerturbation>,
+    /// Queue limits, admission policy, per-color occupancy and the
+    /// producer-side reject/shed counters (see [`crate::admission`]).
+    pub admission: AdmissionCtl,
+    /// Fault policy, injection plan, quarantine membership and the fault
+    /// log (see [`crate::fault`]): consulted at dispatch and at admission.
+    pub faults: FaultCtl,
+}
+
+impl Resolved {
+    /// What a [`StealPolicy`] gets to look at.
+    pub(crate) fn steal_ctx(&self) -> StealContext<'_> {
+        StealContext {
+            ws: self.ws,
+            machine: &self.machine,
+            domains: &self.domains,
+        }
     }
 
-    pub(crate) fn make_threaded(self) -> ThreadedRuntime {
-        // `self.perturb` is deliberately dropped here: the threaded
-        // executor's interleavings come from real OS scheduling, which
-        // is the nondeterminism the sim's perturbation mode emulates.
-        // The fault plan, by contrast, is kept: injection is meaningful
-        // chaos on real threads too, just probabilistic rather than
-        // replayable.
-        let (cores, machine) = self.resolve();
-        let steal_policy = self
-            .steal_policy
-            .unwrap_or_else(|| default_steal_policy(&machine));
-        ThreadedRuntime::new(
-            cores,
-            self.flavor,
-            self.ws,
-            machine,
-            steal_policy,
-            self.batch_threshold,
-            self.initial_steal_estimate,
-            AdmissionCtl::new(self.queue_limits, self.admission),
-            FaultCtl::new(self.fault_policy, self.fault_plan),
-        )
+    /// An empty per-core queue of the configured flavor, holding the
+    /// steal-cost estimate every runtime starts from.
+    pub(crate) fn new_queue(&self) -> QueueImpl {
+        let mut q = match self.flavor {
+            Flavor::Libasync => QueueImpl::Legacy(LegacyQueue::new()),
+            Flavor::Mely => QueueImpl::Mely(MelyQueue::new(self.ws.penalty)),
+        };
+        q.set_steal_cost_estimate(INITIAL_STEAL_ESTIMATE);
+        q
     }
 }
 
@@ -380,25 +389,25 @@ fn generic_machine(cores: usize) -> MachineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Executor;
 
     #[test]
     fn defaults_follow_the_paper() {
-        let rt = RuntimeBuilder::new().make_sim();
-        assert_eq!(rt.config().cores, 8);
-        assert_eq!(rt.config().batch_threshold, 10);
-        assert_eq!(rt.config().flavor, Flavor::Mely);
-        assert!(!rt.config().ws.enabled);
+        let cfg = RuntimeBuilder::new().resolve();
+        assert_eq!(cfg.cores, 8);
+        assert_eq!(cfg.batch_threshold, 10);
+        assert_eq!(cfg.flavor, Flavor::Mely);
+        assert!(!cfg.ws.enabled);
     }
 
     #[test]
     fn build_returns_the_requested_executor() {
-        use crate::exec::Executor;
-        let rt = RuntimeBuilder::new().cores(2).build(ExecKind::Sim);
-        assert_eq!(rt.kind(), ExecKind::Sim);
-        assert!(rt.as_sim().is_some());
-        let rt = RuntimeBuilder::new().cores(2).build(ExecKind::Threaded);
-        assert_eq!(rt.kind(), ExecKind::Threaded);
-        assert!(rt.as_threaded().is_some());
+        for kind in [ExecKind::Sim, ExecKind::Threaded] {
+            let rt = RuntimeBuilder::new().cores(2).build(kind);
+            assert_eq!(rt.kind(), kind);
+            assert_eq!(rt.injector().kind(), kind);
+            assert_eq!(rt.cores(), 2);
+        }
     }
 
     /// The 0.2 deprecation cycle is complete: the `build_sim` /
@@ -408,18 +417,9 @@ mod tests {
     /// pins their *replacements*.
     #[test]
     fn removed_aliases_have_working_replacements() {
-        // `build_sim()` → `build(ExecKind::Sim)` (+ `into_sim` when the
-        // concrete runtime is needed); same for the threaded executor.
-        let rt = RuntimeBuilder::new()
-            .cores(2)
-            .build(ExecKind::Sim)
-            .into_sim();
-        assert_eq!(rt.config().cores, 2);
-        let mut rt = RuntimeBuilder::new()
-            .cores(2)
-            .build(ExecKind::Threaded)
-            .into_threaded();
-        assert_eq!(rt.cores(), 2);
+        // `build_sim()` → `build(ExecKind::Sim)`; same for the threaded
+        // executor.
+        let mut rt = RuntimeBuilder::new().cores(2).build(ExecKind::Threaded);
 
         // `label()` → the Display impls.
         assert_eq!(Flavor::Mely.to_string(), "Mely");
@@ -430,7 +430,6 @@ mod tests {
         // `rt.injector()`.
         use crate::color::Color;
         use crate::event::Event;
-        use crate::exec::Executor;
         rt.register(Event::new(Color::new(1), 0).with_action(|ctx| {
             ctx.register_after(50_000_000, Event::new(Color::new(1), 0));
         }));
@@ -455,8 +454,7 @@ mod tests {
                     .inbox_backlog(1_024),
             )
             .admission(AdmissionPolicy::Shed)
-            .build(ExecKind::Threaded)
-            .into_threaded();
+            .build(ExecKind::Threaded);
         let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             handle.inject(Event::new(Color::new(7), 0));
@@ -471,23 +469,23 @@ mod tests {
 
     #[test]
     fn large_core_counts_get_a_generic_machine() {
-        let rt = RuntimeBuilder::new().cores(16).make_sim();
-        assert_eq!(rt.config().machine.num_cores(), 16);
+        let cfg = RuntimeBuilder::new().cores(16).resolve();
+        assert_eq!(cfg.machine.num_cores(), 16);
     }
 
     #[test]
     fn track_cache_defaults_to_scaled_model() {
-        let rt = RuntimeBuilder::new().cores(8).track_cache(true).make_sim();
-        assert!(rt.config().machine.name().contains("scaled"));
+        let cfg = RuntimeBuilder::new().cores(8).track_cache(true).resolve();
+        assert!(cfg.machine.name().contains("scaled"));
     }
 
     #[test]
-    #[should_panic(expected = "only")]
+    #[should_panic(expected = "runs 1..=8 cores (asked for 12)")]
     fn too_many_cores_for_explicit_machine_panics() {
         let _ = RuntimeBuilder::new()
             .cores(12)
             .machine(MachineModel::xeon_e5410())
-            .make_sim();
+            .resolve();
     }
 
     #[test]
@@ -499,7 +497,7 @@ mod tests {
 
     #[test]
     fn batch_threshold_clamps_to_one() {
-        let rt = RuntimeBuilder::new().batch_threshold(0).make_sim();
-        assert_eq!(rt.config().batch_threshold, 1);
+        let cfg = RuntimeBuilder::new().batch_threshold(0).resolve();
+        assert_eq!(cfg.batch_threshold, 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic discrete-event simulation of an N-core machine.
 //!
-//! This executor substitutes for the paper's 8-core Xeon testbed (see
-//! DESIGN.md): each virtual core has its own cycle clock, queue operations
+//! This executor substitutes for the paper's 8-core Xeon testbed: each
+//! virtual core has its own cycle clock, queue operations
 //! and steals are charged with the paper's measured cost constants
 //! ([`crate::cost::CostParams`]), spinlock contention is modelled by
 //! per-lock availability times, and — optionally — every event
@@ -39,64 +39,19 @@ use std::sync::Arc;
 
 use mely_cachesim::Hierarchy;
 
-use crate::admission::{AdmissionCtl, AdmissionPolicy, QueueLimits};
 use crate::color::{Color, COLOR_SPACE};
-use crate::cost::{CostParams, Ewma};
+use crate::cost::{Ewma, INITIAL_STEAL_ESTIMATE};
 use crate::ctx::CtxEffects;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
 use crate::exec::{Door, ExecKind, Executor, Injector, SimMailbox};
-use crate::fault::{FaultCtl, FaultPolicy};
-use crate::fuzz::{FaultPlan, SchedulePerturbation, ScheduleRng};
+use crate::fuzz::{SchedulePerturbation, ScheduleRng};
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
 use crate::kernel::{self, CoreEnv, CoreState, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
-use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
-use crate::runtime::Flavor;
-use crate::steal::{StealContext, StealDomains, StealPolicy, WsPolicy};
-use mely_topology::MachineModel;
-
-/// Configuration of a [`SimRuntime`] (built by
-/// [`crate::runtime::RuntimeBuilder`]).
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Number of simulated cores (≤ the machine model's core count).
-    pub cores: usize,
-    /// Queue architecture.
-    pub flavor: Flavor,
-    /// Workstealing policy.
-    pub ws: WsPolicy,
-    /// Machine model (topology, latencies, frequency).
-    pub machine: MachineModel,
-    /// Victim-selection and steal-budget policy
-    /// ([`crate::steal::StealPolicy`]). The builder defaults this to
-    /// [`crate::steal::default_steal_policy`] for the machine;
-    /// `FlatPolicy` reproduces the pre-policy victim choices bit for
-    /// bit.
-    pub steal_policy: Arc<dyn StealPolicy>,
-    /// Runtime operation costs.
-    pub costs: CostParams,
-    /// Max events of one color processed in a row (10 in the paper).
-    pub batch_threshold: u32,
-    /// Whether to simulate caches (slower; required for miss metrics).
-    pub track_cache: bool,
-    /// Hard stop after this much virtual time, if set.
-    pub max_cycles: Option<u64>,
-    /// Initial steal-cost estimate before any steal was monitored.
-    pub initial_steal_estimate: u64,
-    /// Admission-boundary queue limits (default: unbounded).
-    pub queue_limits: QueueLimits,
-    /// What infallible injection does when a limit is hit.
-    pub admission: AdmissionPolicy,
-    /// Seeded schedule perturbation ([`crate::fuzz`]); `None` (the
-    /// default) keeps the canonical deterministic schedule.
-    pub perturb: Option<SchedulePerturbation>,
-    /// Response to a contained handler fault ([`crate::fault`]).
-    pub fault_policy: FaultPolicy,
-    /// Seeded fault injection ([`crate::fuzz::FaultPlan`]); `None` (the
-    /// default) injects nothing and keeps the hot paths draw-free.
-    pub fault_plan: Option<FaultPlan>,
-}
+use crate::queue::QueueImpl;
+use crate::runtime::{Flavor, Resolved};
+use crate::steal::WsPolicy;
 
 struct SimCore {
     queue: QueueImpl,
@@ -117,13 +72,10 @@ impl SimCore {
 }
 
 /// The deterministic multicore simulator.
-pub struct SimRuntime {
-    cfg: SimConfig,
-    /// Steal tiers over the running cores, computed once from the
-    /// machine model and consulted by the steal path (victim tiers for
-    /// the per-tier counters; the policy reads it through
-    /// [`StealContext`]).
-    domains: StealDomains,
+pub(crate) struct SimRuntime {
+    /// What the builder resolved, shared with the mailbox (which admits
+    /// against the same limits and quarantine set).
+    cfg: Arc<Resolved>,
     cores: Vec<SimCore>,
     /// Current owner core per color (`u32::MAX` = unassigned).
     color_owner: Vec<u32>,
@@ -143,11 +95,8 @@ pub struct SimRuntime {
     /// The decision stream for schedule perturbation (`Some` iff
     /// `cfg.perturb` is). Replay = fresh runtime + same seed.
     sched_rng: Option<ScheduleRng>,
-    /// Fault policy, quarantine set and fault log, shared with the
-    /// mailbox (which rejects quarantined colors at admission).
-    faults: Arc<FaultCtl>,
-    /// The dedicated fault-injection decision stream (`Some` iff a
-    /// non-noop `cfg.fault_plan` is). Kept separate from `sched_rng` so
+    /// The dedicated fault-injection decision stream (`Some` iff
+    /// `cfg.faults` holds a plan). Kept separate from `sched_rng` so
     /// enabling faults never shifts the schedule-perturbation draws.
     fault_rng: Option<ScheduleRng>,
 }
@@ -161,112 +110,38 @@ fn event_addr(seq: u64) -> u64 {
 }
 
 impl SimRuntime {
-    /// Creates a simulator from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero or exceeds the machine model's cores.
-    pub fn new(cfg: SimConfig) -> Self {
-        assert!(cfg.cores > 0, "need at least one core");
-        assert!(
-            cfg.cores <= cfg.machine.num_cores(),
-            "machine model {} has only {} cores (asked for {})",
-            cfg.machine.name(),
-            cfg.machine.num_cores(),
-            cfg.cores
-        );
+    pub(crate) fn new(cfg: Resolved) -> Self {
+        let cfg = Arc::new(cfg);
         let cores = (0..cfg.cores)
             .map(|_| SimCore {
-                queue: match cfg.flavor {
-                    Flavor::Libasync => QueueImpl::Legacy(LegacyQueue::new()),
-                    Flavor::Mely => QueueImpl::Mely(MelyQueue::new(cfg.ws.penalty)),
-                },
+                queue: cfg.new_queue(),
                 clock: 0,
                 lock_free_at: 0,
                 in_flight: None,
                 metrics: CoreMetrics::default(),
             })
             .collect();
-        let cache = cfg.track_cache.then(|| Hierarchy::new(&cfg.machine));
-        let initial_est = cfg.initial_steal_estimate;
-        let faults = Arc::new(FaultCtl::new(cfg.fault_policy, cfg.fault_plan));
-        let mailbox = Arc::new(SimMailbox::new(
-            AdmissionCtl::new(cfg.queue_limits, cfg.admission),
-            cfg.cores,
-            Arc::clone(&faults),
-        ));
-        let sched_rng = cfg.perturb.map(|p| p.rng());
-        let fault_rng = faults.plan.map(|p| p.rng());
-        let domains = StealDomains::new(&cfg.machine, cfg.cores);
-        let mut rt = SimRuntime {
-            cfg,
-            domains,
+        SimRuntime {
             cores,
             color_owner: vec![u32::MAX; COLOR_SPACE],
             registry: HandlerRegistry::new(),
             timers: BinaryHeap::new(),
             ds_alloc: DataSetAlloc::new(),
-            cache: None,
-            steal_est: Ewma::new(initial_est),
+            cache: cfg.track_cache.then(|| Hierarchy::new(&cfg.machine)),
+            steal_est: Ewma::new(INITIAL_STEAL_ESTIMATE),
             next_seq: 0,
             stopped: false,
             attempt_wait: 0,
-            mailbox,
-            sched_rng,
-            faults,
-            fault_rng,
-        };
-        rt.cache = cache;
-        rt.sync_steal_estimates();
-        rt
-    }
-
-    /// The configuration this simulator runs with.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Registers an application handler (name, cost annotation, penalty).
-    pub fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
-        self.registry.register(spec)
-    }
-
-    /// The runtime's current cost estimate for a handler: the annotation,
-    /// or the monitored EWMA for [`crate::handler::CostSource::Measured`]
-    /// handlers (the paper's future-work extension, Section VII).
-    pub fn handler_estimate(&self, id: HandlerId) -> u64 {
-        self.registry.estimate(id)
-    }
-
-    /// Allocates a simulated data set of `len` bytes.
-    pub fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
-        self.ds_alloc.alloc(len)
+            mailbox: Arc::new(SimMailbox::new(Arc::clone(&cfg))),
+            sched_rng: cfg.perturb.map(|p| p.rng()),
+            fault_rng: cfg.faults.plan.map(|p| p.rng()),
+            cfg,
+        }
     }
 
     /// Maximum virtual time reached by any core.
-    pub fn virtual_now(&self) -> u64 {
+    fn virtual_now(&self) -> u64 {
         self.cores.iter().map(|c| c.clock).max().unwrap_or(0)
-    }
-
-    /// Registers an event from outside the runtime. It is dispatched to
-    /// the core owning its color (initially the color's home core).
-    pub fn register(&mut self, ev: Event) {
-        let owner = self.owner_of(ev.color());
-        self.push_to(owner, ev, 0);
-    }
-
-    /// Registers an event and pins its color to `core` (overriding the
-    /// hash dispatch) — how the microbenchmarks create their initial
-    /// imbalance ("50000 events are registered on the first core",
-    /// Section V-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn register_pinned(&mut self, ev: Event, core: usize) {
-        assert!(core < self.cores.len(), "core out of range");
-        self.color_owner[ev.color().value() as usize] = core as u32;
-        self.push_to(core, ev, 0);
     }
 
     fn owner_of(&mut self, color: Color) -> usize {
@@ -283,14 +158,7 @@ impl SimRuntime {
     /// Prepares an event (sequence number, handler-derived cost/penalty)
     /// and pushes it to `core` with the given visibility time.
     fn push_to(&mut self, core: usize, mut ev: Event, visible_at: u64) {
-        if let Some(h) = ev.handler {
-            if ev.cost == 0 {
-                ev.cost = self.registry.estimate(h);
-            }
-            if ev.penalty == 1 {
-                ev.penalty = self.registry.penalty(h);
-            }
-        }
+        self.registry.fill_defaults(&mut ev);
         ev.seq = self.next_seq;
         self.next_seq += 1;
         ev.visible_at = visible_at;
@@ -352,128 +220,6 @@ impl SimRuntime {
         }
     }
 
-    /// Runs until every queue and timer drains (or a handler called
-    /// [`crate::ctx::Ctx::stop_runtime`], or `max_cycles` elapsed), then returns the
-    /// cumulative report. Can be called again after registering more
-    /// events; clocks and metrics accumulate.
-    pub fn run(&mut self) -> RunReport {
-        self.stopped = false;
-        let mut iters: u64 = 0;
-        let mut last_progress = (0u64, 0u64); // (iters, events at checkpoint)
-        loop {
-            iters += 1;
-            if iters.is_multiple_of(10_000_000) {
-                // Livelock watchdog: virtual time always advances, but if
-                // tens of millions of scheduling decisions pass without a
-                // single event executing, something is structurally wrong.
-                let processed: u64 = self.cores.iter().map(|c| c.metrics.events_processed).sum();
-                if processed == last_progress.1 {
-                    panic!(
-                        "simulation livelock: no event executed between \
-                         iterations {} and {iters}",
-                        last_progress.0
-                    );
-                }
-                last_progress = (iters, processed);
-            }
-            if self.stopped {
-                break;
-            }
-            if self.mailbox.stopped() {
-                break;
-            }
-            self.drain_mailbox();
-            if let Some(limit) = self.cfg.max_cycles {
-                if self.virtual_now() >= limit {
-                    break;
-                }
-            }
-            // Deliver timers that are due with respect to the slowest
-            // core (they only carry a visibility floor, so delivering
-            // early is harmless; this just keeps the heap small).
-            let min_clock = self.cores.iter().map(|c| c.clock).min().unwrap_or(0);
-            self.deliver_timers(min_clock);
-
-            // Pick the earliest actionable core. An idle core may only
-            // attempt steals while its clock has not raced past every
-            // core that actually holds work (a real idle core stops
-            // spinning the moment work appears; letting its virtual
-            // clock run ahead would delay any set it later steals).
-            let total = self.total_queued();
-            let busy_horizon = self
-                .cores
-                .iter()
-                .filter(|c| !c.queue.is_empty())
-                .map(|c| c.clock.max(c.lock_free_at))
-                .max();
-            let slack = 4 * self.cfg.costs.idle_recheck;
-            let scramble = self.cfg.perturb.is_some_and(|p| p.scramble_core_pick);
-            let mut best: Option<(u64, usize)> = None;
-            let mut actionable: Vec<usize> = Vec::new();
-            for i in 0..self.cores.len() {
-                let qlen = self.cores[i].queue.len();
-                let clock = self.cores[i].clock;
-                let can_steal = self.cfg.ws.enabled
-                    && total > qlen
-                    && total > 0
-                    && busy_horizon.is_some_and(|h| clock <= h + slack);
-                if qlen > 0 || can_steal {
-                    if scramble {
-                        actionable.push(i);
-                    }
-                    if best.is_none_or(|(bt, _)| clock < bt) {
-                        best = Some((clock, i));
-                    }
-                }
-            }
-            if scramble && !actionable.is_empty() {
-                // Perturbed core pick: any actionable core may step next,
-                // not just the earliest clock — this shifts *when* each
-                // core runs (and checks for steals) relative to its
-                // peers while every legal choice still makes progress.
-                let rng = self.sched_rng.as_mut().expect("perturb implies rng");
-                let i = actionable[rng.pick(actionable.len())];
-                best = Some((self.cores[i].clock, i));
-            }
-            match best {
-                Some((_, c)) => self.step(c),
-                None => {
-                    // Nothing runnable: deliver the earliest timer batch,
-                    // or finish.
-                    let Some(Reverse(next)) = self.timers.peek() else {
-                        // Queues and timers are empty: everything
-                        // absorbed so far has executed.
-                        self.mailbox.set_machine_idle(true);
-                        if self.mailbox.holds_open() {
-                            // An external producer holds a keepalive (or
-                            // has pushed events we have not drained yet):
-                            // wait for it instead of returning. Real
-                            // waiting, not scheduling work — keep it out
-                            // of the livelock watchdog's iteration count.
-                            iters -= 1;
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        break;
-                    };
-                    self.deliver_timers(next.due);
-                }
-            }
-        }
-        // Consume any stop request on the way out (like the threaded
-        // executor after its workers join), so a later `run` proceeds.
-        self.mailbox.clear_stop();
-        self.report()
-    }
-
-    /// A cloneable, `Send` handle for registering events from other
-    /// threads ([`crate::exec::Injector`]); the run loop absorbs its
-    /// mailbox at iteration boundaries. Single-threaded simulations
-    /// never touch it and stay fully deterministic.
-    pub fn injector(&self) -> Injector {
-        Injector::for_sim(Arc::clone(&self.mailbox))
-    }
-
     /// Absorbs externally injected events ([`crate::exec::Injector`])
     /// into the owning cores' queues and the timer heap.
     ///
@@ -507,9 +253,9 @@ impl SimRuntime {
     }
 
     /// Snapshot of the cumulative metrics.
-    pub fn report(&self) -> RunReport {
+    fn report(&self) -> RunReport {
         let mut per_core: Vec<CoreMetrics> = self.cores.iter().map(|c| c.metrics).collect();
-        self.mailbox.admission.attribute_to(&mut per_core[0]);
+        self.cfg.admission.attribute_to(&mut per_core[0]);
         if let Some(cache) = &self.cache {
             for (i, m) in per_core.iter_mut().enumerate() {
                 m.l2_misses = cache.level_stats(i, 2).map_or(0, |s| s.misses);
@@ -521,7 +267,7 @@ impl SimRuntime {
             self.cfg.machine.freq_hz(),
             self.cfg.ws,
         )
-        .with_fault_log(self.faults.log_snapshot())
+        .with_fault_log(self.cfg.faults.log_snapshot())
     }
 
     fn step(&mut self, c: usize) {
@@ -613,17 +359,13 @@ impl CoreEnv for OnCore<'_> {
         CoreState {
             core: self.c,
             metrics: &mut rt.cores[self.c].metrics,
-            faults: &rt.faults,
-            admission: &rt.mailbox.admission,
-            registry: &rt.registry,
             fault_rng: rt.fault_rng.as_mut(),
-            policy: &*rt.cfg.steal_policy,
-            steal_ctx: StealContext {
-                ws: rt.cfg.ws,
-                machine: &rt.cfg.machine,
-                domains: &rt.domains,
-            },
+            cfg: &rt.cfg,
         }
+    }
+
+    fn registry(&self) -> &HandlerRegistry {
+        &self.rt.registry
     }
 
     fn now(&self) -> u64 {
@@ -799,45 +541,155 @@ impl Executor for SimRuntime {
     }
 
     fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
-        SimRuntime::register_handler(self, spec)
+        self.registry.register(spec)
     }
 
     fn handler_estimate(&self, id: HandlerId) -> u64 {
-        SimRuntime::handler_estimate(self, id)
+        self.registry.estimate(id)
     }
 
     fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
-        SimRuntime::alloc_dataset(self, len)
+        self.ds_alloc.alloc(len)
     }
 
     fn register(&mut self, ev: Event) {
-        SimRuntime::register(self, ev);
+        let owner = self.owner_of(ev.color());
+        self.push_to(owner, ev, 0);
     }
 
+    /// "50000 events are registered on the first core" (Section V-B).
     fn register_pinned(&mut self, ev: Event, core: usize) {
-        SimRuntime::register_pinned(self, ev, core);
+        assert!(core < self.cores.len(), "core out of range");
+        self.color_owner[ev.color().value() as usize] = core as u32;
+        self.push_to(core, ev, 0);
     }
 
+    /// Single-threaded simulations never touch the mailbox behind it and
+    /// stay fully deterministic.
     fn injector(&self) -> Injector {
-        SimRuntime::injector(self)
+        Injector::for_sim(Arc::clone(&self.mailbox))
     }
 
+    /// Clocks and metrics accumulate across calls: the report is
+    /// cumulative.
     fn run(&mut self) -> RunReport {
-        SimRuntime::run(self)
+        self.stopped = false;
+        let mut iters: u64 = 0;
+        let mut last_progress = (0u64, 0u64); // (iters, events at checkpoint)
+        loop {
+            iters += 1;
+            if iters.is_multiple_of(10_000_000) {
+                // Livelock watchdog: virtual time always advances, but if
+                // tens of millions of scheduling decisions pass without a
+                // single event executing, something is structurally wrong.
+                let processed: u64 = self.cores.iter().map(|c| c.metrics.events_processed).sum();
+                if processed == last_progress.1 {
+                    panic!(
+                        "simulation livelock: no event executed between \
+                         iterations {} and {iters}",
+                        last_progress.0
+                    );
+                }
+                last_progress = (iters, processed);
+            }
+            if self.stopped {
+                break;
+            }
+            if self.mailbox.stopped() {
+                break;
+            }
+            self.drain_mailbox();
+            // Deliver timers that are due with respect to the slowest
+            // core (they only carry a visibility floor, so delivering
+            // early is harmless; this just keeps the heap small).
+            let min_clock = self.cores.iter().map(|c| c.clock).min().unwrap_or(0);
+            self.deliver_timers(min_clock);
+
+            // Pick the earliest actionable core. An idle core may only
+            // attempt steals while its clock has not raced past every
+            // core that actually holds work (a real idle core stops
+            // spinning the moment work appears; letting its virtual
+            // clock run ahead would delay any set it later steals).
+            let total = self.total_queued();
+            let busy_horizon = self
+                .cores
+                .iter()
+                .filter(|c| !c.queue.is_empty())
+                .map(|c| c.clock.max(c.lock_free_at))
+                .max();
+            let slack = 4 * self.cfg.costs.idle_recheck;
+            let scramble = self.cfg.perturb.is_some_and(|p| p.scramble_core_pick);
+            let mut best: Option<(u64, usize)> = None;
+            let mut actionable: Vec<usize> = Vec::new();
+            for i in 0..self.cores.len() {
+                let qlen = self.cores[i].queue.len();
+                let clock = self.cores[i].clock;
+                let can_steal = self.cfg.ws.enabled
+                    && total > qlen
+                    && total > 0
+                    && busy_horizon.is_some_and(|h| clock <= h + slack);
+                if qlen > 0 || can_steal {
+                    if scramble {
+                        actionable.push(i);
+                    }
+                    if best.is_none_or(|(bt, _)| clock < bt) {
+                        best = Some((clock, i));
+                    }
+                }
+            }
+            if scramble && !actionable.is_empty() {
+                // Perturbed core pick: any actionable core may step next,
+                // not just the earliest clock — this shifts *when* each
+                // core runs (and checks for steals) relative to its
+                // peers while every legal choice still makes progress.
+                let rng = self.sched_rng.as_mut().expect("perturb implies rng");
+                let i = actionable[rng.pick(actionable.len())];
+                best = Some((self.cores[i].clock, i));
+            }
+            match best {
+                Some((_, c)) => self.step(c),
+                None => {
+                    // Nothing runnable: deliver the earliest timer batch,
+                    // or finish.
+                    let Some(Reverse(next)) = self.timers.peek() else {
+                        // Queues and timers are empty: everything
+                        // absorbed so far has executed.
+                        self.mailbox.set_machine_idle(true);
+                        if self.mailbox.holds_open() {
+                            // An external producer holds a keepalive (or
+                            // has pushed events we have not drained yet):
+                            // wait for it instead of returning. Real
+                            // waiting, not scheduling work — keep it out
+                            // of the livelock watchdog's iteration count.
+                            iters -= 1;
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        break;
+                    };
+                    self.deliver_timers(next.due);
+                }
+            }
+        }
+        // Consume any stop request on the way out (like the threaded
+        // executor after its workers join), so a later `run` proceeds.
+        self.mailbox.clear_stop();
+        self.report()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Runtime;
     use crate::runtime::RuntimeBuilder;
 
-    fn sim(flavor: Flavor, ws: WsPolicy, cores: usize) -> SimRuntime {
+    fn sim(flavor: Flavor, ws: WsPolicy, cores: usize) -> Runtime {
         RuntimeBuilder::new()
             .cores(cores)
             .flavor(flavor)
             .workstealing(ws)
-            .make_sim()
+            .build(ExecKind::Sim)
     }
 
     #[test]
@@ -970,7 +822,7 @@ mod tests {
             .flavor(Flavor::Mely)
             .workstealing(WsPolicy::off())
             .track_cache(true)
-            .make_sim();
+            .build(ExecKind::Sim);
         let ds = rt.alloc_dataset(64 * 100);
         rt.register(Event::new(Color::new(1), 100).touching(ds));
         let r = rt.run();
@@ -1007,20 +859,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn max_cycles_stops_the_run() {
-        let mut rt = RuntimeBuilder::new()
-            .cores(1)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::off())
-            .max_cycles(10_000)
-            .make_sim();
-        for _ in 0..1_000 {
-            rt.register(Event::new(Color::new(1), 1_000));
-        }
-        let r = rt.run();
-        assert!(r.events_processed() < 1_000);
     }
 }

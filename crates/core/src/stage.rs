@@ -20,8 +20,7 @@
 //!   [`ColorSpace`] allocator — no hand-picked `u16`s;
 //! - inside a handler, [`StageCtx::to`] emits a typed message to the
 //!   next stage (the event's cost and penalty come from that stage's
-//!   spec; the color follows the target's coloring, with
-//!   [`StageCtx::to_colored`] for explicit re-coloring), and
+//!   spec; the color follows the target's coloring), and
 //!   [`StageCtx::complete`] finishes a request — stamping its
 //!   end-to-end latency into the per-request histogram surfaced as
 //!   [`RunReport::latency_p50`](crate::metrics::RunReport::latency_p50) /
@@ -103,7 +102,6 @@ use std::sync::Arc;
 use fxhash::FxHashMap;
 use parking_lot::Mutex;
 
-use crate::admission::{Admitted, Overload};
 use crate::color::{Color, ColorSpace, KeyedPlane};
 use crate::ctx::Ctx;
 use crate::event::Event;
@@ -140,8 +138,7 @@ enum Coloring<M> {
     /// One color for the whole stage, allocated by the pipeline's
     /// [`ColorSpace`]: every message to this stage serializes.
     Serial,
-    /// Same color as the emitting event (or an explicit
-    /// [`StageCtx::to_colored`] / [`PipelineBuilder::seed_colored`]).
+    /// Same color as the emitting event.
     Inherit,
     /// Hashed per message into the pipeline's [`ColorSpace`] class of
     /// the keyed plane ([`ColorSpace::keyed`]; disjoint from the
@@ -359,26 +356,25 @@ impl Router {
 #[inline]
 fn emit<N: Stage>(
     router: &'static Router,
-    explicit: Option<Color>,
     inherited: Option<Color>,
     req: ReqToken,
     msg: N::In,
 ) -> Event {
     let entry = router.entry::<N>();
     let meta = router.meta::<N>(entry);
-    let color = explicit.unwrap_or_else(|| match meta.coloring {
+    let color = match meta.coloring {
         Coloring::Serial | Coloring::SameAs(..) => {
             entry.color.expect("serial color resolved at build")
         }
         Coloring::Inherit => inherited.unwrap_or_else(|| {
             panic!(
-                "stage `{}` inherits its color: emit from another stage, \
-                 or use to_colored/seed_colored/submit_colored",
+                "stage `{}` inherits its color: it takes messages only from \
+                 another stage's handler, never a seed or a submission",
                 entry.type_name
             )
         }),
         Coloring::Keyed(key) => router.keyed.color(key(&msg)),
-    });
+    };
     let handler = entry.handler;
     let mut ev = Event::for_handler(color, handler).with_action(move |ctx| {
         // `meta` and `router` are `Copy` `&'static` references into the
@@ -453,15 +449,7 @@ impl<'a, 'b> StageCtx<'a, 'b> {
     /// `N`'s coloring (an `Inherit` target keeps this event's color).
     #[inline]
     pub fn to<N: Stage>(&mut self, msg: N::In) {
-        let ev = emit::<N>(self.router, None, Some(self.color), self.req, msg);
-        self.ctx.register(ev);
-    }
-
-    /// Emits `msg` to stage `N` under an explicit color, forwarding the
-    /// current request — the escape hatch for re-coloring mid-chain.
-    #[inline]
-    pub fn to_colored<N: Stage>(&mut self, color: Color, msg: N::In) {
-        let ev = emit::<N>(self.router, Some(color), None, self.req, msg);
+        let ev = emit::<N>(self.router, Some(self.color), self.req, msg);
         self.ctx.register(ev);
     }
 
@@ -470,7 +458,7 @@ impl<'a, 'b> StageCtx<'a, 'b> {
     /// (poll-loop re-arms, timeouts).
     #[inline]
     pub fn to_after<N: Stage>(&mut self, delay: u64, msg: N::In) {
-        let ev = emit::<N>(self.router, None, Some(self.color), self.req, msg);
+        let ev = emit::<N>(self.router, Some(self.color), self.req, msg);
         self.ctx.register_after(delay, ev);
     }
 
@@ -484,7 +472,7 @@ impl<'a, 'b> StageCtx<'a, 'b> {
     #[inline]
     pub fn spawn<N: Stage>(&mut self, msg: N::In) {
         let req = ReqToken { t0: self.ctx.now() };
-        let ev = emit::<N>(self.router, None, Some(self.color), req, msg);
+        let ev = emit::<N>(self.router, Some(self.color), req, msg);
         self.ctx.register(ev);
     }
 
@@ -700,21 +688,10 @@ impl PipelineBuilder {
     /// # Panics
     ///
     /// Panics **at install** if `S` inherits its color (seeds have no
-    /// emitter to inherit from — use [`PipelineBuilder::seed_colored`]).
+    /// emitter to inherit from).
     pub fn seed<S: Stage>(mut self, msg: S::In) -> Self {
         self.seeds.push(Seed {
-            make: Box::new(move |router| emit::<S>(router, None, None, ReqToken::fresh(), msg)),
-            pin_core: None,
-        });
-        self
-    }
-
-    /// Queues an initial message for stage `S` under an explicit color.
-    pub fn seed_colored<S: Stage>(mut self, color: Color, msg: S::In) -> Self {
-        self.seeds.push(Seed {
-            make: Box::new(move |router| {
-                emit::<S>(router, Some(color), None, ReqToken::fresh(), msg)
-            }),
+            make: Box::new(move |router| emit::<S>(router, None, ReqToken::fresh(), msg)),
             pin_core: None,
         });
         self
@@ -731,7 +708,7 @@ impl PipelineBuilder {
     /// executor, or if `S` inherits its color.
     pub fn seed_pinned<S: Stage>(mut self, core: usize, msg: S::In) -> Self {
         self.seeds.push(Seed {
-            make: Box::new(move |router| emit::<S>(router, None, None, ReqToken::fresh(), msg)),
+            make: Box::new(move |router| emit::<S>(router, None, ReqToken::fresh(), msg)),
             pin_core: Some(core),
         });
         self
@@ -824,11 +801,6 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Whether [`Service::install`] has run.
-    pub fn is_installed(&self) -> bool {
-        self.router.is_some()
-    }
-
     /// A cloneable, `Send` submission handle over `injector` — the
     /// typed analogue of injecting raw events from outside the
     /// executor. Each submission opens a new request.
@@ -901,7 +873,7 @@ impl fmt::Debug for Pipeline {
         f.debug_struct("Pipeline")
             .field("name", &self.name)
             .field("stages", &self.stages.len())
-            .field("installed", &self.is_installed())
+            .field("installed", &self.router.is_some())
             .finish()
     }
 }
@@ -922,52 +894,10 @@ impl StageSender {
     ///
     /// # Panics
     ///
-    /// Panics if `S` is not registered, or inherits its color (use
-    /// [`StageSender::submit_colored`]).
+    /// Panics if `S` is not registered, or inherits its color.
     pub fn submit<S: Stage>(&self, msg: S::In) {
         self.injector
-            .inject(emit::<S>(self.router, None, None, ReqToken::fresh(), msg));
-    }
-
-    /// Submits `msg` to stage `S` under an explicit color.
-    pub fn submit_colored<S: Stage>(&self, color: Color, msg: S::In) {
-        self.injector.inject(emit::<S>(
-            self.router,
-            Some(color),
-            None,
-            ReqToken::fresh(),
-            msg,
-        ));
-    }
-
-    /// Fallible twin of [`StageSender::submit`]: checks the runtime's
-    /// [`crate::admission::QueueLimits`] and returns
-    /// [`Overload`] instead of blocking or shedding when the target is
-    /// saturated — the message is dropped on rejection, so the caller
-    /// keeps ownership of the decision (retry, degrade, report).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `S` is not registered, or inherits its color (use
-    /// [`StageSender::try_submit_colored`]).
-    pub fn try_submit<S: Stage>(&self, msg: S::In) -> Result<Admitted, Overload> {
-        self.injector
-            .try_inject(emit::<S>(self.router, None, None, ReqToken::fresh(), msg))
-    }
-
-    /// Fallible twin of [`StageSender::submit_colored`].
-    pub fn try_submit_colored<S: Stage>(
-        &self,
-        color: Color,
-        msg: S::In,
-    ) -> Result<Admitted, Overload> {
-        self.injector.try_inject(emit::<S>(
-            self.router,
-            Some(color),
-            None,
-            ReqToken::fresh(),
-            msg,
-        ))
+            .inject(emit::<S>(self.router, None, ReqToken::fresh(), msg));
     }
 
     /// The underlying injector (stop/keepalive/outstanding controls).
@@ -1356,22 +1286,6 @@ mod tests {
             .seed::<Middle>(Token(1));
         let mut rt = RuntimeBuilder::new().cores(1).build(ExecKind::Sim);
         rt.install(b.build());
-    }
-
-    #[test]
-    fn seed_colored_feeds_inherit_stages() {
-        let seen = Arc::new(AtomicU64::new(0));
-        let b = PipelineBuilder::new("inherit-seed-colored")
-            .stage(Middle)
-            .stage(Last {
-                seen: Arc::clone(&seen),
-            })
-            .seed_colored::<Middle>(Color::new(42), Token(1));
-        let mut rt = RuntimeBuilder::new().cores(1).build(ExecKind::Sim);
-        rt.install(b.build());
-        let report = rt.run();
-        assert_eq!(report.events_processed(), 2);
-        assert_eq!(seen.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //! generalized from "order by cache distance" to explicit tiers).
 //!
 //! The *decision* of which victim to rob, and how much, lives behind
-//! the [`StealPolicy`] trait, with four implementations:
+//! the [`StealPolicy`] trait, with two implementations:
 //!
 //! | policy | victim order | budget |
 //! |---|---|---|
-//! | [`FlatPolicy`] | today's `construct_core_set` (follows [`WsPolicy::locality`]) | 1 color |
+//! | [`FlatPolicy`] | the paper's `construct_core_set`: busiest-first wrap-around (Figure 2), or cache distance (Section III-A) under [`WsPolicy::locality`] | 1 color |
 //! | [`HierarchicalPolicy`] | tier by tier, busiest first within a tier | escalates with tier |
-//! | [`PaperBasePolicy`] | busiest-first wrap-around (Figure 2) | 1 color |
-//! | [`PaperImprovedPolicy`] | cache distance (Section III-A) | 1 color |
 //!
 //! [`FlatPolicy`] is the default and is bit-identical to the victim
 //! selection the executors used before this module existed; the
@@ -33,7 +31,7 @@ use std::sync::Arc;
 
 use mely_topology::MachineModel;
 
-use super::{construct_core_set, construct_core_set_base, construct_core_set_locality, WsPolicy};
+use super::{construct_core_set, WsPolicy};
 
 /// How far a steal reaches, nearest first. The order of the variants
 /// is the escalation order: `Smt < Llc < Socket < Remote`.
@@ -270,38 +268,6 @@ impl StealPolicy for FlatPolicy {
     }
 }
 
-/// The paper's base algorithm (Figure 2) regardless of
-/// [`WsPolicy::locality`]: victims from the busiest core onward,
-/// wrapping in id order. Single-color steals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaperBasePolicy;
-
-impl StealPolicy for PaperBasePolicy {
-    fn name(&self) -> &'static str {
-        "paper-base"
-    }
-
-    fn victims(&self, thief: usize, loads: &[usize], _ctx: &StealContext<'_>) -> Vec<usize> {
-        construct_core_set_base(thief, loads)
-    }
-}
-
-/// The paper's improved (locality-aware) victim order (Section III-A)
-/// regardless of [`WsPolicy::locality`]: pure cache distance, ties by
-/// core id. Single-color steals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaperImprovedPolicy;
-
-impl StealPolicy for PaperImprovedPolicy {
-    fn name(&self) -> &'static str {
-        "paper-improved"
-    }
-
-    fn victims(&self, thief: usize, _loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize> {
-        construct_core_set_locality(thief, ctx.machine)
-    }
-}
-
 /// Topology-aware hierarchical stealing: probe the nearest tier first
 /// (SMT sibling, then cache-sharing cores, then the rest of the
 /// socket, then remote sockets), busiest victim first *within* a tier,
@@ -425,33 +391,6 @@ mod tests {
                 assert_eq!(FlatPolicy.steal_budget(thief, (thief + 1) % 8, &ctx), 1);
             }
         }
-    }
-
-    #[test]
-    fn paper_variants_force_one_branch_each() {
-        let m = MachineModel::xeon_e5410();
-        let d = StealDomains::new(&m, 8);
-        // Locality flag off, yet the improved variant still orders by
-        // distance — and vice versa for the base variant.
-        let ctx = StealContext {
-            ws: WsPolicy::base(),
-            machine: &m,
-            domains: &d,
-        };
-        let mut loads = vec![0; 8];
-        loads[6] = 100;
-        assert_eq!(
-            PaperImprovedPolicy.victims(2, &loads, &ctx),
-            m.victims_by_distance(2)
-        );
-        let ctx_loc = StealContext {
-            ws: WsPolicy::improved(),
-            ..ctx
-        };
-        assert_eq!(
-            PaperBasePolicy.victims(3, &loads, &ctx_loc),
-            construct_core_set_base(3, &loads)
-        );
     }
 
     #[test]

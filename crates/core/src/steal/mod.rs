@@ -26,8 +26,8 @@ use mely_topology::MachineModel;
 pub mod domains;
 
 pub use domains::{
-    default_steal_policy, FlatPolicy, HierarchicalPolicy, PaperBasePolicy, PaperImprovedPolicy,
-    StealContext, StealDomains, StealPolicy, StealTier,
+    default_steal_policy, FlatPolicy, HierarchicalPolicy, StealContext, StealDomains, StealPolicy,
+    StealTier,
 };
 
 /// Which workstealing heuristics are active.
@@ -140,7 +140,7 @@ impl Default for WsPolicy {
 /// the threaded executor reports each core's queue length *plus* its
 /// injection-inbox backlog, so externally injected work attracts thieves
 /// even before the owning core has drained it into its queue.
-pub fn construct_core_set_base(thief: usize, loads: &[usize]) -> Vec<usize> {
+pub(crate) fn construct_core_set_base(thief: usize, loads: &[usize]) -> Vec<usize> {
     let n = loads.len();
     if n <= 1 {
         return Vec::new();
@@ -159,12 +159,12 @@ pub fn construct_core_set_base(thief: usize, loads: &[usize]) -> Vec<usize> {
 
 /// The locality-aware `construct_core_set` (Section III-A): victims
 /// ordered by cache distance from the thief, nearest first.
-pub fn construct_core_set_locality(thief: usize, machine: &MachineModel) -> Vec<usize> {
+pub(crate) fn construct_core_set_locality(thief: usize, machine: &MachineModel) -> Vec<usize> {
     machine.victims_by_distance(thief)
 }
 
 /// Dispatches on the policy's locality flag.
-pub fn construct_core_set(
+pub(crate) fn construct_core_set(
     policy: WsPolicy,
     thief: usize,
     loads: &[usize],

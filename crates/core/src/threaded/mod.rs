@@ -56,25 +56,22 @@ use parking_lot::Mutex;
 
 use crate::admission::{AdmissionCtl, Overload, OverloadReason};
 use crate::color::{Color, COLOR_SPACE};
-use crate::cost::Ewma;
+use crate::cost::{Ewma, INITIAL_STEAL_ESTIMATE};
 use crate::ctx::CtxEffects;
 use crate::cycles;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
-use crate::exec::{enqueue_or_shed, Door, ExecKind, Executor, Injector};
-use crate::fault::{Fault, FaultCtl, FaultKind, FaultPolicy};
+use crate::exec::{enqueue_or_shed, Door, ExecKind, Executor, Injector, KeepAlive};
+use crate::fault::{Fault, FaultKind, FaultPolicy};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
 use crate::kernel::{self, CoreEnv, CoreState, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
-use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
-use crate::runtime::Flavor;
-use crate::steal::{StealContext, StealDomains, StealPolicy, WsPolicy};
+use crate::queue::QueueImpl;
+use crate::runtime::{Flavor, Resolved};
+use crate::steal::WsPolicy;
 use crate::sync::SpinLock;
 use inbox::InjectionInbox;
-use mely_topology::MachineModel;
-
-pub use crate::exec::KeepAlive;
 
 const NO_COLOR: u32 = u32::MAX;
 const NO_OWNER: u32 = u32::MAX;
@@ -113,17 +110,13 @@ impl CoreShared {
 /// Everything the workers and the producers share; an
 /// [`Injector`] holds it directly and reaches it through [`Door`].
 pub(crate) struct Shared {
+    /// What the builder resolved. Workers consult its `faults` at
+    /// dispatch (containment, drains); producers consult `faults` and
+    /// `admission` at admission.
+    cfg: Resolved,
     cores: Vec<CoreShared>,
     color_owner: Vec<AtomicU32>,
     registry: HandlerRegistry,
-    machine: MachineModel,
-    /// Steal tiers of the running cores (see [`crate::steal::domains`]).
-    domains: StealDomains,
-    /// Victim selection and steal budgets (see [`StealPolicy`]).
-    policy: Arc<dyn StealPolicy>,
-    flavor: Flavor,
-    ws: WsPolicy,
-    batch_threshold: u32,
     /// Low 48 bits: events registered but not yet fully executed
     /// (timers included). High bits: live [`KeepAlive`] guards, in
     /// [`KEEPALIVE_UNIT`]s. Workers run while any bit is set.
@@ -134,13 +127,6 @@ pub(crate) struct Shared {
     steal_est: Mutex<Ewma>,
     next_seq: AtomicU64,
     timers: Mutex<BinaryHeap<Reverse<TimerEntry>>>,
-    /// Queue limits, admission policy, per-color occupancy and the
-    /// producer-side reject/shed counters (see [`crate::admission`]).
-    admission: AdmissionCtl,
-    /// Fault policy, quarantine membership, injection plan and the
-    /// fault log (see [`crate::fault`]). Workers consult it at dispatch
-    /// (containment, drains); producers consult it at admission.
-    faults: FaultCtl,
 }
 
 impl Shared {
@@ -148,14 +134,7 @@ impl Shared {
     /// handler-derived cost/penalty defaults and the global sequence
     /// number.
     fn prepare(&self, ev: &mut Event) {
-        if let Some(h) = ev.handler {
-            if ev.cost == 0 {
-                ev.cost = self.registry.estimate(h);
-            }
-            if ev.penalty == 1 {
-                ev.penalty = self.registry.penalty(h);
-            }
-        }
+        self.registry.fill_defaults(ev);
         ev.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -271,7 +250,7 @@ impl Shared {
 
 impl Door for Shared {
     fn admission(&self) -> &AdmissionCtl {
-        &self.admission
+        &self.cfg.admission
     }
 
     /// Admission runs against the owning core's current occupancy; an
@@ -279,7 +258,7 @@ impl Door for Shared {
     /// the timer heap holding its per-color slot across the delay.
     fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), (Overload, Event)> {
         let color = ev.color();
-        let verdict = self.admission.admit(&self.faults, &mut ev, || {
+        let verdict = self.cfg.admission.admit(&self.cfg.faults, &mut ev, || {
             let core = &self.cores[self.owner_of(color) as usize];
             (core.load_estimate() as u64, core.inbox.len() as u64)
         });
@@ -297,7 +276,7 @@ impl Door for Shared {
     /// a pop-time drain; a stop request refuses nothing here (the
     /// workers drop what is still queued when they exit).
     fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason> {
-        if self.faults.is_quarantined(ev.color()) {
+        if self.cfg.faults.is_quarantined(ev.color()) {
             return Err(OverloadReason::Quarantined);
         }
         match delay {
@@ -310,57 +289,20 @@ impl Door for Shared {
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::Acquire)
     }
-
-    /// Paces on the shared cycle clock, giving up early on a stop.
-    fn wait_out(&self, hint: u64) {
-        let until = cycles::now().wrapping_add(hint);
-        while cycles::now() < until && !self.stopped() {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// The threaded executor.
-pub struct ThreadedRuntime {
+pub(crate) struct ThreadedRuntime {
     shared: Arc<Shared>,
     ds_alloc: DataSetAlloc,
 }
 
 impl ThreadedRuntime {
-    // One pub(crate) call site (RuntimeBuilder::make_threaded); a params
-    // struct would only restate the builder field for field.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        cores: usize,
-        flavor: Flavor,
-        ws: WsPolicy,
-        machine: MachineModel,
-        steal_policy: Arc<dyn StealPolicy>,
-        batch_threshold: u32,
-        initial_steal_estimate: u64,
-        admission: AdmissionCtl,
-        faults: FaultCtl,
-    ) -> Self {
-        assert!(cores > 0, "need at least one core");
-        assert!(
-            cores <= machine.num_cores(),
-            "machine model {} has only {} cores (asked for {})",
-            machine.name(),
-            machine.num_cores(),
-            cores
-        );
+    pub(crate) fn new(cfg: Resolved) -> Self {
         cycles::init();
-        let domains = StealDomains::new(&machine, cores);
-        let cores_vec = (0..cores)
+        let cores = (0..cfg.cores)
             .map(|_| CoreShared {
-                queue: SpinLock::new(match flavor {
-                    Flavor::Libasync => QueueImpl::Legacy(LegacyQueue::new()),
-                    Flavor::Mely => {
-                        let mut q = MelyQueue::new(ws.penalty);
-                        q.set_steal_cost_estimate(initial_steal_estimate);
-                        QueueImpl::Mely(q)
-                    }
-                }),
+                queue: SpinLock::new(cfg.new_queue()),
                 inbox: InjectionInbox::new(),
                 in_flight: AtomicU32::new(NO_COLOR),
                 len_hint: AtomicUsize::new(0),
@@ -370,93 +312,78 @@ impl ThreadedRuntime {
         owners.resize_with(COLOR_SPACE, || AtomicU32::new(NO_OWNER));
         ThreadedRuntime {
             shared: Arc::new(Shared {
-                cores: cores_vec,
+                cfg,
+                cores,
                 color_owner: owners,
                 registry: HandlerRegistry::new(),
-                machine,
-                domains,
-                policy: steal_policy,
-                flavor,
-                ws,
-                batch_threshold,
                 outstanding: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
-                steal_est: Mutex::new(Ewma::new(initial_steal_estimate)),
+                steal_est: Mutex::new(Ewma::new(INITIAL_STEAL_ESTIMATE)),
                 next_seq: AtomicU64::new(0),
                 timers: Mutex::new(BinaryHeap::new()),
-                admission,
-                faults,
             }),
             ds_alloc: DataSetAlloc::new(),
         }
     }
+}
 
-    /// Registers an application handler before the run starts.
-    ///
+impl Executor for ThreadedRuntime {
+    fn kind(&self) -> ExecKind {
+        ExecKind::Threaded
+    }
+
+    fn cores(&self) -> usize {
+        self.shared.cores.len()
+    }
+
+    fn flavor(&self) -> Flavor {
+        self.shared.cfg.flavor
+    }
+
+    fn policy(&self) -> WsPolicy {
+        self.shared.cfg.ws
+    }
+
     /// # Panics
     ///
-    /// Panics if called while the runtime is running (the registry is
-    /// frozen once workers exist).
-    pub fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
+    /// Panics once an [`Injector`] exists: the registry is frozen from
+    /// the moment anything else can reach it.
+    fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
         let shared =
             Arc::get_mut(&mut self.shared).expect("register handlers before starting the runtime");
         shared.registry.register(spec)
     }
 
-    /// Allocates a (simulation-style) data set; under the threaded
-    /// executor touches are accounted but not materialised.
-    pub fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
+    fn handler_estimate(&self, id: HandlerId) -> u64 {
+        self.shared.registry.estimate(id)
+    }
+
+    /// Touches are accounted but not materialised on threads.
+    fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
         self.ds_alloc.alloc(len)
     }
 
-    /// Registers an event before or during the run. Events of a
-    /// quarantined color are shed (see [`crate::fault`]).
-    pub fn register(&self, ev: Event) {
+    /// Events of a quarantined color are shed (see [`crate::fault`]).
+    fn register(&mut self, ev: Event) {
         enqueue_or_shed(&*self.shared, None, ev);
     }
 
-    /// Registers an event and pins its color to `core`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn register_pinned(&self, ev: Event, core: usize) {
+    fn register_pinned(&mut self, ev: Event, core: usize) {
         assert!(core < self.shared.cores.len(), "core out of range");
-        if !self.shared.faults.is_quarantined(ev.color()) {
+        if !self.shared.cfg.faults.is_quarantined(ev.color()) {
             self.shared.color_owner[ev.color().value() as usize]
                 .store(core as u32, Ordering::Release);
         }
         enqueue_or_shed(&*self.shared, None, ev);
     }
 
-    /// The workstealing policy.
-    pub fn policy(&self) -> WsPolicy {
-        self.shared.ws
+    fn injector(&self) -> Injector {
+        Injector::for_threaded(Arc::clone(&self.shared))
     }
 
-    /// Number of worker threads (simulated cores).
-    pub fn cores(&self) -> usize {
-        self.shared.cores.len()
-    }
-
-    /// The queue architecture this runtime runs.
-    pub fn flavor(&self) -> Flavor {
-        self.shared.flavor
-    }
-
-    /// The runtime's current cost estimate for a handler (annotation or
-    /// monitored EWMA).
-    pub fn handler_estimate(&self, id: HandlerId) -> u64 {
-        self.shared.registry.estimate(id)
-    }
-
-    /// Runs until every registered event (and every event they spawn) has
-    /// executed, then returns the report. Workers also exit on
-    /// [`crate::ctx::Ctx::stop_runtime`] or [`Injector::stop`]. Can
-    /// be called again after registering more events; each call reports
-    /// the events executed by *that* run (plus cumulative inbox
-    /// counters).
-    pub fn run(&mut self) -> RunReport {
+    /// Each call reports the events executed by *that* run (plus
+    /// cumulative inbox counters).
+    fn run(&mut self) -> RunReport {
         let n = self.shared.cores.len();
         let start = cycles::now();
         let mut joins = Vec::with_capacity(n);
@@ -492,7 +419,7 @@ impl ThreadedRuntime {
                 Ok(m) => m,
                 Err(payload) => {
                     let kind = FaultKind::WorkerDied { core };
-                    self.shared.faults.record(Fault {
+                    self.shared.cfg.faults.record(Fault {
                         color: None,
                         handler: None,
                         kind: kind.clone(),
@@ -512,66 +439,20 @@ impl ThreadedRuntime {
             m.inbox_node_reuse = core.inbox.total_node_reuses();
             m.queue_buf_reuse = core.queue.lock().buf_reuses();
         }
-        self.shared.admission.attribute_to(&mut per_core[0]);
+        self.shared.cfg.admission.attribute_to(&mut per_core[0]);
         let wall = cycles::now().wrapping_sub(start);
         // Consume any stop request so a later `run` proceeds normally.
         self.shared.stop.store(false, Ordering::Release);
-        let report = RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.shared.ws)
-            .with_fault_log(self.shared.faults.log_snapshot());
+        let report = RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.shared.cfg.ws)
+            .with_fault_log(self.shared.cfg.faults.log_snapshot());
         if let Some(payload) = worker_payload {
-            if self.shared.faults.policy == FaultPolicy::Abort {
+            if self.shared.cfg.faults.policy == FaultPolicy::Abort {
                 // Abort means "do not contain": re-raise the worker's
                 // panic on the caller after all threads are joined.
                 resume_unwind(payload);
             }
         }
         report
-    }
-}
-
-impl Executor for ThreadedRuntime {
-    fn kind(&self) -> ExecKind {
-        ExecKind::Threaded
-    }
-
-    fn cores(&self) -> usize {
-        ThreadedRuntime::cores(self)
-    }
-
-    fn flavor(&self) -> Flavor {
-        ThreadedRuntime::flavor(self)
-    }
-
-    fn policy(&self) -> WsPolicy {
-        ThreadedRuntime::policy(self)
-    }
-
-    fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
-        ThreadedRuntime::register_handler(self, spec)
-    }
-
-    fn handler_estimate(&self, id: HandlerId) -> u64 {
-        ThreadedRuntime::handler_estimate(self, id)
-    }
-
-    fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
-        ThreadedRuntime::alloc_dataset(self, len)
-    }
-
-    fn register(&mut self, ev: Event) {
-        ThreadedRuntime::register(self, ev);
-    }
-
-    fn register_pinned(&mut self, ev: Event, core: usize) {
-        ThreadedRuntime::register_pinned(self, ev, core);
-    }
-
-    fn injector(&self) -> Injector {
-        Injector::for_threaded(Arc::clone(&self.shared))
-    }
-
-    fn run(&mut self) -> RunReport {
-        ThreadedRuntime::run(self)
     }
 }
 
@@ -583,9 +464,9 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         // Seeded fault injection: each worker derives its own draw
         // stream from the plan's seed, so injection stays reproducible
         // per worker even though cross-worker interleaving is not.
-        fault_rng: shared.faults.plan.map(|p| p.worker_rng(me)),
+        fault_rng: shared.cfg.faults.plan.map(|p| p.worker_rng(me)),
     };
-    let batch = shared.batch_threshold;
+    let batch = shared.cfg.batch_threshold;
     let mut idle_spins: u32 = 0;
     // Reused across iterations so steady-state inbox drains never
     // allocate (the inbox recycles its nodes; this recycles the batch).
@@ -623,7 +504,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         }
 
         // Idle: steal or wind down.
-        if shared.ws.enabled && kernel::steal_attempt(&mut w) {
+        if shared.cfg.ws.enabled && kernel::steal_attempt(&mut w) {
             idle_spins = 0;
             continue;
         }
@@ -705,21 +586,16 @@ struct Worker<'a> {
 
 impl CoreEnv for Worker<'_> {
     fn state(&mut self) -> CoreState<'_> {
-        let s = self.shared;
         CoreState {
             core: self.me,
             metrics: &mut self.m,
-            faults: &s.faults,
-            admission: &s.admission,
-            registry: &s.registry,
             fault_rng: self.fault_rng.as_mut(),
-            policy: &*s.policy,
-            steal_ctx: StealContext {
-                ws: s.ws,
-                machine: &s.machine,
-                domains: &s.domains,
-            },
+            cfg: &self.shared.cfg,
         }
+    }
+
+    fn registry(&self) -> &HandlerRegistry {
+        &self.shared.registry
     }
 
     fn now(&self) -> u64 {
@@ -782,7 +658,7 @@ impl CoreEnv for Worker<'_> {
         let est = shared.steal_est.lock().get();
         gv.set_steal_cost_estimate(est);
         gm.set_steal_cost_estimate(est);
-        let (sets, _examined) = gv.steal_take(vin, shared.ws.time_left, budget, u64::MAX);
+        let (sets, _examined) = gv.steal_take(vin, shared.cfg.ws.time_left, budget, u64::MAX);
         if sets.is_empty() {
             return None;
         }
@@ -851,11 +727,8 @@ mod tests {
     use std::sync::atomic::AtomicI64;
 
     fn rt(flavor: Flavor, ws: WsPolicy, cores: usize) -> ThreadedRuntime {
-        RuntimeBuilder::new()
-            .cores(cores)
-            .flavor(flavor)
-            .workstealing(ws)
-            .make_threaded()
+        let builder = RuntimeBuilder::new().cores(cores).flavor(flavor);
+        ThreadedRuntime::new(builder.workstealing(ws).resolve())
     }
 
     #[test]
@@ -957,14 +830,10 @@ mod tests {
     #[test]
     fn first_monitored_steal_replaces_the_initial_estimate() {
         // An estimate no real steal can match, so blending the first
-        // sample into it (instead of replacing it, as
-        // `RuntimeBuilder::initial_steal_estimate` documents) shows.
-        let rt = RuntimeBuilder::new()
-            .cores(2)
-            .flavor(Flavor::Mely)
-            .workstealing(WsPolicy::base())
-            .initial_steal_estimate(1_000_000_000)
-            .make_threaded();
+        // sample into it (instead of replacing it, as `Ewma::record`
+        // documents) shows.
+        let mut rt = rt(Flavor::Mely, WsPolicy::base(), 2);
+        *rt.shared.steal_est.lock() = Ewma::new(1_000_000_000);
         for i in 0..4u16 {
             rt.register_pinned(Event::new(Color::new(i + 1), 0), 0);
         }

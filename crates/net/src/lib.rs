@@ -341,11 +341,6 @@ impl SimNet {
         self.conns.get(&fd).and_then(|c| c.s2c.next_visibility(now))
     }
 
-    /// Client side: bytes currently readable on `fd`.
-    pub fn client_readable_len(&self, fd: Fd, now: u64) -> usize {
-        self.conns.get(&fd).map_or(0, |c| c.s2c.readable_len(now))
-    }
-
     /// Client side: reads every visible byte.
     pub fn client_read(&mut self, fd: Fd, now: u64) -> Vec<u8> {
         match self.conns.get_mut(&fd) {
@@ -489,7 +484,7 @@ mod tests {
         assert!(n.read(fd, 150).is_empty());
         assert_eq!(n.read(fd, 200), b"req");
         n.write(fd, 200, b"resp".to_vec());
-        assert_eq!(n.client_readable_len(fd, 250), 0);
+        assert!(n.client_read(fd, 250).is_empty());
         assert_eq!(n.client_read(fd, 300), b"resp");
     }
 
@@ -534,7 +529,7 @@ mod tests {
         n.close(fd, 100);
         assert!(!n.client_sees_close(fd, 150));
         // Data must be drained before close is observed.
-        assert!(!n.client_sees_close(fd, 200) || n.client_readable_len(fd, 200) == 0);
+        assert!(!n.client_sees_close(fd, 200));
         n.client_read(fd, 200);
         assert!(n.client_sees_close(fd, 200));
         n.reap(fd);

@@ -32,8 +32,8 @@
 //! From there the normal machinery takes over — the server's `Epoll`
 //! stage polls the [`SimNet`], sees `Acceptable`/`Readable`/`PeerClosed`
 //! [`NetEvent`](crate::NetEvent)s, and runs the stage graph unmodified,
-//! with connections colored into the canonical `CONNECTIONS` range and
-//! listeners into `LISTENERS` exactly as for simulated load. Response
+//! with each connection's stages keyed by its descriptor and the accept
+//! path on its serial color exactly as for simulated load. Response
 //! bytes flow back the same way, by event: the server's `net.write`
 //! lists the connection and wakes the poller, which drains
 //! `net.client_read` of exactly the listed connections into their

@@ -169,8 +169,7 @@ pub struct SfsConfig {
     /// Path of the served file.
     pub path: String,
     /// Length of the served file in bytes (the paper uses 200 MB; the
-    /// default here is scaled down so simulations stay laptop-sized —
-    /// see DESIGN.md).
+    /// default here is scaled down so simulations stay laptop-sized).
     pub file_len: u64,
     /// Read chunk size per request.
     pub chunk: u64,

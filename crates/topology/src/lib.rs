@@ -344,12 +344,6 @@ impl MachineModel {
         self.freq_hz
     }
 
-    /// Converts a cycle count to seconds at the machine's nominal
-    /// frequency.
-    pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.freq_hz as f64
-    }
-
     /// Cache distance between two cores: `0` for the same core, otherwise
     /// `1 + i` where `i` is the index (into [`Self::levels`]) of the first
     /// level whose instance is shared by both cores, and
@@ -385,28 +379,6 @@ impl MachineModel {
         let mut v: Vec<usize> = (0..self.num_cores).filter(|&c| c != core).collect();
         v.sort_by_key(|&c| (self.distance(core, c), c));
         v
-    }
-
-    /// The cores sharing the level-`level` cache instance of `core`
-    /// (including `core` itself). Returns just `[core]` when the level does
-    /// not exist or is private.
-    pub fn sharing_group(&self, core: usize, level: u8) -> Vec<usize> {
-        match self.levels.iter().find(|l| l.level == level) {
-            Some(l) if l.cores_per_instance > 1 => {
-                let inst = l.instance_of(core);
-                (0..self.num_cores)
-                    .filter(|&c| l.instance_of(c) == inst)
-                    .collect()
-            }
-            _ => vec![core],
-        }
-    }
-
-    /// The innermost *shared* cache level, if any — the level the
-    /// locality-aware heuristic tries to keep steals within (L2 on the
-    /// Xeon, L3 on the AMD model).
-    pub fn innermost_shared_level(&self) -> Option<&CacheLevel> {
-        self.levels.iter().find(|l| l.cores_per_instance > 1)
     }
 
     /// Hardware threads per physical core (`1` when no SMT is
@@ -456,20 +428,6 @@ impl MachineModel {
     pub fn is_smt_sibling(&self, a: usize, b: usize) -> bool {
         a != b && self.smt_per_core > 1 && self.physical_core_of(a) == self.physical_core_of(b)
     }
-
-    /// The SMT siblings of `core` (excluding `core` itself); empty when
-    /// no SMT is declared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is not a valid core id for this machine.
-    pub fn smt_siblings(&self, core: usize) -> Vec<usize> {
-        let phys = self.physical_core_of(core);
-        let base = phys * self.smt_per_core;
-        (base..base + self.smt_per_core)
-            .filter(|&c| c != core)
-            .collect()
-    }
 }
 
 impl fmt::Display for MachineModel {
@@ -518,34 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn sharing_groups() {
-        let m = MachineModel::xeon_e5410();
-        assert_eq!(m.sharing_group(0, 2), vec![0, 1]);
-        assert_eq!(m.sharing_group(5, 2), vec![4, 5]);
-        assert_eq!(m.sharing_group(5, 1), vec![5]);
-        // Nonexistent level falls back to the core itself.
-        assert_eq!(m.sharing_group(5, 3), vec![5]);
-    }
-
-    #[test]
-    fn innermost_shared_level_is_l2_on_xeon_l3_on_amd() {
-        assert_eq!(
-            MachineModel::xeon_e5410()
-                .innermost_shared_level()
-                .unwrap()
-                .level,
-            2
-        );
-        assert_eq!(
-            MachineModel::amd_16core()
-                .innermost_shared_level()
-                .unwrap()
-                .level,
-            3
-        );
-    }
-
-    #[test]
     fn validation_rejects_bad_models() {
         assert_eq!(
             MachineModel::new("x", 0, vec![], 100, 1_000_000).unwrap_err(),
@@ -581,7 +511,6 @@ mod tests {
         assert_eq!(m.cores_per_socket(), 8);
         assert_eq!(m.socket_of(7), 0);
         assert_eq!(m.physical_core_of(5), 5);
-        assert!(m.smt_siblings(3).is_empty());
         assert!(!m.is_smt_sibling(0, 1));
     }
 
@@ -599,7 +528,7 @@ mod tests {
         // SMT pairs: {0,1}, {2,3}, ...
         assert!(m.is_smt_sibling(0, 1));
         assert!(!m.is_smt_sibling(1, 2));
-        assert_eq!(m.smt_siblings(6), vec![7]);
+        assert!(m.is_smt_sibling(6, 7));
         assert_eq!(m.physical_core_of(7), 3);
         // Cache distances are untouched by the declarations.
         assert_eq!(m.distance(0, 1), 2);
@@ -616,13 +545,6 @@ mod tests {
             MachineModel::xeon_e5410().with_smt_per_core(0).unwrap_err(),
             ModelError::UnevenPartition("SMT sibling grouping")
         );
-    }
-
-    #[test]
-    fn cycles_to_secs_uses_frequency() {
-        let m = MachineModel::xeon_e5410();
-        let s = m.cycles_to_secs(2_330_000_000);
-        assert!((s - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -44,8 +44,6 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "MachineModel",
     "Overload",
     "OverloadReason",
-    "PaperBasePolicy",
-    "PaperImprovedPolicy",
     "Pipeline",
     "PipelineBuilder",
     "QueueLimits",
@@ -56,7 +54,6 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "SchedulePerturbation",
     "ScheduleRng",
     "Service",
-    "SimRuntime",
     "Stage",
     "StageCtx",
     "StageSender",
@@ -64,7 +61,6 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "StealDomains",
     "StealPolicy",
     "StealTier",
-    "ThreadedRuntime",
     "WsPolicy",
     "default_steal_policy",
 ];
@@ -104,8 +100,6 @@ fn every_export_resolves() {
     ty::<p::MachineModel>();
     ty::<p::Overload>();
     ty::<p::OverloadReason>();
-    ty::<p::PaperBasePolicy>();
-    ty::<p::PaperImprovedPolicy>();
     ty::<p::Pipeline>();
     ty::<p::PipelineBuilder>();
     ty::<p::QueueLimits>();
@@ -116,14 +110,12 @@ fn every_export_resolves() {
     ty::<p::SchedulePerturbation>();
     ty::<p::ScheduleRng>();
     ty::<dyn p::Service>();
-    ty::<p::SimRuntime>();
     ty::<p::StageCtx<'_, '_>>();
     ty::<p::StageSender>();
     ty::<p::StageSpec<u64>>();
     ty::<p::StealDomains>();
     ty::<dyn p::StealPolicy>();
     ty::<p::StealTier>();
-    ty::<p::ThreadedRuntime>();
     ty::<p::WsPolicy>();
     // `default_steal_policy` is a function, not a type: resolve it by
     // value.

@@ -330,3 +330,29 @@ fn injectors_feed_both_executors_identically() {
         assert!(report.events_processed() >= 500, "{kind}");
     }
 }
+
+/// The core-count contract is checked once, by `RuntimeBuilder::build`,
+/// before an executor exists: zero cores and more cores than the machine
+/// model has are refused with the same message whichever executor was
+/// asked for.
+#[test]
+fn build_rejects_bad_core_counts_identically_on_both_executors() {
+    let refusal = |cores: usize, kind: ExecKind| {
+        let build = move || {
+            RuntimeBuilder::new()
+                .machine(MachineModel::xeon_e5410())
+                .cores(cores)
+                .build(kind)
+        };
+        let payload = std::panic::catch_unwind(build).expect_err("build must refuse");
+        *payload.downcast::<String>().expect("formatted message")
+    };
+    for cores in [0, 9] {
+        let on_sim = refusal(cores, ExecKind::Sim);
+        assert!(
+            on_sim.contains(&format!("runs 1..=8 cores (asked for {cores})")),
+            "{on_sim}"
+        );
+        assert_eq!(on_sim, refusal(cores, ExecKind::Threaded));
+    }
+}

@@ -19,8 +19,7 @@ fn run_rounds(measured: bool) -> (RunReport, u64) {
         .cores(8)
         .flavor(Flavor::Mely)
         .workstealing(WsPolicy::base().with_time_left(true))
-        .build(ExecKind::Sim)
-        .into_sim();
+        .build(ExecKind::Sim);
     // Annotated as 50 cycles — far below any steal cost, so the
     // time-left gate sees the colors as unworthy. True cost: 30K.
     let spec = HandlerSpec::new("mis-annotated").cost(50);
@@ -37,7 +36,8 @@ fn run_rounds(measured: bool) -> (RunReport, u64) {
         rt.run();
     }
     let est = rt.handler_estimate(handler);
-    (rt.report(), est)
+    // Nothing is queued any more: this only reads the cumulative report.
+    (rt.run(), est)
 }
 
 #[test]
