@@ -24,7 +24,11 @@
 //! instead of collapsing), and p99 at 4× stays ≤
 //! [`MAX_P99_BOUNDED_OVER_UNBOUNDED`] × the p99 of the same 4× load on
 //! an unbounded runtime (admitted events wait in queues whose depth the
-//! limits cap — the limits, not luck, bound the tail).
+//! limits cap — the limits, not luck, bound the tail). The second bar is
+//! judged only after the unbounded control showed a backlog, its p99 at
+//! least [`MIN_CONTROL_P99_OVER_1X`] × the 1× p99; when it did not, the
+//! nominal interval is halved and everything measured again, at most
+//! [`RECALIBRATIONS`] times.
 
 use std::time::Instant;
 
@@ -42,11 +46,21 @@ const PRODUCERS: usize = 4;
 /// Events per producer at the nominal (1x) rate; the kx scenario
 /// injects k times as many over the same wall time.
 const EVENTS_PER_PRODUCER: u64 = 24_000;
-/// Tripwires, set under the locally measured 2.2-2.8 and over the
+/// Tripwires, set under the locally measured 1.3-3.2 and over the
 /// measured 0.008-0.125: shared runners are noisy, ratios are not
 /// machine-specific.
 const MIN_GOODPUT_4X_OVER_1X: f64 = 0.9;
 const MAX_P99_BOUNDED_OVER_UNBOUNDED: f64 = 0.25;
+/// The p99 bar only means something when the unbounded control actually
+/// queued: its p99 must be at least this many times the bounded 1x p99.
+/// The bounded 4x p99 measured 16-64x the 1x p99 (host scheduling, not
+/// queueing), so a control under 256x can fail the 0.25 bar on noise
+/// alone: at 128x it measured 0.5, at 512-8 192x 0.008-0.125. A host in
+/// a slow phase during calibration picks a rate that 4x does not
+/// overload; the bench then halves the interval and measures again, at
+/// most [`RECALIBRATIONS`] times, before judging.
+const MIN_CONTROL_P99_OVER_1X: f64 = 256.0;
+const RECALIBRATIONS: usize = 2;
 /// Colors in the shared hot set (Zipf rank 1 = color 1 is the hottest).
 const COLORS: u64 = 64;
 /// Pareto scale (minimum service cost) in cycles; mean with shape 1.5
@@ -130,6 +144,59 @@ fn run_scenario(
     (report, wall.elapsed().as_secs_f64())
 }
 
+/// Goodput in req/s and p99 in cycles of one [`measure`].
+struct Measured {
+    goodput_1x: f64,
+    p99_1x: f64,
+    goodput_4x: f64,
+    p99_4x: f64,
+    p99_unbounded: f64,
+}
+
+/// Runs 1x, 2x and 4x the rate of one event per `nominal_interval`
+/// cycles per producer on the bounded runtime, then the unbounded 4x
+/// control.
+fn measure(limits: QueueLimits, nominal_interval: u64) -> Measured {
+    let loaded = [1u64, 2, 4].map(|k| {
+        let (report, secs) =
+            run_scenario(limits, EVENTS_PER_PRODUCER * k, Some(nominal_interval / k));
+        let t = report.total();
+        let goodput = t.completed_requests as f64 / secs.max(1e-9);
+        let p99 = report.latency_p99() as f64;
+        println!(
+            "overload/{k}x: goodput {goodput:>12.0} req/s  p99 {p99:>12.0} cy  \
+             (completed {}, shed {} [{} by color] of {} offered)",
+            t.completed_requests,
+            t.shed_requests,
+            t.shed_by_color,
+            report.offered_requests(),
+        );
+        (goodput, p99)
+    });
+    let [(goodput_1x, p99_1x), _, (goodput_4x, p99_4x)] = loaded;
+
+    // Control: the same 4x overload with no limits. Nothing is shed, so
+    // every admitted event queues behind the whole backlog and the tail
+    // grows with offered load.
+    let (report, _) = run_scenario(
+        QueueLimits::unbounded(),
+        EVENTS_PER_PRODUCER * 4,
+        Some(nominal_interval / 4),
+    );
+    let p99_unbounded = report.latency_p99() as f64;
+    println!(
+        "overload/4x unbounded control: p99 {p99_unbounded:>12.0} cy (completed {})",
+        report.completed_requests()
+    );
+    Measured {
+        goodput_1x,
+        p99_1x,
+        goodput_4x,
+        p99_4x,
+        p99_unbounded,
+    }
+}
+
 fn main() {
     // Closed-loop capacity probe on an unbounded runtime: how fast do
     // the workers absorb this exact mix? This is an optimistic floor
@@ -168,41 +235,21 @@ fn main() {
     // measures the same saturated system three ways.
     nominal_interval = nominal_interval * 3 / 2;
 
-    // (goodput in req/s, p99 in cycles) at 1x, 2x and 4x nominal.
-    let loaded = [1u64, 2, 4].map(|k| {
-        let (report, secs) =
-            run_scenario(limits, EVENTS_PER_PRODUCER * k, Some(nominal_interval / k));
-        let t = report.total();
-        let goodput = t.completed_requests as f64 / secs.max(1e-9);
-        let p99 = report.latency_p99() as f64;
+    let mut m = measure(limits, nominal_interval);
+    for _ in 0..RECALIBRATIONS {
+        if m.p99_unbounded >= MIN_CONTROL_P99_OVER_1X * m.p99_1x {
+            break;
+        }
+        nominal_interval /= 2;
         println!(
-            "overload/{k}x: goodput {goodput:>12.0} req/s  p99 {p99:>12.0} cy  \
-             (completed {}, shed {} [{} by color] of {} offered)",
-            t.completed_requests,
-            t.shed_requests,
-            t.shed_by_color,
-            report.offered_requests(),
+            "overload/control built no backlog (p99 < {MIN_CONTROL_P99_OVER_1X}x the 1x p99): \
+             halving the interval to {nominal_interval} cy"
         );
-        (goodput, p99)
-    });
-    let [(goodput_1x, _), _, (goodput_4x, p99_4x)] = loaded;
+        m = measure(limits, nominal_interval);
+    }
 
-    // Control: the same 4x overload with no limits. Nothing is shed, so
-    // every admitted event queues behind the whole backlog and the tail
-    // grows with offered load.
-    let (report, _) = run_scenario(
-        QueueLimits::unbounded(),
-        EVENTS_PER_PRODUCER * 4,
-        Some(nominal_interval / 4),
-    );
-    let p99_unbounded = report.latency_p99() as f64;
-    println!(
-        "overload/4x unbounded control: p99 {p99_unbounded:>12.0} cy (completed {})",
-        report.completed_requests()
-    );
-
-    let goodput_ratio = goodput_4x / goodput_1x.max(1e-9);
-    let p99_ratio = p99_4x / p99_unbounded.max(1e-9);
+    let goodput_ratio = m.goodput_4x / m.goodput_1x.max(1e-9);
+    let p99_ratio = m.p99_4x / m.p99_unbounded.max(1e-9);
     println!("overload/goodput 4x over 1x: {goodput_ratio:.2}; p99 4x bounded over unbounded: {p99_ratio:.3}");
     let mut failed = false;
     if goodput_ratio < MIN_GOODPUT_4X_OVER_1X {

@@ -7,7 +7,7 @@ use mely_repro::core::color::Color;
 use mely_repro::core::event::Event;
 use mely_repro::core::prelude::*;
 use mely_repro::core::queue::{LegacyQueue, MelyQueue};
-use mely_repro::crypto::{Mac, SessionKey, StreamCipher};
+use mely_repro::crypto::{self, Mac, SessionKey, StreamCipher};
 use mely_repro::http::{parse_request, ParseOutcome};
 
 /// Random queue operations for the structural invariants.
@@ -284,6 +284,42 @@ proptest! {
         let idx = (bit as usize / 8) % tampered.len();
         tampered[idx] ^= 1 << (bit % 8);
         prop_assert_ne!(tag, Mac::new(&key).compute(&tampered));
+    }
+
+    /// The one-pass `seal`/`open` return what the two-pass cipher + MAC
+    /// return: the same ciphertext and tag, and on the way back the same
+    /// verdict and the same decrypted buffer — also after one flipped
+    /// ciphertext byte or a flipped tag.
+    #[test]
+    fn seal_and_open_match_the_two_pass_path(
+        data in prop::collection::vec(any::<u8>(), 0..2048),
+        seed in any::<u64>(),
+        nonce in any::<u64>(),
+        tamper in 0u8..3,
+        at in any::<u16>(),
+    ) {
+        let key = SessionKey::from_seed(seed);
+        let mut sealed = data.clone();
+        let mut tag = crypto::seal(&key, nonce, &mut sealed);
+        let mut two_pass = data.clone();
+        StreamCipher::new(&key, nonce).apply(&mut two_pass);
+        prop_assert_eq!(&sealed, &two_pass);
+        prop_assert_eq!(tag, Mac::new(&key).compute(&two_pass));
+
+        match tamper {
+            1 if !sealed.is_empty() => {
+                let i = at as usize % sealed.len();
+                sealed[i] ^= 0x80;
+                two_pass[i] ^= 0x80;
+            }
+            0 => {}
+            _ => tag ^= 1 << (at % 64),
+        }
+        let expected = Mac::new(&key).verify(&two_pass, tag);
+        StreamCipher::new(&key, nonce).apply(&mut two_pass);
+        prop_assert_eq!(crypto::open(&key, nonce, &mut sealed, tag), expected);
+        prop_assert_eq!(expected, tamper == 0);
+        prop_assert_eq!(sealed, two_pass);
     }
 
     /// The HTTP parser never panics and never over-consumes.
