@@ -1,16 +1,16 @@
-//! The scheduling kernel: what a core does with a popped event and what
-//! it does when it has none, written once for both executors.
+//! The scheduling kernel: one turn of a core, written once for both
+//! executors.
 //!
 //! The paper defines one runtime algorithm — pop a color's event, run
 //! its handler, and when idle `construct_core_set` → `can_be_stolen` →
-//! `choose_color_to_steal` → `migrate` (Figure 2). [`dispatch_one`] and
-//! [`steal_attempt`] are that algorithm plus this repository's
-//! admission, fault and accounting rules, monomorphised over a per-core
-//! [`CoreEnv`]. The environment supplies only what genuinely differs
-//! between the simulator and real threads: the clock and an event's
-//! cost (declared vs. real time), how a victim's queue is reached, and
-//! where a timer or a routed event goes. The simulator's perturbation
-//! draws and the threaded executor's inbox rescue stay in the drivers.
+//! `choose_color_to_steal` → `migrate` (Figure 2). [`turn`] is that
+//! algorithm plus this repository's admission, fault and accounting
+//! rules, monomorphised over a per-core [`CoreEnv`]. The environment
+//! supplies only what genuinely differs between the simulator and real
+//! threads: the clock and an event's cost (declared vs. real time), how
+//! a queue is reached, and where a timer or a routed event goes. Two of
+//! the simulator's perturbation draws are hooks; the rest, and the
+//! threaded executor's inbox and waiting, stay in the drivers.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -59,11 +59,42 @@ pub(crate) struct CoreState<'a> {
     pub cfg: &'a Resolved,
 }
 
+/// What a core's own queue gave up to [`CoreEnv::pop`].
+pub(crate) enum Pop {
+    Event(Event),
+    /// Queued, but not visible at the core's clock yet (simulator only).
+    NotVisible,
+    Empty,
+}
+
+/// What one [`turn`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Turn {
+    /// An event was dispatched: the core's own, or one it just stole.
+    Ran,
+    /// The core's next event is not visible yet.
+    Waiting,
+    /// Nothing to run and nothing stolen.
+    Idle,
+}
+
 /// One core of one executor, as the kernel sees it.
 pub(crate) trait CoreEnv {
     fn state(&mut self) -> CoreState<'_>;
     /// Where this executor keeps its handlers (it alone registers them).
     fn registry(&self) -> &HandlerRegistry;
+
+    /// Pops the core's next event under its own lock. `stolen` marks
+    /// the pop right after a successful steal, which runs the stolen
+    /// set whatever its visibility.
+    fn pop(&mut self, stolen: bool) -> Pop;
+    /// Runs after every dispatched event, whatever became of it.
+    fn after_dispatch(&mut self) {}
+    /// The perturbation point before an idle core's steal attempt:
+    /// `true` skips the attempt this turn.
+    fn defer_steal(&mut self) -> bool {
+        false
+    }
 
     /// The time a handler reads through [`Ctx::now`].
     fn now(&self) -> u64;
@@ -101,6 +132,37 @@ pub(crate) trait CoreEnv {
     fn record_steal_cost(&mut self, cycles: u64);
 }
 
+/// Whether an idle core looks for work elsewhere at all: stealing is on
+/// and there is another core to steal from.
+pub(crate) fn may_steal(cfg: &Resolved) -> bool {
+    cfg.ws.enabled && cfg.cores > 1
+}
+
+/// One turn of a core: its own next event if one is visible, else —
+/// when it [`may_steal`] and the steal is not deferred — one steal
+/// attempt whose catch runs at once. Otherwise another idle core could
+/// re-steal the set before its holder ever ran it (on the simulator,
+/// lower-clock idle cores would pass it back and forth forever).
+pub(crate) fn turn<E: CoreEnv>(env: &mut E) -> Turn {
+    let ev = match env.pop(false) {
+        Pop::Event(ev) => ev,
+        Pop::NotVisible => return Turn::Waiting,
+        Pop::Empty => {
+            if !may_steal(env.state().cfg) || env.defer_steal() || !steal_attempt(env) {
+                return Turn::Idle;
+            }
+            // Empty only when another thief took the set back first.
+            let Pop::Event(ev) = env.pop(true) else {
+                return Turn::Idle;
+            };
+            ev
+        }
+    };
+    dispatch_one(env, ev);
+    env.after_dispatch();
+    Turn::Ran
+}
+
 /// Counts one event lost to a quarantined color.
 fn shed_by_fault(m: &mut CoreMetrics, ev: &Event) {
     m.shed_by_fault += 1;
@@ -113,7 +175,7 @@ fn shed_by_fault(m: &mut CoreMetrics, ev: &Event) {
 /// fault-plan draws, contained handler run, then either the fault
 /// record and [`FaultPolicy`] or the completion accounting and the
 /// handler's buffered effects.
-pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
+fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
     let color = ev.color();
     let st = env.state();
     let (me, faults) = (st.core, &st.cfg.faults);
@@ -236,7 +298,7 @@ pub(crate) fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
 /// in order with the policy's per-victim budget; the first successful
 /// migration is accounted (steal, tier, duration) and feeds the
 /// steal-cost estimate. Returns whether events were stolen.
-pub(crate) fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
+fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
     let (t0, loads) = env.steal_begin();
     let st = env.state();
     let me = st.core;
@@ -273,6 +335,8 @@ pub(crate) fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
     use crate::admission::{AdmissionPolicy, QueueLimits};
     use crate::fault::FaultCtl;
     use crate::fuzz::FaultPlan;
@@ -281,7 +345,8 @@ mod tests {
 
     /// An executor-free environment whose clock never moves: an event
     /// costs its declaration plus its handler's charge, effects are
-    /// recorded as `(delay, color)` / color, and nothing can be stolen.
+    /// recorded as `(delay, color)` / color, the core's queue is `queue`
+    /// (its head not visible while `hidden`), and a steal takes `victim`.
     struct Recording {
         m: CoreMetrics,
         cfg: Resolved,
@@ -290,6 +355,28 @@ mod tests {
         timers: Vec<(u64, u16)>,
         routed: Vec<u16>,
         stopped: bool,
+        queue: VecDeque<Event>,
+        hidden: bool,
+        victim: Option<Event>,
+        after_dispatch: u64,
+    }
+
+    impl Recording {
+        fn new(cfg: Resolved, rng: Option<ScheduleRng>) -> Self {
+            Recording {
+                m: CoreMetrics::default(),
+                cfg,
+                registry: HandlerRegistry::new(),
+                rng,
+                timers: Vec::new(),
+                routed: Vec::new(),
+                stopped: false,
+                queue: VecDeque::new(),
+                hidden: false,
+                victim: None,
+                after_dispatch: 0,
+            }
+        }
     }
 
     impl CoreEnv for Recording {
@@ -303,6 +390,15 @@ mod tests {
         }
         fn registry(&self) -> &HandlerRegistry {
             &self.registry
+        }
+        fn pop(&mut self, stolen: bool) -> Pop {
+            if self.hidden && !stolen {
+                return Pop::NotVisible;
+            }
+            self.queue.pop_front().map_or(Pop::Empty, Pop::Event)
+        }
+        fn after_dispatch(&mut self) {
+            self.after_dispatch += 1;
         }
         fn now(&self) -> u64 {
             0
@@ -326,10 +422,13 @@ mod tests {
             (0, vec![0, 5])
         }
         fn worth_visiting(&self, _: usize) -> bool {
-            false
+            self.victim.is_some()
         }
         fn migrate(&mut self, _: usize, _: usize) -> Option<(u64, u64)> {
-            None
+            let ev = self.victim.take()?;
+            let cost = ev.cost();
+            self.queue.push_back(ev);
+            Some((1, cost))
         }
         fn steal_end(&mut self, _: u64, _: bool) -> u64 {
             777
@@ -497,15 +596,7 @@ mod tests {
             if let Some(plan) = plan {
                 builder = builder.fault_plan(plan);
             }
-            let mut env = Recording {
-                m: CoreMetrics::default(),
-                cfg: builder.resolve(),
-                registry: HandlerRegistry::new(),
-                rng: plan.map(|p| p.rng()),
-                timers: Vec::new(),
-                routed: Vec::new(),
-                stopped: false,
-            };
+            let mut env = Recording::new(builder.resolve(), plan.map(|p| p.rng()));
             if let Some(c) = case.poisoned {
                 env.cfg.faults.quarantined.quarantine(Color::new(c));
             }
@@ -536,6 +627,94 @@ mod tests {
                 0,
                 "slot freed: {name}"
             );
+        }
+    }
+
+    /// One turn's sequence, checked with no executor: the core's own
+    /// visible event first; else, only where stealing can pay, one
+    /// attempt whose catch runs in the same turn.
+    #[test]
+    fn a_turn_runs_its_own_event_else_what_it_steals() {
+        #[derive(Clone, Copy)]
+        struct Case {
+            name: &'static str,
+            ws: WsPolicy,
+            cores: usize,
+            queued: bool,
+            hidden: bool,
+            victim: bool,
+            want: Turn,
+            ran: u64,
+            attempts: u64,
+            steals: u64,
+        }
+        let own = Case {
+            name: "a popped event is dispatched",
+            ws: WsPolicy::base(),
+            cores: 2,
+            queued: true,
+            hidden: false,
+            victim: true,
+            want: Turn::Ran,
+            ran: 1,
+            attempts: 0,
+            steals: 0,
+        };
+        let idle = Case {
+            queued: false,
+            want: Turn::Idle,
+            ran: 0,
+            ..own
+        };
+        let cases = [
+            own,
+            Case {
+                name: "a not-yet-visible event waits, and nothing is stolen",
+                hidden: true,
+                want: Turn::Waiting,
+                ran: 0,
+                ..own
+            },
+            Case {
+                name: "an empty core with WS off idles",
+                ws: WsPolicy::off(),
+                ..idle
+            },
+            Case {
+                name: "an empty lone core idles",
+                cores: 1,
+                ..idle
+            },
+            Case {
+                name: "a failed attempt idles",
+                victim: false,
+                attempts: 1,
+                ..idle
+            },
+            Case {
+                name: "a stolen event runs in the same turn",
+                want: Turn::Ran,
+                ran: 1,
+                attempts: 1,
+                steals: 1,
+                ..idle
+            },
+        ];
+        for case in cases {
+            let builder = RuntimeBuilder::new().cores(case.cores);
+            let mut env = Recording::new(builder.workstealing(case.ws).resolve(), None);
+            let ev = || Event::new(Color::new(3), 10);
+            if case.queued {
+                env.queue.push_back(ev());
+            }
+            env.hidden = case.hidden;
+            env.victim = case.victim.then(ev);
+            let name = case.name;
+            assert_eq!(turn(&mut env), case.want, "{name}");
+            assert_eq!(env.m.events_processed, case.ran, "{name}");
+            assert_eq!(env.after_dispatch, case.ran, "{name}");
+            assert_eq!(env.m.steal_attempts, case.attempts, "{name}");
+            assert_eq!(env.m.steals, case.steals, "{name}");
         }
     }
 }

@@ -26,16 +26,15 @@
 //!   library is an actual runtime and providing the substrate for
 //!   integration tests (and for real speedups on a multicore host).
 //!
-//! One kernel, two drivers: the scheduling decisions — what a core does
-//! with a popped event (admission release, quarantine gate, fault
-//! draws, contained handler run, fault policy, completion metrics,
-//! buffered effects) and one steal attempt (victims, budget, whole-color
-//! migration, steal metrics, cost estimate) — are written once in the
-//! private `kernel` module, generic over a per-core environment. The
-//! environment abstracts the clock and how cost is paid, how a victim's
-//! queue is reached, and where timers and routed events go. It does not
-//! abstract the simulator's perturbation points or the threaded
-//! executor's inbox rescue; those stay in the drivers.
+//! One kernel, two drivers: a core's turn — pop and dispatch its next
+//! event (admission release, quarantine gate, fault draws, contained
+//! handler run, fault policy, completion metrics, buffered effects), or
+//! else one steal attempt whose catch runs at once — is written once in
+//! the private `kernel` module, generic over a per-core environment
+//! (the clock and how cost is paid, how a queue is reached, where timers
+//! and routed events go). The drivers keep what is theirs: the
+//! simulator's core pick, virtual clock, mailbox and timers; the
+//! threaded workers' inboxes, stop flag and real waiting.
 //!
 //! Both executors sit behind one executor-agnostic API ([`exec`]):
 //! applications are written once against the [`exec::Executor`] and

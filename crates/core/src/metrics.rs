@@ -187,7 +187,8 @@ pub struct CoreMetrics {
     /// Declared processing cost of the event sets this core stole (the
     /// paper's "stolen time").
     pub stolen_cost_cycles: u64,
-    /// Events this core registered (initial or from handlers).
+    /// Events that entered this core's queue: registered, routed or
+    /// fired by a timer (a steal moves events, it does not count them).
     pub registered: u64,
     /// L2 cache misses attributed to this core (simulation only).
     pub l2_misses: u64,

@@ -27,6 +27,8 @@ pub struct LegacyQueue {
     fifo: VecDeque<Event>,
     counts: FxHashMap<Color, usize>,
     total_cost: u64,
+    /// Counted by `QueueImpl::push`, read by `QueueImpl::take_pushes`.
+    pub(crate) pushes: u64,
 }
 
 impl LegacyQueue {

@@ -197,6 +197,8 @@ pub struct MelyQueue {
     buf_pool: Vec<VecDeque<Event>>,
     /// Color-queue creations served from the buffer pool.
     buf_reuses: u64,
+    /// Counted by `QueueImpl::push`, read by `QueueImpl::take_pushes`.
+    pub(crate) pushes: u64,
     steal_cost_estimate: u64,
     use_penalty: bool,
     total_events: usize,
@@ -236,6 +238,7 @@ impl MelyQueue {
                 .map(|_| VecDeque::with_capacity(INITIAL_BUF_EVENTS))
                 .collect(),
             buf_reuses: 0,
+            pushes: 0,
             steal_cost_estimate: 0,
             use_penalty,
             total_events: 0,

@@ -63,6 +63,16 @@ impl QueueImpl {
         }
     }
 
+    /// Events that entered through [`QueueImpl::push`] since the last
+    /// call (a steal absorbs, it does not push): what a core reports as
+    /// `registered`. A plain counter, paid for by the caller's lock.
+    pub(crate) fn take_pushes(&mut self) -> u64 {
+        match self {
+            QueueImpl::Legacy(q) => std::mem::take(&mut q.pushes),
+            QueueImpl::Mely(q) => std::mem::take(&mut q.pushes),
+        }
+    }
+
     /// Unlocked pre-screen of `can_be_stolen` (Figure 2): two distinct
     /// colors, or — under the time-left heuristic — a worthy color in
     /// the stealing-queue that is not the one in flight.
@@ -115,8 +125,12 @@ impl QueueImpl {
     /// flavor's discipline).
     pub fn push(&mut self, ev: Event) {
         match self {
-            QueueImpl::Legacy(q) => q.push(ev),
+            QueueImpl::Legacy(q) => {
+                q.pushes += 1;
+                q.push(ev);
+            }
             QueueImpl::Mely(q) => {
+                q.pushes += 1;
                 q.push(ev);
             }
         }

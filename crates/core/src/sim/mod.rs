@@ -9,10 +9,11 @@
 //! from the machine's topology, so the experiments can report L2 misses
 //! per event exactly like Tables V and VI.
 //!
-//! Dispatch and stealing are the kernel it shares with the threaded
-//! executor (`kernel.rs`); this driver supplies virtual time, the lock
-//! cost model and the schedule-perturbation points. Runs are fully
-//! deterministic: identical inputs produce identical reports.
+//! A core's turn is the kernel it shares with the threaded executor
+//! (`kernel::turn`); this driver picks which core takes the next turn
+//! and supplies virtual time, the lock cost model, the mailbox, timers
+//! and the schedule-perturbation points. Runs are fully deterministic:
+//! identical inputs produce identical reports.
 //!
 //! # Examples
 //!
@@ -47,7 +48,7 @@ use crate::event::Event;
 use crate::exec::{Door, ExecKind, Executor, Injector, SimMailbox};
 use crate::fuzz::{SchedulePerturbation, ScheduleRng};
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
-use crate::kernel::{self, CoreEnv, CoreState, TimerEntry};
+use crate::kernel::{self, CoreEnv, CoreState, Pop, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::{Flavor, Resolved};
@@ -87,7 +88,7 @@ pub(crate) struct SimRuntime {
     next_seq: u64,
     stopped: bool,
     /// Lock-wait cycles accumulated by the current steal attempt (waits
-    /// are congestion, not steal work; see `try_steal`).
+    /// are congestion, not steal work; see `steal_end`).
     attempt_wait: u64,
     /// External-producer mailbox behind [`crate::exec::Injector`]; the
     /// run loop drains it at iteration boundaries.
@@ -162,7 +163,6 @@ impl SimRuntime {
         ev.seq = self.next_seq;
         self.next_seq += 1;
         ev.visible_at = visible_at;
-        self.cores[core].metrics.registered += 1;
         self.cores[core].queue.push(ev);
         self.mailbox
             .publish_core_occupancy(core, self.cores[core].queue.len() as u32);
@@ -270,60 +270,6 @@ impl SimRuntime {
         .with_fault_log(self.cfg.faults.log_snapshot())
     }
 
-    fn step(&mut self, c: usize) {
-        // Under batch-cut jitter the effective per-color dispatch batch
-        // for this step is a random 1..=batch_threshold. It is drawn
-        // once and shared by `next_ready_time` and `pop`: both walk the
-        // same rotation state, so disagreeing values would desync them.
-        let threshold = self.cfg.batch_threshold.max(1);
-        let batch = match self.perturb_rng(|p| p.jitter_batch_cut) {
-            Some(rng) => rng.pick(threshold as usize) as u32 + 1,
-            None => threshold,
-        };
-        match self.cores[c].queue.next_ready_time(batch) {
-            Some(t) if t <= self.cores[c].clock => self.execute_one(c, batch),
-            Some(t) => {
-                // Wait for the event to become visible.
-                let m = &mut self.cores[c];
-                m.metrics.idle_cycles += t - m.clock;
-                m.clock = t;
-            }
-            None => {
-                debug_assert!(self.cfg.ws.enabled);
-                if let Some(rng) = self.perturb_rng(|p| p.defer_steals) {
-                    if rng.chance(1, 4) {
-                        // Perturbed steal timing: skip this steal check
-                        // and idle one recheck period instead.
-                        let pause = self.cfg.costs.idle_recheck;
-                        let m = &mut self.cores[c];
-                        m.clock += pause;
-                        m.metrics.idle_cycles += pause;
-                        return;
-                    }
-                }
-                // After a successful steal the thief immediately executes
-                // (as a real worker loop does after `migrate` returns) —
-                // otherwise lower-clock idle cores could re-steal the set
-                // before its holder ever runs it, ping-ponging forever.
-                if kernel::steal_attempt(&mut OnCore { rt: self, c }) {
-                    self.execute_one(c, batch);
-                }
-            }
-        }
-    }
-
-    fn execute_one(&mut self, c: usize, batch: u32) {
-        // Pop under our own lock.
-        let hold = self.cfg.costs.lock_acquire + self.cfg.costs.queue_op;
-        self.lock(c, c, hold);
-        let Some(ev) = self.cores[c].queue.pop(batch) else {
-            return;
-        };
-        self.mailbox
-            .publish_core_occupancy(c, self.cores[c].queue.len() as u32);
-        kernel::dispatch_one(&mut OnCore { rt: self, c }, ev);
-    }
-
     /// Sweeps `len` bytes at `base` through core `c`'s caches and
     /// returns the stall (0 when caches are not simulated).
     fn sweep(&mut self, c: usize, base: u64, len: u64) -> u64 {
@@ -345,12 +291,16 @@ impl SimRuntime {
     }
 }
 
-/// Core `c` of the simulator as the scheduling kernel sees it: time is
-/// the core's virtual clock, cost is added to it, and a queue is
-/// reached by `&mut` access plus a modelled lock charge.
+/// Core `c` of the simulator for one turn, as the scheduling kernel
+/// sees it: time is the core's virtual clock, cost is added to it, and
+/// a queue is reached by `&mut` access plus a modelled lock charge.
 struct OnCore<'a> {
     rt: &'a mut SimRuntime,
     c: usize,
+    /// This turn's per-color dispatch batch, shared by the visibility
+    /// check and the pop: both walk the same rotation state, so
+    /// disagreeing values would desync them.
+    batch: u32,
 }
 
 impl CoreEnv for OnCore<'_> {
@@ -366,6 +316,46 @@ impl CoreEnv for OnCore<'_> {
 
     fn registry(&self) -> &HandlerRegistry {
         &self.rt.registry
+    }
+
+    /// A core whose next event is not visible yet idles its clock up to
+    /// the event's visibility time.
+    fn pop(&mut self, stolen: bool) -> Pop {
+        let (rt, c) = (&mut *self.rt, self.c);
+        if !stolen {
+            match rt.cores[c].queue.next_ready_time(self.batch) {
+                None => return Pop::Empty,
+                Some(t) if t > rt.cores[c].clock => {
+                    let core = &mut rt.cores[c];
+                    core.metrics.idle_cycles += t - core.clock;
+                    core.clock = t;
+                    return Pop::NotVisible;
+                }
+                Some(_) => {}
+            }
+        }
+        rt.lock(c, c, rt.cfg.costs.lock_acquire + rt.cfg.costs.queue_op);
+        let Some(ev) = rt.cores[c].queue.pop(self.batch) else {
+            return Pop::Empty;
+        };
+        rt.mailbox
+            .publish_core_occupancy(c, rt.cores[c].queue.len() as u32);
+        Pop::Event(ev)
+    }
+
+    /// Perturbed steal timing: skip this steal check and idle one
+    /// recheck period instead.
+    fn defer_steal(&mut self) -> bool {
+        let rt = &mut *self.rt;
+        let defer = rt
+            .perturb_rng(|p| p.defer_steals)
+            .is_some_and(|r| r.chance(1, 4));
+        if defer {
+            let core = &mut rt.cores[self.c];
+            core.clock += rt.cfg.costs.idle_recheck;
+            core.metrics.idle_cycles += rt.cfg.costs.idle_recheck;
+        }
+        defer
     }
 
     fn now(&self) -> u64 {
@@ -624,9 +614,8 @@ impl Executor for SimRuntime {
             for i in 0..self.cores.len() {
                 let qlen = self.cores[i].queue.len();
                 let clock = self.cores[i].clock;
-                let can_steal = self.cfg.ws.enabled
+                let can_steal = kernel::may_steal(&self.cfg)
                     && total > qlen
-                    && total > 0
                     && busy_horizon.is_some_and(|h| clock <= h + slack);
                 if qlen > 0 || can_steal {
                     if scramble {
@@ -647,7 +636,15 @@ impl Executor for SimRuntime {
                 best = Some((self.cores[i].clock, i));
             }
             match best {
-                Some((_, c)) => self.step(c),
+                Some((_, c)) => {
+                    // Batch-cut jitter: a random 1..=batch_threshold.
+                    let threshold = self.cfg.batch_threshold;
+                    let batch = match self.perturb_rng(|p| p.jitter_batch_cut) {
+                        Some(rng) => rng.pick(threshold as usize) as u32 + 1,
+                        None => threshold,
+                    };
+                    kernel::turn(&mut OnCore { rt: self, c, batch });
+                }
                 None => {
                     // Nothing runnable: deliver the earliest timer batch,
                     // or finish.
@@ -674,6 +671,9 @@ impl Executor for SimRuntime {
         // Consume any stop request on the way out (like the threaded
         // executor after its workers join), so a later `run` proceeds.
         self.mailbox.clear_stop();
+        for core in &mut self.cores {
+            core.metrics.registered += core.queue.take_pushes();
+        }
         self.report()
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! This is the "real" runtime: per-core queues protected by cache-padded
 //! spinlocks ([`crate::sync::SpinLock`]), events executed by the core's
-//! thread, idle cores running the workstealing algorithm. Dispatch and
-//! stealing are the kernel it shares with the simulator (`kernel.rs`).
+//! thread, idle cores running the workstealing algorithm. A worker's turn
+//! is the kernel it shares with the simulator (`kernel::turn`); around
+//! it the worker drains its timers and inbox, and waits when idle.
 //! An event costs what its action takes to run: declared costs and
 //! [`Ctx::charge`](crate::ctx::Ctx::charge)s are never waited out here;
 //! they only weigh a color for the steal heuristics.
@@ -65,7 +66,7 @@ use crate::exec::{enqueue_or_shed, Door, ExecKind, Executor, Injector, KeepAlive
 use crate::fault::{Fault, FaultKind, FaultPolicy};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
-use crate::kernel::{self, CoreEnv, CoreState, TimerEntry};
+use crate::kernel::{self, CoreEnv, CoreState, Pop, TimerEntry, Turn};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::{Flavor, Resolved};
@@ -432,12 +433,14 @@ impl Executor for ThreadedRuntime {
             });
         }
         // Producer-side pushes happen on external threads; attribute each
-        // inbox's totals to the core it feeds. The queue's buffer-pool
-        // counter lives in the (now idle) queue itself.
+        // inbox's totals to the core it feeds. The queue's push and
+        // buffer-pool counters live in the (now idle) queue itself.
         for (m, core) in per_core.iter_mut().zip(&self.shared.cores) {
             m.inbox_pushes = core.inbox.total_pushes();
             m.inbox_node_reuse = core.inbox.total_node_reuses();
-            m.queue_buf_reuse = core.queue.lock().buf_reuses();
+            let mut q = core.queue.lock();
+            m.registered = q.take_pushes();
+            m.queue_buf_reuse = q.buf_reuses();
         }
         self.shared.cfg.admission.attribute_to(&mut per_core[0]);
         let wall = cycles::now().wrapping_sub(start);
@@ -466,7 +469,6 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         // per worker even though cross-worker interleaving is not.
         fault_rng: shared.cfg.faults.plan.map(|p| p.worker_rng(me)),
     };
-    let batch = shared.cfg.batch_threshold;
     let mut idle_spins: u32 = 0;
     // Reused across iterations so steady-state inbox drains never
     // allocate (the inbox recycles its nodes; this recycles the batch).
@@ -477,37 +479,11 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         }
         drain_timers(shared);
         drain_inbox(shared, me, &mut inbox_batch, &mut w.m);
-
-        // Pop from our own queue.
-        let popped = {
-            let core = &shared.cores[me];
-            let mut q = core.queue.lock();
-            w.m.lock_wait_cycles += q.waited_cycles();
-            w.m.lock_ops += 1;
-            let ev = q.pop(batch);
-            if let Some(ev) = &ev {
-                core.in_flight
-                    .store(ev.color().value() as u32, Ordering::Release);
-            }
-            core.len_hint.store(q.len(), Ordering::Relaxed);
-            ev
-        };
-
-        if let Some(ev) = popped {
-            kernel::dispatch_one(&mut w, ev);
-            shared.cores[me]
-                .in_flight
-                .store(NO_COLOR, Ordering::Release);
-            shared.outstanding.fetch_sub(1, Ordering::AcqRel);
+        if kernel::turn(&mut w) == Turn::Ran {
             idle_spins = 0;
             continue;
         }
-
-        // Idle: steal or wind down.
-        if shared.cfg.ws.enabled && kernel::steal_attempt(&mut w) {
-            idle_spins = 0;
-            continue;
-        }
+        // Idle: wind down, or wait for work.
         if shared.outstanding.load(Ordering::Acquire) == 0 {
             break;
         }
@@ -598,6 +574,29 @@ impl CoreEnv for Worker<'_> {
         &self.shared.registry
     }
 
+    /// Publishes the popped color as in flight under the lock, so a
+    /// thief's `migrate` never takes the color that is running.
+    fn pop(&mut self, _stolen: bool) -> Pop {
+        let core = &self.shared.cores[self.me];
+        let mut q = core.queue.lock();
+        self.m.lock_wait_cycles += q.waited_cycles();
+        self.m.lock_ops += 1;
+        let ev = q.pop(self.shared.cfg.batch_threshold);
+        if let Some(ev) = &ev {
+            core.in_flight
+                .store(ev.color().value() as u32, Ordering::Release);
+        }
+        core.len_hint.store(q.len(), Ordering::Relaxed);
+        ev.map_or(Pop::Empty, Pop::Event)
+    }
+
+    fn after_dispatch(&mut self) {
+        self.shared.cores[self.me]
+            .in_flight
+            .store(NO_COLOR, Ordering::Release);
+        self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
+    }
+
     fn now(&self) -> u64 {
         cycles::now()
     }
@@ -617,7 +616,6 @@ impl CoreEnv for Worker<'_> {
     }
 
     fn route(&mut self, ev: Event) {
-        self.m.registered += 1;
         self.shared.register(ev);
     }
 
@@ -725,6 +723,7 @@ mod tests {
     use super::*;
     use crate::runtime::RuntimeBuilder;
     use std::sync::atomic::AtomicI64;
+    use std::time::{Duration, Instant};
 
     fn rt(flavor: Flavor, ws: WsPolicy, cores: usize) -> ThreadedRuntime {
         let builder = RuntimeBuilder::new().cores(cores).flavor(flavor);
@@ -742,7 +741,24 @@ mod tests {
                 rt.run()
             };
             assert_eq!(r.events_processed(), 200, "{flavor:?}");
+            assert_eq!(r.total().registered, 200, "{flavor:?}");
         }
+    }
+
+    #[test]
+    fn a_lone_worker_never_probes_for_victims() {
+        // Stealing is on, but there is no other core: the 20 ms timer
+        // keeps the worker idling without a single steal attempt.
+        let mut rt = rt(Flavor::Mely, WsPolicy::improved(), 1);
+        for i in 0..4u16 {
+            rt.register(Event::new(Color::new(i + 1), 0));
+        }
+        rt.register(Event::new(Color::new(1), 0).with_action(|ctx| {
+            ctx.register_after(cycles::NOMINAL_FREQ_HZ / 50, Event::new(Color::new(1), 0));
+        }));
+        let r = rt.run();
+        assert_eq!(r.events_processed(), 6);
+        assert_eq!(r.total().steal_attempts, 0);
     }
 
     #[test]
@@ -790,19 +806,33 @@ mod tests {
 
     #[test]
     fn stealing_spreads_pinned_load() {
-        let mut rt = rt(Flavor::Mely, WsPolicy::base(), 4);
-        for i in 0..64u16 {
-            // The body burns what the event declares: service time is
-            // the handler's to spend, the executor adds none.
-            let ev = Event::new(Color::new(i + 1), 200_000);
-            rt.register_pinned(ev.with_action(|_| cycles::spin(200_000)), 0);
+        for cores in [2, 4] {
+            let mut rt = rt(Flavor::Mely, WsPolicy::base(), cores);
+            // Core 0 holds every event and stays in its first handler
+            // until another core has run one, which only a steal can
+            // bring about: the thieves get their chance however the OS
+            // schedules the workers.
+            let elsewhere = Arc::new(AtomicBool::new(false));
+            for i in 0..64u16 {
+                let seen = Arc::clone(&elsewhere);
+                let ev = Event::new(Color::new(i + 1), 200_000).with_action(move |ctx| {
+                    if ctx.core() != 0 {
+                        seen.store(true, Ordering::Release);
+                    }
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !seen.load(Ordering::Acquire) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                });
+                rt.register_pinned(ev, 0);
+            }
+            let r = rt.run();
+            assert_eq!(r.events_processed(), 64);
+            assert!(
+                r.total().steals > 0,
+                "expected steals on an unbalanced load ({cores} cores)"
+            );
         }
-        let r = rt.run();
-        assert_eq!(r.events_processed(), 64);
-        assert!(
-            r.total().steals > 0,
-            "expected steals on an unbalanced load"
-        );
     }
 
     #[test]
@@ -843,12 +873,14 @@ mod tests {
             m: CoreMetrics::default(),
             fault_rng: None,
         };
-        assert!(kernel::steal_attempt(&mut thief));
+        // Each turn of the idle thief steals one color and runs it.
+        assert_eq!(kernel::turn(&mut thief), Turn::Ran);
         assert_eq!(thief.m.steals, 1);
         let first = thief.m.steal_cycles;
         assert_eq!(rt.shared.steal_est.lock().get(), first);
         // Later samples are smoothed by 1/8.
-        assert!(kernel::steal_attempt(&mut thief));
+        assert_eq!(kernel::turn(&mut thief), Turn::Ran);
+        assert_eq!(thief.m.steals, 2);
         let second = thief.m.steal_cycles - first;
         assert_eq!(
             rt.shared.steal_est.lock().get(),
