@@ -20,8 +20,6 @@
 //! well under flat's cross-socket traffic — is pinned exactly by the
 //! golden output CI diffs (`benches/golden/steal_domains.txt`).
 
-use std::sync::Arc;
-
 use mely_bench::steal::{predicted_transfer_cycles, tier_split};
 use mely_core::prelude::*;
 
@@ -39,7 +37,7 @@ const EVENTS_PER_HOT_CORE: u16 = 200;
 
 /// Runs the two-hot-cores workload under `ws` and `policy` and returns
 /// the report. Deterministic: same policy, same schedule, same counters.
-fn run(machine: &MachineModel, ws: WsPolicy, policy: Arc<dyn StealPolicy>) -> RunReport {
+fn run(machine: &MachineModel, ws: WsPolicy, policy: StealPolicy) -> RunReport {
     let mut rt = RuntimeBuilder::new()
         .cores(machine.num_cores())
         .machine(machine.clone())
@@ -71,10 +69,10 @@ fn main() {
     // Flat follows the locality toggle: off is the paper's Figure 2
     // order, on its Section III-A cache-distance order.
     let base = WsPolicy::base();
-    let rows: [(&str, WsPolicy, Arc<dyn StealPolicy>); 3] = [
-        ("flat", base, Arc::new(FlatPolicy)),
-        ("flat+loc", base.with_locality(true), Arc::new(FlatPolicy)),
-        ("hierarchical", base, Arc::new(HierarchicalPolicy)),
+    let rows = [
+        ("flat", base, StealPolicy::Flat),
+        ("flat+loc", base.with_locality(true), StealPolicy::Flat),
+        ("hierarchical", base, StealPolicy::Hierarchical),
     ];
     for (name, ws, policy) in rows {
         let r = run(&machine, ws, policy);

@@ -6,7 +6,8 @@
 //! the cores can blow memory while tail latency collapses. This module
 //! adds the overload-engineering layer: configurable occupancy limits
 //! ([`QueueLimits`]), a fallible admission API
-//! ([`crate::exec::Injector::try_inject`] returning [`Overload`]), and a
+//! ([`crate::exec::Injector::try_inject`] returning `Err(`[`Overload`]`)`
+//! with the limit that was hit), and a
 //! pluggable [`AdmissionPolicy`] deciding what the *infallible* injection
 //! path does when a limit is hit.
 //!
@@ -191,8 +192,8 @@ pub enum OverloadReason {
     InboxBacklog,
     /// The event's color is quarantined after a contained handler fault
     /// (see [`crate::fault`]): a faulted color accepts no new work for
-    /// the rest of the runtime's life, so there is no meaningful retry
-    /// hint. Returned regardless of configured [`QueueLimits`] — even
+    /// the rest of the runtime's life, so retrying is futile. Returned
+    /// regardless of configured [`QueueLimits`] — even
     /// an unbounded runtime rejects quarantined colors.
     Quarantined,
 }
@@ -208,49 +209,21 @@ impl fmt::Display for OverloadReason {
     }
 }
 
-/// A rejected admission attempt: why, and a pacing hint.
+/// A rejected admission attempt ([`crate::exec::Injector::try_inject`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Overload {
     /// The first limit the attempt hit (checks run in the order
     /// per-core, inbox, per-color).
     pub reason: OverloadReason,
-    /// Rough cycles until the congested queue may have drained enough to
-    /// retry: the observed backlog times a nominal per-event dispatch
-    /// cost. A pacing hint for the [`crate::exec::Injector::try_inject`]
-    /// caller, not a guarantee.
-    pub retry_after_hint: u64,
 }
 
 impl fmt::Display for Overload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "overload: {} (retry after ~{} cycles)",
-            self.reason, self.retry_after_hint
-        )
+        write!(f, "overload: {}", self.reason)
     }
 }
 
 impl std::error::Error for Overload {}
-
-/// Receipt for a successful fallible admission
-/// ([`crate::exec::Injector::try_inject`]). Currently carries no data;
-/// it exists so the `Result` is self-describing and the type can grow
-/// fields (admitted core, queue depth) without changing signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub struct Admitted;
-
-impl fmt::Display for Admitted {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("admitted")
-    }
-}
-
-/// Nominal per-event drain cost used to scale `retry_after_hint` from an
-/// observed backlog (a dispatch is a couple hundred cycles on the
-/// paper's testbed).
-const RETRY_HINT_PER_EVENT_CYCLES: u64 = 200;
 
 /// Shared admission state of one runtime: the configured limits and
 /// policy, the per-color in-flight occupancy (allocated only when a
@@ -349,9 +322,10 @@ impl AdmissionCtl {
         // The quarantine gate precedes the unbounded fast path: a
         // poisoned color rejects even on a runtime with no queue limits
         // configured. `Overload::reason` tells the producer this is not
-        // backpressure — there is no occupancy to drain, so no hint.
+        // backpressure: there is no occupancy to drain.
+        let reject = |reason| Err(Overload { reason });
         if faults.is_quarantined(ev.color()) {
-            return Err(self.overload(OverloadReason::Quarantined, 0));
+            return reject(OverloadReason::Quarantined);
         }
         if self.is_unbounded() {
             return Ok(());
@@ -359,30 +333,21 @@ impl AdmissionCtl {
         let (core_occ, inbox_occ) = occupancy();
         if let Some(cap) = self.limits.per_core_events {
             if core_occ >= u64::from(cap) {
-                return Err(self.overload(OverloadReason::PerCoreFull, core_occ));
+                return reject(OverloadReason::PerCoreFull);
             }
         }
         if let Some(cap) = self.limits.inbox_backlog {
             if inbox_occ >= u64::from(cap) {
-                return Err(self.overload(OverloadReason::InboxBacklog, inbox_occ));
+                return reject(OverloadReason::InboxBacklog);
             }
         }
         if let Some(cap) = self.limits.per_color_events {
             if !self.try_claim_color(ev.color().value() as usize, cap) {
-                return Err(self.overload(OverloadReason::ColorHot, u64::from(cap)));
+                return reject(OverloadReason::ColorHot);
             }
             ev.color_counted = true;
         }
         Ok(())
-    }
-
-    /// Builds the [`Overload`] for a rejection, deriving the retry hint
-    /// from the observed backlog.
-    pub(crate) fn overload(&self, reason: OverloadReason, backlog: u64) -> Overload {
-        Overload {
-            reason,
-            retry_after_hint: backlog.saturating_mul(RETRY_HINT_PER_EVENT_CYCLES),
-        }
     }
 
     /// Writes the reject/shed totals into core 0's slot of a report:
@@ -449,11 +414,8 @@ mod tests {
         assert_eq!(OverloadReason::ColorHot.to_string(), "color hot");
         let ov = Overload {
             reason: OverloadReason::PerCoreFull,
-            retry_after_hint: 400,
         };
-        assert!(ov.to_string().contains("per-core queue full"));
-        assert!(ov.to_string().contains("400"));
-        assert_eq!(Admitted.to_string(), "admitted");
+        assert_eq!(ov.to_string(), "overload: per-core queue full");
     }
 
     #[test]
@@ -484,15 +446,6 @@ mod tests {
         }
         ctl.release_color(7);
         assert!(ctl.try_claim_color(7, 2));
-    }
-
-    #[test]
-    fn retry_hint_scales_with_backlog() {
-        let ctl = AdmissionCtl::new(QueueLimits::default(), AdmissionPolicy::default());
-        let small = ctl.overload(OverloadReason::InboxBacklog, 2);
-        let large = ctl.overload(OverloadReason::InboxBacklog, 2_000);
-        assert!(small.retry_after_hint < large.retry_after_hint);
-        assert_eq!(small.reason, OverloadReason::InboxBacklog);
     }
 
     /// Reason selection at the per-color boundary on the threaded
@@ -536,7 +489,6 @@ mod tests {
             .try_inject(Event::new(Color::new(9), 0))
             .expect_err("core full");
         assert_eq!(err.reason, OverloadReason::PerCoreFull);
-        assert!(err.retry_after_hint > 0);
     }
 
     #[test]

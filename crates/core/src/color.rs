@@ -70,9 +70,9 @@ impl From<u16> for Color {
 /// partition.
 ///
 /// The stage layer uses the lower half of the non-default colors,
-/// split into two *planes*: [`ColorRange::STAGE_SERIAL`] (allocator
-/// territory — [`ColorSpace::for_stages`] hands serial stage colors out
-/// of it) and [`ColorRange::STAGE_KEYED`] (hash territory —
+/// split into two *planes*: [`ColorRange::STAGE_SERIAL`] (counter
+/// territory — [`ColorSpace::alloc`] hands serial stage colors out of
+/// it) and [`ColorRange::STAGE_KEYED`] (hash territory —
 /// `StageSpec::keyed` colors land there; keys hash into it with
 /// [`ColorRange::keyed`], and a hash collision merely serializes the
 /// two entities, which is always safe). The split makes
@@ -96,9 +96,9 @@ pub struct ColorRange {
 
 impl ColorRange {
     /// The *serial plane*: the range
-    /// [`ColorSpace::for_stages`] allocates serial stage colors from.
+    /// [`ColorSpace::alloc`] hands serial stage colors out of.
     /// Disjoint from [`ColorRange::STAGE_KEYED`], so an
-    /// allocator-assigned stage color can never collide with a hashed
+    /// allocated stage color can never collide with a hashed
     /// per-message color — without this split, connection 0's keyed
     /// color would equal the first allocated serial color on every
     /// run, silently serializing that connection's whole request path
@@ -156,8 +156,8 @@ impl ColorRange {
 /// Where one pipeline's `StageSpec::keyed` messages hash to: the colors
 /// of [`ColorRange::STAGE_KEYED`] that lie in the pipeline's residue
 /// class, as the progression `first + stride * i` for `i < len`. The
-/// stage router carries one of these ([`ColorSpace::keyed_plane`]) so
-/// the per-event path never touches the allocator's bitmap.
+/// stage router carries one of these ([`ColorSpace::keyed_plane`]), a
+/// `Copy` value, on its per-event path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct KeyedPlane {
     first: u16,
@@ -180,45 +180,23 @@ impl KeyedPlane {
     }
 }
 
-/// Error returned by [`ColorSpace::claim`] when the color is taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColorTaken(
-    /// The contested color.
-    pub Color,
-);
-
-impl fmt::Display for ColorTaken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} is already allocated or reserved", self.0)
-    }
-}
-
-impl std::error::Error for ColorTaken {}
-
-/// A collision-checked allocator over the 16-bit color space.
+/// The serial colors of one pipeline: a counter over
+/// [`ColorRange::STAGE_SERIAL`] that only ever stops on one *residue
+/// class* `(residue, modulus)`.
 ///
-/// Hand-picking `u16` colors works for one service; the moment two
-/// services (or a service and the `mely-net` bridge) share an executor,
-/// silent collisions serialize unrelated work — or worse, couple a
-/// stage to a listener. `ColorSpace` makes the assignment explicit: a
-/// bitmap tracks every allocated or reserved color, [`ColorSpace::alloc`]
-/// hands out the lowest free color, and [`ColorSpace::claim`] takes a
-/// specific one, failing loudly on a collision.
+/// [`ColorSpace::alloc`] hands out the class's colors of the serial
+/// plane in increasing order, and the keyed mapping
+/// ([`ColorSpace::keyed`]) hashes into the class's colors of
+/// [`ColorRange::STAGE_KEYED`]. Neither plane contains the default
+/// color, and the two planes are disjoint, so an allocated stage color
+/// never joins the all-serializing default color and never meets a
+/// hashed per-message color.
 ///
-/// [`ColorSpace::for_stages`] is the configuration the stage layer
-/// builds on: the default color and the whole listener range are
-/// reserved, so allocated stage colors can never shadow a listener and
-/// never silently join the all-serializing default color.
-///
-/// A space also answers "which colors may this pipeline use": it
-/// carries a *residue class* `(residue, modulus)`, and both
-/// [`ColorSpace::alloc`] and the keyed mapping ([`ColorSpace::keyed`])
-/// only ever produce colors ≡ `residue` (mod `modulus`). The default
-/// class `(0, 1)` is every color; [`ColorSpace::congruent`] picks
-/// another — with `modulus` = the core count, the color hash
-/// ([`Color::home_core`]) then sends the whole pipeline to core
-/// `residue`, which is how the N-copy web server pins one copy per
-/// core.
+/// The default class ([`ColorSpace::for_stages`]) is every color;
+/// [`ColorSpace::congruent`] picks another — with `modulus` = the core
+/// count, the color hash ([`Color::home_core`]) then sends the whole
+/// pipeline to core `residue`, which is how the N-copy web server pins
+/// one copy per core. Spaces of distinct residues are disjoint.
 ///
 /// # Examples
 ///
@@ -228,58 +206,24 @@ impl std::error::Error for ColorTaken {}
 /// let mut space = ColorSpace::for_stages();
 /// let a = space.alloc();
 /// let b = space.alloc();
-/// assert_ne!(a, b);
-/// assert!(!a.is_default());
+/// assert_eq!((a, b), (Color::new(1), Color::new(2)));
 /// assert!(ColorRange::STAGE_SERIAL.contains(a));
-/// assert!(space.claim(a).is_err(), "collision-checked");
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ColorSpace {
-    /// One bit per color; set = allocated or reserved.
-    used: Box<[u64; COLOR_SPACE / 64]>,
-    /// Lowest value `alloc` still has to inspect.
-    cursor: u32,
-    /// Colors handed out or explicitly claimed/reserved (excluding the
-    /// implicit default-color reservation).
-    allocated: u32,
+    /// The color the next [`ColorSpace::alloc`] hands out (in the class).
+    next: u32,
     /// The residue class `alloc` and `keyed` stay inside:
     /// colors ≡ `residue` (mod `modulus`). `(0, 1)` is every color.
     residue: u32,
     modulus: u32,
 }
 
-impl Default for ColorSpace {
-    fn default() -> Self {
-        ColorSpace::new()
-    }
-}
-
 impl ColorSpace {
-    /// An empty space with only [`Color::DEFAULT`] reserved (the default
-    /// color serializes *everything* mapped to it and must never be
-    /// handed out implicitly).
-    pub fn new() -> Self {
-        let mut s = ColorSpace {
-            used: Box::new([0u64; COLOR_SPACE / 64]),
-            cursor: 1,
-            allocated: 0,
-            residue: 0,
-            modulus: 1,
-        };
-        s.set(Color::DEFAULT);
-        s
-    }
-
-    /// The stage layer's configuration: [`Color::DEFAULT`] and
-    /// everything above the serial plane (the keyed plane,
-    /// [`ColorRange::STAGE_KEYED`], and the unused upper half) reserved,
-    /// so serial allocations come from [`ColorRange::STAGE_SERIAL`]
-    /// (4095 colors) and can never shadow a hashed per-message stage
-    /// color.
+    /// The stage layer's default space: every serial-plane color, from
+    /// the first one up (4095 colors).
     pub fn for_stages() -> Self {
-        let mut s = ColorSpace::new();
-        s.reserve_range(ColorRange::new(ColorRange::STAGE_KEYED.first, u16::MAX));
-        s
+        ColorSpace::congruent(0, 1)
     }
 
     /// [`ColorSpace::for_stages`] restricted to the residue class
@@ -287,7 +231,7 @@ impl ColorSpace {
     /// are all ≡ `residue`, still inside [`ColorRange::STAGE_SERIAL`]
     /// and [`ColorRange::STAGE_KEYED`] respectively. Spaces of distinct
     /// residues (same modulus) are disjoint, so pipelines built on them
-    /// can share an executor without reserving each other's territory.
+    /// can share an executor.
     ///
     /// # Panics
     ///
@@ -312,9 +256,12 @@ impl ColorSpace {
             modulus <= ColorRange::STAGE_SERIAL.len() as usize,
             "modulus {modulus} leaves some class without a serial color"
         );
-        let mut s = ColorSpace::for_stages();
-        s.residue = residue as u32;
-        s.modulus = modulus as u32;
+        let mut s = ColorSpace {
+            next: 0,
+            residue: residue as u32,
+            modulus: modulus as u32,
+        };
+        s.next = s.class_ceil(ColorRange::STAGE_SERIAL.first as u32);
         s
     }
 
@@ -345,91 +292,22 @@ impl ColorSpace {
         self.keyed_plane().color(key)
     }
 
-    fn set(&mut self, c: Color) {
-        self.used[c.0 as usize / 64] |= 1u64 << (c.0 % 64);
-    }
-
-    /// Whether `color` has been allocated or reserved.
-    pub fn is_used(&self, color: Color) -> bool {
-        self.used[color.0 as usize / 64] >> (color.0 % 64) & 1 == 1
-    }
-
-    /// Colors handed out through [`ColorSpace::alloc`] /
-    /// [`ColorSpace::claim`] / [`ColorSpace::reserve_range`] (the
-    /// implicit default-color reservation is not counted).
-    pub fn allocated(&self) -> u32 {
-        self.allocated
-    }
-
-    /// Allocates the lowest free color of the space's class.
+    /// The next serial color of the space's class.
     ///
     /// # Panics
     ///
-    /// Panics when the space is exhausted — with 65 535 allocatable
-    /// colors, exhaustion means a leak (e.g. allocating per request
-    /// instead of per stage), not a workload that needs more colors.
+    /// Panics when the class has no serial color left — with at least
+    /// 4095 / `modulus` of them, exhaustion means a leak (e.g.
+    /// allocating per request instead of per stage), not a workload
+    /// that needs more colors.
     pub fn alloc(&mut self) -> Color {
-        let start = self.class_ceil(self.cursor);
-        for v in (start..COLOR_SPACE as u32).step_by(self.modulus as usize) {
-            let c = Color(v as u16);
-            if !self.is_used(c) {
-                self.set(c);
-                self.cursor = v + 1;
-                self.allocated += 1;
-                return c;
-            }
-        }
-        panic!("color space exhausted: every color of the class is allocated or reserved");
-    }
-
-    /// Claims a specific color, failing if it is already taken. Use for
-    /// externally mandated colors (a paper-mandated assignment, a color
-    /// another subsystem already publishes) that must still be
-    /// collision-checked against the rest of the application. The
-    /// space's residue class does not apply: the caller names the
-    /// color.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ColorTaken`] when the color is already allocated or
-    /// reserved.
-    pub fn claim(&mut self, color: Color) -> Result<Color, ColorTaken> {
-        if self.is_used(color) {
-            return Err(ColorTaken(color));
-        }
-        self.set(color);
-        self.allocated += 1;
-        Ok(color)
-    }
-
-    /// Reserves every color of `range`, so [`ColorSpace::alloc`] skips
-    /// it and [`ColorSpace::claim`] fails inside it. Already-claimed
-    /// colors inside the range stay claimed (reservation is idempotent).
-    ///
-    /// Word-granular: whole `u64`s of the bitmap are filled directly
-    /// (with masked edge words), so reserving a 32K-color plane — done
-    /// by every `PipelineBuilder::new` via [`ColorSpace::for_stages`] —
-    /// is a few dozen operations, not one loop iteration per color.
-    pub fn reserve_range(&mut self, range: ColorRange) {
-        let (first, last) = (range.first as usize, range.last as usize);
-        for w in first / 64..=last / 64 {
-            let lo = first.max(w * 64) % 64;
-            let hi = last.min(w * 64 + 63) % 64;
-            // Bits lo..=hi of word w lie inside the range.
-            let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
-            let newly = mask & !self.used[w];
-            self.used[w] |= mask;
-            self.allocated += newly.count_ones();
-        }
-    }
-}
-
-impl fmt::Debug for ColorSpace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ColorSpace")
-            .field("allocated", &self.allocated)
-            .field("cursor", &self.cursor)
-            .finish()
+        assert!(
+            self.next <= ColorRange::STAGE_SERIAL.last as u32,
+            "color space exhausted: every serial color of the class is allocated"
+        );
+        let c = Color(self.next as u16);
+        self.next += self.modulus;
+        c
     }
 }
 
@@ -483,10 +361,9 @@ mod tests {
         assert!(!serial.contains(keyed.first()));
         // for_stages can therefore never hand out a keyed-plane color.
         let mut s = ColorSpace::for_stages();
-        for _ in 0..16 {
+        for _ in 0..serial.len() {
             assert!(serial.contains(s.alloc()));
         }
-        assert!(s.is_used(keyed.first()) && s.is_used(keyed.last()));
     }
 
     #[test]
@@ -505,34 +382,48 @@ mod tests {
         assert_eq!(lower.keyed(0x7FFF), lower.keyed(0));
     }
 
+    /// The counter hands out exactly what the collision-checked bitmap
+    /// allocator it replaced did (values captured from that allocator).
     #[test]
-    fn color_space_allocates_without_collisions() {
-        let mut s = ColorSpace::new();
-        let a = s.alloc();
-        let b = s.alloc();
-        assert_eq!(a, Color::new(1), "default color is never handed out");
-        assert_eq!(b, Color::new(2));
-        assert!(s.is_used(a) && s.is_used(b));
-        assert!(!s.is_used(Color::new(3)));
-        assert_eq!(s.allocated(), 2);
-        assert_eq!(s.claim(a), Err(ColorTaken(a)));
-        assert_eq!(s.claim(Color::new(100)), Ok(Color::new(100)));
-        // Alloc skips explicitly claimed colors.
-        for _ in 0..97 {
-            s.alloc();
-        }
-        assert_eq!(s.alloc(), Color::new(101), "alloc skipped the claim");
-    }
-
-    #[test]
-    fn for_stages_reserves_the_upper_half_and_default() {
+    fn allocations_and_keys_match_the_pinned_values() {
         let mut s = ColorSpace::for_stages();
-        assert!(s.is_used(Color::DEFAULT));
-        assert!(s.is_used(Color::new(0x8000)));
-        assert!(s.is_used(Color::new(0xFFFF)));
-        assert!(s.claim(Color::new(0x8000)).is_err());
-        let c = s.alloc();
-        assert!(ColorRange::STAGE_SERIAL.contains(c));
+        let first: Vec<u16> = (0..4).map(|_| s.alloc().value()).collect();
+        assert_eq!(first, [1, 2, 3, 4]);
+        let pinned = [
+            (8, 16),
+            (1, 9),
+            (2, 10),
+            (3, 11),
+            (4, 12),
+            (5, 13),
+            (6, 14),
+            (7, 15),
+        ];
+        for (c, want) in pinned.into_iter().enumerate() {
+            let mut s = ColorSpace::congruent(c, 8);
+            assert_eq!(
+                (s.alloc().value(), s.alloc().value()),
+                want,
+                "class {c} mod 8"
+            );
+        }
+        // key -> (for_stages, congruent(3, 8), congruent(5, 6))
+        let keys = [
+            (0u64, (4096, 4099, 4097)),
+            (1, (4097, 4107, 4103)),
+            (7, (4103, 4155, 4139)),
+            (12_345, (16441, 16843, 20819)),
+            (28_671, (32767, 32763, 32753)),
+            (u64::MAX, (12287, 12283, 15095)),
+        ];
+        for (k, want) in keys {
+            let got = (
+                ColorSpace::for_stages().keyed(k).value(),
+                ColorSpace::congruent(3, 8).keyed(k).value(),
+                ColorSpace::congruent(5, 6).keyed(k).value(),
+            );
+            assert_eq!(got, want, "key {k}");
+        }
     }
 
     #[test]
@@ -588,30 +479,5 @@ mod tests {
     #[should_panic(expected = "below the modulus")]
     fn congruent_rejects_a_residue_outside_the_modulus() {
         let _ = ColorSpace::congruent(8, 8);
-    }
-
-    #[test]
-    fn reserve_range_is_idempotent_over_claims() {
-        let mut s = ColorSpace::new();
-        s.claim(Color::new(10)).unwrap();
-        s.reserve_range(ColorRange::new(8, 12));
-        assert_eq!(s.allocated(), 5, "10 was counted once");
-        for v in 8..=12u16 {
-            assert!(s.is_used(Color::new(v)));
-        }
-        assert_eq!(s.alloc(), Color::new(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "exhausted")]
-    fn exhausted_space_panics() {
-        let mut s = ColorSpace::new();
-        s.reserve_range(ColorRange::new(1, u16::MAX));
-        let _ = s.alloc();
-    }
-
-    #[test]
-    fn color_taken_displays_the_color() {
-        assert!(ColorTaken(Color::new(7)).to_string().contains("color#7"));
     }
 }

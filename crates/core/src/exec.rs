@@ -75,7 +75,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::admission::{AdmissionCtl, AdmissionPolicy, Admitted, Overload, OverloadReason};
+use crate::admission::{AdmissionCtl, AdmissionPolicy, Overload, OverloadReason};
 use crate::dataset::DataSetRef;
 use crate::event::Event;
 use crate::handler::{HandlerId, HandlerSpec};
@@ -287,14 +287,11 @@ fn resolve_by_policy<D: Door>(door: &D, mut ev: Event) {
 /// The fallible twins ([`Injector::try_inject`],
 /// [`Injector::try_inject_after`]): one attempt, one counted reject, the
 /// [`Overload`] to the caller.
-fn admit_or_report<D: Door>(door: &D, delay: Option<u64>, ev: Event) -> Result<Admitted, Overload> {
-    match door.try_enqueue(delay, ev) {
-        Ok(()) => Ok(Admitted),
-        Err((ov, _dropped)) => {
-            door.admission().note_reject();
-            Err(ov)
-        }
-    }
+fn admit_or_report<D: Door>(door: &D, delay: Option<u64>, ev: Event) -> Result<(), Overload> {
+    door.try_enqueue(delay, ev).map_err(|(ov, _dropped)| {
+        door.admission().note_reject();
+        ov
+    })
 }
 
 /// The unchecked paths ([`Injector::inject_locked`],
@@ -456,9 +453,9 @@ impl Door for SimMailbox {
         if self.stopped() {
             // The run loop will never drain again: unconditional reject
             // (reason InboxBacklog — the backlog can only grow).
-            let ov = cfg
-                .admission
-                .overload(OverloadReason::InboxBacklog, self.outstanding());
+            let ov = Overload {
+                reason: OverloadReason::InboxBacklog,
+            };
             return Err((ov, ev));
         }
         let color = ev.color();
@@ -581,7 +578,7 @@ impl Injector {
     /// dropped). Never blocks and never consults the
     /// [`AdmissionPolicy`]; each rejected call counts one
     /// `admission_rejects`.
-    pub fn try_inject(&self, ev: Event) -> Result<Admitted, Overload> {
+    pub fn try_inject(&self, ev: Event) -> Result<(), Overload> {
         with_door!(self, d => admit_or_report(&**d, None, ev))
     }
 
@@ -608,7 +605,7 @@ impl Injector {
     /// The fallible twin of [`Injector::inject_after`]: the admission
     /// check runs *now*, against current occupancy, and an admitted
     /// event holds its per-color slot across the delay.
-    pub fn try_inject_after(&self, delay: u64, ev: Event) -> Result<Admitted, Overload> {
+    pub fn try_inject_after(&self, delay: u64, ev: Event) -> Result<(), Overload> {
         with_door!(self, d => admit_or_report(&**d, Some(delay), ev))
     }
 

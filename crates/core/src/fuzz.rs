@@ -9,15 +9,20 @@
 //! bug that needs a different interleaving to fire stays invisible until
 //! it bites the (nondeterministic) threaded runtime.
 //!
-//! [`SchedulePerturbation`] turns the one fixed schedule into a *family*
-//! of schedules indexed by a single `u64` seed. Every perturbation
-//! decision is drawn from one [`ScheduleRng`] (a deterministic PRNG
-//! derived from the seed), so `seed == seed` replays the exact same
-//! schedule bit for bit — any invariant violation found by a seed sweep
-//! is reported as a `(seed, fingerprint)` pair and reproduced exactly by
-//! re-running with that seed (see [`crate::metrics::RunFingerprint`]).
+//! [`RuntimeBuilder::schedule_seed`](crate::runtime::RuntimeBuilder::schedule_seed)
+//! turns the one fixed schedule into a *family* of schedules indexed by
+//! a single `u64` seed. Every perturbation decision is drawn from one
+//! [`ScheduleRng`] (a deterministic PRNG seeded with it), so
+//! `seed == seed` replays the exact same schedule bit for bit — any
+//! invariant violation found by a seed sweep is reported as a
+//! `(seed, fingerprint)` pair and reproduced exactly by re-running with
+//! that seed (see [`crate::metrics::RunFingerprint`]). The threaded
+//! executor ignores the seed: its interleavings come from real OS
+//! scheduling, which is exactly the nondeterminism the seed emulates
+//! reproducibly.
 //!
-//! Five decision points are perturbed, each individually toggleable:
+//! A seed perturbs five decision points, all drawing from that one
+//! stream:
 //!
 //! - **core pick** — which actionable core steps next (instead of
 //!   always the earliest virtual clock), perturbing *when* a core gets
@@ -68,58 +73,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-
-/// Seeded schedule-perturbation mode for the sim executor.
-///
-/// Enabled through [`crate::runtime::RuntimeBuilder::schedule_seed`]
-/// (all perturbations on) or
-/// [`crate::runtime::RuntimeBuilder::schedule_perturbation`] (individual
-/// toggles). `None` — the default — leaves the simulator's canonical
-/// schedule byte-identical to a build without this feature.
-///
-/// The threaded executor ignores perturbation: its interleavings come
-/// from real OS scheduling, which is exactly the nondeterminism this
-/// mode exists to emulate reproducibly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SchedulePerturbation {
-    /// The seed every scheduling decision derives from. Equal seeds
-    /// (with equal toggles and an identical workload) replay
-    /// bit-identical schedules.
-    pub seed: u64,
-    /// Perturb which actionable core steps next.
-    pub scramble_core_pick: bool,
-    /// Let idle cores sometimes defer a steal check by one recheck
-    /// period.
-    pub defer_steals: bool,
-    /// Visit steal victims in a shuffled order.
-    pub shuffle_victims: bool,
-    /// Cut per-color dispatch batches at random points in
-    /// `1..=batch_threshold`.
-    pub jitter_batch_cut: bool,
-    /// Sometimes defer mailbox draining, and absorb drained entries in
-    /// shuffled order.
-    pub perturb_mailbox: bool,
-}
-
-impl SchedulePerturbation {
-    /// All perturbations enabled, driven by `seed` — what
-    /// [`crate::runtime::RuntimeBuilder::schedule_seed`] installs.
-    pub const fn from_seed(seed: u64) -> Self {
-        SchedulePerturbation {
-            seed,
-            scramble_core_pick: true,
-            defer_steals: true,
-            shuffle_victims: true,
-            jitter_batch_cut: true,
-            perturb_mailbox: true,
-        }
-    }
-
-    /// The [`ScheduleRng`] this configuration seeds.
-    pub fn rng(&self) -> ScheduleRng {
-        ScheduleRng::new(self.seed)
-    }
-}
 
 /// The single deterministic PRNG all schedule-perturbation decisions are
 /// drawn from (SplitMix64 via the vendored `rand` shim).
@@ -207,8 +160,8 @@ impl ScheduleRng {
 /// Seeded fault injection: deterministic chaos for the fault-isolation
 /// layer (see [`crate::fault`]).
 ///
-/// A plan is the fault-injection analogue of [`SchedulePerturbation`]:
-/// one `u64` seed drives a dedicated [`ScheduleRng`] stream (separate
+/// A plan is the fault-injection analogue of the schedule seed: one
+/// `u64` seed drives a dedicated [`ScheduleRng`] stream (separate
 /// from the schedule-perturbation stream, so enabling faults never
 /// shifts scheduling draws), and every injection decision is a draw
 /// from it. Rates are integers per million so draws stay in the exact
@@ -337,21 +290,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_seed_enables_everything() {
-        let p = SchedulePerturbation::from_seed(99);
-        assert_eq!(p.seed, 99);
-        assert!(
-            p.scramble_core_pick
-                && p.defer_steals
-                && p.shuffle_victims
-                && p.jitter_batch_cut
-                && p.perturb_mailbox
-        );
-    }
-
-    #[test]
     fn same_seed_same_stream() {
-        let mut a = SchedulePerturbation::from_seed(7).rng();
+        let mut a = ScheduleRng::new(7);
         let mut b = ScheduleRng::new(7);
         for _ in 0..1_000 {
             assert_eq!(a.next_u64(), b.next_u64());

@@ -303,17 +303,17 @@ fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
     let st = env.state();
     let me = st.core;
     st.metrics.steal_attempts += 1;
-    let mut victims = st.cfg.steal_policy.victims(me, &loads, &st.cfg.steal_ctx());
+    let cfg = st.cfg;
+    let mut victims = cfg
+        .steal_policy
+        .victims(me, &loads, cfg.ws, &cfg.machine, &cfg.domains);
     env.perturb_victims(&mut victims);
     for v in victims {
         if v == me || v >= loads.len() || !env.worth_visiting(v) {
             continue;
         }
         let cfg = env.state().cfg;
-        let budget = cfg
-            .steal_policy
-            .steal_budget(me, v, &cfg.steal_ctx())
-            .max(1);
+        let budget = cfg.steal_policy.steal_budget(me, v, &cfg.domains);
         let Some((events, cost)) = env.migrate(v, budget) else {
             continue;
         };

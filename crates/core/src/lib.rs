@@ -65,6 +65,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod admission;
 pub mod color;
@@ -89,7 +90,7 @@ pub mod threaded;
 
 /// Convenient re-exports of the types needed by typical users.
 pub mod prelude {
-    pub use crate::admission::{AdmissionPolicy, Admitted, Overload, OverloadReason, QueueLimits};
+    pub use crate::admission::{AdmissionPolicy, Overload, OverloadReason, QueueLimits};
     pub use crate::color::{Color, ColorRange, ColorSpace};
     pub use crate::cost::CostParams;
     pub use crate::ctx::Ctx;
@@ -97,17 +98,14 @@ pub mod prelude {
     pub use crate::event::Event;
     pub use crate::exec::{ExecKind, Executor, Injector, KeepAlive, Runtime, Service};
     pub use crate::fault::{Fault, FaultKind, FaultPolicy};
-    pub use crate::fuzz::{FaultPlan, SchedulePerturbation, ScheduleRng};
+    pub use crate::fuzz::{FaultPlan, ScheduleRng};
     pub use crate::handler::{HandlerId, HandlerSpec};
     pub use crate::metrics::{CoreMetrics, LatencyHistogram, RunFingerprint, RunReport};
     pub use crate::runtime::{Flavor, RuntimeBuilder};
     pub use crate::stage::{
         Collected, Pipeline, PipelineBuilder, Stage, StageCtx, StageSender, StageSpec,
     };
-    pub use crate::steal::{
-        default_steal_policy, FlatPolicy, HierarchicalPolicy, StealDomains, StealPolicy, StealTier,
-        WsPolicy,
-    };
+    pub use crate::steal::{StealDomains, StealPolicy, StealTier, WsPolicy};
     pub use mely_topology::MachineModel;
 }
 

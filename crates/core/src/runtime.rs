@@ -1,7 +1,6 @@
 //! Runtime construction: flavor selection and the builder.
 
 use std::fmt;
-use std::sync::Arc;
 
 use mely_topology::{CacheLevel, MachineModel};
 
@@ -9,10 +8,10 @@ use crate::admission::{AdmissionCtl, AdmissionPolicy, QueueLimits};
 use crate::cost::{CostParams, INITIAL_STEAL_ESTIMATE};
 use crate::exec::{ExecKind, Runtime};
 use crate::fault::{FaultCtl, FaultPolicy};
-use crate::fuzz::{FaultPlan, SchedulePerturbation};
+use crate::fuzz::FaultPlan;
 use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
 use crate::sim::SimRuntime;
-use crate::steal::{default_steal_policy, StealContext, StealDomains, StealPolicy, WsPolicy};
+use crate::steal::{StealDomains, StealPolicy, WsPolicy};
 use crate::threaded::ThreadedRuntime;
 
 /// Which runtime architecture to use (paper Sections II and IV).
@@ -61,10 +60,10 @@ pub struct RuntimeBuilder {
     track_cache: bool,
     queue_limits: QueueLimits,
     admission: AdmissionPolicy,
-    perturb: Option<SchedulePerturbation>,
+    schedule_seed: Option<u64>,
     fault_policy: FaultPolicy,
     fault_plan: Option<FaultPlan>,
-    steal_policy: Option<Arc<dyn StealPolicy>>,
+    steal_policy: Option<StealPolicy>,
 }
 
 impl Default for RuntimeBuilder {
@@ -87,7 +86,7 @@ impl RuntimeBuilder {
             track_cache: false,
             queue_limits: QueueLimits::default(),
             admission: AdmissionPolicy::default(),
-            perturb: None,
+            schedule_seed: None,
             fault_policy: FaultPolicy::default(),
             fault_plan: None,
             steal_policy: None,
@@ -156,11 +155,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables seeded schedule perturbation on the sim executor with
-    /// every perturbation on — the one-call entry point for fuzzing and
-    /// replay (see [`crate::fuzz`]). Equal seeds replay bit-identical
-    /// schedules; unset (the default) keeps the canonical deterministic
-    /// schedule byte-identical. The threaded executor ignores this.
+    /// Enables seeded schedule perturbation on the sim executor: every
+    /// perturbation point draws from one stream seeded by `seed` (see
+    /// [`crate::fuzz`]). Equal seeds replay bit-identical schedules;
+    /// unset (the default) keeps the canonical deterministic schedule
+    /// byte-identical. The threaded executor ignores this.
     ///
     /// # Examples
     ///
@@ -180,14 +179,8 @@ impl RuntimeBuilder {
     /// };
     /// assert_eq!(fp(1), fp(1), "same seed, same schedule");
     /// ```
-    pub fn schedule_seed(self, seed: u64) -> Self {
-        self.schedule_perturbation(SchedulePerturbation::from_seed(seed))
-    }
-
-    /// Installs a [`SchedulePerturbation`] with individually chosen
-    /// toggles (the fine-grained form of [`Self::schedule_seed`]).
-    pub fn schedule_perturbation(mut self, perturb: SchedulePerturbation) -> Self {
-        self.perturb = Some(perturb);
+    pub fn schedule_seed(mut self, seed: u64) -> Self {
+        self.schedule_seed = Some(seed);
         self
     }
 
@@ -210,26 +203,24 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Installs a victim-selection / steal-budget policy
-    /// ([`crate::steal::StealPolicy`]). When unset, the builder picks
-    /// [`crate::steal::default_steal_policy`] for the resolved machine:
-    /// `FlatPolicy` (today's behavior, bit for bit) on single-tier
-    /// machines, `HierarchicalPolicy` on machines that declare SMT or
+    /// Sets the victim-selection / steal-budget policy. When unset, the
+    /// builder picks [`StealPolicy::for_machine`] for the resolved
+    /// machine: [`StealPolicy::Flat`] on single-tier machines,
+    /// [`StealPolicy::Hierarchical`] on machines that declare SMT or
     /// multiple sockets (e.g. via [`MachineModel::from_spec`]).
     ///
     /// # Examples
     ///
     /// ```
-    /// use std::sync::Arc;
     /// use mely_core::prelude::*;
     ///
     /// let rt = RuntimeBuilder::new()
     ///     .cores(4)
     ///     .workstealing(WsPolicy::improved())
-    ///     .steal_policy(Arc::new(HierarchicalPolicy))
+    ///     .steal_policy(StealPolicy::Hierarchical)
     ///     .build(ExecKind::Sim);
     /// ```
-    pub fn steal_policy(mut self, policy: Arc<dyn StealPolicy>) -> Self {
+    pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
         self.steal_policy = Some(policy);
         self
     }
@@ -287,13 +278,13 @@ impl RuntimeBuilder {
             ws: self.ws,
             steal_policy: self
                 .steal_policy
-                .unwrap_or_else(|| default_steal_policy(&machine)),
+                .unwrap_or_else(|| StealPolicy::for_machine(&machine)),
             domains: StealDomains::new(&machine, cores),
             machine,
             batch_threshold: self.batch_threshold,
             costs: self.costs,
             track_cache: self.track_cache,
-            perturb: self.perturb,
+            schedule_seed: self.schedule_seed,
             admission: AdmissionCtl::new(self.queue_limits, self.admission),
             faults: FaultCtl::new(self.fault_policy, self.fault_plan),
         }
@@ -311,7 +302,7 @@ pub(crate) struct Resolved {
     pub flavor: Flavor,
     pub ws: WsPolicy,
     /// Victim selection and steal budgets (see [`StealPolicy`]).
-    pub steal_policy: Arc<dyn StealPolicy>,
+    pub steal_policy: StealPolicy,
     /// Steal tiers of the running cores (see [`crate::steal::domains`]).
     pub domains: StealDomains,
     pub batch_threshold: u32,
@@ -325,7 +316,7 @@ pub(crate) struct Resolved {
     /// the nondeterminism this mode emulates. The fault plan in `faults`,
     /// by contrast, is honored on threads too — probabilistic there
     /// rather than replayable.
-    pub perturb: Option<SchedulePerturbation>,
+    pub schedule_seed: Option<u64>,
     /// Queue limits, admission policy, per-color occupancy and the
     /// producer-side reject/shed counters (see [`crate::admission`]).
     pub admission: AdmissionCtl,
@@ -335,15 +326,6 @@ pub(crate) struct Resolved {
 }
 
 impl Resolved {
-    /// What a [`StealPolicy`] gets to look at.
-    pub(crate) fn steal_ctx(&self) -> StealContext<'_> {
-        StealContext {
-            ws: self.ws,
-            machine: &self.machine,
-            domains: &self.domains,
-        }
-    }
-
     /// An empty per-core queue of the configured flavor, holding the
     /// steal-cost estimate every runtime starts from.
     pub(crate) fn new_queue(&self) -> QueueImpl {

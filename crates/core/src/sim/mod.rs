@@ -46,7 +46,7 @@ use crate::ctx::CtxEffects;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
 use crate::exec::{Door, ExecKind, Executor, Injector, SimMailbox};
-use crate::fuzz::{SchedulePerturbation, ScheduleRng};
+use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
 use crate::kernel::{self, CoreEnv, CoreState, Pop, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
@@ -94,7 +94,7 @@ pub(crate) struct SimRuntime {
     /// run loop drains it at iteration boundaries.
     mailbox: Arc<SimMailbox>,
     /// The decision stream for schedule perturbation (`Some` iff
-    /// `cfg.perturb` is). Replay = fresh runtime + same seed.
+    /// `cfg.schedule_seed` is). Replay = fresh runtime + same seed.
     sched_rng: Option<ScheduleRng>,
     /// The dedicated fault-injection decision stream (`Some` iff
     /// `cfg.faults` holds a plan). Kept separate from `sched_rng` so
@@ -134,7 +134,7 @@ impl SimRuntime {
             stopped: false,
             attempt_wait: 0,
             mailbox: Arc::new(SimMailbox::new(Arc::clone(&cfg))),
-            sched_rng: cfg.perturb.map(|p| p.rng()),
+            sched_rng: cfg.schedule_seed.map(ScheduleRng::new),
             fault_rng: cfg.faults.plan.map(|p| p.rng()),
             cfg,
         }
@@ -207,38 +207,25 @@ impl SimRuntime {
         self.cores.iter().map(|c| c.queue.len()).sum()
     }
 
-    /// The perturbation RNG, but only when `toggle` is enabled on the
-    /// configured [`SchedulePerturbation`] — each decision point gates
-    /// on its own flag so perturbations are individually toggleable.
-    fn perturb_rng(
-        &mut self,
-        toggle: impl Fn(&SchedulePerturbation) -> bool,
-    ) -> Option<&mut ScheduleRng> {
-        match &self.cfg.perturb {
-            Some(p) if toggle(p) => self.sched_rng.as_mut(),
-            _ => None,
-        }
-    }
-
     /// Absorbs externally injected events ([`crate::exec::Injector`])
     /// into the owning cores' queues and the timer heap.
     ///
-    /// Under [`SchedulePerturbation::perturb_mailbox`] the drain is
-    /// sometimes deferred to a later iteration (shifting the absorption
-    /// point) and the drained batch is absorbed in a shuffled order. The
-    /// RNG is consulted only when the mailbox holds entries, so the
-    /// decision stream is keyed to deterministic state.
+    /// Under schedule perturbation the drain is sometimes deferred to a
+    /// later iteration (shifting the absorption point) and the drained
+    /// batch is absorbed in a shuffled order. The RNG is consulted only
+    /// when the mailbox holds entries, so the decision stream is keyed
+    /// to deterministic state.
     fn drain_mailbox(&mut self) {
         if !self.mailbox.has_buffered() {
             return;
         }
-        if let Some(rng) = self.perturb_rng(|p| p.perturb_mailbox) {
+        if let Some(rng) = &mut self.sched_rng {
             if rng.chance(1, 4) {
                 return;
             }
         }
         let mut batch = self.mailbox.drain();
-        if let Some(rng) = self.perturb_rng(|p| p.perturb_mailbox) {
+        if let Some(rng) = &mut self.sched_rng {
             rng.shuffle(&mut batch);
         }
         for (delay, ev) in batch {
@@ -347,9 +334,7 @@ impl CoreEnv for OnCore<'_> {
     /// recheck period instead.
     fn defer_steal(&mut self) -> bool {
         let rt = &mut *self.rt;
-        let defer = rt
-            .perturb_rng(|p| p.defer_steals)
-            .is_some_and(|r| r.chance(1, 4));
+        let defer = rt.sched_rng.as_mut().is_some_and(|r| r.chance(1, 4));
         if defer {
             let core = &mut rt.cores[self.c];
             core.clock += rt.cfg.costs.idle_recheck;
@@ -419,7 +404,7 @@ impl CoreEnv for OnCore<'_> {
     }
 
     fn perturb_victims(&mut self, victims: &mut [usize]) {
-        if let Some(rng) = self.rt.perturb_rng(|p| p.shuffle_victims) {
+        if let Some(rng) = &mut self.rt.sched_rng {
             // Perturbed victim choice: visit candidates in a shuffled
             // order instead of the policy's canonical one.
             rng.shuffle(victims);
@@ -444,8 +429,9 @@ impl CoreEnv for OnCore<'_> {
     /// absorbs them under our own lock, pricing both holds from what
     /// the queue reports it examined and moved. A budget of 1 is the
     /// classic algorithm, charge for charge; larger budgets (far-tier
-    /// steals under [`crate::steal::HierarchicalPolicy`]) amortize the
-    /// lock pair and the migration trip over several colors.
+    /// steals under [`crate::steal::StealPolicy::Hierarchical`])
+    /// amortize the lock pair and the migration trip over several
+    /// colors.
     fn migrate(&mut self, v: usize, budget: usize) -> Option<(u64, u64)> {
         let (rt, c) = (&mut *self.rt, self.c);
         let (k, time_left) = (rt.cfg.costs.clone(), rt.cfg.ws.time_left);
@@ -608,7 +594,7 @@ impl Executor for SimRuntime {
                 .map(|c| c.clock.max(c.lock_free_at))
                 .max();
             let slack = 4 * self.cfg.costs.idle_recheck;
-            let scramble = self.cfg.perturb.is_some_and(|p| p.scramble_core_pick);
+            let scramble = self.sched_rng.is_some();
             let mut best: Option<(u64, usize)> = None;
             let mut actionable: Vec<usize> = Vec::new();
             for i in 0..self.cores.len() {
@@ -631,7 +617,7 @@ impl Executor for SimRuntime {
                 // not just the earliest clock — this shifts *when* each
                 // core runs (and checks for steals) relative to its
                 // peers while every legal choice still makes progress.
-                let rng = self.sched_rng.as_mut().expect("perturb implies rng");
+                let rng = self.sched_rng.as_mut().expect("scramble implies rng");
                 let i = actionable[rng.pick(actionable.len())];
                 best = Some((self.cores[i].clock, i));
             }
@@ -639,7 +625,7 @@ impl Executor for SimRuntime {
                 Some((_, c)) => {
                     // Batch-cut jitter: a random 1..=batch_threshold.
                     let threshold = self.cfg.batch_threshold;
-                    let batch = match self.perturb_rng(|p| p.jitter_batch_cut) {
+                    let batch = match &mut self.sched_rng {
                         Some(rng) => rng.pick(threshold as usize) as u32 + 1,
                         None => threshold,
                     };

@@ -16,8 +16,8 @@
 //!   another stage);
 //! - a [`PipelineBuilder`] assembles stages into an installable
 //!   [`Pipeline`] (a [`Service`]), registering every handler spec
-//!   automatically and allocating colors through the collision-checked
-//!   [`ColorSpace`] allocator — no hand-picked `u16`s;
+//!   automatically and taking serial colors from the pipeline's
+//!   [`ColorSpace`] — no hand-picked `u16`s;
 //! - inside a handler, [`StageCtx::to`] emits a typed message to the
 //!   next stage (the event's cost and penalty come from that stage's
 //!   spec; the color follows the target's coloring), and
@@ -135,14 +135,14 @@ pub trait Stage: Send + Sync + Sized + 'static {
 /// How a stage's events are colored.
 #[derive(Clone, Copy)]
 enum Coloring<M> {
-    /// One color for the whole stage, allocated by the pipeline's
+    /// One color for the whole stage, taken from the pipeline's
     /// [`ColorSpace`]: every message to this stage serializes.
     Serial,
     /// Same color as the emitting event.
     Inherit,
     /// Hashed per message into the pipeline's [`ColorSpace`] class of
     /// the keyed plane ([`ColorSpace::keyed`]; disjoint from the
-    /// serial-allocation plane): messages with equal keys serialize,
+    /// serial plane): messages with equal keys serialize,
     /// different keys parallelize (up to hash collisions, which also
     /// only serialize).
     Keyed(fn(&M) -> u64),
@@ -215,17 +215,18 @@ impl<M> StageSpec<M> {
     /// the pipeline's [`ColorSpace`] class of
     /// [`ColorRange::STAGE_KEYED`](crate::color::ColorRange::STAGE_KEYED)
     /// ([`ColorSpace::keyed`]) — the keyed plane, disjoint from the
-    /// serial allocator's plane: equal keys serialize, distinct keys
-    /// parallelize, and a keyed color can never land on another
-    /// stage's allocated serial color.
+    /// serial plane: equal keys serialize, distinct keys parallelize,
+    /// and a keyed color can never land on another stage's serial
+    /// color.
     pub fn keyed(mut self, key: fn(&M) -> u64) -> Self {
         self.coloring = Coloring::Keyed(key);
         self
     }
 
     /// Events to this stage use stage `S`'s serial color (`S` must be a
-    /// serial stage registered in the same pipeline) — the paper's
-    /// "colored like Epoll in order to manage concurrency" idiom.
+    /// serial stage registered earlier in the same pipeline) — the
+    /// paper's "colored like Epoll in order to manage concurrency"
+    /// idiom.
     pub fn share_color_with<S: Stage>(mut self) -> Self {
         self.coloring = Coloring::SameAs(TypeId::of::<S>(), std::any::type_name::<S>());
         self
@@ -575,22 +576,15 @@ impl<O> fmt::Debug for Collected<O> {
     }
 }
 
-/// One registered-but-not-yet-installed stage.
-struct PendingStage {
+/// One registered stage, its serial color already resolved.
+struct StageRecord {
     type_id: TypeId,
     type_name: &'static str,
     handler: HandlerSpec,
-    /// Erased coloring kind for build-time resolution (the typed
-    /// version lives in `meta`).
-    kind: PendingKind,
+    /// Resolved serial color (`Serial` and `SameAs` stages).
+    color: Option<Color>,
+    /// `Arc<Meta<S>>`, the typed coloring included.
     meta: Arc<dyn Any + Send + Sync>,
-}
-
-enum PendingKind {
-    Serial,
-    Inherit,
-    Keyed,
-    SameAs(TypeId, &'static str),
 }
 
 type SeedFn = Box<dyn FnOnce(&'static Router) -> Event + Send>;
@@ -609,15 +603,14 @@ struct Seed {
 pub struct PipelineBuilder {
     name: String,
     space: ColorSpace,
-    stages: Vec<PendingStage>,
+    stages: Vec<StageRecord>,
     sinks: FxHashMap<TypeId, Arc<dyn Any + Send + Sync>>,
     seeds: Vec<Seed>,
 }
 
 impl PipelineBuilder {
-    /// An empty pipeline named `name`, allocating colors from
-    /// [`ColorSpace::for_stages`] (default color and listener range
-    /// reserved).
+    /// An empty pipeline named `name`, taking serial colors from
+    /// [`ColorSpace::for_stages`].
     pub fn new(name: impl Into<String>) -> Self {
         PipelineBuilder {
             name: name.into(),
@@ -628,40 +621,61 @@ impl PipelineBuilder {
         }
     }
 
-    /// Replaces the color allocator — for applications that coexist
-    /// with other services on one executor and need to reserve their
-    /// neighbours' colors first.
+    /// Replaces the color space — for pipelines that share an executor
+    /// with other copies of themselves ([`ColorSpace::congruent`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stage is already registered (its serial color came
+    /// from the space being replaced).
     pub fn with_colors(mut self, space: ColorSpace) -> Self {
+        assert!(
+            self.stages.is_empty(),
+            "with_colors must precede the first stage"
+        );
         self.space = space;
         self
     }
 
-    /// Registers `stage` under its [`Stage::spec`]. The handler spec is
-    /// registered with the executor at install; serial colors are
-    /// allocated at [`PipelineBuilder::build`].
+    /// Registers `stage` under its [`Stage::spec`] and resolves its
+    /// serial color: a new one from the pipeline's [`ColorSpace`], or
+    /// the color of the stage it shares with. The handler spec is
+    /// registered with the executor at install.
     ///
     /// # Panics
     ///
-    /// Panics if a stage of the same type is already registered.
+    /// Panics if a stage of the same type is already registered, or if
+    /// a [`StageSpec::share_color_with`] target is not a serial stage
+    /// registered earlier, or if the color space is exhausted.
     pub fn stage<S: Stage>(mut self, stage: S) -> Self {
         let spec = stage.spec();
         let type_id = TypeId::of::<S>();
+        let type_name = std::any::type_name::<S>();
         assert!(
             !self.stages.iter().any(|s| s.type_id == type_id),
-            "stage `{}` registered twice",
-            std::any::type_name::<S>()
+            "stage `{type_name}` registered twice"
         );
-        let kind = match spec.coloring {
-            Coloring::Serial => PendingKind::Serial,
-            Coloring::Inherit => PendingKind::Inherit,
-            Coloring::Keyed(_) => PendingKind::Keyed,
-            Coloring::SameAs(t, n) => PendingKind::SameAs(t, n),
+        let color = match spec.coloring {
+            Coloring::Serial => Some(self.space.alloc()),
+            Coloring::Inherit | Coloring::Keyed(_) => None,
+            Coloring::SameAs(target, target_name) => Some(
+                self.stages
+                    .iter()
+                    .find(|s| s.type_id == target)
+                    .and_then(|s| s.color)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "stage `{type_name}` shares its color with `{target_name}`, which \
+                             is not a serial stage registered before it"
+                        )
+                    }),
+            ),
         };
-        self.stages.push(PendingStage {
+        self.stages.push(StageRecord {
             type_id,
-            type_name: std::any::type_name::<S>(),
+            type_name,
             handler: spec.handler,
-            kind,
+            color,
             meta: Arc::new(Meta {
                 stage,
                 coloring: spec.coloring,
@@ -714,54 +728,12 @@ impl PipelineBuilder {
         self
     }
 
-    /// Resolves colors (collision-checked) and returns the installable
-    /// [`Pipeline`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`StageSpec::share_color_with`] target is not a
-    /// serial stage of this pipeline, or the color space is exhausted.
-    pub fn build(mut self) -> Pipeline {
-        // First pass: allocate serial colors.
-        let mut colors: FxHashMap<TypeId, Color> = FxHashMap::default();
-        for s in &self.stages {
-            if matches!(s.kind, PendingKind::Serial) {
-                colors.insert(s.type_id, self.space.alloc());
-            }
-        }
-        // Second pass: resolve shared colors against the serial ones.
-        let mut resolved: Vec<Option<Color>> = Vec::with_capacity(self.stages.len());
-        for s in &self.stages {
-            resolved.push(match &s.kind {
-                PendingKind::Serial => Some(colors[&s.type_id]),
-                PendingKind::Inherit | PendingKind::Keyed => None,
-                PendingKind::SameAs(target, target_name) => {
-                    Some(*colors.get(target).unwrap_or_else(|| {
-                        panic!(
-                            "stage `{}` shares its color with `{target_name}`, which is \
-                             not a serial stage of this pipeline",
-                            s.type_name
-                        )
-                    }))
-                }
-            });
-        }
-        let stages = self
-            .stages
-            .drain(..)
-            .zip(resolved)
-            .map(|(s, color)| ReadyStage {
-                type_id: s.type_id,
-                type_name: s.type_name,
-                handler: s.handler,
-                color,
-                meta: s.meta,
-            })
-            .collect();
+    /// Returns the installable [`Pipeline`].
+    pub fn build(self) -> Pipeline {
         Pipeline {
-            name: self.name,
-            stages,
             keyed: self.space.keyed_plane(),
+            name: self.name,
+            stages: self.stages,
             sinks: self.sinks,
             seeds: self.seeds,
             router: None,
@@ -779,21 +751,12 @@ impl fmt::Debug for PipelineBuilder {
     }
 }
 
-struct ReadyStage {
-    type_id: TypeId,
-    type_name: &'static str,
-    handler: HandlerSpec,
-    color: Option<Color>,
-    meta: Arc<dyn Any + Send + Sync>,
-}
-
 /// An installable stage graph ([`PipelineBuilder::build`]): a
-/// [`Service`] that registers every stage's handler spec, claims its
-/// colors, and seeds its initial requests on whichever executor it is
-/// installed on.
+/// [`Service`] that registers every stage's handler spec and seeds its
+/// initial requests on whichever executor it is installed on.
 pub struct Pipeline {
     name: String,
-    stages: Vec<ReadyStage>,
+    stages: Vec<StageRecord>,
     keyed: KeyedPlane,
     sinks: FxHashMap<TypeId, Arc<dyn Any + Send + Sync>>,
     seeds: Vec<Seed>,
@@ -1110,20 +1073,15 @@ mod tests {
         rt.install(b.build());
         rt.run();
         let got = colors.lock().clone();
-        // The pipeline's ColorSpace reserves color 0, the listener
-        // range and the keyed plane, so Loop (the only serial stage)
-        // gets the serial plane's first color — 1 — and Helper shares
-        // it.
+        // Loop (the only serial stage) gets the serial plane's first
+        // color — 1 — and Helper shares it.
         assert_eq!(got, vec![Color::new(1)]);
     }
 
     #[test]
-    fn partitioned_color_spaces_keep_co_installed_pipelines_disjoint() {
-        // Two pipelines on ONE executor: each gets an allocator that
-        // reserves the other's territory, so their serial stages can
-        // never silently share a color (the failure `ColorSpace`
-        // exists to prevent). Services expose this through their
-        // `with_colors` builders.
+    fn congruent_spaces_keep_co_installed_pipelines_disjoint() {
+        // Two pipelines on ONE executor, on distinct residue classes:
+        // their serial stages can never silently share a color.
         struct Probe {
             colors: Arc<Mutex<Vec<Color>>>,
         }
@@ -1136,41 +1094,24 @@ mod tests {
                 self.colors.lock().push(ctx.color());
             }
         }
-        let a_territory = ColorRange::new(0x001, 0x0FF);
-        let b_territory = ColorRange::new(0x100, 0x1FF);
-        let mut a_space = ColorSpace::for_stages();
-        a_space.reserve_range(b_territory);
-        let mut b_space = ColorSpace::for_stages();
-        b_space.reserve_range(a_territory);
-        b_space.reserve_range(ColorRange::new(0x200, 0x7FFF));
-
-        let a_colors: Arc<Mutex<Vec<Color>>> = Arc::new(Mutex::new(Vec::new()));
-        let b_colors: Arc<Mutex<Vec<Color>>> = Arc::new(Mutex::new(Vec::new()));
         let mut rt = RuntimeBuilder::new().cores(2).build(ExecKind::Sim);
-        rt.install(
-            PipelineBuilder::new("a")
-                .with_colors(a_space)
-                .stage(Probe {
-                    colors: Arc::clone(&a_colors),
-                })
-                .seed::<Probe>(())
-                .build(),
-        );
-        rt.install(
-            PipelineBuilder::new("b")
-                .with_colors(b_space)
-                .stage(Probe {
-                    colors: Arc::clone(&b_colors),
-                })
-                .seed::<Probe>(())
-                .build(),
-        );
+        let mut seen = Vec::new();
+        for residue in 0..2 {
+            let colors: Arc<Mutex<Vec<Color>>> = Arc::new(Mutex::new(Vec::new()));
+            rt.install(
+                PipelineBuilder::new("copy")
+                    .with_colors(ColorSpace::congruent(residue, 2))
+                    .stage(Probe {
+                        colors: Arc::clone(&colors),
+                    })
+                    .seed::<Probe>(())
+                    .build(),
+            );
+            seen.push(colors);
+        }
         rt.run();
-        let a = a_colors.lock()[0];
-        let b = b_colors.lock()[0];
-        assert!(a_territory.contains(a), "a got {a}");
-        assert!(b_territory.contains(b), "b got {b}");
-        assert_ne!(a, b, "co-installed serial stages must not collide");
+        let (a, b) = (seen[0].lock()[0], seen[1].lock()[0]);
+        assert_eq!((a, b), (Color::new(2), Color::new(1)));
     }
 
     #[test]
@@ -1289,8 +1230,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a serial stage")]
-    fn sharing_a_color_with_a_missing_stage_panics() {
+    fn sharing_a_color_with_an_unregistered_stage_panics_at_registration() {
         struct Bad;
         impl Stage for Bad {
             type In = ();
@@ -1299,7 +1239,22 @@ mod tests {
             }
             fn handle(&self, _ctx: &mut StageCtx<'_, '_>, _msg: ()) {}
         }
-        let _ = PipelineBuilder::new("bad-share").stage(Bad).build();
+        let payload = std::panic::catch_unwind(|| PipelineBuilder::new("bad-share").stage(Bad))
+            .expect_err("stage() must reject the share");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("Bad` shares its color with `"), "{msg}");
+        assert!(
+            msg.contains("tests::Middle`, which is not a serial stage"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "with_colors must precede the first stage")]
+    fn replacing_the_color_space_after_a_stage_panics() {
+        let _ = PipelineBuilder::new("late")
+            .stage(Middle)
+            .with_colors(ColorSpace::congruent(1, 2));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Steal domains: topology-aware victim tiers and pluggable policies.
+//! Steal domains: topology-aware victim tiers and the steal policy.
 //!
 //! [`StealDomains`] is computed once per runtime from the
 //! [`MachineModel`]: for every thief core it groups every other core
@@ -7,27 +7,24 @@
 //! queues are already warm in a nearby cache (paper Section III-A,
 //! generalized from "order by cache distance" to explicit tiers).
 //!
-//! The *decision* of which victim to rob, and how much, lives behind
-//! the [`StealPolicy`] trait, with two implementations:
+//! The *decision* of which victim to rob, and how much, is a
+//! [`StealPolicy`]:
 //!
 //! | policy | victim order | budget |
 //! |---|---|---|
-//! | [`FlatPolicy`] | the paper's `construct_core_set`: busiest-first wrap-around (Figure 2), or cache distance (Section III-A) under [`WsPolicy::locality`] | 1 color |
-//! | [`HierarchicalPolicy`] | tier by tier, busiest first within a tier | escalates with tier |
+//! | [`StealPolicy::Flat`] | the paper's `construct_core_set`: busiest-first wrap-around (Figure 2), or cache distance (Section III-A) under [`WsPolicy::locality`] | 1 color |
+//! | [`StealPolicy::Hierarchical`] | tier by tier, busiest first within a tier | escalates with tier |
 //!
-//! [`FlatPolicy`] is the default and is bit-identical to the victim
-//! selection the executors used before this module existed; the
-//! builder upgrades to [`HierarchicalPolicy`] only on machines that
-//! declare more than one tier (multiple sockets or SMT — see
-//! [`default_steal_policy`]), which no preset model does. The budget
-//! escalation is the "steal more when crossing a socket" amortization:
-//! a cross-socket steal pays the transfer penalty once per attempt, so
-//! taking several colors per attempt divides that cost across more
-//! work.
+//! `Flat` is the default; the builder picks `Hierarchical` only on
+//! machines that declare more than one tier (multiple sockets or SMT —
+//! see [`StealPolicy::for_machine`]), which no preset model does. The
+//! budget escalation is the "steal more when crossing a socket"
+//! amortization: a cross-socket steal pays the transfer penalty once
+//! per attempt, so taking several colors per attempt divides that cost
+//! across more work.
 
 use std::cmp::Reverse;
 use std::fmt;
-use std::sync::Arc;
 
 use mely_topology::MachineModel;
 
@@ -214,103 +211,89 @@ impl StealDomains {
     }
 }
 
-/// Immutable context handed to a [`StealPolicy`]: the active
-/// [`WsPolicy`], the machine and its precomputed [`StealDomains`].
-#[derive(Debug, Clone, Copy)]
-pub struct StealContext<'a> {
-    /// The heuristics toggles the runtime was built with.
-    pub ws: WsPolicy,
-    /// The machine model the runtime was built with.
-    pub machine: &'a MachineModel,
-    /// The precomputed steal domains over the running cores.
-    pub domains: &'a StealDomains,
+/// Victim selection and steal budgets: which cores an idle thief
+/// probes, in which order, and how many colors one successful attempt
+/// may take. Set per runtime with
+/// [`RuntimeBuilder::steal_policy`](crate::runtime::RuntimeBuilder::steal_policy);
+/// unset, the builder picks [`StealPolicy::for_machine`].
+///
+/// Victim order and budget are deterministic functions of their
+/// inputs: identical `(thief, loads)` give identical victim orders,
+/// which schedule replay (the sim executor's fingerprints) relies on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StealPolicy {
+    /// The paper's `construct_core_set`: busiest-first wrap-around
+    /// (Figure 2), or cache-distance order (Section III-A) under
+    /// [`WsPolicy::locality`]. Single-color steals.
+    Flat,
+    /// Topology-aware: the nearest tier first (SMT sibling, then
+    /// cache-sharing cores, then the rest of the socket, then remote
+    /// sockets), busiest victim first *within* a tier, and a budget
+    /// that escalates with the tier ([`StealTier::default_budget`]) so
+    /// a cross-socket steal amortizes its transfer penalty over several
+    /// colors.
+    Hierarchical,
 }
 
-/// Victim-selection and steal-budget heuristics, pluggable per runtime
-/// via `RuntimeBuilder::steal_policy`.
-///
-/// Implementations must be deterministic functions of their inputs:
-/// both executors rely on identical `(thief, loads)` producing
-/// identical victim orders for schedule replay (the sim executor's
-/// fingerprints) to hold.
-pub trait StealPolicy: fmt::Debug + Send + Sync {
-    /// Short label used by reports, benches and ablation tables.
-    fn name(&self) -> &'static str;
+impl StealPolicy {
+    /// The builder's choice when none is set explicitly:
+    /// [`StealPolicy::Hierarchical`] on machines that declare more than
+    /// one steal tier (multiple sockets or SMT),
+    /// [`StealPolicy::Flat`] everywhere else. No preset model declares
+    /// either; spoofed topologies ([`MachineModel::from_spec`]) opt in
+    /// automatically.
+    pub fn for_machine(machine: &MachineModel) -> Self {
+        if machine.num_sockets() > 1 || machine.smt_per_core() > 1 {
+            StealPolicy::Hierarchical
+        } else {
+            StealPolicy::Flat
+        }
+    }
 
-    /// The victims `thief` should probe, in order. `loads` holds one
+    /// The victims `thief` probes, in order. `loads` holds one
     /// pending-work estimate per running core (the thief's own entry
-    /// included); executors skip victims whose load is zero.
-    fn victims(&self, thief: usize, loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize>;
+    /// included); the executors skip victims whose queue is empty.
+    pub fn victims(
+        self,
+        thief: usize,
+        loads: &[usize],
+        ws: WsPolicy,
+        machine: &MachineModel,
+        domains: &StealDomains,
+    ) -> Vec<usize> {
+        match self {
+            StealPolicy::Flat => construct_core_set(ws, thief, loads, machine),
+            StealPolicy::Hierarchical => {
+                let mut out = Vec::with_capacity(domains.num_cores().saturating_sub(1));
+                for (_, members) in domains.tiers(thief) {
+                    let mut members = members.clone();
+                    // Busiest first within the tier; ties to the lowest
+                    // id so the order is a deterministic function of
+                    // the loads.
+                    members.sort_by_key(|&v| (Reverse(loads.get(v).copied().unwrap_or(0)), v));
+                    out.extend(members);
+                }
+                out
+            }
+        }
+    }
 
     /// Maximum number of color queues one successful attempt against
-    /// `victim` may take. The default is the classic single-color
-    /// steal.
-    fn steal_budget(&self, thief: usize, victim: usize, ctx: &StealContext<'_>) -> usize {
-        let _ = (thief, victim, ctx);
-        1
-    }
-}
-
-/// Today's behavior, bit for bit: dispatches on
-/// [`WsPolicy::locality`] exactly like the executors did before
-/// policies existed — base busiest-first order, or pure cache-distance
-/// order when the locality heuristic is on. Single-color steals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlatPolicy;
-
-impl StealPolicy for FlatPolicy {
-    fn name(&self) -> &'static str {
-        "flat"
-    }
-
-    fn victims(&self, thief: usize, loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize> {
-        construct_core_set(ctx.ws, thief, loads, ctx.machine)
-    }
-}
-
-/// Topology-aware hierarchical stealing: probe the nearest tier first
-/// (SMT sibling, then cache-sharing cores, then the rest of the
-/// socket, then remote sockets), busiest victim first *within* a tier,
-/// and escalate the steal budget with the tier
-/// ([`StealTier::default_budget`]) so a cross-socket steal amortizes
-/// its transfer penalty over several colors.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HierarchicalPolicy;
-
-impl StealPolicy for HierarchicalPolicy {
-    fn name(&self) -> &'static str {
-        "hierarchical"
-    }
-
-    fn victims(&self, thief: usize, loads: &[usize], ctx: &StealContext<'_>) -> Vec<usize> {
-        let mut out = Vec::with_capacity(ctx.domains.num_cores().saturating_sub(1));
-        for (_, members) in ctx.domains.tiers(thief) {
-            let mut members = members.clone();
-            // Busiest first within the tier; ties to the lowest id so
-            // the order (and therefore any replayed schedule) is a
-            // deterministic function of the loads.
-            members.sort_by_key(|&v| (Reverse(loads.get(v).copied().unwrap_or(0)), v));
-            out.extend(members);
+    /// `victim` may take.
+    pub fn steal_budget(self, thief: usize, victim: usize, domains: &StealDomains) -> usize {
+        match self {
+            StealPolicy::Flat => 1,
+            StealPolicy::Hierarchical => domains.tier_of(thief, victim).default_budget(),
         }
-        out
-    }
-
-    fn steal_budget(&self, thief: usize, victim: usize, ctx: &StealContext<'_>) -> usize {
-        ctx.domains.tier_of(thief, victim).default_budget()
     }
 }
 
-/// The builder's policy choice when none is set explicitly:
-/// [`HierarchicalPolicy`] on machines that declare more than one steal
-/// tier (multiple sockets or SMT), [`FlatPolicy`] everywhere else. No
-/// preset model declares either, so default runtimes keep their exact
-/// pre-policy schedules; spoofed topologies
-/// ([`MachineModel::from_spec`]) opt in automatically.
-pub fn default_steal_policy(machine: &MachineModel) -> Arc<dyn StealPolicy> {
-    if machine.num_sockets() > 1 || machine.smt_per_core() > 1 {
-        Arc::new(HierarchicalPolicy)
-    } else {
-        Arc::new(FlatPolicy)
+impl fmt::Display for StealPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            StealPolicy::Flat => "flat",
+            StealPolicy::Hierarchical => "hierarchical",
+        })
     }
 }
 
@@ -376,19 +359,17 @@ mod tests {
         let m = MachineModel::xeon_e5410();
         let d = StealDomains::new(&m, 8);
         for ws in [WsPolicy::base(), WsPolicy::improved()] {
-            let ctx = StealContext {
-                ws,
-                machine: &m,
-                domains: &d,
-            };
             let loads = vec![3, 0, 7, 1, 0, 2, 9, 4];
             for thief in 0..8 {
                 assert_eq!(
-                    FlatPolicy.victims(thief, &loads, &ctx),
+                    StealPolicy::Flat.victims(thief, &loads, ws, &m, &d),
                     construct_core_set(ws, thief, &loads, &m),
                     "flat must be bit-identical ({ws}, thief {thief})"
                 );
-                assert_eq!(FlatPolicy.steal_budget(thief, (thief + 1) % 8, &ctx), 1);
+                assert_eq!(
+                    StealPolicy::Flat.steal_budget(thief, (thief + 1) % 8, &d),
+                    1
+                );
             }
         }
     }
@@ -397,47 +378,35 @@ mod tests {
     fn hierarchical_prefers_near_tiers_and_escalates_budget() {
         let m = dual_socket();
         let d = StealDomains::new(&m, 16);
-        let ctx = StealContext {
-            ws: WsPolicy::improved(),
-            machine: &m,
-            domains: &d,
-        };
+        let hier = StealPolicy::Hierarchical;
         // Remote core 9 is by far the busiest, but the SMT sibling and
         // the LLC neighbours still come first.
         let mut loads = vec![1; 16];
         loads[9] = 1000;
         loads[5] = 7;
-        let v = HierarchicalPolicy.victims(0, &loads, &ctx);
+        let v = hier.victims(0, &loads, WsPolicy::improved(), &m, &d);
         assert_eq!(v[0], 1, "SMT sibling first");
         assert_eq!(v[1], 5, "busiest LLC neighbour next");
         assert_eq!(&v[2..7], &[2, 3, 4, 6, 7], "rest of the socket by id");
         assert_eq!(v[7], 9, "busiest remote core leads the remote tier");
         // Budgets escalate with the tier.
-        assert_eq!(HierarchicalPolicy.steal_budget(0, 1, &ctx), 1);
-        assert_eq!(HierarchicalPolicy.steal_budget(0, 5, &ctx), 1);
-        assert_eq!(HierarchicalPolicy.steal_budget(0, 9, &ctx), 4);
+        assert_eq!(hier.steal_budget(0, 1, &d), 1);
+        assert_eq!(hier.steal_budget(0, 5, &d), 1);
+        assert_eq!(hier.steal_budget(0, 9, &d), 4);
         let m2 = MachineModel::from_spec("2s×4c×2t").unwrap();
         let d2 = StealDomains::new(&m2, 16);
-        let ctx2 = StealContext {
-            ws: WsPolicy::improved(),
-            machine: &m2,
-            domains: &d2,
-        };
-        assert_eq!(HierarchicalPolicy.steal_budget(0, 2, &ctx2), 2);
+        assert_eq!(hier.steal_budget(0, 2, &d2), 2);
     }
 
     #[test]
     fn default_policy_is_flat_unless_multi_tier() {
+        let of = |m: &MachineModel| StealPolicy::for_machine(m).to_string();
+        assert_eq!(of(&MachineModel::xeon_e5410()), "flat");
+        assert_eq!(of(&MachineModel::amd_16core()), "flat");
+        assert_eq!(of(&dual_socket()), "hierarchical");
         assert_eq!(
-            default_steal_policy(&MachineModel::xeon_e5410()).name(),
-            "flat"
+            of(&MachineModel::from_spec("1s×4c×2t").unwrap()),
+            "hierarchical"
         );
-        assert_eq!(
-            default_steal_policy(&MachineModel::amd_16core()).name(),
-            "flat"
-        );
-        assert_eq!(default_steal_policy(&dual_socket()).name(), "hierarchical");
-        let smt_only = MachineModel::from_spec("1s×4c×2t").unwrap();
-        assert_eq!(default_steal_policy(&smt_only).name(), "hierarchical");
     }
 }

@@ -25,10 +25,7 @@ use mely_topology::MachineModel;
 
 pub mod domains;
 
-pub use domains::{
-    default_steal_policy, FlatPolicy, HierarchicalPolicy, StealContext, StealDomains, StealPolicy,
-    StealTier,
-};
+pub use domains::{StealDomains, StealPolicy, StealTier};
 
 /// Which workstealing heuristics are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

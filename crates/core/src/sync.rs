@@ -36,9 +36,12 @@ pub struct SpinLock<T> {
     data: UnsafeCell<T>,
 }
 
-// SAFETY: the lock provides exclusive access to `T`; sharing the lock
-// across threads only requires the protected value to be Send.
+// SAFETY: `data` is reached only through a `SpinGuard`, and the flag
+// admits one guard at a time, so a shared lock hands the value to one
+// thread at a time: that needs `T: Send`, not `T: Sync`.
 unsafe impl<T: Send> Sync for SpinLock<T> {}
+// SAFETY: the lock owns its `T`; moving the lock moves the value, which
+// `T: Send` allows.
 unsafe impl<T: Send> Send for SpinLock<T> {}
 
 /// RAII guard for [`SpinLock`]; reports the cycles spent spinning.

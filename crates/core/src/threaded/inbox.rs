@@ -290,6 +290,8 @@ impl InjectionInbox {
             // the link and take the payload before the node is recycled
             // (a producer may reuse it immediately).
             let next = unsafe { (*node).next.load(Ordering::Relaxed) };
+            // SAFETY: still exclusively ours: the node is recycled only
+            // on the next line.
             let event = unsafe { (*node).event.take() }.expect("drained node holds an event");
             self.recycle(node);
             out.push(event);
@@ -357,11 +359,15 @@ impl Drop for InjectionInbox {
     }
 }
 
-// SAFETY: nodes are heap-allocated and handed between threads only
-// through atomic operations with acquire/release ordering; `Event` is
-// `Send` (its action is `Box<dyn FnOnce + Send>`), and no `&Event` is
-// ever shared before transfer completes.
+// SAFETY: the inbox owns its nodes, and `Event` is `Send` (its action
+// is `Box<dyn FnOnce + Send>`): moving the inbox moves only that
+// ownership.
 unsafe impl Send for InjectionInbox {}
+// SAFETY: nodes pass between threads only through the head and free-list
+// atomics with acquire/release ordering, and a `&self` method touches a
+// node's `event` only while it owns the node exclusively (before the
+// publishing CAS, or after the drain's swap or `pop_free`'s CAS), so no
+// `&Event` is ever shared between threads.
 unsafe impl Sync for InjectionInbox {}
 
 impl std::fmt::Debug for InjectionInbox {

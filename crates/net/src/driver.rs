@@ -24,27 +24,3 @@ pub trait Driver: Send {
         None
     }
 }
-
-/// A driver with no clients; useful in unit tests of server plumbing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdleDriver;
-
-impl Driver for IdleDriver {
-    fn advance(&mut self, _net: &mut SimNet, _now: u64) -> bool {
-        true
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::NetConfig;
-
-    #[test]
-    fn idle_driver_is_done_immediately() {
-        let mut net = SimNet::new(NetConfig::default());
-        let mut d = IdleDriver;
-        assert!(d.advance(&mut net, 0));
-        assert_eq!(d.next_due(0), None);
-    }
-}

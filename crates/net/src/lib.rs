@@ -40,6 +40,8 @@
 //! assert_eq!(net.read(fd, 100), b"GET / HTTP/1.1\r\n\r\n".to_vec());
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -66,6 +68,12 @@ impl Default for NetConfig {
 /// A connection identifier (monotonically increasing, never reused, so
 /// per-connection colors cannot collide with in-flight events).
 pub type Fd = u64;
+
+/// Connections a server's `Accept` handler takes per event before it
+/// yields and re-registers itself, so one connection storm cannot
+/// monopolize a core: the accept-batching factor of Brecht et al.,
+/// which the paper cites. SWS and SFS both accept in batches of this.
+pub const ACCEPT_BATCH: u32 = 8;
 
 /// Readiness event reported by [`SimNet::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -33,13 +33,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mely_core::color::ColorSpace;
 use mely_core::exec::{Executor, Service};
 use mely_core::stage::{PipelineBuilder, Stage, StageCtx, StageSpec};
 use mely_crypto::{crypto_cost_cycles, SessionKey};
 use mely_loadgen::ClientProtocol;
 use mely_net::driver::Driver;
-use mely_net::{Fd, NetEvent, SimNet};
+use mely_net::{Fd, NetEvent, SimNet, ACCEPT_BATCH};
 
 pub mod service;
 
@@ -364,7 +363,7 @@ impl<D: Driver + 'static> Stage for SfsAcceptStage<D> {
         // Bounded accept batch (see the SWS accept handler).
         let mut first = true;
         let mut batch = 0;
-        while batch < 8 {
+        while batch < ACCEPT_BATCH {
             let Some(fd) = net.accept(s.cfg.port, now) else {
                 break;
             };
@@ -376,7 +375,7 @@ impl<D: Driver + 'static> Stage for SfsAcceptStage<D> {
             st.stats.sessions += 1;
             st.conns.insert(fd, ConnState::default());
         }
-        if batch == 8 {
+        if batch == ACCEPT_BATCH {
             ctx.to::<SfsAcceptStage<D>>(SfsAcceptTick);
         } else {
             st.accept_pending = false;
@@ -547,7 +546,6 @@ pub struct SfsService<D> {
     net: Arc<Mutex<SimNet>>,
     driver: Arc<Mutex<D>>,
     cfg: SfsConfig,
-    colors: Option<ColorSpace>,
     installed: Option<Arc<SfsShared<D>>>,
 }
 
@@ -558,19 +556,8 @@ impl<D: Driver + 'static> SfsService<D> {
             net,
             driver,
             cfg,
-            colors: None,
             installed: None,
         }
-    }
-
-    /// Replaces the pipeline's color allocator (default
-    /// [`ColorSpace::for_stages`]) — when co-installing with other
-    /// stage services, give each an allocator that
-    /// [`ColorSpace::reserve_range`]s the others' territory so serial
-    /// stages can never silently share a color.
-    pub fn with_colors(mut self, colors: ColorSpace) -> Self {
-        self.colors = Some(colors);
-        self
     }
 
     /// Current server-side counters.
@@ -608,11 +595,7 @@ impl<D: Driver + 'static> Service for SfsService<D> {
             driver: Arc::clone(&self.driver),
             cfg: self.cfg.clone(),
         });
-        let mut builder = PipelineBuilder::new("sfs");
-        if let Some(colors) = self.colors.take() {
-            builder = builder.with_colors(colors);
-        }
-        builder
+        PipelineBuilder::new("sfs")
             .stage(SfsEpollStage(Arc::clone(&shared)))
             .stage(SfsAcceptStage(Arc::clone(&shared)))
             .stage(SfsReadRequestStage(Arc::clone(&shared)))

@@ -16,9 +16,9 @@
 //! following the paper's SFS coloring (protocol stages share one serial
 //! color, the CPU-intensive `Encrypt` stage is keyed per session,
 //! Section V-C2) — but no stage names a `u16` color or a `HandlerId`:
-//! the [`PipelineBuilder`] allocates the serial color through the
-//! collision-checked `ColorSpace` and fills every event's cost and
-//! penalty from the stage specs. Each read is one *request* of the
+//! the [`PipelineBuilder`] takes the serial color from the pipeline's
+//! `ColorSpace` and fills every event's cost and penalty from the stage
+//! specs. Each read is one *request* of the
 //! latency pipeline: `SendReply` completes it, so
 //! [`completed_requests`](mely_core::metrics::RunReport::completed_requests)
 //! equals the reads served and
@@ -36,7 +36,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mely_core::color::ColorSpace;
 use mely_core::exec::{Executor, Service};
 use mely_core::stage::{PipelineBuilder, Stage, StageCtx, StageSpec};
 use mely_crypto::crypto_cost_cycles;
@@ -289,7 +288,6 @@ impl Stage for SendReply {
 /// ```
 pub struct FileServerService {
     cfg: FileServerConfig,
-    colors: Option<ColorSpace>,
     counters: Arc<Counters>,
 }
 
@@ -306,19 +304,8 @@ impl FileServerService {
         assert!(cfg.chunk > 0 && cfg.file_len > 0, "need a non-empty file");
         FileServerService {
             cfg,
-            colors: None,
             counters: Arc::new(Counters::default()),
         }
-    }
-
-    /// Replaces the pipeline's color allocator (default
-    /// [`ColorSpace::for_stages`]) — when co-installing with other
-    /// stage services, give each an allocator that
-    /// [`ColorSpace::reserve_range`]s the others' territory so serial
-    /// stages can never silently share a color.
-    pub fn with_colors(mut self, colors: ColorSpace) -> Self {
-        self.colors = Some(colors);
-        self
     }
 
     /// The configuration this service runs.
@@ -363,11 +350,7 @@ impl Service for FileServerService {
             cfg: self.cfg.clone(),
             counters: Arc::clone(&self.counters),
         });
-        let mut builder = PipelineBuilder::new("file-server");
-        if let Some(colors) = self.colors.take() {
-            builder = builder.with_colors(colors);
-        }
-        let mut builder = builder
+        let mut builder = PipelineBuilder::new("file-server")
             .stage(ReadRequest(Arc::clone(&shared)))
             .stage(ProcessRead(Arc::clone(&shared)))
             .stage(Encrypt(Arc::clone(&shared)))

@@ -21,7 +21,7 @@
 //!
 //! [`SwsService`] is the server, written once as a typed stage pipeline
 //! (`mely_core::stage`): colors come from the pipeline's
-//! collision-checked [`ColorSpace`], every response closes a request of
+//! [`ColorSpace`], every response closes a request of
 //! the per-request latency pipeline, and
 //! `rt.install(SwsService::new(..))` runs it on either executor. It
 //! serves load produced by any [`mely_net::driver::Driver`] (normally
@@ -46,7 +46,7 @@ use mely_core::stage::{Pipeline, PipelineBuilder, Stage, StageCtx, StageSpec};
 use mely_http::{Request, RequestParser, Response, ResponseCache};
 use mely_loadgen::ClientProtocol;
 use mely_net::driver::Driver;
-use mely_net::{Fd, NetEvent, SimNet};
+use mely_net::{Fd, NetEvent, SimNet, ACCEPT_BATCH};
 
 pub mod comparators;
 
@@ -210,10 +210,6 @@ struct SwsState {
     stats: SwsStats,
 }
 
-/// Connections accepted per `Accept` event before yielding (the accept
-/// batch factor; Brecht et al., cited by the paper, study this knob).
-const ACCEPT_BATCH: u32 = 8;
-
 /// State shared by the nine stages of one [`SwsService`].
 struct SwsShared<D> {
     state: Mutex<SwsState>,
@@ -334,10 +330,8 @@ impl<D: Driver + 'static> Stage for AcceptStage<D> {
         let now = ctx.now();
         let mut net = s.net.lock();
         let mut st = s.state.lock();
-        // Accept a bounded batch per event (the accept-batching factor
-        // of Brecht et al., which the paper cites), then yield and
-        // re-register so one connection storm cannot monopolize the
-        // core.
+        // Accept a bounded batch per event, then yield and re-register
+        // (see `ACCEPT_BATCH`).
         let mut first = true;
         let mut batch = 0;
         while st.accepted < s.cfg.max_clients && batch < ACCEPT_BATCH {
@@ -584,7 +578,7 @@ impl<D: Driver + 'static> Stage for DecAcceptedStage<D> {
 /// `Epoll` + `RegisterFdInEpoll` share a serial color, `Accept` +
 /// `DecClientAccepted` another, the per-request stages are keyed by
 /// descriptor — but the colors themselves come from the pipeline's
-/// collision-checked allocator, not hand-picked constants.
+/// [`ColorSpace`], not hand-picked constants.
 pub struct SwsService<D> {
     net: Arc<Mutex<SimNet>>,
     driver: Arc<Mutex<D>>,
@@ -607,23 +601,12 @@ impl<D: Driver + 'static> SwsService<D> {
         }
     }
 
-    /// Replaces the pipeline's color allocator (default
-    /// [`ColorSpace::for_stages`]). Co-installing several stage
-    /// services on one executor? Give each an allocator whose
-    /// [`ColorSpace::reserve_range`] blocks out the others' territory,
-    /// so no two services' serial stages can silently share a color:
-    ///
-    /// ```ignore
-    /// let mut sws_colors = ColorSpace::for_stages();
-    /// sws_colors.reserve_range(ColorRange::new(0x100, 0x1FF)); // SFS's
-    /// let mut sfs_colors = ColorSpace::for_stages();
-    /// sfs_colors.reserve_range(ColorRange::new(0x001, 0x0FF)); // SWS's
-    /// ```
-    ///
-    /// Several copies of *this* service need no reservations: build
-    /// copy `c` on [`ColorSpace::congruent`]`(c, copies)` and their
-    /// colors are disjoint by residue — with `copies` = the core count
-    /// that is the N-copy deployment ([`comparators::install_ncopy`]).
+    /// Replaces the pipeline's color space (default
+    /// [`ColorSpace::for_stages`]). Several copies of this service
+    /// share an executor by residue: build copy `c` on
+    /// [`ColorSpace::congruent`]`(c, copies)` and their colors are
+    /// disjoint — with `copies` = the core count that is the N-copy
+    /// deployment ([`comparators::install_ncopy`]).
     pub fn with_colors(mut self, colors: ColorSpace) -> Self {
         self.colors = Some(colors);
         self

@@ -49,11 +49,8 @@ fn main() {
     println!("memory  : {} cycles", machine.mem_latency_cycles());
 
     let domains = StealDomains::new(&machine, machine.num_cores());
-    let policy = default_steal_policy(&machine);
-    println!(
-        "policy  : {} (builder default for this machine)",
-        policy.name()
-    );
+    let policy = StealPolicy::for_machine(&machine);
+    println!("policy  : {policy} (builder default for this machine)");
     println!();
 
     println!("steal tiers and victim order per thief:");

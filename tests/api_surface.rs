@@ -17,7 +17,6 @@
 /// The snapshot: every name `mely_core::prelude` re-exports, sorted.
 const PRELUDE_EXPORTS: &[&str] = &[
     "AdmissionPolicy",
-    "Admitted",
     "Collected",
     "Color",
     "ColorRange",
@@ -33,11 +32,9 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "FaultKind",
     "FaultPlan",
     "FaultPolicy",
-    "FlatPolicy",
     "Flavor",
     "HandlerId",
     "HandlerSpec",
-    "HierarchicalPolicy",
     "Injector",
     "KeepAlive",
     "LatencyHistogram",
@@ -51,7 +48,6 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "RunReport",
     "Runtime",
     "RuntimeBuilder",
-    "SchedulePerturbation",
     "ScheduleRng",
     "Service",
     "Stage",
@@ -62,7 +58,6 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "StealPolicy",
     "StealTier",
     "WsPolicy",
-    "default_steal_policy",
 ];
 
 /// Compile-time resolution of every snapshot name. A name removed from
@@ -73,7 +68,6 @@ fn every_export_resolves() {
     fn ty<T: ?Sized>() {}
     fn tr<T: p::Stage>() {}
     ty::<p::AdmissionPolicy>();
-    ty::<p::Admitted>();
     ty::<p::Collected<u64>>();
     ty::<p::Color>();
     ty::<p::ColorRange>();
@@ -89,11 +83,9 @@ fn every_export_resolves() {
     ty::<p::FaultKind>();
     ty::<p::FaultPlan>();
     ty::<p::FaultPolicy>();
-    ty::<p::FlatPolicy>();
     ty::<p::Flavor>();
     ty::<p::HandlerId>();
     ty::<p::HandlerSpec>();
-    ty::<p::HierarchicalPolicy>();
     ty::<p::Injector>();
     ty::<p::KeepAlive>();
     ty::<p::LatencyHistogram>();
@@ -107,19 +99,15 @@ fn every_export_resolves() {
     ty::<p::RunReport>();
     ty::<p::Runtime>();
     ty::<p::RuntimeBuilder>();
-    ty::<p::SchedulePerturbation>();
     ty::<p::ScheduleRng>();
     ty::<dyn p::Service>();
     ty::<p::StageCtx<'_, '_>>();
     ty::<p::StageSender>();
     ty::<p::StageSpec<u64>>();
     ty::<p::StealDomains>();
-    ty::<dyn p::StealPolicy>();
+    ty::<p::StealPolicy>();
     ty::<p::StealTier>();
     ty::<p::WsPolicy>();
-    // `default_steal_policy` is a function, not a type: resolve it by
-    // value.
-    let _: fn(&p::MachineModel) -> std::sync::Arc<dyn p::StealPolicy> = p::default_steal_policy;
     // `Stage` is a non-object-safe trait (associated types, Sized):
     // resolve it through a bound instead of a `dyn` type.
     struct Nop;

@@ -2,7 +2,7 @@
 //! perturbed sim schedules.
 //!
 //! The sim executor normally explores exactly one interleaving per
-//! workload. [`mely_core::fuzz::SchedulePerturbation`] turns that into a
+//! workload. `RuntimeBuilder::schedule_seed` turns that into a
 //! seed-indexed family of schedules, and this harness sweeps seeds over
 //! the conformance services asserting, on every perturbed schedule:
 //!
@@ -351,19 +351,20 @@ fn different_seeds_explore_different_schedules() {
     );
 }
 
-/// Property (b): seed mode is fully off by default — a builder without
-/// `schedule_seed` and one carrying a perturbation with every toggle
-/// off (so the RNG is never consulted) produce byte-identical canonical
-/// schedules, and repeat runs agree.
+/// Property (b): seed mode is fully off by default, and a seed turns
+/// every perturbation point on. Both schedules are pinned: the canonical
+/// one (no seed; repeat runs agree) and seed 7's, whose values were
+/// captured when each perturbation point still had its own toggle —
+/// so a seed still draws the same stream at the same points.
 #[test]
 fn unperturbed_fingerprint_is_unchanged_by_the_feature() {
-    let run = |perturb: Option<SchedulePerturbation>| {
+    let run = |seed: Option<u64>| {
         let mut b = RuntimeBuilder::new()
             .cores(4)
             .flavor(Flavor::Mely)
             .workstealing(WsPolicy::improved());
-        if let Some(p) = perturb {
-            b = b.schedule_perturbation(p);
+        if let Some(s) = seed {
+            b = b.schedule_seed(s);
         }
         let mut rt = b.build(ExecKind::Sim);
         rt.install(Cascade {
@@ -372,7 +373,7 @@ fn unperturbed_fingerprint_is_unchanged_by_the_feature() {
         });
         let report = rt.run();
         (
-            report.fingerprint(),
+            report.fingerprint().to_string(),
             report.wall_cycles(),
             report.total().steals,
         )
@@ -383,18 +384,11 @@ fn unperturbed_fingerprint_is_unchanged_by_the_feature() {
         run(None),
         "the canonical schedule is deterministic"
     );
-    let all_off = SchedulePerturbation {
-        seed: 0xdead_beef,
-        scramble_core_pick: false,
-        defer_steals: false,
-        shuffle_victims: false,
-        jitter_batch_cut: false,
-        perturb_mailbox: false,
-    };
+    assert_eq!(canonical, ("9590d7955dda7f98".to_string(), 196_555, 10));
     assert_eq!(
-        canonical,
-        run(Some(all_off)),
-        "a perturbation with every toggle off must not consult the RNG \
-         or change the canonical schedule"
+        run(Some(7)),
+        ("d94da7c28c249b30".to_string(), 215_985, 6),
+        "seed 7 no longer replays its pinned schedule\n{}",
+        replay(7, "unperturbed_fingerprint_is_unchanged_by_the_feature"),
     );
 }

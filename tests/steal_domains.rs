@@ -1,14 +1,14 @@
 //! Steal-domain invariants and the flat-policy compatibility contract.
 //!
-//! Three layers of assurance for the pluggable `StealPolicy` subsystem:
+//! Three layers of assurance for the `StealPolicy` choice:
 //!
 //! - **structural properties** (proptest over random `from_spec`
 //!   shapes): every thief's victim order is a permutation of the other
 //!   running cores and is tier-monotone — a victim never appears before
 //!   one at a strictly nearer tier;
 //! - **bit-compatibility**: on machines that declare a single steal
-//!   tier (every preset), the default policy resolves to `FlatPolicy`,
-//!   and an explicitly installed `FlatPolicy` replays the exact default
+//!   tier (every preset), the default policy resolves to `Flat`, and
+//!   an explicitly set `StealPolicy::Flat` replays the exact default
 //!   schedule — fingerprint-equal across the full perturbation seed
 //!   sweep, and pinned to a hard-coded fingerprint so an accidental
 //!   schedule change fails loudly even if it changes both sides alike;
@@ -25,7 +25,6 @@
 use proptest::prelude::*;
 
 use mely_repro::core::prelude::*;
-use mely_repro::core::steal::StealContext;
 use mely_repro::topology::{MachineModel, TOPOLOGY_ENV};
 
 /// Mirrors the fuzz harness: `MELY_FUZZ_SEED` pins one seed,
@@ -138,12 +137,16 @@ fn topology_env_shapes_hold_the_invariants() {
     // the machine has more than one.
     let multi_tier = machine.num_sockets() > 1 || machine.smt_per_core() > 1;
     assert_eq!(
-        default_steal_policy(&machine).name(),
-        if multi_tier { "hierarchical" } else { "flat" },
+        StealPolicy::for_machine(&machine),
+        if multi_tier {
+            StealPolicy::Hierarchical
+        } else {
+            StealPolicy::Flat
+        },
     );
 }
 
-/// On single-tier machines, an explicit `FlatPolicy` replays the
+/// On single-tier machines, an explicit `StealPolicy::Flat` replays the
 /// default-built runtime bit for bit — equal fingerprints on the
 /// canonical schedule and on every perturbed schedule of the seed
 /// sweep.
@@ -159,7 +162,7 @@ fn flat_policy_replays_default_schedules_bit_for_bit() {
             b = b.schedule_seed(s);
         }
         if explicit_flat {
-            b = b.steal_policy(std::sync::Arc::new(FlatPolicy));
+            b = b.steal_policy(StealPolicy::Flat);
         }
         let mut rt = b.build(ExecKind::Sim);
         canonical_workload(&mut rt);
@@ -174,13 +177,13 @@ fn flat_policy_replays_default_schedules_bit_for_bit() {
     assert_eq!(
         run(None, false),
         run(None, true),
-        "explicit FlatPolicy changed the canonical schedule"
+        "explicit Flat policy changed the canonical schedule"
     );
     for seed in seeds() {
         assert_eq!(
             run(Some(seed), false),
             run(Some(seed), true),
-            "explicit FlatPolicy changed the perturbed schedule of seed {seed:#x}\n\
+            "explicit Flat policy changed the perturbed schedule of seed {seed:#x}\n\
              replay: MELY_FUZZ_SEED={seed:#x} cargo test --test steal_domains \
              flat_policy_replays_default_schedules_bit_for_bit"
         );
@@ -219,29 +222,25 @@ const PINNED_CANONICAL_FINGERPRINT: &str = "30501279faa56ca3";
 fn hierarchical_prefers_close_victims_on_dual_socket() {
     let machine = MachineModel::from_spec("2s×4c×2t/l2=2/llc=8").unwrap();
     let domains = StealDomains::new(&machine, machine.num_cores());
-    let ctx = StealContext {
-        ws: WsPolicy::base(),
-        machine: &machine,
-        domains: &domains,
-    };
+    let ws = WsPolicy::base();
     // Remote core 8 is the busiest; the SMT sibling (1) has a little.
     let mut loads = vec![0usize; 16];
     loads[8] = 100;
     loads[1] = 10;
 
-    let hier = HierarchicalPolicy.victims(0, &loads, &ctx);
+    let hier = StealPolicy::Hierarchical.victims(0, &loads, ws, &machine, &domains);
     assert_eq!(hier[0], 1, "SMT sibling probed first: {hier:?}");
     let remote_rank = hier.iter().position(|&v| v == 8).unwrap();
     assert!(
         remote_rank >= 7,
         "remote socket before the local one: {hier:?}"
     );
-    let flat = FlatPolicy.victims(0, &loads, &ctx);
+    let flat = StealPolicy::Flat.victims(0, &loads, ws, &machine, &domains);
     assert_eq!(flat[0], 8, "base order goes to the busiest core: {flat:?}");
 
     // Budgets escalate with the tier.
-    let smt = HierarchicalPolicy.steal_budget(0, 1, &ctx);
-    let remote = HierarchicalPolicy.steal_budget(0, 8, &ctx);
+    let smt = StealPolicy::Hierarchical.steal_budget(0, 1, &domains);
+    let remote = StealPolicy::Hierarchical.steal_budget(0, 8, &domains);
     assert!(
         smt < remote,
         "budget must escalate with distance ({smt} vs {remote})"
@@ -254,7 +253,7 @@ fn hierarchical_prefers_close_victims_on_dual_socket() {
 #[test]
 fn dual_socket_run_keeps_steals_on_socket() {
     let machine = MachineModel::from_spec("2s×4c×2t/l2=2/llc=8").unwrap();
-    let run = |policy: Option<std::sync::Arc<dyn StealPolicy>>| {
+    let run = |policy: Option<StealPolicy>| {
         let mut b = RuntimeBuilder::new()
             .cores(machine.num_cores())
             .machine(machine.clone())
@@ -277,7 +276,7 @@ fn dual_socket_run_keeps_steals_on_socket() {
     assert!(hier.total().steals > 0, "workload must actually steal");
     assert_eq!(remote, 0, "hierarchical crossed sockets: {hier:?}");
 
-    let flat = run(Some(std::sync::Arc::new(FlatPolicy)));
+    let flat = run(Some(StealPolicy::Flat));
     let [_, _, _, remote_flat] = flat.steals_by_tier();
     assert!(
         remote_flat > 0,
