@@ -10,7 +10,7 @@
 //! Pareto-distributed service costs.
 //!
 //! Three scenarios run against a runtime with bounded queues
-//! ([`QueueLimits`]) and the [`AdmissionPolicy::Shed`] policy:
+//! ([`QueueLimits`]), whose `inject` sheds what the limits refuse:
 //!
 //! - `overload/goodput_{1x,2x,4x}` — completed requests per second at
 //!   1×, 2× and 4× the nominal rate (80% of measured closed-loop
@@ -82,7 +82,6 @@ fn build(limits: QueueLimits) -> Runtime {
         .flavor(Flavor::Mely)
         .workstealing(WsPolicy::off())
         .queue_limits(limits)
-        .admission(AdmissionPolicy::Shed)
         .build(ExecKind::Threaded)
 }
 

@@ -7,9 +7,10 @@
 //! adds the overload-engineering layer: configurable occupancy limits
 //! ([`QueueLimits`]), a fallible admission API
 //! ([`crate::exec::Injector::try_inject`] returning `Err(`[`Overload`]`)`
-//! with the limit that was hit), and a
-//! pluggable [`AdmissionPolicy`] deciding what the *infallible* injection
-//! path does when a limit is hit.
+//! with the limit that was hit), and load shedding on the *infallible*
+//! path ([`crate::exec::Injector::inject`]): one attempt, and an event
+//! a limit refuses is dropped and counted. A producer never waits for
+//! admission.
 //!
 //! # Where limits are enforced
 //!
@@ -43,11 +44,10 @@
 //! # Accounting
 //!
 //! Every rejected admission attempt increments
-//! `CoreMetrics::admission_rejects`. An event *dropped* by the
-//! [`AdmissionPolicy::Shed`] policy additionally counts in
-//! `CoreMetrics::shed_requests` (and `shed_by_color` when the reason was
-//! [`OverloadReason::ColorHot`]). Goodput is
-//! [`crate::metrics::RunReport::completed_requests`];
+//! `CoreMetrics::admission_rejects`. An event the infallible path
+//! *drops* additionally counts in `CoreMetrics::shed_requests` (and
+//! `shed_by_color` when the reason was [`OverloadReason::ColorHot`]).
+//! Goodput is [`crate::metrics::RunReport::completed_requests`];
 //! [`crate::metrics::RunReport::offered_requests`] adds the sheds back,
 //! so `completed / offered` is the fraction of offered load that survived
 //! admission and completed.
@@ -72,7 +72,6 @@ use crate::metrics::CoreMetrics;
 /// let rt = RuntimeBuilder::new()
 ///     .cores(2)
 ///     .queue_limits(QueueLimits::default().per_color_events(64).inbox_backlog(4_096))
-///     .admission(AdmissionPolicy::Shed)
 ///     .build(ExecKind::Threaded);
 /// let injector = rt.injector();
 /// assert!(injector.try_inject(Event::new(Color::new(1), 0)).is_ok());
@@ -149,33 +148,6 @@ impl fmt::Display for QueueLimits {
     }
 }
 
-/// What the *infallible* injection path ([`crate::exec::Injector::inject`])
-/// does when admission fails. The fallible path
-/// ([`crate::exec::Injector::try_inject`]) never consults the policy — it
-/// always returns the [`Overload`] immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AdmissionPolicy {
-    /// Wait (spinning with yields) until the event is admitted — classic
-    /// producer backpressure. The default: with unbounded limits it
-    /// never engages, so pre-existing behavior is unchanged.
-    #[default]
-    Block,
-    /// Drop the event and count it in `shed_requests` /
-    /// `admission_rejects` (and `shed_by_color` for
-    /// [`OverloadReason::ColorHot`]). Load-shedding for open-loop
-    /// producers that must never stall.
-    Shed,
-}
-
-impl fmt::Display for AdmissionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AdmissionPolicy::Block => "block",
-            AdmissionPolicy::Shed => "shed",
-        })
-    }
-}
-
 /// Which limit rejected an admission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverloadReason {
@@ -225,13 +197,12 @@ impl fmt::Display for Overload {
 
 impl std::error::Error for Overload {}
 
-/// Shared admission state of one runtime: the configured limits and
-/// policy, the per-color in-flight occupancy (allocated only when a
+/// Shared admission state of one runtime: the configured limits, the
+/// per-color in-flight occupancy (allocated only when a
 /// per-color limit is set), and the producer-side reject/shed counters
 /// attributed into the [`crate::metrics::RunReport`] after a run.
 pub(crate) struct AdmissionCtl {
     pub(crate) limits: QueueLimits,
-    pub(crate) policy: AdmissionPolicy,
     /// Injector-admitted, not-yet-executed events per color. `None`
     /// unless `limits.per_color_events` is set, so unbounded runtimes
     /// pay neither the 256 KiB allocation nor the counter maintenance.
@@ -246,7 +217,7 @@ pub(crate) struct AdmissionCtl {
 }
 
 impl AdmissionCtl {
-    pub(crate) fn new(limits: QueueLimits, policy: AdmissionPolicy) -> Self {
+    pub(crate) fn new(limits: QueueLimits) -> Self {
         let per_color = limits.per_color_events.map(|_| {
             let mut v = Vec::with_capacity(COLOR_SPACE);
             v.resize_with(COLOR_SPACE, || AtomicU32::new(0));
@@ -254,7 +225,6 @@ impl AdmissionCtl {
         });
         AdmissionCtl {
             limits,
-            policy,
             per_color,
             rejects: AtomicU64::new(0),
             shed_requests: AtomicU64::new(0),
@@ -382,7 +352,6 @@ impl fmt::Debug for AdmissionCtl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AdmissionCtl")
             .field("limits", &self.limits)
-            .field("policy", &self.policy)
             .field("rejects", &self.rejects.load(Ordering::Relaxed))
             .field("shed_requests", &self.shed_requests.load(Ordering::Relaxed))
             .finish()
@@ -397,11 +366,10 @@ mod tests {
     use crate::runtime::RuntimeBuilder;
 
     #[test]
-    fn defaults_are_unbounded_and_block() {
+    fn defaults_are_unbounded() {
         let l = QueueLimits::default();
         assert!(l.is_unbounded());
         assert_eq!(l, QueueLimits::unbounded());
-        assert_eq!(AdmissionPolicy::default(), AdmissionPolicy::Block);
         assert_eq!(l.to_string(), "unbounded");
     }
 
@@ -410,7 +378,6 @@ mod tests {
         let l = QueueLimits::default().per_color_events(64).inbox_backlog(9);
         assert!(!l.is_unbounded());
         assert_eq!(l.to_string(), "per_core=unbounded, per_color=64, inbox=9");
-        assert_eq!(AdmissionPolicy::Shed.to_string(), "shed");
         assert_eq!(OverloadReason::ColorHot.to_string(), "color hot");
         let ov = Overload {
             reason: OverloadReason::PerCoreFull,
@@ -426,17 +393,14 @@ mod tests {
         set.insert(QueueLimits::default());
         set.insert(QueueLimits::default().per_core_events(1));
         assert_eq!(set.len(), 2);
-        let p = AdmissionPolicy::Shed;
-        let q = p; // Copy
-        assert_eq!(p, q);
+        let l = QueueLimits::default().per_color_events(3);
+        let m = l; // Copy
+        assert_eq!(l, m);
     }
 
     #[test]
     fn claim_rolls_back_on_overshoot() {
-        let ctl = AdmissionCtl::new(
-            QueueLimits::default().per_color_events(2),
-            AdmissionPolicy::Shed,
-        );
+        let ctl = AdmissionCtl::new(QueueLimits::default().per_color_events(2));
         assert!(ctl.try_claim_color(7, 2));
         assert!(ctl.try_claim_color(7, 2));
         // Saturating: rejected attempts leave the occupancy untouched.
@@ -550,8 +514,7 @@ mod tests {
             .try_inject(Event::new(Color::new(1), 0))
             .expect_err("stopped");
         assert_eq!(err.reason, OverloadReason::InboxBacklog);
-        // The infallible path drops (even under the default Block
-        // policy: blocking on a stopped run loop would deadlock).
+        // The infallible path drops and counts it.
         inj.inject(Event::new(Color::new(2), 0));
         assert_eq!(inj.outstanding(), 0, "nothing buffered while stopped");
         let r = rt.run(); // consumes the stop, executes nothing
@@ -563,12 +526,32 @@ mod tests {
         assert_eq!(rt.run().events_processed(), 1);
     }
 
+    /// `inject` makes one attempt: with no worker running to drain the
+    /// color, the refused second event returns at once as one reject
+    /// plus one shed.
+    #[test]
+    fn inject_into_a_full_color_returns_at_once_on_both_executors() {
+        for kind in [ExecKind::Sim, ExecKind::Threaded] {
+            let mut rt = RuntimeBuilder::new()
+                .cores(1)
+                .queue_limits(QueueLimits::default().per_color_events(1))
+                .build(kind);
+            let inj = rt.injector();
+            inj.inject(Event::new(Color::new(5), 0));
+            inj.inject(Event::new(Color::new(5), 0));
+            let r = rt.run();
+            assert_eq!(r.events_processed(), 1, "{kind}");
+            assert_eq!(r.total().admission_rejects, 1, "{kind}");
+            assert_eq!(r.total().shed_requests, 1, "{kind}");
+            assert_eq!(r.total().shed_by_color, 1, "{kind}");
+        }
+    }
+
     #[test]
     fn shed_policy_drops_and_counts_by_color() {
         let mut rt = RuntimeBuilder::new()
             .cores(1)
             .queue_limits(QueueLimits::default().per_color_events(2))
-            .admission(AdmissionPolicy::Shed)
             .build(ExecKind::Threaded);
         let inj = rt.injector();
         for _ in 0..10 {

@@ -4,7 +4,7 @@
 //! function, and a continuation" (paper Section II-A). Here the
 //! continuation is a boxed `FnOnce` closure (the [`Action`]); the
 //! scheduling-relevant metadata — color, processing-cost estimate,
-//! workstealing penalty, touched data set — lives alongside it so the
+//! workstealing penalty — lives alongside it so the
 //! queues and the workstealing heuristics can reason about the event
 //! without running it.
 
@@ -12,7 +12,6 @@ use std::fmt;
 
 use crate::color::Color;
 use crate::ctx::Ctx;
-use crate::dataset::DataSetRef;
 use crate::handler::HandlerId;
 
 /// The continuation executed when an event is dispatched.
@@ -40,7 +39,6 @@ pub struct Event {
     pub(crate) handler: Option<HandlerId>,
     pub(crate) cost: u64,
     pub(crate) penalty: u32,
-    pub(crate) dataset: Option<DataSetRef>,
     pub(crate) action: Option<Action>,
     pub(crate) name: &'static str,
     /// Registration sequence number, assigned by the runtime. Used for
@@ -71,7 +69,6 @@ impl Event {
             handler: None,
             cost,
             penalty: 1,
-            dataset: None,
             action: None,
             name: "",
             seq: 0,
@@ -114,14 +111,6 @@ impl Event {
         self
     }
 
-    /// Declares the data set this event's handler touches; the simulation
-    /// executor sweeps it through the cache simulator on dispatch (unless
-    /// the action performs finer-grained touches itself).
-    pub fn touching(mut self, ds: DataSetRef) -> Self {
-        self.dataset = Some(ds);
-        self
-    }
-
     /// The event's color.
     pub fn color(&self) -> Color {
         self.color
@@ -140,11 +129,6 @@ impl Event {
     /// Workstealing penalty (≥ 1).
     pub fn penalty(&self) -> u32 {
         self.penalty
-    }
-
-    /// The declared data set, if any.
-    pub fn dataset(&self) -> Option<&DataSetRef> {
-        self.dataset.as_ref()
     }
 
     /// Debug name.

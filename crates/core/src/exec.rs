@@ -32,14 +32,13 @@
 //! # Injection semantics (the unified naming)
 //!
 //! The injection surface is the admission boundary of the runtime's
-//! overload control ([`crate::admission`]): the infallible paths resolve
-//! queue-limit hits through the configured
-//! [`AdmissionPolicy`], the fallible `try_` twins
-//! return the [`Overload`] to the caller. The full
-//! four-way table (plus twins) lives on [`Injector`]. Each executor
-//! offers only a primitive admit-and-enqueue; the policy loop, the
-//! fallible twins and the reject/shed accounting are written once on
-//! top of it, in this module.
+//! overload control ([`crate::admission`]): the infallible paths shed an
+//! event a queue limit refuses, the fallible `try_` twins return the
+//! [`Overload`] to the caller. The full four-way table (plus twins)
+//! lives on [`Injector`]. Each executor offers only a primitive
+//! admit-and-enqueue; the shed path, the fallible twins and the
+//! reject/shed accounting are written once on top of it, in this
+//! module.
 //!
 //! # Examples
 //!
@@ -75,7 +74,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::admission::{AdmissionCtl, AdmissionPolicy, Overload, OverloadReason};
+use crate::admission::{AdmissionCtl, Overload, OverloadReason};
 use crate::dataset::DataSetRef;
 use crate::event::Event;
 use crate::handler::{HandlerId, HandlerSpec};
@@ -230,68 +229,42 @@ pub trait Service {
 }
 
 /// What one executor offers an external producer: its primitive door.
-/// [`Injector`]'s five entry points — the admission-policy loop, the
-/// fallible twins and the reject/shed accounting — are written once
-/// over this trait ([`resolve_by_policy`], [`admit_or_report`],
-/// [`enqueue_or_shed`]) and monomorphised per executor. Nothing here
-/// counts a reject or a shed.
+/// [`Injector`]'s five entry points — the shed path, the fallible twins
+/// and the reject/shed accounting — are written once over this trait
+/// ([`admit_or_shed`], [`admit_or_report`], [`enqueue_or_shed`]) and
+/// monomorphised per executor. Nothing here counts a reject or a shed.
 pub(crate) trait Door {
-    /// The runtime's limits, policy and producer-side counters.
+    /// The runtime's limits and producer-side counters.
     fn admission(&self) -> &AdmissionCtl;
 
     /// Admits `ev` against the quarantine set and the queue limits and
-    /// enqueues it — now, or to fire after `delay` cycles — or hands it
-    /// back with the [`Overload`] so a policy loop can retry it.
-    fn try_enqueue(&self, delay: Option<u64>, ev: Event) -> Result<(), (Overload, Event)>;
+    /// enqueues it — now, or to fire after `delay` cycles — or drops it
+    /// and returns the [`Overload`].
+    fn try_enqueue(&self, delay: Option<u64>, ev: Event) -> Result<(), Overload>;
 
     /// Enqueues past the queue limits (`None`: right away, taking the
     /// owning core's lock on threads; `Some`: after a delay). `Err`
     /// names why the door takes nothing of this color whatever the
     /// limits say, and the event is dropped.
     fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason>;
-
-    /// Whether a stop has been requested.
-    fn stopped(&self) -> bool;
-}
-
-/// The infallible admission path ([`Injector::inject`]): a limit hit is
-/// resolved by the runtime's [`AdmissionPolicy`] — shed (drop + count),
-/// or block until admitted. The reject counter advances once per
-/// event, on its first failed attempt. Quarantine never clears and a
-/// stopping executor stops draining, so both shed under every policy:
-/// waiting on either would strand the producer.
-fn resolve_by_policy<D: Door>(door: &D, mut ev: Event) {
-    let ctl = door.admission();
-    let mut first_reject = true;
-    loop {
-        let (ov, back) = match door.try_enqueue(None, ev) {
-            Ok(()) => return,
-            Err(rejected) => rejected,
-        };
-        if first_reject {
-            ctl.note_reject();
-            first_reject = false;
-        }
-        if ctl.policy == AdmissionPolicy::Shed
-            || ov.reason == OverloadReason::Quarantined
-            || door.stopped()
-        {
-            ctl.note_shed(ov.reason);
-            return;
-        }
-        std::thread::yield_now();
-        ev = back;
-    }
 }
 
 /// The fallible twins ([`Injector::try_inject`],
 /// [`Injector::try_inject_after`]): one attempt, one counted reject, the
 /// [`Overload`] to the caller.
 fn admit_or_report<D: Door>(door: &D, delay: Option<u64>, ev: Event) -> Result<(), Overload> {
-    door.try_enqueue(delay, ev).map_err(|(ov, _dropped)| {
-        door.admission().note_reject();
-        ov
-    })
+    door.try_enqueue(delay, ev)
+        .inspect_err(|_| door.admission().note_reject())
+}
+
+/// The infallible admission path ([`Injector::inject`]): one attempt,
+/// and a refused event counts one reject plus one shed. Never waiting
+/// keeps a producer from stalling on a hot color, a quarantined color
+/// or a stopped executor, none of which it can drain itself.
+fn admit_or_shed<D: Door>(door: &D, ev: Event) {
+    if let Err(ov) = admit_or_report(door, None, ev) {
+        door.admission().note_shed(ov.reason);
+    }
 }
 
 /// The unchecked paths ([`Injector::inject_locked`],
@@ -420,6 +393,11 @@ impl SimMailbox {
         self.stop.store(true, Ordering::Release);
     }
 
+    /// Whether a stop has been requested.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
     /// Entries pushed but not yet absorbed by the run loop.
     fn outstanding(&self) -> u64 {
         self.buffered.load(Ordering::Acquire)
@@ -448,18 +426,17 @@ impl Door for SimMailbox {
         &self.cfg.admission
     }
 
-    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), (Overload, Event)> {
+    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), Overload> {
         let cfg = &*self.cfg;
         if self.stopped() {
             // The run loop will never drain again: unconditional reject
             // (reason InboxBacklog — the backlog can only grow).
-            let ov = Overload {
+            return Err(Overload {
                 reason: OverloadReason::InboxBacklog,
-            };
-            return Err((ov, ev));
+            });
         }
         let color = ev.color();
-        let verdict = cfg.admission.admit(&cfg.faults, &mut ev, || {
+        cfg.admission.admit(&cfg.faults, &mut ev, || {
             // Dispatch estimate: the color's home core (exact unless
             // workstealing moved the color), occupancy as last
             // published by the run loop (tracked only under a per-core
@@ -469,10 +446,7 @@ impl Door for SimMailbox {
                 core_occ.map_or(0, |occ| u64::from(occ.load(Ordering::Acquire))),
                 self.outstanding(),
             )
-        });
-        if let Err(ov) = verdict {
-            return Err((ov, ev));
-        }
+        })?;
         self.push_raw(delay, ev);
         Ok(())
     }
@@ -490,10 +464,6 @@ impl Door for SimMailbox {
         }
         self.push_raw(delay, ev);
         Ok(())
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
     }
 }
 
@@ -526,7 +496,7 @@ macro_rules! with_door {
 ///
 /// | method | admission | semantics |
 /// |---|---|---|
-/// | [`Injector::inject`] | infallible — a limit hit is resolved by the [`AdmissionPolicy`] (block / shed) | enqueue to the color's owning core through its lock-free inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
+/// | [`Injector::inject`] | infallible — a refused event is dropped and counted as shed | enqueue to the color's owning core through its lock-free inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
 /// | [`Injector::try_inject`] | fallible — returns `Err(`[`Overload`]`)` naming the limit hit; the event is dropped | same enqueue; the caller owns the overload response (retry, degrade, reject upstream). |
 /// | [`Injector::inject_locked`] | none — bypasses queue limits entirely | enqueue by taking the owning core's dispatch spinlock (threaded). The pre-inbox legacy path, kept for measuring what the inbox buys; identical routing to `inject` on the simulator. |
 /// | [`Injector::inject_after`] | none — timers are scheduled work, not offered load | enqueue after a delay in cycles (virtual under sim, cycle-counter under threads). |
@@ -566,18 +536,18 @@ impl Injector {
     /// Registers an event through the owning core's lock-free injection
     /// inbox (threaded) or the run-loop mailbox (sim) — the producer
     /// never contends on a dispatch lock. The canonical *infallible*
-    /// injection path: with bounded queues, a limit hit is resolved by
-    /// the runtime's [`AdmissionPolicy`] rather than reported (see the
-    /// table on [`Injector`]).
+    /// injection path: with bounded queues, one admission attempt, and
+    /// an event a limit refuses is dropped and counted as one
+    /// `admission_rejects` plus one `shed_requests` (see the table on
+    /// [`Injector`]). Never blocks.
     pub fn inject(&self, ev: Event) {
-        with_door!(self, d => resolve_by_policy(&**d, ev))
+        with_door!(self, d => admit_or_shed(&**d, ev))
     }
 
     /// The fallible admission path: admits `ev` or returns the
     /// [`Overload`] naming the limit that rejected it (the event is
-    /// dropped). Never blocks and never consults the
-    /// [`AdmissionPolicy`]; each rejected call counts one
-    /// `admission_rejects`.
+    /// dropped and not counted as shed). Never blocks; each rejected call
+    /// counts one `admission_rejects`.
     pub fn try_inject(&self, ev: Event) -> Result<(), Overload> {
         with_door!(self, d => admit_or_report(&**d, None, ev))
     }

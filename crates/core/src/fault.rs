@@ -1,5 +1,5 @@
-//! Fault isolation: typed faults, color quarantine, and the policy
-//! governing both executors' response to a panicking handler.
+//! Fault isolation: typed faults and color quarantine, both executors'
+//! one response to a panicking handler.
 //!
 //! The paper's per-color mutual exclusion gives the runtime a natural
 //! blast-radius unit: everything a faulty handler can have corrupted is
@@ -8,19 +8,12 @@
 //! both executors share therefore wraps the handler in
 //! `catch_unwind(AssertUnwindSafe(..))` and, instead of letting the
 //! panic unwind the worker (which previously aborted the whole run),
-//! records a typed [`Fault`] and applies the configured [`FaultPolicy`]:
-//!
-//! - [`FaultPolicy::QuarantineColor`] (default) — the faulted color is
-//!   quarantined: its queued events are discarded and counted as
-//!   `shed_by_fault`, the in-flight request is recorded as failed, and
-//!   subsequent admission for the color returns
-//!   [`OverloadReason::Quarantined`](crate::admission::OverloadReason::Quarantined)
-//!   so producers observe degradation instead of silence.
-//! - [`FaultPolicy::ShedEvent`] — only the faulting event is lost; the
-//!   color keeps running (for handlers whose shared state is known to
-//!   survive a panic).
-//! - [`FaultPolicy::Abort`] — the panic resumes unwinding (tests and
-//!   debugging: fail fast instead of containing).
+//! records a typed [`Fault`] and quarantines the color: its queued
+//! events are discarded and counted as `shed_by_fault`, the in-flight
+//! request is recorded as failed, and subsequent admission for the color
+//! returns
+//! [`OverloadReason::Quarantined`](crate::admission::OverloadReason::Quarantined)
+//! so producers observe degradation instead of silence.
 //!
 //! A handler's buffered effects ([`crate::ctx::Ctx`] registrations,
 //! charges, touches, completions) are applied only *after* it returns,
@@ -110,29 +103,6 @@ impl fmt::Display for Fault {
     }
 }
 
-/// How the runtime responds to a contained handler fault. Configured
-/// per runtime via
-/// [`RuntimeBuilder::fault_policy`](crate::runtime::RuntimeBuilder::fault_policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FaultPolicy {
-    /// Quarantine the faulted color: discard its queued events (counted
-    /// as `shed_by_fault`), fail its in-flight request, and reject
-    /// subsequent admission for the color with
-    /// [`OverloadReason::Quarantined`](crate::admission::OverloadReason::Quarantined).
-    /// The default: a panicking handler's state must be assumed
-    /// corrupt, and the color is the unit that scopes it.
-    #[default]
-    QuarantineColor,
-    /// Record the fault and drop only the faulting event; the color
-    /// keeps executing.
-    ShedEvent,
-    /// Resume the unwind. On the sim executor the panic propagates out
-    /// of `run()`; on the threaded executor the worker dies and is
-    /// folded into the report as [`FaultKind::WorkerDied`]. For tests
-    /// that want fail-fast behavior.
-    Abort,
-}
-
 /// Lock-free membership bitmap over the 16-bit color space, plus a
 /// count that makes the empty-set check (the hot-path gate on every
 /// admission and dispatch) one relaxed load.
@@ -190,21 +160,19 @@ impl QuarantineSet {
 /// fault storm.
 pub(crate) const MAX_FAULT_LOG: usize = 1024;
 
-/// Shared supervision state of one runtime: the policy, the optional
-/// seeded injection plan, the quarantine set, and the capped fault log.
+/// Shared supervision state of one runtime: the optional seeded
+/// injection plan, the quarantine set, and the capped fault log.
 /// Lives in the runtime's `Resolved`, which the run loop or workers and
 /// the producer door all reach.
 pub(crate) struct FaultCtl {
-    pub(crate) policy: FaultPolicy,
     pub(crate) plan: Option<FaultPlan>,
     pub(crate) quarantined: QuarantineSet,
     log: Mutex<Vec<Fault>>,
 }
 
 impl FaultCtl {
-    pub(crate) fn new(policy: FaultPolicy, plan: Option<FaultPlan>) -> Self {
+    pub(crate) fn new(plan: Option<FaultPlan>) -> Self {
         FaultCtl {
-            policy,
             plan: plan.filter(|p| !p.is_noop()),
             quarantined: QuarantineSet::new(),
             log: Mutex::new(Vec::new()),
@@ -294,7 +262,7 @@ mod tests {
 
     #[test]
     fn fault_log_caps() {
-        let ctl = FaultCtl::new(FaultPolicy::QuarantineColor, None);
+        let ctl = FaultCtl::new(None);
         for i in 0..(MAX_FAULT_LOG + 10) {
             ctl.record(Fault {
                 color: Some(Color::new((i % 100) as u16)),
@@ -325,11 +293,6 @@ mod tests {
             kind: FaultKind::WorkerDied { core: 3 },
         };
         assert!(format!("{w}").contains("core 3"));
-    }
-
-    #[test]
-    fn default_policy_quarantines() {
-        assert_eq!(FaultPolicy::default(), FaultPolicy::QuarantineColor);
     }
 
     #[test]

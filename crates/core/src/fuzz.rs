@@ -173,8 +173,7 @@ impl ScheduleRng {
 ///   forced to panic (via a marker payload through the *real*
 ///   `catch_unwind` containment path), recorded as
 ///   [`FaultKind::InjectedPanic`](crate::fault::FaultKind::InjectedPanic)
-///   and subject to the configured
-///   [`FaultPolicy`](crate::fault::FaultPolicy);
+///   and quarantining its color like any handler panic;
 /// - **event drops** (`drop_per_million`) — a dispatched event is
 ///   discarded before its handler runs, modeling message loss
 ///   ([`FaultKind::InjectedDrop`](crate::fault::FaultKind::InjectedDrop);

@@ -12,12 +12,12 @@
 //! the simulator's perturbation draws are hooks; the rest, and the
 //! threaded executor's inbox and waiting, stay in the drivers.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::color::Color;
 use crate::ctx::{Ctx, CtxEffects};
 use crate::event::Event;
-use crate::fault::{kind_of_panic, Fault, FaultKind, FaultPolicy, InjectedPanicMarker};
+use crate::fault::{kind_of_panic, Fault, FaultKind, InjectedPanicMarker};
 use crate::fuzz::ScheduleRng;
 use crate::handler::HandlerRegistry;
 use crate::metrics::CoreMetrics;
@@ -99,7 +99,7 @@ pub(crate) trait CoreEnv {
     /// The time a handler reads through [`Ctx::now`].
     fn now(&self) -> u64;
     /// Opens a dispatch and returns the stamp for `finish_event`; the
-    /// simulator pays the dispatch, declared cost and data set here.
+    /// simulator pays the dispatch and the declared cost here.
     fn start_event(&mut self, ev: &Event) -> u64;
     /// The cycles the whole dispatch took; the simulator first pays the
     /// handler's charges and touches (`fx` is `None` when it panicked).
@@ -173,8 +173,8 @@ fn shed_by_fault(m: &mut CoreMetrics, ev: &Event) {
 
 /// Executes one popped event: admission-slot release, quarantine gate,
 /// fault-plan draws, contained handler run, then either the fault
-/// record and [`FaultPolicy`] or the completion accounting and the
-/// handler's buffered effects.
+/// record and the color's quarantine or the completion accounting and
+/// the handler's buffered effects.
 fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
     let color = ev.color();
     let st = env.state();
@@ -244,14 +244,8 @@ fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
             handler: ev.handler(),
             kind,
         });
-        match faults.policy {
-            FaultPolicy::QuarantineColor => {
-                if faults.quarantined.quarantine(color) {
-                    st.metrics.quarantined_colors += 1;
-                }
-            }
-            FaultPolicy::ShedEvent => {}
-            FaultPolicy::Abort => resume_unwind(payload),
+        if faults.quarantined.quarantine(color) {
+            st.metrics.quarantined_colors += 1;
         }
         return;
     }
@@ -337,7 +331,7 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
-    use crate::admission::{AdmissionPolicy, QueueLimits};
+    use crate::admission::QueueLimits;
     use crate::fault::FaultCtl;
     use crate::fuzz::FaultPlan;
     use crate::runtime::RuntimeBuilder;
@@ -488,7 +482,6 @@ mod tests {
         #[derive(Clone, Copy)]
         struct Case {
             name: &'static str,
-            policy: FaultPolicy,
             /// Per-million rates of (drop, panic, timer spike).
             rates: Option<(u32, u32, u32)>,
             poisoned: Option<u16>,
@@ -501,7 +494,6 @@ mod tests {
         const ALWAYS: u32 = 1_000_000;
         let done = Case {
             name: "completion applies every buffered effect",
-            policy: FaultPolicy::QuarantineColor,
             rates: None,
             poisoned: None,
             tail: |ctx| ctx.stop_runtime(),
@@ -517,8 +509,6 @@ mod tests {
             stopped: false,
             ..done
         };
-        let panicked =
-            |quarantined| faulted(FaultKind::HandlerPanic(String::new()), 100, quarantined);
         let cases = [
             done,
             Case {
@@ -539,19 +529,7 @@ mod tests {
             },
             Case {
                 name: "a panic discards the effects and quarantines",
-                want: panicked(1),
-                ..lost
-            },
-            Case {
-                name: "ShedEvent keeps the color running",
-                policy: FaultPolicy::ShedEvent,
-                want: panicked(0),
-                ..lost
-            },
-            Case {
-                name: "Abort records the fault, then resumes the unwind",
-                policy: FaultPolicy::Abort,
-                want: panicked(0),
+                want: faulted(FaultKind::HandlerPanic(String::new()), 100, 1),
                 ..lost
             },
             Case {
@@ -590,9 +568,7 @@ mod tests {
             let mut builder = RuntimeBuilder::new()
                 .cores(2)
                 .workstealing(WsPolicy::base())
-                .queue_limits(QueueLimits::default().per_color_events(4))
-                .admission(AdmissionPolicy::Shed)
-                .fault_policy(case.policy);
+                .queue_limits(QueueLimits::default().per_color_events(4));
             if let Some(plan) = plan {
                 builder = builder.fault_plan(plan);
             }
@@ -602,12 +578,11 @@ mod tests {
             }
             let mut ev = event(case.tail);
             // Admitted before the case poisoned anything.
-            let clean = FaultCtl::new(FaultPolicy::default(), None);
+            let clean = FaultCtl::new(None);
             let admitted = env.cfg.admission.admit(&clean, &mut ev, || (0, 0));
             assert!(admitted.is_ok());
-            let unwound = catch_unwind(AssertUnwindSafe(|| dispatch_one(&mut env, ev))).is_err();
+            dispatch_one(&mut env, ev);
             let name = case.name;
-            assert_eq!(unwound, case.policy == FaultPolicy::Abort, "{name}");
             assert_eq!(env.m, case.want, "{name}");
             assert_eq!(env.routed, case.routed, "{name}");
             assert_eq!(env.timers, case.timers, "{name}");

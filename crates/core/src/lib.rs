@@ -28,7 +28,7 @@
 //!
 //! One kernel, two drivers: a core's turn — pop and dispatch its next
 //! event (admission release, quarantine gate, fault draws, contained
-//! handler run, fault policy, completion metrics, buffered effects), or
+//! handler run, quarantine, completion metrics, buffered effects), or
 //! else one steal attempt whose catch runs at once — is written once in
 //! the private `kernel` module, generic over a per-core environment
 //! (the clock and how cost is paid, how a queue is reached, where timers
@@ -90,14 +90,14 @@ pub mod threaded;
 
 /// Convenient re-exports of the types needed by typical users.
 pub mod prelude {
-    pub use crate::admission::{AdmissionPolicy, Overload, OverloadReason, QueueLimits};
+    pub use crate::admission::{Overload, OverloadReason, QueueLimits};
     pub use crate::color::{Color, ColorRange, ColorSpace};
     pub use crate::cost::CostParams;
     pub use crate::ctx::Ctx;
     pub use crate::dataset::DataSetRef;
     pub use crate::event::Event;
     pub use crate::exec::{ExecKind, Executor, Injector, KeepAlive, Runtime, Service};
-    pub use crate::fault::{Fault, FaultKind, FaultPolicy};
+    pub use crate::fault::{Fault, FaultKind};
     pub use crate::fuzz::{FaultPlan, ScheduleRng};
     pub use crate::handler::{HandlerId, HandlerSpec};
     pub use crate::metrics::{CoreMetrics, LatencyHistogram, RunFingerprint, RunReport};

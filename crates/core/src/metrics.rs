@@ -215,12 +215,12 @@ pub struct CoreMetrics {
     /// reached through the stage layer's `StageCtx::complete`).
     pub completed_requests: u64,
     /// Rejected admission attempts (`try_inject` errors, plus one per
-    /// infallible-inject event that failed its first attempt). Counted
-    /// on producer threads; attributed to core 0.
+    /// event the infallible `inject` refused). Counted on producer
+    /// threads; attributed to core 0.
     pub admission_rejects: u64,
-    /// Events dropped by the [`crate::admission::AdmissionPolicy::Shed`]
-    /// path (or dropped because the runtime stopped while a producer was
-    /// blocked). Attributed to core 0.
+    /// Events the infallible injection paths dropped: refused by a
+    /// queue limit, a quarantined color or a stopped simulator.
+    /// Attributed to core 0.
     pub shed_requests: u64,
     /// The subset of `shed_requests` rejected by the per-color limit
     /// ([`crate::admission::OverloadReason::ColorHot`]).

@@ -4,10 +4,10 @@ use std::fmt;
 
 use mely_topology::{CacheLevel, MachineModel};
 
-use crate::admission::{AdmissionCtl, AdmissionPolicy, QueueLimits};
+use crate::admission::{AdmissionCtl, QueueLimits};
 use crate::cost::{CostParams, INITIAL_STEAL_ESTIMATE};
 use crate::exec::{ExecKind, Runtime};
-use crate::fault::{FaultCtl, FaultPolicy};
+use crate::fault::FaultCtl;
 use crate::fuzz::FaultPlan;
 use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
 use crate::sim::SimRuntime;
@@ -59,9 +59,7 @@ pub struct RuntimeBuilder {
     batch_threshold: u32,
     track_cache: bool,
     queue_limits: QueueLimits,
-    admission: AdmissionPolicy,
     schedule_seed: Option<u64>,
-    fault_policy: FaultPolicy,
     fault_plan: Option<FaultPlan>,
     steal_policy: Option<StealPolicy>,
 }
@@ -85,9 +83,7 @@ impl RuntimeBuilder {
             batch_threshold: 10,
             track_cache: false,
             queue_limits: QueueLimits::default(),
-            admission: AdmissionPolicy::default(),
             schedule_seed: None,
-            fault_policy: FaultPolicy::default(),
             fault_plan: None,
             steal_policy: None,
         }
@@ -146,15 +142,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// What the infallible injection path does when a queue limit is hit
-    /// (default [`AdmissionPolicy::Block`]); the fallible
-    /// [`crate::exec::Injector::try_inject`] path ignores this and
-    /// returns the rejection to the caller.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
-    }
-
     /// Enables seeded schedule perturbation on the sim executor: every
     /// perturbation point draws from one stream seeded by `seed` (see
     /// [`crate::fuzz`]). Equal seeds replay bit-identical schedules;
@@ -181,14 +168,6 @@ impl RuntimeBuilder {
     /// ```
     pub fn schedule_seed(mut self, seed: u64) -> Self {
         self.schedule_seed = Some(seed);
-        self
-    }
-
-    /// Response to a contained handler panic (default
-    /// [`FaultPolicy::QuarantineColor`]) — see [`crate::fault`]. Both
-    /// executors honor it.
-    pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = policy;
         self
     }
 
@@ -285,8 +264,8 @@ impl RuntimeBuilder {
             costs: self.costs,
             track_cache: self.track_cache,
             schedule_seed: self.schedule_seed,
-            admission: AdmissionCtl::new(self.queue_limits, self.admission),
-            faults: FaultCtl::new(self.fault_policy, self.fault_plan),
+            admission: AdmissionCtl::new(self.queue_limits),
+            faults: FaultCtl::new(self.fault_plan),
         }
     }
 }
@@ -317,10 +296,10 @@ pub(crate) struct Resolved {
     /// by contrast, is honored on threads too — probabilistic there
     /// rather than replayable.
     pub schedule_seed: Option<u64>,
-    /// Queue limits, admission policy, per-color occupancy and the
+    /// Queue limits, per-color occupancy and the
     /// producer-side reject/shed counters (see [`crate::admission`]).
     pub admission: AdmissionCtl,
-    /// Fault policy, injection plan, quarantine membership and the fault
+    /// Fault-injection plan, quarantine membership and the fault
     /// log (see [`crate::fault`]): consulted at dispatch and at admission.
     pub faults: FaultCtl,
 }
@@ -427,7 +406,7 @@ mod tests {
 
         // Same trio on a runtime with bounded queues (generous caps, so
         // nothing can shed): every event is still delivered.
-        use crate::admission::{AdmissionPolicy, QueueLimits};
+        use crate::admission::QueueLimits;
         let mut rt = RuntimeBuilder::new()
             .cores(2)
             .queue_limits(
@@ -435,7 +414,6 @@ mod tests {
                     .per_color_events(64)
                     .inbox_backlog(1_024),
             )
-            .admission(AdmissionPolicy::Shed)
             .build(ExecKind::Threaded);
         let handle = rt.injector();
         let injector = std::thread::spawn(move || {

@@ -45,7 +45,7 @@ use crate::cost::{Ewma, INITIAL_STEAL_ESTIMATE};
 use crate::ctx::CtxEffects;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
-use crate::exec::{Door, ExecKind, Executor, Injector, SimMailbox};
+use crate::exec::{ExecKind, Executor, Injector, SimMailbox};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
 use crate::kernel::{self, CoreEnv, CoreState, Pop, TimerEntry};
@@ -355,10 +355,6 @@ impl CoreEnv for OnCore<'_> {
         // The continuation itself occupies a cache line.
         if let Some(cache) = &mut rt.cache {
             exec += cache.access(c, event_addr(ev.seq)).latency_cycles;
-        }
-        // Declared data set: full sweep.
-        if let Some(ds) = ev.dataset() {
-            exec += rt.sweep(c, ds.base(), ds.len());
         }
         exec
     }
@@ -810,7 +806,7 @@ mod tests {
             .track_cache(true)
             .build(ExecKind::Sim);
         let ds = rt.alloc_dataset(64 * 100);
-        rt.register(Event::new(Color::new(1), 100).touching(ds));
+        rt.register(Event::new(Color::new(1), 100).with_action(move |ctx| ctx.touch(&ds)));
         let r = rt.run();
         assert!(r.total().l2_misses > 0);
         assert!(r.total().mem_stall_cycles > 0);

@@ -437,14 +437,6 @@ impl<'a, 'b> StageCtx<'a, 'b> {
         self.ctx.charge(cycles);
     }
 
-    /// The raw low-level context, for facilities the typed layer does
-    /// not wrap (data-set touches, raw event registration, timers with
-    /// hand-built events). Effects buffered through it apply exactly as
-    /// from a raw handler.
-    pub fn raw(&mut self) -> &mut Ctx<'b> {
-        self.ctx
-    }
-
     /// Emits `msg` to stage `N`, forwarding the current request: the
     /// event's cost and penalty come from `N`'s spec, its color from
     /// `N`'s coloring (an `Inherit` target keeps this event's color).
@@ -882,6 +874,7 @@ mod tests {
     use super::*;
     use crate::color::ColorRange;
     use crate::exec::ExecKind;
+    use crate::fault::FaultKind;
     use crate::runtime::RuntimeBuilder;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1178,8 +1171,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not registered in this pipeline")]
-    fn emitting_to_an_unregistered_stage_panics() {
+    fn emitting_to_an_unregistered_stage_is_a_contained_fault() {
         struct Orphan;
         impl Stage for Orphan {
             type In = ();
@@ -1199,15 +1191,19 @@ mod tests {
             }
         }
         let b = PipelineBuilder::new("bad").stage(Bad).seed::<Bad>(());
-        // Default fault containment would quarantine this misuse panic
-        // into the report; Abort opts back into fail-fast so the test
-        // observes the message.
-        let mut rt = RuntimeBuilder::new()
-            .cores(1)
-            .fault_policy(crate::fault::FaultPolicy::Abort)
-            .build(ExecKind::Sim);
+        let mut rt = RuntimeBuilder::new().cores(1).build(ExecKind::Sim);
         rt.install(b.build());
-        rt.run();
+        let report = rt.run();
+        let [fault] = report.fault_log() else {
+            panic!("one fault expected: {:?}", report.fault_log());
+        };
+        let FaultKind::HandlerPanic(msg) = &fault.kind else {
+            panic!("a handler panic expected: {fault}");
+        };
+        assert!(
+            msg.contains("Orphan") && msg.contains("is not registered in this pipeline"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ use crate::cycles;
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
 use crate::exec::{enqueue_or_shed, Door, ExecKind, Executor, Injector, KeepAlive};
-use crate::fault::{Fault, FaultKind, FaultPolicy};
+use crate::fault::{Fault, FaultKind};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
 use crate::kernel::{self, CoreEnv, CoreState, Pop, TimerEntry, Turn};
@@ -257,15 +257,12 @@ impl Door for Shared {
     /// Admission runs against the owning core's current occupancy; an
     /// admitted event goes through that core's lock-free inbox, or onto
     /// the timer heap holding its per-color slot across the delay.
-    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), (Overload, Event)> {
+    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), Overload> {
         let color = ev.color();
-        let verdict = self.cfg.admission.admit(&self.cfg.faults, &mut ev, || {
+        self.cfg.admission.admit(&self.cfg.faults, &mut ev, || {
             let core = &self.cores[self.owner_of(color) as usize];
             (core.load_estimate() as u64, core.inbox.len() as u64)
-        });
-        if let Err(ov) = verdict {
-            return Err((ov, ev));
-        }
+        })?;
         match delay {
             None => self.register_injected(ev),
             Some(delay) => self.register_after(delay, ev),
@@ -285,10 +282,6 @@ impl Door for Shared {
             Some(delay) => self.register_after(delay, ev),
         }
         Ok(())
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
     }
 }
 
@@ -409,16 +402,15 @@ impl Executor for ThreadedRuntime {
                     .expect("spawn worker"),
             );
         }
-        // A worker death (possible under `FaultPolicy::Abort`, or a
-        // panic outside the contained handler path) is folded into the
-        // report as a `WorkerDied` fault in the worker's own slot, so
-        // per-core attribution keeps its shape and `run` stays total.
-        let mut worker_payload = None;
+        // A worker death (a panic outside the contained handler path) is
+        // folded into the report as a `WorkerDied` fault in the worker's
+        // own slot, so per-core attribution keeps its shape and `run`
+        // stays total.
         let mut per_core: Vec<CoreMetrics> = Vec::with_capacity(n);
         for (core, j) in joins.into_iter().enumerate() {
             per_core.push(match j.join() {
                 Ok(m) => m,
-                Err(payload) => {
+                Err(_) => {
                     let kind = FaultKind::WorkerDied { core };
                     self.shared.cfg.faults.record(Fault {
                         color: None,
@@ -427,7 +419,6 @@ impl Executor for ThreadedRuntime {
                     });
                     let mut m = CoreMetrics::default();
                     m.note_fault(None, kind.code(), 0);
-                    worker_payload = Some(payload);
                     m
                 }
             });
@@ -446,16 +437,8 @@ impl Executor for ThreadedRuntime {
         let wall = cycles::now().wrapping_sub(start);
         // Consume any stop request so a later `run` proceeds normally.
         self.shared.stop.store(false, Ordering::Release);
-        let report = RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.shared.cfg.ws)
-            .with_fault_log(self.shared.cfg.faults.log_snapshot());
-        if let Some(payload) = worker_payload {
-            if self.shared.cfg.faults.policy == FaultPolicy::Abort {
-                // Abort means "do not contain": re-raise the worker's
-                // panic on the caller after all threads are joined.
-                resume_unwind(payload);
-            }
-        }
-        report
+        RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.shared.cfg.ws)
+            .with_fault_log(self.shared.cfg.faults.log_snapshot())
     }
 }
 

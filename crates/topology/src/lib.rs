@@ -4,15 +4,12 @@
 //! steal victims by their distance in the cache hierarchy: a core sharing
 //! an L2 cache with the thief is preferred over a core in another package.
 //! Mely obtains this information from `/sys` at startup; this crate
-//! provides the same *cache map* abstraction, either
-//!
-//! - built from an explicit [`MachineModel`] (the reproducible path used by
-//!   all experiments — including a faithful model of the paper's dual
-//!   quad-core Intel Xeon E5410 testbed, see [`MachineModel::xeon_e5410`]),
-//!   or
-//! - discovered from the running Linux kernel's
-//!   `/sys/devices/system/cpu/*/cache` tree ([`MachineModel::discover`]),
-//!   exactly like the original runtime.
+//! provides the same *cache map* abstraction as an explicit
+//! [`MachineModel`], so every experiment is reproducible on any host:
+//! a preset — including a faithful model of the paper's dual quad-core
+//! Intel Xeon E5410 testbed, see [`MachineModel::xeon_e5410`] — or a
+//! shape spoofed through the `MELY_TOPOLOGY` spec
+//! ([`MachineModel::from_spec`], [`MachineModel::from_env`]).
 //!
 //! # Examples
 //!
@@ -29,13 +26,10 @@
 //! ```
 
 use std::fmt;
-use std::path::Path;
 
 mod spec;
-mod sysfs;
 
 pub use spec::{SpecError, TOPOLOGY_ENV};
-pub use sysfs::DiscoverError;
 
 /// Description of one level of the cache hierarchy.
 ///
@@ -305,18 +299,6 @@ impl MachineModel {
             2_000_000_000,
         )
         .expect("static model is valid")
-    }
-
-    /// Discovers the cache hierarchy of the running machine from
-    /// `/sys/devices/system/cpu`, like the original Mely runtime.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DiscoverError`] if the sysfs tree is absent or cannot be
-    /// parsed (e.g. on non-Linux systems); callers typically fall back to
-    /// an explicit model such as [`MachineModel::xeon_e5410`].
-    pub fn discover() -> Result<Self, DiscoverError> {
-        sysfs::discover(Path::new("/sys/devices/system/cpu"))
     }
 
     /// Human-readable model name.

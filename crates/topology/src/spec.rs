@@ -148,8 +148,8 @@ fn parse(spec: &str) -> Result<Parsed, SpecError> {
     Ok(p)
 }
 
-/// One synthetic cache level; sizes and latencies follow the repo's
-/// usual sysfs defaults (L1 = 4 cycles, L2 = 15, LLC = 40).
+/// One synthetic cache level; latencies follow the presets
+/// (L1 = 4 cycles, L2 = 15, LLC = 40).
 fn level(level: u8, size_bytes: u64, latency_cycles: u64, cores: usize) -> CacheLevel {
     CacheLevel {
         level,
@@ -227,7 +227,7 @@ impl MachineModel {
     /// Builds a machine from the `MELY_TOPOLOGY` environment variable
     /// using the [`MachineModel::from_spec`] grammar. Returns
     /// `Ok(None)` when the variable is unset or empty — callers fall
-    /// back to discovery or an explicit preset.
+    /// back to an explicit preset.
     ///
     /// # Errors
     ///

@@ -1,12 +1,9 @@
 //! Topology explorer: print the machine model the runtime would use,
 //! its steal tiers, and the victim order each core's thief follows.
 //!
-//! The model comes from, in order of preference:
-//!
-//! 1. the `MELY_TOPOLOGY` spec (e.g. `MELY_TOPOLOGY=2s×4c×2t/l2=2/llc=8`,
-//!    see `mely_topology::spec` for the grammar),
-//! 2. sysfs discovery of the host (`/sys/devices/system/cpu`),
-//! 3. the Xeon E5410 preset of the paper.
+//! The model is the `MELY_TOPOLOGY` spec when the variable is set (e.g.
+//! `MELY_TOPOLOGY=2s×4c×2t/l2=2/llc=8`, see `mely_topology::spec` for
+//! the grammar), else the paper's Xeon E5410 preset.
 //!
 //! Run with `cargo run --example topology`, optionally with the env var:
 //!
@@ -20,13 +17,7 @@ use mely_repro::topology::TOPOLOGY_ENV;
 fn main() {
     let (machine, source) = match MachineModel::from_env() {
         Ok(Some(m)) => (m, format!("spoofed via {TOPOLOGY_ENV}")),
-        Ok(None) => match MachineModel::discover() {
-            Ok(m) => (m, "discovered from sysfs".to_string()),
-            Err(e) => (
-                MachineModel::xeon_e5410(),
-                format!("preset (discovery failed: {e})"),
-            ),
-        },
+        Ok(None) => (MachineModel::xeon_e5410(), "preset".to_string()),
         Err(e) => {
             eprintln!("bad {TOPOLOGY_ENV} spec: {e}");
             std::process::exit(1);

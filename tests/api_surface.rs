@@ -16,7 +16,6 @@
 
 /// The snapshot: every name `mely_core::prelude` re-exports, sorted.
 const PRELUDE_EXPORTS: &[&str] = &[
-    "AdmissionPolicy",
     "Collected",
     "Color",
     "ColorRange",
@@ -31,7 +30,6 @@ const PRELUDE_EXPORTS: &[&str] = &[
     "Fault",
     "FaultKind",
     "FaultPlan",
-    "FaultPolicy",
     "Flavor",
     "HandlerId",
     "HandlerSpec",
@@ -67,7 +65,6 @@ fn every_export_resolves() {
     use mely_repro::core::prelude as p;
     fn ty<T: ?Sized>() {}
     fn tr<T: p::Stage>() {}
-    ty::<p::AdmissionPolicy>();
     ty::<p::Collected<u64>>();
     ty::<p::Color>();
     ty::<p::ColorRange>();
@@ -82,7 +79,6 @@ fn every_export_resolves() {
     ty::<p::Fault>();
     ty::<p::FaultKind>();
     ty::<p::FaultPlan>();
-    ty::<p::FaultPolicy>();
     ty::<p::Flavor>();
     ty::<p::HandlerId>();
     ty::<p::HandlerSpec>();

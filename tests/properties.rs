@@ -366,7 +366,6 @@ proptest! {
             .cores(2)
             .flavor(Flavor::Mely)
             .queue_limits(QueueLimits::default().per_color_events(cap))
-            .admission(AdmissionPolicy::Shed)
             .build(ExecKind::Sim);
         // (color, injection index, is_followup) in execution order.
         let log: Arc<Mutex<Vec<(u16, usize, bool)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -440,7 +439,6 @@ proptest! {
             .cores(2)
             .flavor(Flavor::Mely)
             .queue_limits(QueueLimits::default().per_color_events(cap))
-            .admission(AdmissionPolicy::Shed)
             .build(ExecKind::Threaded);
         let keepalive = rt.injector().keepalive();
         let handle = rt.injector();

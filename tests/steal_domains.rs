@@ -122,7 +122,7 @@ proptest! {
 
 /// Whatever shape `MELY_TOPOLOGY` dictates (the CI matrix sweeps
 /// several) keeps the domain invariants; without the variable the test
-/// covers the discovery/preset default the executors would use.
+/// covers the Xeon E5410 preset the executors default to.
 #[test]
 fn topology_env_shapes_hold_the_invariants() {
     let machine = match MachineModel::from_env() {
