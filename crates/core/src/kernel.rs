@@ -57,6 +57,17 @@ pub(crate) struct CoreState<'a> {
     pub fault_rng: Option<&'a mut ScheduleRng>,
     /// What the builder resolved: policies, machine, admission, faults.
     pub cfg: &'a Resolved,
+    pub steal_bufs: &'a mut StealBufs,
+}
+
+/// What one steal attempt fills, kept by the executor so that an
+/// attempt allocates nothing once the buffers are warm.
+#[derive(Default)]
+pub(crate) struct StealBufs {
+    /// One pending-work estimate per running core.
+    loads: Vec<usize>,
+    /// The policy's victim order.
+    victims: Vec<usize>,
 }
 
 /// What a core's own queue gave up to [`CoreEnv::pop`].
@@ -111,9 +122,9 @@ pub(crate) trait CoreEnv {
     fn route(&mut self, ev: Event);
     fn request_stop(&mut self);
 
-    /// Opens a steal attempt: its start stamp and one pending-work
-    /// estimate per running core.
-    fn steal_begin(&mut self) -> (u64, Vec<usize>);
+    /// Opens a steal attempt: fills `loads` with one pending-work
+    /// estimate per running core and returns the start stamp.
+    fn steal_begin(&mut self, loads: &mut Vec<usize>) -> u64;
     /// The perturbation point between victim choice and the visits.
     fn perturb_victims(&mut self, _victims: &mut [usize]) {}
     /// Cheap unlocked check that visiting `v` can pay off (idle cores
@@ -293,16 +304,22 @@ fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
 /// migration is accounted (steal, tier, duration) and feeds the
 /// steal-cost estimate. Returns whether events were stolen.
 fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
-    let (t0, loads) = env.steal_begin();
+    // The buffers leave the state for the attempt, so the visits below
+    // can borrow the env, and go back with their capacity.
+    let StealBufs {
+        mut loads,
+        mut victims,
+    } = std::mem::take(env.state().steal_bufs);
+    let t0 = env.steal_begin(&mut loads);
     let st = env.state();
     let me = st.core;
     st.metrics.steal_attempts += 1;
     let cfg = st.cfg;
-    let mut victims = cfg
-        .steal_policy
-        .victims(me, &loads, cfg.ws, &cfg.machine, &cfg.domains);
+    cfg.steal_policy
+        .victims(me, &loads, cfg.ws, &cfg.domains, &mut victims);
     env.perturb_victims(&mut victims);
-    for v in victims {
+    let mut stolen = false;
+    for &v in &victims {
         if v == me || v >= loads.len() || !env.worth_visiting(v) {
             continue;
         }
@@ -319,11 +336,15 @@ fn steal_attempt<E: CoreEnv>(env: &mut E) -> bool {
         st.metrics.stolen_cost_cycles += cost;
         st.metrics.note_steal_tier(st.cfg.domains.tier_of(me, v));
         env.record_steal_cost(dur);
-        return true;
+        stolen = true;
+        break;
     }
-    let wasted = env.steal_end(t0, false);
-    env.state().metrics.failed_steal_cycles += wasted;
-    false
+    if !stolen {
+        let wasted = env.steal_end(t0, false);
+        env.state().metrics.failed_steal_cycles += wasted;
+    }
+    *env.state().steal_bufs = StealBufs { loads, victims };
+    stolen
 }
 
 #[cfg(test)]
@@ -353,6 +374,7 @@ mod tests {
         hidden: bool,
         victim: Option<Event>,
         after_dispatch: u64,
+        steal_bufs: StealBufs,
     }
 
     impl Recording {
@@ -369,6 +391,7 @@ mod tests {
                 hidden: false,
                 victim: None,
                 after_dispatch: 0,
+                steal_bufs: StealBufs::default(),
             }
         }
     }
@@ -380,6 +403,7 @@ mod tests {
                 metrics: &mut self.m,
                 fault_rng: self.rng.as_mut(),
                 cfg: &self.cfg,
+                steal_bufs: &mut self.steal_bufs,
             }
         }
         fn registry(&self) -> &HandlerRegistry {
@@ -412,8 +436,10 @@ mod tests {
         fn request_stop(&mut self) {
             self.stopped = true;
         }
-        fn steal_begin(&mut self) -> (u64, Vec<usize>) {
-            (0, vec![0, 5])
+        fn steal_begin(&mut self, loads: &mut Vec<usize>) -> u64 {
+            loads.clear();
+            loads.extend([0, 5]);
+            0
         }
         fn worth_visiting(&self, _: usize) -> bool {
             self.victim.is_some()

@@ -15,6 +15,26 @@
 //! and the schedule-perturbation points. Runs are fully deterministic:
 //! identical inputs produce identical reports.
 //!
+//! # Inert steal attempts
+//!
+//! An idle core polling a busy machine fails most of its steal
+//! attempts, and each would cost a whole turn. So the run loop applies
+//! an *inert* attempt without one: the picked core's queue is empty and
+//! no other core passes the unlocked screen (`worth_visiting`) at
+//! `clock + steal_setup`, the time the attempt would screen at. Such an
+//! attempt touches only its own core: the clock advances by
+//! `steal_setup + idle_recheck`, `steal_attempts`, `idle_cycles` and
+//! `failed_steal_cycles` grow as `steal_end` and the kernel grow them,
+//! and it takes no lock, moves no queue and draws nothing. The loop
+//! keeps applying while its own pick (the same queued total, busy
+//! horizon and lowest-index tie rule) is again an inert attempt, and
+//! stops before any iteration whose loop top would act: a stop request,
+//! a mailbox entry, a timer due by the minimum clock, or the livelock
+//! watchdog, whose count includes every applied attempt. So every
+//! simulated result is bit-identical to running the turns. A perturbed
+//! run (`schedule_seed`) never skips: its core pick, steal deferral and
+//! victim shuffle draw per turn, and skipping would shift the draws.
+//!
 //! # Examples
 //!
 //! ```
@@ -48,7 +68,7 @@ use crate::event::Event;
 use crate::exec::{ExecKind, Executor, Injector, SimMailbox};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
-use crate::kernel::{self, CoreEnv, CoreState, Pop, TimerEntry};
+use crate::kernel::{self, CoreEnv, CoreState, Pop, StealBufs, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::{Flavor, Resolved};
@@ -90,6 +110,8 @@ pub(crate) struct SimRuntime {
     /// Lock-wait cycles accumulated by the current steal attempt (waits
     /// are congestion, not steal work; see `steal_end`).
     attempt_wait: u64,
+    /// One buffer set serves every core: turns never overlap.
+    steal_bufs: StealBufs,
     /// External-producer mailbox behind [`crate::exec::Injector`]; the
     /// run loop drains it at iteration boundaries.
     mailbox: Arc<SimMailbox>,
@@ -101,6 +123,9 @@ pub(crate) struct SimRuntime {
     /// enabling faults never shifts the schedule-perturbation draws.
     fault_rng: Option<ScheduleRng>,
 }
+
+/// Run-loop iterations between two livelock checks.
+const WATCHDOG_ITERS: u64 = 10_000_000;
 
 /// Simulated addresses of event continuations live below the dataset
 /// space; one cache line per event.
@@ -133,6 +158,7 @@ impl SimRuntime {
             next_seq: 0,
             stopped: false,
             attempt_wait: 0,
+            steal_bufs: StealBufs::default(),
             mailbox: Arc::new(SimMailbox::new(Arc::clone(&cfg))),
             sched_rng: cfg.schedule_seed.map(ScheduleRng::new),
             fault_rng: cfg.faults.plan.map(|p| p.rng()),
@@ -268,6 +294,88 @@ impl SimRuntime {
         lat
     }
 
+    /// Whether a thief screening at time `t` would visit `v`.
+    fn worth_visiting(&self, v: usize, t: u64) -> bool {
+        let victim = &self.cores[v];
+        !victim.queue.is_empty()
+            && victim
+                .queue
+                .can_be_stolen(victim.in_flight_at(t), self.cfg.ws.time_left)
+    }
+
+    /// Whether the run loop may pick core `i`: it holds work, or it may
+    /// steal, some other core holds work, and its clock has not raced
+    /// past `limit` (the busy horizon plus slack).
+    fn actionable(&self, i: usize, total: usize, limit: Option<u64>) -> bool {
+        let core = &self.cores[i];
+        let qlen = core.queue.len();
+        qlen > 0
+            || (kernel::may_steal(&self.cfg)
+                && total > qlen
+                && limit.is_some_and(|l| core.clock <= l))
+    }
+
+    /// The unperturbed pick: the earliest actionable clock, ties to the
+    /// lowest index.
+    fn earliest_actionable(&self, total: usize, limit: Option<u64>) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for i in 0..self.cores.len() {
+            let clock = self.cores[i].clock;
+            if best.is_none_or(|(bt, _)| clock < bt) && self.actionable(i, total, limit) {
+                best = Some((clock, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    /// Applies inert steal attempts without running turns (see the
+    /// module docs), starting with picked core `c`'s, while the loop's
+    /// next pick is again one and its loop top has nothing to do. Each
+    /// applied attempt after the first counts as a loop iteration in
+    /// `iters`. Returns whether any was applied.
+    fn skip_inert_attempts(
+        &mut self,
+        mut c: usize,
+        total: usize,
+        limit: Option<u64>,
+        iters: &mut u64,
+    ) -> bool {
+        let (setup, recheck) = (self.cfg.costs.steal_setup, self.cfg.costs.idle_recheck);
+        let mut applied = false;
+        loop {
+            let t = self.cores[c].clock + setup;
+            if !self.cores[c].queue.is_empty()
+                || (0..self.cores.len()).any(|v| v != c && self.worth_visiting(v, t))
+            {
+                return applied;
+            }
+            if applied {
+                *iters += 1;
+            }
+            applied = true;
+            let core = &mut self.cores[c];
+            core.clock = t + recheck;
+            core.metrics.steal_attempts += 1;
+            core.metrics.idle_cycles += setup + recheck;
+            core.metrics.failed_steal_cycles += setup + recheck;
+            self.attempt_wait = 0;
+            if (*iters + 1).is_multiple_of(WATCHDOG_ITERS)
+                || self.mailbox.stopped()
+                || self.mailbox.has_buffered()
+                || self
+                    .timers
+                    .peek()
+                    .is_some_and(|Reverse(t)| self.cores.iter().all(|x| t.due <= x.clock))
+            {
+                return true;
+            }
+            match self.earliest_actionable(total, limit) {
+                Some(i) => c = i,
+                None => return true,
+            }
+        }
+    }
+
     /// Propagates the monitored steal-cost estimate to every core's
     /// stealing-queue (worthiness threshold of the time-left heuristic).
     fn sync_steal_estimates(&mut self) {
@@ -298,6 +406,7 @@ impl CoreEnv for OnCore<'_> {
             metrics: &mut rt.cores[self.c].metrics,
             fault_rng: rt.fault_rng.as_mut(),
             cfg: &rt.cfg,
+            steal_bufs: &mut rt.steal_bufs,
         }
     }
 
@@ -391,12 +500,14 @@ impl CoreEnv for OnCore<'_> {
         self.rt.stopped = true;
     }
 
-    fn steal_begin(&mut self) -> (u64, Vec<usize>) {
+    fn steal_begin(&mut self, loads: &mut Vec<usize>) -> u64 {
         let (rt, c) = (&mut *self.rt, self.c);
         let t0 = rt.cores[c].clock;
         rt.cores[c].clock += rt.cfg.costs.steal_setup;
         rt.attempt_wait = 0;
-        (t0, rt.cores.iter().map(|x| x.queue.len()).collect())
+        loads.clear();
+        loads.extend(rt.cores.iter().map(|x| x.queue.len()));
+        t0
     }
 
     fn perturb_victims(&mut self, victims: &mut [usize]) {
@@ -413,12 +524,7 @@ impl CoreEnv for OnCore<'_> {
     /// the steal itself). Without this, seven idle thieves polling a
     /// busy core would serialize it on futile lock acquisitions.
     fn worth_visiting(&self, v: usize) -> bool {
-        let victim = &self.rt.cores[v];
-        !victim.queue.is_empty()
-            && victim.queue.can_be_stolen(
-                victim.in_flight_at(self.rt.cores[self.c].clock),
-                self.rt.cfg.ws.time_left,
-            )
+        self.rt.worth_visiting(v, self.rt.cores[self.c].clock)
     }
 
     /// Takes up to `budget` colors under one victim-lock hold, then
@@ -550,7 +656,7 @@ impl Executor for SimRuntime {
         let mut last_progress = (0u64, 0u64); // (iters, events at checkpoint)
         loop {
             iters += 1;
-            if iters.is_multiple_of(10_000_000) {
+            if iters.is_multiple_of(WATCHDOG_ITERS) {
                 // Livelock watchdog: virtual time always advances, but if
                 // tens of millions of scheduling decisions pass without a
                 // single event executing, something is structurally wrong.
@@ -583,42 +689,34 @@ impl Executor for SimRuntime {
             // spinning the moment work appears; letting its virtual
             // clock run ahead would delay any set it later steals).
             let total = self.total_queued();
-            let busy_horizon = self
+            let limit = self
                 .cores
                 .iter()
                 .filter(|c| !c.queue.is_empty())
                 .map(|c| c.clock.max(c.lock_free_at))
-                .max();
-            let slack = 4 * self.cfg.costs.idle_recheck;
-            let scramble = self.sched_rng.is_some();
-            let mut best: Option<(u64, usize)> = None;
-            let mut actionable: Vec<usize> = Vec::new();
-            for i in 0..self.cores.len() {
-                let qlen = self.cores[i].queue.len();
-                let clock = self.cores[i].clock;
-                let can_steal = kernel::may_steal(&self.cfg)
-                    && total > qlen
-                    && busy_horizon.is_some_and(|h| clock <= h + slack);
-                if qlen > 0 || can_steal {
-                    if scramble {
-                        actionable.push(i);
-                    }
-                    if best.is_none_or(|(bt, _)| clock < bt) {
-                        best = Some((clock, i));
-                    }
-                }
-            }
-            if scramble && !actionable.is_empty() {
+                .max()
+                .map(|busy_horizon| busy_horizon + 4 * self.cfg.costs.idle_recheck);
+            let best = if self.sched_rng.is_none() {
+                self.earliest_actionable(total, limit)
+            } else {
                 // Perturbed core pick: any actionable core may step next,
                 // not just the earliest clock — this shifts *when* each
                 // core runs (and checks for steals) relative to its
                 // peers while every legal choice still makes progress.
-                let rng = self.sched_rng.as_mut().expect("scramble implies rng");
-                let i = actionable[rng.pick(actionable.len())];
-                best = Some((self.cores[i].clock, i));
-            }
+                let actionable: Vec<usize> = (0..self.cores.len())
+                    .filter(|&i| self.actionable(i, total, limit))
+                    .collect();
+                let n = actionable.len();
+                let rng = self.sched_rng.as_mut().filter(|_| n > 0);
+                rng.map(|rng| actionable[rng.pick(n)])
+            };
             match best {
-                Some((_, c)) => {
+                Some(c) => {
+                    if self.sched_rng.is_none()
+                        && self.skip_inert_attempts(c, total, limit, &mut iters)
+                    {
+                        continue;
+                    }
                     // Batch-cut jitter: a random 1..=batch_threshold.
                     let threshold = self.cfg.batch_threshold;
                     let batch = match &mut self.sched_rng {

@@ -28,7 +28,7 @@ use std::fmt;
 
 use mely_topology::MachineModel;
 
-use super::{construct_core_set, WsPolicy};
+use super::{construct_core_set_base, WsPolicy};
 
 /// How far a steal reaches, nearest first. The order of the variants
 /// is the escalation order: `Smt < Llc < Socket < Remote`.
@@ -112,6 +112,11 @@ pub struct StealDomains {
     /// Running cores grouped by machine socket (only non-empty groups,
     /// in socket order).
     sockets: Vec<Vec<usize>>,
+    /// Per thief: the machine's cache-distance order
+    /// ([`MachineModel::victims_by_distance`]), the flat policy's
+    /// locality-aware victims. It lists every machine core, so cores
+    /// beyond the running ones stay in it (the kernel skips them).
+    by_distance: Vec<Vec<usize>>,
 }
 
 impl StealDomains {
@@ -166,6 +171,7 @@ impl StealDomains {
             tiers,
             order,
             sockets,
+            by_distance: (0..cores).map(|a| machine.victims_by_distance(a)).collect(),
         }
     }
 
@@ -250,30 +256,34 @@ impl StealPolicy {
         }
     }
 
-    /// The victims `thief` probes, in order. `loads` holds one
-    /// pending-work estimate per running core (the thief's own entry
-    /// included); the executors skip victims whose queue is empty.
+    /// Writes the victims `thief` probes, in order, into `out` (cleared
+    /// first, so a reused buffer makes the choice allocation-free).
+    /// `loads` holds one pending-work estimate per running core (the
+    /// thief's own entry included); the executors skip victims whose
+    /// queue is empty.
     pub fn victims(
         self,
         thief: usize,
         loads: &[usize],
         ws: WsPolicy,
-        machine: &MachineModel,
         domains: &StealDomains,
-    ) -> Vec<usize> {
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
         match self {
-            StealPolicy::Flat => construct_core_set(ws, thief, loads, machine),
+            StealPolicy::Flat if ws.locality => out.extend_from_slice(&domains.by_distance[thief]),
+            StealPolicy::Flat => construct_core_set_base(thief, loads, out),
             StealPolicy::Hierarchical => {
-                let mut out = Vec::with_capacity(domains.num_cores().saturating_sub(1));
                 for (_, members) in domains.tiers(thief) {
-                    let mut members = members.clone();
+                    let tier = out.len();
+                    out.extend_from_slice(members);
                     // Busiest first within the tier; ties to the lowest
                     // id so the order is a deterministic function of
                     // the loads.
-                    members.sort_by_key(|&v| (Reverse(loads.get(v).copied().unwrap_or(0)), v));
-                    out.extend(members);
+                    out[tier..].sort_unstable_by_key(|&v| {
+                        (Reverse(loads.get(v).copied().unwrap_or(0)), v)
+                    });
                 }
-                out
             }
         }
     }
@@ -361,9 +371,16 @@ mod tests {
         for ws in [WsPolicy::base(), WsPolicy::improved()] {
             let loads = vec![3, 0, 7, 1, 0, 2, 9, 4];
             for thief in 0..8 {
+                let mut want = Vec::new();
+                if ws.locality {
+                    want = m.victims_by_distance(thief);
+                } else {
+                    construct_core_set_base(thief, &loads, &mut want);
+                }
+                let mut got = vec![99];
+                StealPolicy::Flat.victims(thief, &loads, ws, &d, &mut got);
                 assert_eq!(
-                    StealPolicy::Flat.victims(thief, &loads, ws, &m, &d),
-                    construct_core_set(ws, thief, &loads, &m),
+                    got, want,
                     "flat must be bit-identical ({ws}, thief {thief})"
                 );
                 assert_eq!(
@@ -384,7 +401,8 @@ mod tests {
         let mut loads = vec![1; 16];
         loads[9] = 1000;
         loads[5] = 7;
-        let v = hier.victims(0, &loads, WsPolicy::improved(), &m, &d);
+        let mut v = Vec::new();
+        hier.victims(0, &loads, WsPolicy::improved(), &d, &mut v);
         assert_eq!(v[0], 1, "SMT sibling first");
         assert_eq!(v[1], 5, "busiest LLC neighbour next");
         assert_eq!(&v[2..7], &[2, 3, 4, 6, 7], "rest of the socket by id");

@@ -21,8 +21,6 @@
 //! the full algorithm with the appropriate locking (real locks under
 //! threads, a lock-contention cost model under simulation).
 
-use mely_topology::MachineModel;
-
 pub mod domains;
 
 pub use domains::{StealDomains, StealPolicy, StealTier};
@@ -128,19 +126,19 @@ impl Default for WsPolicy {
     }
 }
 
-/// The paper's `construct_core_set` (Figure 2 / Section II-B): victims
-/// start at the core with the most queued events, followed by the
-/// successive cores in id order, wrapping around; the thief itself is
-/// excluded. With an empty machine the set is empty.
+/// The paper's `construct_core_set` (Figure 2 / Section II-B), written
+/// into `out`: victims start at the core with the most queued events,
+/// followed by the successive cores in id order, wrapping around; the
+/// thief itself is excluded. With an empty machine the set is empty.
 ///
 /// `loads` are whatever pending-work estimate the executor maintains;
 /// the threaded executor reports each core's queue length *plus* its
 /// injection-inbox backlog, so externally injected work attracts thieves
 /// even before the owning core has drained it into its queue.
-pub(crate) fn construct_core_set_base(thief: usize, loads: &[usize]) -> Vec<usize> {
+pub(crate) fn construct_core_set_base(thief: usize, loads: &[usize], out: &mut Vec<usize>) {
     let n = loads.len();
     if n <= 1 {
-        return Vec::new();
+        return;
     }
     let busiest = loads
         .iter()
@@ -148,34 +146,13 @@ pub(crate) fn construct_core_set_base(thief: usize, loads: &[usize]) -> Vec<usiz
         .max_by_key(|&(i, &l)| (l, std::cmp::Reverse(i)))
         .map(|(i, _)| i)
         .unwrap_or(0);
-    (0..n)
-        .map(|k| (busiest + k) % n)
-        .filter(|&c| c != thief)
-        .collect()
-}
-
-/// The locality-aware `construct_core_set` (Section III-A): victims
-/// ordered by cache distance from the thief, nearest first.
-pub(crate) fn construct_core_set_locality(thief: usize, machine: &MachineModel) -> Vec<usize> {
-    machine.victims_by_distance(thief)
-}
-
-/// Dispatches on the policy's locality flag.
-pub(crate) fn construct_core_set(
-    policy: WsPolicy,
-    thief: usize,
-    loads: &[usize],
-    machine: &MachineModel,
-) -> Vec<usize> {
-    if policy.locality {
-        construct_core_set_locality(thief, machine)
-    } else {
-        construct_core_set_base(thief, loads)
-    }
+    out.extend((0..n).map(|k| (busiest + k) % n).filter(|&c| c != thief));
 }
 
 #[cfg(test)]
 mod tests {
+    use mely_topology::MachineModel;
+
     use super::*;
 
     #[test]
@@ -195,49 +172,53 @@ mod tests {
         assert_eq!(WsPolicy::base().with_time_left(true).to_string(), "WS+time");
     }
 
+    fn base(thief: usize, loads: &[usize]) -> Vec<usize> {
+        let mut out = Vec::new();
+        construct_core_set_base(thief, loads, &mut out);
+        out
+    }
+
     #[test]
     fn base_core_set_matches_paper_example() {
         // Paper: on an 8-core machine, if core 6 has the most events, the
         // set is {6, 7, 0, 1, 2, 3, 4, 5} (minus the thief).
         let mut loads = vec![0; 8];
         loads[6] = 100;
-        let set = construct_core_set_base(3, &loads);
-        assert_eq!(set, vec![6, 7, 0, 1, 2, 4, 5]);
+        assert_eq!(base(3, &loads), vec![6, 7, 0, 1, 2, 4, 5]);
     }
 
     #[test]
     fn base_core_set_excludes_thief_even_when_busiest() {
         let mut loads = vec![0; 4];
         loads[2] = 9;
-        let set = construct_core_set_base(2, &loads);
-        assert_eq!(set, vec![3, 0, 1]);
+        assert_eq!(base(2, &loads), vec![3, 0, 1]);
     }
 
     #[test]
     fn base_core_set_ties_break_to_lowest_id() {
         let loads = vec![5, 5, 5];
-        assert_eq!(construct_core_set_base(1, &loads), vec![0, 2]);
+        assert_eq!(base(1, &loads), vec![0, 2]);
     }
 
     #[test]
     fn base_core_set_trivial_machines() {
-        assert!(construct_core_set_base(0, &[3]).is_empty());
-        assert!(construct_core_set_base(0, &[]).is_empty());
+        assert!(base(0, &[3]).is_empty());
+        assert!(base(0, &[]).is_empty());
     }
 
     #[test]
     fn locality_core_set_uses_topology() {
         let m = MachineModel::xeon_e5410();
-        let set = construct_core_set_locality(2, &m);
-        assert_eq!(set[0], 3, "L2 partner first");
+        let d = StealDomains::new(&m, 8);
         let loads = vec![0; 8];
-        // Dispatcher follows the flag.
+        let victims = |ws: WsPolicy| {
+            let mut out = Vec::new();
+            StealPolicy::Flat.victims(2, &loads, ws, &d, &mut out);
+            out
+        };
+        assert_eq!(victims(WsPolicy::improved())[0], 3, "L2 partner first");
         assert_eq!(
-            construct_core_set(WsPolicy::improved(), 2, &loads, &m)[0],
-            3
-        );
-        assert_eq!(
-            construct_core_set(WsPolicy::base(), 2, &loads, &m)[0],
+            victims(WsPolicy::base())[0],
             0,
             "base order starts at the busiest (here: tie, core 0)"
         );

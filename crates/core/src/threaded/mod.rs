@@ -66,7 +66,7 @@ use crate::exec::{enqueue_or_shed, Door, ExecKind, Executor, Injector, KeepAlive
 use crate::fault::{Fault, FaultKind};
 use crate::fuzz::ScheduleRng;
 use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
-use crate::kernel::{self, CoreEnv, CoreState, Pop, TimerEntry, Turn};
+use crate::kernel::{self, CoreEnv, CoreState, Pop, StealBufs, TimerEntry, Turn};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::{Flavor, Resolved};
@@ -451,6 +451,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         // stream from the plan's seed, so injection stays reproducible
         // per worker even though cross-worker interleaving is not.
         fault_rng: shared.cfg.faults.plan.map(|p| p.worker_rng(me)),
+        steal_bufs: StealBufs::default(),
     };
     let mut idle_spins: u32 = 0;
     // Reused across iterations so steady-state inbox drains never
@@ -541,6 +542,7 @@ struct Worker<'a> {
     me: usize,
     m: CoreMetrics,
     fault_rng: Option<ScheduleRng>,
+    steal_bufs: StealBufs,
 }
 
 impl CoreEnv for Worker<'_> {
@@ -550,6 +552,7 @@ impl CoreEnv for Worker<'_> {
             metrics: &mut self.m,
             fault_rng: self.fault_rng.as_mut(),
             cfg: &self.shared.cfg,
+            steal_bufs: &mut self.steal_bufs,
         }
     }
 
@@ -609,9 +612,11 @@ impl CoreEnv for Worker<'_> {
     /// Loads include each core's inbox backlog: work a producer has
     /// pushed but the owner has not drained yet is still pending work,
     /// and `construct_core_set` must see it.
-    fn steal_begin(&mut self) -> (u64, Vec<usize>) {
-        let loads = self.shared.cores.iter().map(|c| c.load_estimate());
-        (cycles::now(), loads.collect())
+    fn steal_begin(&mut self, loads: &mut Vec<usize>) -> u64 {
+        let t0 = cycles::now();
+        loads.clear();
+        loads.extend(self.shared.cores.iter().map(|c| c.load_estimate()));
+        t0
     }
 
     /// A victim's inbox can only be drained by the victim itself, so
@@ -855,6 +860,7 @@ mod tests {
             me: 1,
             m: CoreMetrics::default(),
             fault_rng: None,
+            steal_bufs: StealBufs::default(),
         };
         // Each turn of the idle thief steals one color and runs it.
         assert_eq!(kernel::turn(&mut thief), Turn::Ran);

@@ -1,9 +1,10 @@
 //! Tier-1 allocation guard for the dispatch hot paths.
 //!
-//! The zero-allocation-dispatch PR's contract: once warm, neither the
-//! Mely queue's push/pop churn (including steals) nor the injection
-//! inbox's push/drain round trip touches the heap. This suite proves it
-//! with a counting `#[global_allocator]` rather than by inspection.
+//! The zero-allocation contract: once warm, neither the Mely queue's
+//! push/pop churn (including steals), a steal attempt's victim choice,
+//! nor the injection inbox's push/drain round trip touches the heap.
+//! This suite proves it with a counting `#[global_allocator]` rather
+//! than by inspection.
 //!
 //! The counter is **thread-local**, so the default parallel test
 //! harness (and any background thread) cannot pollute a measurement:
@@ -17,7 +18,9 @@ use std::cell::Cell;
 use mely_repro::core::color::Color;
 use mely_repro::core::event::Event;
 use mely_repro::core::queue::MelyQueue;
+use mely_repro::core::steal::{StealDomains, StealPolicy, WsPolicy};
 use mely_repro::core::threaded::inbox::InjectionInbox;
+use mely_repro::topology::MachineModel;
 
 struct CountingAlloc;
 
@@ -138,6 +141,41 @@ fn mely_steal_cycle_steady_state_allocates_nothing() {
     );
     a.assert_invariants();
     b.assert_invariants();
+}
+
+#[test]
+fn victim_choice_into_a_warm_buffer_allocates_nothing() {
+    // Every policy shape a steal attempt can take: the busiest-first
+    // wrap-around, the locality order, and the tiered order with its
+    // per-tier sort, on a spoofed dual-socket SMT machine.
+    let machine = MachineModel::from_spec("2s×4c×2t/l2=2/llc=8").unwrap();
+    let domains = StealDomains::new(&machine, machine.num_cores());
+    let shapes = [
+        (StealPolicy::Flat, WsPolicy::base()),
+        (StealPolicy::Flat, WsPolicy::improved()),
+        (StealPolicy::Hierarchical, WsPolicy::base()),
+    ];
+    let mut loads: Vec<usize> = (0..16).map(|c| (c * 7) % 5).collect();
+    let mut victims = Vec::new();
+    let round = |loads: &mut Vec<usize>, victims: &mut Vec<usize>| {
+        for (policy, ws) in shapes {
+            for thief in 0..16 {
+                loads.rotate_left(1);
+                policy.victims(thief, loads, ws, &domains, victims);
+                assert_eq!(victims.len(), 15);
+            }
+        }
+    };
+    round(&mut loads, &mut victims);
+    let before = allocs_on_this_thread();
+    for _ in 0..100 {
+        round(&mut loads, &mut victims);
+    }
+    let delta = allocs_on_this_thread() - before;
+    assert_eq!(
+        delta, 0,
+        "steady-state victim choice hit the allocator {delta} times"
+    );
 }
 
 #[test]

@@ -228,14 +228,16 @@ fn hierarchical_prefers_close_victims_on_dual_socket() {
     loads[8] = 100;
     loads[1] = 10;
 
-    let hier = StealPolicy::Hierarchical.victims(0, &loads, ws, &machine, &domains);
+    let mut hier = Vec::new();
+    StealPolicy::Hierarchical.victims(0, &loads, ws, &domains, &mut hier);
     assert_eq!(hier[0], 1, "SMT sibling probed first: {hier:?}");
     let remote_rank = hier.iter().position(|&v| v == 8).unwrap();
     assert!(
         remote_rank >= 7,
         "remote socket before the local one: {hier:?}"
     );
-    let flat = StealPolicy::Flat.victims(0, &loads, ws, &machine, &domains);
+    let mut flat = Vec::new();
+    StealPolicy::Flat.victims(0, &loads, ws, &domains, &mut flat);
     assert_eq!(flat[0], 8, "base order goes to the busiest core: {flat:?}");
 
     // Budgets escalate with the tier.
