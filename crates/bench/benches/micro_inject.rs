@@ -1,10 +1,10 @@
-//! Cross-thread injection throughput: spinlock-direct vs. lock-free
-//! inbox.
+//! Cross-thread injection throughput: spinlock-direct vs. the
+//! injection inbox.
 //!
 //! The threaded runtime's producers used to take the destination core's
 //! dispatch spinlock for every registered event; they now push onto the
-//! core's lock-free MPSC inbox and the core merges batches under one
-//! lock acquisition. This bench quantifies the difference where it
+//! core's MPSC inbox (a lock of its own) and the core merges batches
+//! under one lock acquisition. This bench quantifies the difference where it
 //! matters — many producers hammering a running runtime:
 //!
 //! - `inject/spin_direct/{1,4,8}p` — `Injector::inject_locked`, the
@@ -42,7 +42,7 @@ const REPS: usize = 5;
 /// Events each producer injects: enough to span many scheduler quanta
 /// (the lock-contention events this measures are rare per quantum).
 const EVENTS_PER_PRODUCER: u64 = 80_000;
-/// Tripwire, well under the locally measured 3.6-4.3x: a ratio survives
+/// Tripwire, well under the measured 4.8-5.1x (2 vCPUs): a ratio survives
 /// a change of machine where absolute ns/op do not.
 const MIN_SPEEDUP_AT_8P: f64 = 1.5;
 /// Cost the injected events burn in their bodies. Nonzero so the workers

@@ -1,6 +1,6 @@
 //! Admission control: bounded queues, backpressure, and shed-by-color.
 //!
-//! Every queue in the runtime is unbounded by default — the lock-free
+//! Every queue in the runtime is unbounded by default — the
 //! injection inboxes, the per-core color-queues, and the simulator's
 //! run-loop mailbox all grow without limit, so a producer that outruns
 //! the cores can blow memory while tail latency collapses. This module
@@ -15,7 +15,7 @@
 //! # Where limits are enforced
 //!
 //! Admission is checked exactly at the external-producer boundary — the
-//! lock-free inbox push on the threaded executor and the mailbox enqueue
+//! inbox push on the threaded executor and the mailbox enqueue
 //! on the simulator — and **never mid-pipeline**. Events registered by a
 //! running handler ([`crate::ctx::Ctx::register`], the stage layer's
 //! forwarding) always enter their queue, so an in-flight request chain
@@ -88,7 +88,7 @@ pub struct QueueLimits {
     /// through an injector.
     pub per_color_events: Option<u32>,
     /// Max events buffered in the admission inbox — the owning core's
-    /// lock-free inbox (threaded) or the run-loop mailbox (sim); `None`
+    /// injection inbox (threaded) or the run-loop mailbox (sim); `None`
     /// = unbounded.
     pub inbox_backlog: Option<u32>,
 }

@@ -24,7 +24,7 @@
 //!   and threads.
 //! - [`Injector`] — a cloneable, `Send` handle for registering events
 //!   from outside the runtime (load generators, network poll loops).
-//!   On the threaded executor it wraps the lock-free injection inboxes;
+//!   On the threaded executor it wraps the injection inboxes;
 //!   on the simulator it feeds a mailbox the run loop drains at
 //!   iteration boundaries, so external-producer code is also written
 //!   once.
@@ -496,7 +496,7 @@ macro_rules! with_door {
 ///
 /// | method | admission | semantics |
 /// |---|---|---|
-/// | [`Injector::inject`] | infallible — a refused event is dropped and counted as shed | enqueue to the color's owning core through its lock-free inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
+/// | [`Injector::inject`] | infallible — a refused event is dropped and counted as shed | enqueue to the color's owning core through its inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
 /// | [`Injector::try_inject`] | fallible — returns `Err(`[`Overload`]`)` naming the limit hit; the event is dropped | same enqueue; the caller owns the overload response (retry, degrade, reject upstream). |
 /// | [`Injector::inject_locked`] | none — bypasses queue limits entirely | enqueue by taking the owning core's dispatch spinlock (threaded). The pre-inbox legacy path, kept for measuring what the inbox buys; identical routing to `inject` on the simulator. |
 /// | [`Injector::inject_after`] | none — timers are scheduled work, not offered load | enqueue after a delay in cycles (virtual under sim, cycle-counter under threads). |
@@ -533,8 +533,8 @@ impl Injector {
         }
     }
 
-    /// Registers an event through the owning core's lock-free injection
-    /// inbox (threaded) or the run-loop mailbox (sim) — the producer
+    /// Registers an event through the owning core's injection inbox
+    /// (threaded) or the run-loop mailbox (sim) — the producer
     /// never contends on a dispatch lock. The canonical *infallible*
     /// injection path: with bounded queues, one admission attempt, and
     /// an event a limit refuses is dropped and counted as one

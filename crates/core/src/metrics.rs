@@ -194,7 +194,7 @@ pub struct CoreMetrics {
     pub l2_misses: u64,
     /// Cycles added by simulated memory accesses.
     pub mem_stall_cycles: u64,
-    /// Events pushed into this core's lock-free injection inbox by
+    /// Events pushed into this core's injection inbox by
     /// cross-thread producers (threaded executor only).
     pub inbox_pushes: u64,
     /// Events this core drained out of its inbox.
@@ -205,8 +205,8 @@ pub struct CoreMetrics {
     /// Drained events whose color had been stolen between push and
     /// drain, re-routed through the color map.
     pub inbox_rerouted: u64,
-    /// Inbox pushes that reused a recycled Treiber node instead of
-    /// allocating (threaded executor only).
+    /// Inbox pushes that did not grow the inbox's buffer (threaded
+    /// executor only).
     pub inbox_node_reuse: u64,
     /// Color-queue creations that reused a pooled event buffer instead
     /// of allocating (Mely flavor only).

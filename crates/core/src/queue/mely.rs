@@ -223,8 +223,8 @@ impl MelyQueue {
     /// many (small) event buffers — so cold-start pushes never trigger
     /// an incremental regrow/rehash and the dispatch path is
     /// allocation-free from the very first event. `colors == 0` skips
-    /// every reservation (the seed's lazy behavior, kept for the
-    /// `mely_push_pop_churn_cold` benchmark control).
+    /// every reservation and starts with an empty pool, so a test can
+    /// watch the pool and its reuse counter fill from zero.
     pub fn with_capacity(use_penalty: bool, colors: usize) -> Self {
         let pool = colors.min(BUF_POOL_MAX);
         MelyQueue {

@@ -836,7 +836,7 @@ impl fmt::Debug for Pipeline {
 /// A cloneable, `Send` handle submitting typed messages into an
 /// installed [`Pipeline`] from outside the executor (load generators,
 /// poll threads). Rides the same injection path as raw events: the
-/// lock-free inboxes on threads, the run-loop mailbox on sim.
+/// injection inboxes on threads, the run-loop mailbox on sim.
 #[derive(Clone)]
 pub struct StageSender {
     router: &'static Router,

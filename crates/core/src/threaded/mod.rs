@@ -27,21 +27,21 @@
 //!
 //! One deliberate *extension* beyond the paper's implementation:
 //!
-//! - **Lock-free injection inboxes.** External producers (a cloned
+//! - **Injection inboxes.** External producers (a cloned
 //!   [`Injector`], the timer heap, the load-generation layers) do
 //!   not take the destination core's spinlock per event; they push onto
-//!   the core's [`InjectionInbox`] — a lock-free MPSC stack — and the
-//!   core merges the whole backlog into its queue under a single lock
-//!   acquisition at dispatch-loop boundaries. The color invariant is
-//!   preserved because the drain re-checks the color map under the
-//!   core's own lock (exactly the guarantee the two-lock migration
-//!   relies on) and re-routes any event whose color has been stolen in
-//!   the meantime. See [`inbox`] for the data structure and
-//!   [`Injector::inject_locked`] for the legacy per-event-lock
-//!   path (kept for benchmarking the difference). The steady-state
-//!   dispatch path is allocation-free end to end: the inbox recycles
-//!   its Treiber nodes, each worker reuses one drain buffer across
-//!   iterations, and the Mely queue pools freed color-queue buffers
+//!   the core's [`InjectionInbox`] — a lock and a `Vec`, whose empty
+//!   check takes no lock — and the core merges the whole backlog into
+//!   its queue under a single lock acquisition at dispatch-loop
+//!   boundaries. The color invariant is preserved because the drain
+//!   re-checks the color map under the core's own lock (exactly the
+//!   guarantee the two-lock migration relies on) and re-routes any
+//!   event whose color has been stolen in the meantime. See [`inbox`]
+//!   for the data structure and [`Injector::inject_locked`] for the
+//!   legacy per-event-lock path (kept for benchmarking the
+//!   difference). The steady-state dispatch path is allocation-free
+//!   end to end: each worker swaps one retained drain buffer with its
+//!   inbox's, and the Mely queue pools freed color-queue buffers
 //!   (surfaced as the `inbox_node_reuse` / `queue_buf_reuse` counters
 //!   in [`CoreMetrics`]).
 
@@ -88,8 +88,8 @@ const EVENT_MASK: u64 = KEEPALIVE_UNIT - 1;
 
 struct CoreShared {
     queue: SpinLock<QueueImpl>,
-    /// Lock-free MPSC inbox for cross-thread producers; drained by this
-    /// core's worker at dispatch-loop boundaries.
+    /// MPSC inbox for cross-thread producers; drained by this core's
+    /// worker at dispatch-loop boundaries.
     inbox: InjectionInbox,
     /// Color currently executing on this core (`NO_COLOR` when none).
     in_flight: AtomicU32,
@@ -185,8 +185,8 @@ impl Shared {
         }
     }
 
-    /// Hands an event to the owning core's lock-free inbox instead of
-    /// taking its spinlock. If a steal moves the color before the core
+    /// Hands an event to the owning core's inbox instead of taking its
+    /// spinlock. If a steal moves the color before the core
     /// drains, the drain re-routes through the color map, so the color
     /// invariant holds either way.
     fn inject(&self, mut ev: Event) {
@@ -255,7 +255,7 @@ impl Door for Shared {
     }
 
     /// Admission runs against the owning core's current occupancy; an
-    /// admitted event goes through that core's lock-free inbox, or onto
+    /// admitted event goes through that core's inbox, or onto
     /// the timer heap holding its per-color slot across the delay.
     fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), Overload> {
         let color = ev.color();
@@ -455,7 +455,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
     };
     let mut idle_spins: u32 = 0;
     // Reused across iterations so steady-state inbox drains never
-    // allocate (the inbox recycles its nodes; this recycles the batch).
+    // allocate: each drain swaps it with the inbox's buffer.
     let mut inbox_batch: Vec<Event> = Vec::new();
     loop {
         if shared.stop.load(Ordering::Acquire) {
@@ -661,8 +661,8 @@ impl CoreEnv for Worker<'_> {
         // victim's inbox until its next drain — by which time newer
         // events of that color may already have run here, inverting
         // per-producer order. Draining concurrently with the victim is
-        // safe (each node is taken by exactly one swap); placement
-        // re-checks the color map under the locks we hold.
+        // safe (the inbox lock hands each event to exactly one drain);
+        // placement re-checks the color map under the locks we hold.
         let backlog = shared.cores[v].inbox.drain();
         if !backlog.is_empty() {
             self.m.inbox_drain_batches += 1;
@@ -896,7 +896,7 @@ mod tests {
         injector.join().unwrap();
         assert!(r.events_processed() >= 21);
         // Injector registrations and the timer firing all went through the
-        // lock-free inboxes, and every push was eventually drained.
+        // inboxes, and every push was eventually drained.
         assert!(r.total().inbox_pushes >= 21);
         assert_eq!(r.total().inbox_drained, r.total().inbox_pushes);
         assert!(r.avg_inbox_drain_batch().unwrap() >= 1.0);

@@ -12,7 +12,7 @@
 //!
 //! For the *threaded* executor, [`threaded::InjectorPool`] provides the
 //! real-time analogue: OS producer threads injecting events through the
-//! runtime's lock-free inboxes.
+//! runtime's injection inboxes.
 //!
 //! # Examples
 //!

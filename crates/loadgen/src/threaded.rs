@@ -6,7 +6,7 @@
 //! through the executor-agnostic [`Injector`],
 //! the way a network frontend or RPC ingress would. Each producer is an
 //! *external* producer in the sense of the injection architecture — its
-//! registrations go through the owning core's lock-free inbox on the
+//! registrations go through the owning core's inbox on the
 //! threaded executor (and the run-loop mailbox on the simulator) and
 //! never contend on a dispatch spinlock ([`InjectMode::Inbox`]), unless
 //! the caller explicitly asks for the legacy per-event-lock path
@@ -63,7 +63,7 @@ use rand::SeedableRng;
 /// Which injection path the producers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InjectMode {
-    /// Push through the owning core's lock-free inbox
+    /// Push through the owning core's inbox
     /// ([`Injector::inject`]) — the default and the fast path.
     #[default]
     Inbox,

@@ -44,7 +44,7 @@
 //!
 //! - a **waker**, inbound ([`TcpGateway::set_waker`]): whenever the
 //!   poller moved bytes, it nudges the server's poll loop through the
-//!   lock-free injection path (`SwsService::waker` builds the right
+//!   injection path (`SwsService::waker` builds the right
 //!   callback), so a request does not wait out the server's fallback
 //!   poll interval;
 //! - an **output watch**, outbound ([`SimNet::watch_tx`]): the

@@ -628,7 +628,7 @@ impl<D: Driver + 'static> SwsService<D> {
 
     /// A wake handle for external pollers (the real-socket gateway's
     /// poller thread): each [`SwsWaker::wake`] submits one extra
-    /// `Epoll` pass through the lock-free injection path, so readiness
+    /// `Epoll` pass through the injection path, so readiness
     /// that arrived from the kernel is polled promptly instead of
     /// waiting out the poll interval. Wake bursts collapse — at most
     /// one waker tick is in flight at a time — and waker ticks never

@@ -7,7 +7,7 @@
 //! (inherits the client's color) → `Deliver` (serial bookkeeping,
 //! completes the request). Half the jobs are seeded before the run;
 //! the other half arrive *while it runs*, submitted from a producer
-//! thread through the typed `StageSender` (lock-free inboxes on
+//! thread through the typed `StageSender` (injection inboxes on
 //! threads, the run-loop mailbox on sim).
 //!
 //! Pick an executor with `MELY_EXEC=sim` (default) or

@@ -1,5 +1,5 @@
 //! External producers injecting into a running executor through the
-//! executor-agnostic `Injector` — lock-free per-core inboxes on the
+//! executor-agnostic `Injector` — per-core injection inboxes on the
 //! threaded runtime, the run-loop mailbox on the simulator.
 //!
 //! Defaults to the threaded executor (that is where the inbox stats are

@@ -1,5 +1,5 @@
-//! Multi-producer stress tests for the threaded runtime's lock-free
-//! injection inboxes.
+//! Multi-producer stress tests for the threaded runtime's injection
+//! inboxes.
 //!
 //! N OS producer threads hammer a running [`ThreadedRuntime`] through
 //! cloned handles while workers dispatch and steal. The assertions are
