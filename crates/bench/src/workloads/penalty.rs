@@ -156,7 +156,7 @@ mod tests {
         // our simulator reproduces the *direction* of the cache effect
         // (fewer misses, no migrated chains) with throughput at parity —
         // the gap is printed by `table5_penalty_aware` (pinned in
-        // `benches/golden/`) and tracked as ROADMAP item 1.
+        // `benches/golden/`) and tracked as ROADMAP item 4.
         let base = penalty(PaperConfig::MelyBaseWs, &quick());
         let pen = penalty(PaperConfig::MelyPenaltyWs, &quick());
         assert!(

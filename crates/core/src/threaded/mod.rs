@@ -906,14 +906,14 @@ mod tests {
     fn recycling_counters_surface_in_the_report() {
         let mut rt = rt(Flavor::Mely, WsPolicy::off(), 1);
         // Serialize everything on one color so the worker drains the
-        // inbox in many small batches, recycling nodes in between, and
-        // the queue keeps retiring and recreating the color-queue.
+        // inbox in many small batches, reusing its buffers in between,
+        // and the queue keeps retiring and recreating the color-queue.
         let keepalive = rt.injector().keepalive();
         let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             // Chunked with a drain barrier in between: waiting for
             // `outstanding` to hit zero guarantees the worker drained
-            // the inbox (recycling its nodes) and popped the color-queue
+            // the inbox (keeping its buffer) and popped the color-queue
             // empty (pooling its buffer) before the next chunk pushes —
             // so both reuse counters must advance no matter how the
             // scheduler interleaves the threads.
@@ -933,7 +933,7 @@ mod tests {
         assert_eq!(r.events_processed(), 2_000);
         assert!(
             r.total().inbox_node_reuse > 0,
-            "inbox node pool never hit: {:?}",
+            "inbox buffer never reused: {:?}",
             r.total()
         );
         assert!(

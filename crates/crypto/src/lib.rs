@@ -331,7 +331,7 @@ pub const CYCLES_PER_BYTE: u64 = 12;
 /// one, and it stays two walks of the data although [`seal`] makes one:
 /// the simulated figures are the paper's, and every golden rests on
 /// them. Calibrating the simulator to a measured host is a separate
-/// machine model (ROADMAP item 4), not a change to this one.
+/// machine model (ROADMAP item 6), not a change to this one.
 pub fn crypto_cost_cycles(len: u64) -> u64 {
     // Encrypt + MAC both walk the data once.
     2 * CYCLES_PER_BYTE * len + 2_000

@@ -57,6 +57,7 @@ pub mod tcp;
 pub mod threaded;
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -182,10 +183,17 @@ struct ClientState {
 }
 
 /// Closed-loop virtual clients implementing [`Driver`].
+///
+/// Each unfinished client has exactly one wake-up on a min-heap of
+/// `(time, client)`; stepping a client re-arms that entry in place.
+/// A response is read into the client's buffer (moved in whole when the
+/// buffer is empty), handed to [`ClientProtocol::on_response`] as a
+/// slice of it and then drained, so a response costs no copy of its own.
 pub struct ClosedLoopLoad<P> {
     proto: P,
     cfg: LoadConfig,
     clients: Vec<ClientState>,
+    /// One `(time, client)` entry per unfinished client.
     wakeups: BinaryHeap<Reverse<(u64, usize)>>,
     stats: LoadStats,
     finished_clients: usize,
@@ -260,7 +268,8 @@ impl<P: ClientProtocol> ClosedLoopLoad<P> {
         }
     }
 
-    fn send_next(&mut self, client: usize, net: &mut SimNet, now: u64) {
+    /// Sends the next request; returns when to wake for its response.
+    fn send_next(&mut self, client: usize, net: &mut SimNet, now: u64) -> u64 {
         let seq = self.clients[client].seq_on_conn;
         let req = self.proto.request(client, seq);
         let st = &mut self.clients[client];
@@ -270,15 +279,15 @@ impl<P: ClientProtocol> ClosedLoopLoad<P> {
         st.waiting = true;
         // Wake when the response (or anything) becomes visible; fall back
         // to polling if the server has not written yet.
-        let due = net
-            .client_next_visibility(fd, now)
-            .unwrap_or(now + self.cfg.poll_interval);
-        self.wakeups.push(Reverse((due, client)));
+        net.client_next_visibility(fd, now)
+            .unwrap_or(now + self.cfg.poll_interval)
     }
 
-    fn step_client(&mut self, client: usize, net: &mut SimNet, now: u64) {
+    /// Runs `client`'s state machine at `now`. Returns its next wake-up,
+    /// or `None` once it has finished.
+    fn step_client(&mut self, client: usize, net: &mut SimNet, now: u64) -> Option<u64> {
         if self.clients[client].finished {
-            return;
+            return None;
         }
         // Past the deadline: stop after the in-flight request completes.
         let deadline_passed = now >= self.cfg.duration;
@@ -286,7 +295,7 @@ impl<P: ClientProtocol> ClosedLoopLoad<P> {
         if self.clients[client].fd.is_none() {
             if deadline_passed {
                 self.finish_client(client, net, now);
-                return;
+                return None;
             }
             let port = self.port_of(client);
             let fd = net
@@ -296,25 +305,27 @@ impl<P: ClientProtocol> ClosedLoopLoad<P> {
             st.fd = Some(fd);
             st.seq_on_conn = 0;
             st.buf.clear();
-            self.send_next(client, net, now);
-            return;
+            return Some(self.send_next(client, net, now));
         }
 
         let fd = self.clients[client].fd.expect("checked above");
         if !self.clients[client].waiting {
             // Think time elapsed: issue the next request.
-            self.send_next(client, net, now);
-            return;
+            return Some(self.send_next(client, net, now));
         }
 
-        // Waiting for a response: pull whatever is visible.
+        // Waiting for a response: pull whatever is visible, moving it in
+        // whole when nothing is buffered yet.
         let data = net.client_read(fd, now);
-        if !data.is_empty() {
-            self.clients[client].buf.extend_from_slice(&data);
+        let buf = &mut self.clients[client].buf;
+        if buf.is_empty() {
+            *buf = data;
+        } else {
+            buf.extend_from_slice(&data);
         }
-        if let Some(n) = self.proto.response_len(&self.clients[client].buf) {
-            let resp: Vec<u8> = self.clients[client].buf.drain(..n).collect();
-            self.proto.on_response(client, &resp);
+        if let Some(n) = self.proto.response_len(buf) {
+            self.proto.on_response(client, &buf[..n]);
+            buf.drain(..n);
             self.stats.responses += 1;
             self.stats.bytes += n as u64;
             self.stats.latency_sum += now - self.clients[client].sent_at;
@@ -324,7 +335,9 @@ impl<P: ClientProtocol> ClosedLoopLoad<P> {
             let conn_exhausted = st.seq_on_conn >= self.cfg.requests_per_conn;
             if deadline_passed {
                 self.finish_client(client, net, now);
-            } else if conn_exhausted {
+                return None;
+            }
+            if conn_exhausted {
                 // Close and reconnect immediately (the paper's clients
                 // "repeatedly connect ... and request 150 files").
                 net.client_close(fd, now);
@@ -332,13 +345,8 @@ impl<P: ClientProtocol> ClosedLoopLoad<P> {
                 let st = &mut self.clients[client];
                 st.fd = None;
                 st.buf.clear();
-                self.wakeups
-                    .push(Reverse((now + self.cfg.think_time, client)));
-            } else {
-                self.wakeups
-                    .push(Reverse((now + self.cfg.think_time, client)));
             }
-            return;
+            return Some(now + self.cfg.think_time);
         }
         if net.client_sees_close(fd, now) {
             // Server closed on us mid-request (overload shedding): treat
@@ -350,34 +358,47 @@ impl<P: ClientProtocol> ClosedLoopLoad<P> {
             self.stats.conns += 1;
             if deadline_passed {
                 self.finish_client(client, net, now);
-            } else {
-                self.wakeups.push(Reverse((now, client)));
+                return None;
             }
-            return;
+            return Some(now);
         }
         if deadline_passed {
             // The injection window is over and the response is still
             // incomplete: abandon it (a real injector times out too) so
             // the run can drain.
             self.finish_client(client, net, now);
-            return;
+            return None;
         }
         // Still incomplete: wake on next visibility (or poll).
         let due = net
             .client_next_visibility(fd, now)
             .unwrap_or(now + self.cfg.poll_interval);
-        self.wakeups.push(Reverse((due.max(now + 1), client)));
+        Some(due.max(now + 1))
     }
 }
 
 impl<P: ClientProtocol> Driver for ClosedLoopLoad<P> {
+    /// Steps every client whose wake-up is due. The heap holds exactly
+    /// one wake-up per unfinished client, so a stepped client's next
+    /// wake-up replaces the heap top in place (one sift) and a finished
+    /// one's is popped; with unique `(t, client)` keys the step order is
+    /// the same as popping and pushing.
     fn advance(&mut self, net: &mut SimNet, now: u64) -> bool {
         while let Some(&Reverse((t, c))) = self.wakeups.peek() {
             if t > now {
                 break;
             }
-            self.wakeups.pop();
-            self.step_client(c, net, now.max(t));
+            // Stepping leaves the heap alone, so `c`'s wake-up is still on top.
+            let next = self.step_client(c, net, now.max(t));
+            let mut top = self.wakeups.peek_mut().expect("c's wake-up is queued");
+            debug_assert_eq!(top.0 .1, c, "one wake-up per unfinished client");
+            debug_assert_eq!(next.is_none(), self.clients[c].finished);
+            match next {
+                Some(due) => *top = Reverse((due, c)),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
         }
         self.finished_clients == self.clients.len()
     }
@@ -473,6 +494,54 @@ mod tests {
         assert!(s.conns > 0);
         assert_eq!(load.protocol().seen, s.responses);
         assert!(s.mean_latency() >= 200.0, "at least one RTT");
+    }
+
+    /// The re-arm invariant: exactly one wake-up per unfinished client.
+    fn assert_one_wakeup_per_unfinished_client<P>(load: &ClosedLoopLoad<P>) {
+        let mut queued: Vec<usize> = load.wakeups.iter().map(|w| w.0 .1).collect();
+        queued.sort_unstable();
+        let unfinished: Vec<usize> = (0..load.clients.len())
+            .filter(|&c| !load.clients[c].finished)
+            .collect();
+        assert_eq!(queued, unfinished);
+        assert_eq!(load.finished_clients, load.clients.len() - unfinished.len());
+    }
+
+    #[test]
+    fn every_unfinished_client_has_exactly_one_wakeup() {
+        let mut net = SimNet::new(NetConfig { one_way_delay: 100 });
+        net.listen(80);
+        let mut load = ClosedLoopLoad::new(
+            Fixed {
+                resp_len: 8,
+                seen: 0,
+            },
+            LoadConfig {
+                clients: 16,
+                ports: vec![80],
+                requests_per_conn: 3,
+                duration: 40_000,
+                start_spread: 1_000,
+                think_time: 50,
+                poll_interval: 300,
+            },
+        );
+        assert_one_wakeup_per_unfinished_client(&load);
+        let resp = [7u8; 8];
+        let (mut now, mut done, mut boundaries) = (0, false, 0);
+        while !done {
+            done = load.advance(&mut net, now);
+            assert_one_wakeup_per_unfinished_client(&load);
+            boundaries += 1;
+            // Serve only every other boundary, so clients also wake to
+            // incomplete responses and re-arm on the poll interval.
+            if boundaries % 2 == 0 {
+                serve_everything(&mut net, now, &resp);
+            }
+            now = load.next_due(now).unwrap_or(now + 1_000).max(now + 1);
+        }
+        assert!(load.wakeups.is_empty());
+        assert!(load.stats().responses > 16 && load.stats().conns > 16);
     }
 
     #[test]

@@ -45,6 +45,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+use fxhash::FxHashMap;
+
 pub mod driver;
 #[cfg(unix)]
 pub mod tcp;
@@ -100,21 +102,21 @@ impl HalfStream {
         }
     }
 
-    fn readable_len(&self, now: u64) -> usize {
-        self.segs
-            .iter()
-            .take_while(|(t, _)| *t <= now)
-            .map(|(_, d)| d.len())
-            .sum()
+    /// Whether any byte is visible at `now` (written segments are never
+    /// empty, so the front segment decides).
+    fn readable(&self, now: u64) -> bool {
+        self.segs.front().is_some_and(|(t, _)| *t <= now)
     }
 
+    /// Every visible byte. The first visible segment is moved out, not
+    /// copied, so the common case (one segment) costs no allocation.
     fn read_all(&mut self, now: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        while let Some((t, _)) = self.segs.front() {
-            if *t > now {
-                break;
-            }
-            let (_, d) = self.segs.pop_front().expect("peeked");
+        if !self.readable(now) {
+            return Vec::new();
+        }
+        let (_, mut out) = self.segs.pop_front().expect("readable");
+        while self.readable(now) {
+            let (_, d) = self.segs.pop_front().expect("readable");
             out.extend_from_slice(&d);
         }
         out
@@ -173,11 +175,16 @@ impl TxWatch {
 }
 
 /// The simulated network fabric.
+///
+/// Connections live in a hash table keyed by descriptor: every client
+/// and server call is one lookup, and the table holds only unreaped
+/// connections, however many were opened before. [`poll`](SimNet::poll)
+/// sorts what it reports, so its order does not depend on the table's.
 #[derive(Debug, Default)]
 pub struct SimNet {
     cfg: NetConfig,
     listeners: BTreeMap<u16, VecDeque<(u64, Fd)>>,
-    conns: BTreeMap<Fd, Conn>,
+    conns: FxHashMap<Fd, Conn>,
     next_fd: Fd,
     /// Counters for reports.
     bytes_c2s: u64,
@@ -233,6 +240,8 @@ impl SimNet {
     }
 
     /// Server side: readiness scan at time `now` (level-triggered).
+    /// Listeners come first in port order, then connections in ascending
+    /// descriptor order.
     pub fn poll(&mut self, now: u64) -> Vec<NetEvent> {
         let mut out = Vec::new();
         for (&port, backlog) in &self.listeners {
@@ -240,17 +249,22 @@ impl SimNet {
                 out.push(NetEvent::Acceptable(port));
             }
         }
+        let listeners = out.len();
         for (&fd, conn) in &mut self.conns {
             if !conn.accepted || conn.server_closed {
                 continue;
             }
-            if conn.c2s.readable_len(now) > 0 {
+            if conn.c2s.readable(now) {
                 out.push(NetEvent::Readable(fd));
             } else if conn.c2s.closed_at.is_some_and(|t| t <= now) && !conn.hup_reported {
                 out.push(NetEvent::PeerClosed(fd));
                 conn.hup_reported = true;
             }
         }
+        out[listeners..].sort_unstable_by_key(|e| match *e {
+            NetEvent::Readable(fd) | NetEvent::PeerClosed(fd) => fd,
+            NetEvent::Acceptable(_) => unreachable!("listeners precede connections"),
+        });
         out
     }
 
@@ -361,9 +375,9 @@ impl SimNet {
     /// data has been read). A reaped (fully torn down) connection also
     /// reads as closed.
     pub fn client_sees_close(&self, fd: Fd, now: u64) -> bool {
-        self.conns.get(&fd).is_none_or(|c| {
-            c.s2c.closed_at.is_some_and(|t| t <= now) && c.s2c.readable_len(now) == 0
-        })
+        self.conns
+            .get(&fd)
+            .is_none_or(|c| c.s2c.closed_at.is_some_and(|t| t <= now) && !c.s2c.readable(now))
     }
 
     /// Client side: sends bytes to the server.
@@ -389,9 +403,9 @@ impl SimNet {
     /// and every byte has been drained. Unknown (reaped) descriptors
     /// read as closed.
     pub fn peer_closed(&self, fd: Fd, now: u64) -> bool {
-        self.conns.get(&fd).is_none_or(|c| {
-            c.c2s.closed_at.is_some_and(|t| t <= now) && c.c2s.readable_len(now) == 0
-        })
+        self.conns
+            .get(&fd)
+            .is_none_or(|c| c.c2s.closed_at.is_some_and(|t| t <= now) && !c.c2s.readable(now))
     }
 
     /// Drops a fully closed connection's state.
@@ -494,6 +508,20 @@ mod tests {
         n.write(fd, 200, b"resp".to_vec());
         assert!(n.client_read(fd, 250).is_empty());
         assert_eq!(n.client_read(fd, 300), b"resp");
+    }
+
+    #[test]
+    fn read_joins_visible_segments_and_leaves_later_ones() {
+        let mut n = net();
+        n.listen(80);
+        let fd = n.connect(80, 0).unwrap();
+        n.accept(80, 100).unwrap();
+        n.client_write(fd, 100, b"ab".to_vec());
+        n.client_write(fd, 150, b"cd".to_vec());
+        n.client_write(fd, 250, b"ef".to_vec());
+        assert_eq!(n.read(fd, 250), b"abcd");
+        assert_eq!(n.read(fd, 350), b"ef");
+        assert_eq!(n.stats().bytes_received, 6);
     }
 
     #[test]
@@ -630,6 +658,107 @@ mod tests {
         let mut ready = Vec::new();
         n.take_tx_ready(&mut ready);
         assert!(ready.is_empty());
+    }
+
+    #[test]
+    fn poll_reports_connections_in_ascending_fd_order() {
+        let mut n = net();
+        n.listen(80);
+        let fds: Vec<Fd> = (0..48).map(|_| n.connect(80, 0).unwrap()).collect();
+        while n.accept(80, 100).is_some() {}
+        // Reap out of fd order, then open more: the table's layout is
+        // now nothing like the descriptors' order.
+        for &fd in fds.iter().rev().step_by(3) {
+            n.close(fd, 100);
+            n.reap(fd);
+        }
+        let more: Vec<Fd> = (0..24).map(|_| n.connect(80, 100).unwrap()).collect();
+        while n.accept(80, 200).is_some() {}
+        let live: Vec<Fd> = fds
+            .iter()
+            .rev()
+            .skip(1)
+            .step_by(3)
+            .chain(fds.iter().rev().skip(2).step_by(3))
+            .chain(more.iter().rev())
+            .copied()
+            .collect();
+        for (i, &fd) in live.iter().enumerate() {
+            if i % 2 == 0 {
+                n.client_write(fd, 200, b"x".to_vec());
+            } else {
+                n.client_close(fd, 200);
+            }
+        }
+        n.connect(80, 200).unwrap(); // pending at poll time
+        let events = n.poll(300);
+        assert_eq!(events[0], NetEvent::Acceptable(80), "listeners first");
+        let fd_of = |e: &NetEvent| match *e {
+            NetEvent::Readable(fd) | NetEvent::PeerClosed(fd) => fd,
+            NetEvent::Acceptable(_) => panic!("one listener, reported once"),
+        };
+        let got: Vec<Fd> = events[1..].iter().map(fd_of).collect();
+        let mut want = live.clone();
+        want.sort_unstable();
+        assert_eq!(got, want, "connections in ascending fd order");
+        assert!(events.iter().any(|e| matches!(e, NetEvent::Readable(_))));
+        assert!(events.iter().any(|e| matches!(e, NetEvent::PeerClosed(_))));
+    }
+
+    #[test]
+    fn reaped_and_never_issued_fds_read_empty_and_closed() {
+        let mut n = net();
+        n.listen(80);
+        let reaped = n.connect(80, 0).unwrap();
+        n.accept(80, 100).unwrap();
+        n.client_write(reaped, 100, b"unread".to_vec());
+        n.write(reaped, 100, b"unread".to_vec());
+        n.reap(reaped);
+        let never = reaped + 1_000;
+        let before = n.stats();
+        for fd in [reaped, never] {
+            n.write(fd, 300, b"dropped".to_vec());
+            n.client_write(fd, 300, b"dropped".to_vec());
+            n.close(fd, 300);
+            n.client_close(fd, 300);
+            assert!(n.read(fd, 1_000).is_empty());
+            assert!(n.client_read(fd, 1_000).is_empty());
+            assert!(n.peer_closed(fd, 1_000));
+            assert!(n.client_sees_close(fd, 1_000));
+            assert_eq!(n.client_next_visibility(fd, 0), None);
+            n.reap(fd);
+        }
+        assert_eq!(n.stats(), before, "nothing was transferred");
+        assert!(n.poll(1_000).is_empty());
+        assert_eq!(n.next_activity(0), None);
+        assert_eq!(n.live_conns(), 0);
+    }
+
+    #[test]
+    fn memory_follows_live_connections() {
+        let mut n = net();
+        n.listen(80);
+        let long = n.connect(80, 0).unwrap();
+        n.accept(80, 100).unwrap();
+        for i in 0..10_000u64 {
+            let now = 100 + i * 300;
+            let fd = n.connect(80, now).unwrap();
+            assert_eq!(n.accept(80, now + 100), Some(fd));
+            n.client_write(fd, now + 100, b"req".to_vec());
+            assert_eq!(n.read(fd, now + 200), b"req");
+            n.write(fd, now + 200, b"resp".to_vec());
+            n.close(fd, now + 200);
+            n.client_close(fd, now + 200);
+            n.reap(fd);
+        }
+        assert_eq!(n.live_conns(), 1);
+        assert!(
+            n.conns.capacity() < 16,
+            "the table holds {} slots for 2 connections at a time",
+            n.conns.capacity()
+        );
+        n.client_write(long, 10_000_000, b"still here".to_vec());
+        assert_eq!(n.read(long, 10_000_100), b"still here");
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //! color the copy allocates or hashes is ≡ `c` (mod cores), so the
 //! color hash keeps the whole copy on core `c`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use fxhash::FxHashMap;
 use parking_lot::Mutex;
 
 use mely_core::color::ColorSpace;
@@ -203,7 +204,8 @@ struct ConnState {
 }
 
 struct SwsState {
-    conns: HashMap<Fd, ConnState>,
+    /// Looked up by descriptor, never iterated.
+    conns: FxHashMap<Fd, ConnState>,
     cache: ResponseCache,
     accepted: usize,
     accept_pending: bool,
@@ -686,7 +688,7 @@ impl<D: Driver + 'static> Service for SwsService<D> {
         self.net.lock().listen(self.cfg.port);
         let shared = Arc::new(SwsShared {
             state: Mutex::new(SwsState {
-                conns: HashMap::new(),
+                conns: FxHashMap::default(),
                 cache,
                 accepted: 0,
                 accept_pending: false,

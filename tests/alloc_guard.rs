@@ -3,13 +3,15 @@
 //! The zero-allocation contract: once warm, neither the Mely queue's
 //! push/pop churn (including steals), a steal attempt's victim choice,
 //! nor the injection inbox's push/drain round trip touches the heap.
-//! This suite proves it with a counting `#[global_allocator]` rather
-//! than by inspection.
+//! A simulated client/server round trip through `SimNet` and
+//! `ClosedLoopLoad` is held to a counted budget per response instead:
+//! its messages are heap buffers by design. This suite proves both with
+//! a counting `#[global_allocator]` rather than by inspection.
 //!
 //! The counter is **thread-local**, so the default parallel test
 //! harness (and any background thread) cannot pollute a measurement:
-//! each test counts only allocations made on its own thread, and both
-//! structures are driven single-threadedly here (`InjectionInbox::push`
+//! each test counts only allocations made on its own thread, and every
+//! structure is driven single-threadedly here (`InjectionInbox::push`
 //! is thread-safe but does not require multiple threads).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -20,6 +22,9 @@ use mely_repro::core::event::Event;
 use mely_repro::core::queue::MelyQueue;
 use mely_repro::core::steal::{StealDomains, StealPolicy, WsPolicy};
 use mely_repro::core::threaded::inbox::InjectionInbox;
+use mely_repro::loadgen::{ClientProtocol, ClosedLoopLoad, LoadConfig};
+use mely_repro::net::driver::Driver;
+use mely_repro::net::{NetConfig, NetEvent, SimNet};
 use mely_repro::topology::MachineModel;
 
 struct CountingAlloc;
@@ -181,9 +186,9 @@ fn victim_choice_into_a_warm_buffer_allocates_nothing() {
 #[test]
 fn inbox_push_drain_steady_state_allocates_nothing() {
     let inbox = InjectionInbox::new();
-    // Batch sizes stay under the node-pool budget so a warm pool covers
-    // every in-flight node; the drain buffer is pre-sized and reused,
-    // exactly like the worker loop's.
+    // The drain buffer is pre-sized and reused, exactly like the worker
+    // loop's, so after the warm-up rounds the inbox and the caller swap
+    // two buffers that already hold a whole batch.
     let mut batch: Vec<Event> = Vec::with_capacity(256);
     let round = |inbox: &InjectionInbox, batch: &mut Vec<Event>| {
         for i in 0..128u16 {
@@ -205,4 +210,89 @@ fn inbox_push_drain_steady_state_allocates_nothing() {
         "steady-state inbox push/drain hit the allocator {delta} times"
     );
     assert!(inbox.total_node_reuses() >= 200 * 128);
+}
+
+/// A fixed-size request and response, as the simulated web server's
+/// clients see them.
+struct Ping {
+    req: Vec<u8>,
+    resp_len: usize,
+}
+
+impl ClientProtocol for Ping {
+    fn request(&mut self, _client: usize, _seq: u64) -> Vec<u8> {
+        self.req.clone()
+    }
+    fn response_len(&self, buf: &[u8]) -> Option<usize> {
+        (buf.len() >= self.resp_len).then_some(self.resp_len)
+    }
+}
+
+/// The toy server of the load generator's tests: accept everything and
+/// answer every readable request with `resp`.
+fn serve(net: &mut SimNet, now: u64, resp: &[u8]) {
+    loop {
+        let events = net.poll(now);
+        if events.is_empty() {
+            break;
+        }
+        for e in events {
+            match e {
+                NetEvent::Acceptable(port) => while net.accept(port, now).is_some() {},
+                NetEvent::Readable(fd) => {
+                    let _ = net.read(fd, now);
+                    net.write(fd, now, resp.to_vec());
+                }
+                NetEvent::PeerClosed(fd) => {
+                    net.close(fd, now);
+                    net.reap(fd);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn simulated_round_trip_allocates_per_response_only_its_messages() {
+    let mut net = SimNet::new(NetConfig { one_way_delay: 100 });
+    net.listen(80);
+    let mut load = ClosedLoopLoad::new(
+        Ping {
+            req: b"GET /file HTTP/1.1\r\n\r\n".to_vec(),
+            resp_len: 64,
+        },
+        LoadConfig {
+            clients: 8,
+            ports: vec![80],
+            requests_per_conn: u64::MAX,
+            duration: u64::MAX,
+            start_spread: 1_000,
+            think_time: 0,
+            poll_interval: 500,
+        },
+    );
+    let resp = [7u8; 64];
+    let mut now = 0;
+    let mut run_until = |load: &mut ClosedLoopLoad<Ping>, net: &mut SimNet, responses: u64| {
+        while load.stats().responses < responses {
+            load.advance(net, now);
+            serve(net, now, &resp);
+            now = load.next_due(now).expect("keep-alive clients never finish");
+        }
+    };
+    // Warm-up: every client connected, every buffer and heap sized.
+    run_until(&mut load, &mut net, 1_000);
+    let (before, responses) = (allocs_on_this_thread(), load.stats().responses);
+    run_until(&mut load, &mut net, responses + 10_000);
+    let allocs = allocs_on_this_thread() - before;
+    let per_response = allocs as f64 / (load.stats().responses - responses) as f64;
+    // Per response: the request the protocol builds, the response the
+    // toy server copies out, and its share of one `poll` result per
+    // batch of ready connections. Reads move segments, and the
+    // client's re-arm and response buffer reuse what they hold.
+    assert!(
+        per_response <= 3.0,
+        "a warm round trip allocates {per_response:.2} times per response"
+    );
+    assert_eq!(net.live_conns(), 8);
 }
