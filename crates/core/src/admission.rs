@@ -34,6 +34,13 @@
 //! | `per_color_events` | injector-admitted events of the color not yet executed | [`OverloadReason::ColorHot`] |
 //! | `inbox_backlog` | events pushed to the owning core's inbox (threaded) or the run-loop mailbox (sim) and not yet drained | [`OverloadReason::InboxBacklog`] |
 //!
+//! On the threaded executor the inbox is also where a worker's route to
+//! a color another core owns waits for that core (and where
+//! `Executor::register` puts its events), so `per_core_events` and
+//! `inbox_backlog` count such routes in transit too; the routes
+//! themselves are never refused, only later injector calls see the
+//! occupancy they add.
+//!
 //! Checks are evaluated in the order `per_core_events`, `inbox_backlog`,
 //! `per_color_events`; the first limit hit names the
 //! [`OverloadReason`]. On the simulator the per-core occupancy is the
@@ -80,7 +87,8 @@ use crate::metrics::CoreMetrics;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct QueueLimits {
     /// Max events resident on one core (its queue plus its undrained
-    /// inbox backlog); `None` = unbounded.
+    /// inbox backlog, cross-core routes in transit included on
+    /// threads); `None` = unbounded.
     pub per_core_events: Option<u32>,
     /// Max injector-admitted, not-yet-executed events per color; `None`
     /// = unbounded. Mid-pipeline registrations are never counted against
@@ -88,8 +96,8 @@ pub struct QueueLimits {
     /// through an injector.
     pub per_color_events: Option<u32>,
     /// Max events buffered in the admission inbox — the owning core's
-    /// injection inbox (threaded) or the run-loop mailbox (sim); `None`
-    /// = unbounded.
+    /// injection inbox (threaded; cross-core routes in transit
+    /// included) or the run-loop mailbox (sim); `None` = unbounded.
     pub inbox_backlog: Option<u32>,
 }
 

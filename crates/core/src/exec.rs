@@ -229,7 +229,7 @@ pub trait Service {
 }
 
 /// What one executor offers an external producer: its primitive door.
-/// [`Injector`]'s five entry points — the shed path, the fallible twins
+/// [`Injector`]'s four entry points — the shed path, the fallible twins
 /// and the reject/shed accounting — are written once over this trait
 /// ([`admit_or_shed`], [`admit_or_report`], [`enqueue_or_shed`]) and
 /// monomorphised per executor. Nothing here counts a reject or a shed.
@@ -242,8 +242,8 @@ pub(crate) trait Door {
     /// and returns the [`Overload`].
     fn try_enqueue(&self, delay: Option<u64>, ev: Event) -> Result<(), Overload>;
 
-    /// Enqueues past the queue limits (`None`: right away, taking the
-    /// owning core's lock on threads; `Some`: after a delay). `Err`
+    /// Enqueues past the queue limits (`None`: right away, through the
+    /// owning core's inbox on threads; `Some`: after a delay). `Err`
     /// names why the door takes nothing of this color whatever the
     /// limits say, and the event is dropped.
     fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason>;
@@ -267,8 +267,8 @@ fn admit_or_shed<D: Door>(door: &D, ev: Event) {
     }
 }
 
-/// The unchecked paths ([`Injector::inject_locked`],
-/// [`Injector::inject_after`], the threaded runtime's own `register`):
+/// The unchecked paths ([`Injector::inject_after`], the threaded
+/// runtime's own `register`):
 /// an event the door refuses counts one reject plus one shed.
 pub(crate) fn enqueue_or_shed<D: Door>(door: &D, delay: Option<u64>, ev: Event) {
     if let Err(reason) = door.enqueue_unchecked(delay, ev) {
@@ -492,13 +492,12 @@ macro_rules! with_door {
 /// # The injection surface
 ///
 /// The injector is the *admission boundary* of the runtime's overload
-/// control ([`crate::admission`]). Four ways in, each with one job:
+/// control ([`crate::admission`]). Three ways in, each with one job:
 ///
 /// | method | admission | semantics |
 /// |---|---|---|
 /// | [`Injector::inject`] | infallible — a refused event is dropped and counted as shed | enqueue to the color's owning core through its inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
 /// | [`Injector::try_inject`] | fallible — returns `Err(`[`Overload`]`)` naming the limit hit; the event is dropped | same enqueue; the caller owns the overload response (retry, degrade, reject upstream). |
-/// | [`Injector::inject_locked`] | none — bypasses queue limits entirely | enqueue by taking the owning core's dispatch spinlock (threaded). The pre-inbox legacy path, kept for measuring what the inbox buys; identical routing to `inject` on the simulator. |
 /// | [`Injector::inject_after`] | none — timers are scheduled work, not offered load | enqueue after a delay in cycles (virtual under sim, cycle-counter under threads). |
 ///
 /// [`Injector::try_inject_after`] is the fallible twin of
@@ -550,16 +549,6 @@ impl Injector {
     /// counts one `admission_rejects`.
     pub fn try_inject(&self, ev: Event) -> Result<(), Overload> {
         with_door!(self, d => admit_or_report(&**d, None, ev))
-    }
-
-    /// Registers an event by taking the owning core's dispatch spinlock
-    /// directly (threaded executor) — the pre-inbox injection path,
-    /// kept so benchmarks can measure what the inbox buys. On the
-    /// simulator this routes like [`Injector::inject`]. Not an
-    /// admission boundary: queue limits are bypassed (legacy semantics,
-    /// unchanged by the overload redesign).
-    pub fn inject_locked(&self, ev: Event) {
-        with_door!(self, d => enqueue_or_shed(&**d, None, ev))
     }
 
     /// Registers an event to fire after `delay` cycles: virtual cycles
@@ -788,11 +777,10 @@ mod tests {
         for i in 0..20u16 {
             injector.inject(Event::new(Color::new(i + 1), 100));
         }
-        injector.inject_locked(Event::new(Color::new(30), 100));
         injector.inject_after(5_000, Event::new(Color::new(31), 100));
-        assert_eq!(injector.outstanding(), 22);
+        assert_eq!(injector.outstanding(), 21);
         let report = rt.run();
-        assert_eq!(report.events_processed(), 22);
+        assert_eq!(report.events_processed(), 21);
         assert_eq!(injector.outstanding(), 0);
     }
 

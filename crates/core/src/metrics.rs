@@ -194,16 +194,17 @@ pub struct CoreMetrics {
     pub l2_misses: u64,
     /// Cycles added by simulated memory accesses.
     pub mem_stall_cycles: u64,
-    /// Events pushed into this core's injection inbox by
-    /// cross-thread producers (threaded executor only).
+    /// Events pushed into this core's injection inbox: everything
+    /// bound for the core but its own worker's own-color routes
+    /// (threaded executor only).
     pub inbox_pushes: u64,
     /// Events this core drained out of its inbox.
     pub inbox_drained: u64,
     /// Non-empty inbox drains (each merges its batch under one lock
     /// acquisition).
     pub inbox_drain_batches: u64,
-    /// Drained events whose color had been stolen between push and
-    /// drain, re-routed through the color map.
+    /// Pushes this core's inbox refused because a steal had moved the
+    /// event's color away; each was retried on the color's new owner.
     pub inbox_rerouted: u64,
     /// Inbox pushes that did not grow the inbox's buffer (threaded
     /// executor only).

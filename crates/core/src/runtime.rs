@@ -386,9 +386,10 @@ mod tests {
         assert_eq!(Flavor::Mely.to_string(), "Mely");
         assert!(!crate::steal::WsPolicy::improved().to_string().is_empty());
 
-        // `register`/`register_direct`/`register_after` on a threaded
-        // handle → `inject`/`inject_locked`/`inject_after` on
-        // `rt.injector()`.
+        // `register`/`register_after` on a threaded handle →
+        // `inject`/`inject_after` on `rt.injector()`; `register_direct`
+        // has no replacement: every foreign event enters through the
+        // owning core's inbox.
         use crate::color::Color;
         use crate::event::Event;
         rt.register(Event::new(Color::new(1), 0).with_action(|ctx| {
@@ -397,14 +398,13 @@ mod tests {
         let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             handle.inject(Event::new(Color::new(7), 0));
-            handle.inject_locked(Event::new(Color::new(8), 0));
             handle.inject_after(1_000, Event::new(Color::new(9), 0));
         });
         let r = rt.run();
         injector.join().unwrap();
-        assert_eq!(r.events_processed(), 5);
+        assert_eq!(r.events_processed(), 4);
 
-        // Same trio on a runtime with bounded queues (generous caps, so
+        // Same pair on a runtime with bounded queues (generous caps, so
         // nothing can shed): every event is still delivered.
         use crate::admission::QueueLimits;
         let mut rt = RuntimeBuilder::new()
@@ -418,12 +418,11 @@ mod tests {
         let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             handle.inject(Event::new(Color::new(7), 0));
-            handle.inject_locked(Event::new(Color::new(8), 0));
             handle.inject_after(1_000, Event::new(Color::new(9), 0));
         });
         injector.join().unwrap();
         let r = rt.run();
-        assert_eq!(r.events_processed(), 3);
+        assert_eq!(r.events_processed(), 2);
         assert_eq!(r.total().shed_requests, 0);
     }
 

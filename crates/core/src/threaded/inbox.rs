@@ -1,10 +1,13 @@
 #![forbid(unsafe_code)]
 //! Injection inboxes for the threaded executor.
 //!
-//! Every cross-thread producer — a cloned [`crate::exec::Injector`],
-//! the timer heap, a load generator — hands its event to the
-//! destination core's inbox instead of taking the core's
-//! [`crate::sync::SpinLock`]. The paper's argument is that per-event
+//! The inbox is the one door into a core: an [`crate::exec::Injector`]
+//! call, a timer firing, the executor's own `register` and another
+//! core's worker routing a handler's event all hand that event to the
+//! owning core's inbox instead of taking the core's
+//! [`crate::sync::SpinLock`]. Only a worker routing an event of a color
+//! its own core owns pushes straight into its own queue, under the lock
+//! it already takes to pop. The paper's argument is that per-event
 //! synchronization on the dispatch path dominates event-driven runtimes
 //! at scale; the inbox keeps it off that path with two properties:
 //!
@@ -35,20 +38,21 @@
 //!
 //! # Ordering across steals
 //!
-//! A workstealing migration moves a color's *queued* events; to keep
-//! inbox residents of that color from stranding behind newer events,
-//! the thief also drains the victim's inbox under both locks
-//! (`migrate`) and re-places each event per the color map. Producer
-//! order is thus preserved through the common producer/steal race.
-//! It is still not an absolute guarantee: a producer that loads the
-//! color's owner just before a steal completes and publishes its push
-//! just after the thief's rescue drain can have that event re-routed
-//! behind a younger same-color event. What always holds is the paper's
-//! safety invariant — events of one color are never *executable* on two
-//! cores (every placement re-checks the color map under the owning
-//! core's lock) — so same-color handlers are mutually exclusive even
-//! when that rare double-race reorders them. Handlers needing strict
-//! cross-steal sequencing must sequence at the application layer.
+//! An inbox only ever holds colors its core owns. The threaded executor
+//! pushes with `push_if`, whose check — "this core still owns the
+//! event's color" — runs under the inbox lock, and a producer that is
+//! refused retries on the color's new owner. A thief moves a color
+//! only while it holds the victim's queue lock, and before releasing it
+//! drains the victim's inbox (`migrate`). So a push of a stolen color
+//! either precedes that drain and is carried over behind the migrated
+//! events, or follows the move, sees the new owner and lands in the
+//! thief's inbox. The thief merges its own inbox then too: the stolen
+//! color's handlers may have routed events to it while they ran on the
+//! victim, and from now on they route to it directly. The owner drains
+//! its own inbox only while holding its queue lock, so nothing drained
+//! can have been stolen meanwhile. Per-color FIFO holds across steals:
+//! a producer's events of one color reach the color's queue in the
+//! order it produced them, whichever core owns the color at the time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -64,15 +68,17 @@ struct Buffered {
     pushes: u64,
     /// Pushes that found room in the buffer instead of growing it.
     reuses: u64,
+    /// Pushes refused by their check.
+    refusals: u64,
 }
 
 /// A multi-producer single-consumer event inbox: one lock around one
 /// `Vec`.
 ///
 /// Any thread may [`push`](InjectionInbox::push). The owning worker
-/// drains its core's inbox, and a thief drains a victim's while it
-/// holds both queue locks. The inbox lock is a leaf: nothing else is
-/// locked while it is held. Aligned like
+/// drains its core's inbox while it holds its queue lock, and a thief
+/// drains a victim's while it holds both queue locks. The inbox lock is
+/// a leaf: nothing else is locked while it is held. Aligned like
 /// [`crossbeam_utils::CachePadded`], so producer traffic on the lock
 /// and the length shares no cache line with the core's other fields.
 #[derive(Default)]
@@ -92,13 +98,26 @@ impl InjectionInbox {
 
     /// Appends one event.
     pub fn push(&self, event: Event) {
+        // Accepting everything, the push cannot be refused.
+        let _ = self.push_if(event, || true);
+    }
+
+    /// Appends `event` if `accept` holds under the inbox lock, or hands
+    /// it back and counts a refusal. The threaded executor's check is
+    /// "this core still owns the event's color" (see the module docs).
+    pub(crate) fn push_if(&self, event: Event, accept: impl FnOnce() -> bool) -> Result<(), Event> {
         let mut buf = self.buf.lock();
+        if !accept() {
+            buf.refusals += 1;
+            return Err(event);
+        }
         if buf.events.len() < buf.events.capacity() {
             buf.reuses += 1;
         }
         buf.events.push(event);
         buf.pushes += 1;
         self.len.store(buf.events.len(), Ordering::Release);
+        Ok(())
     }
 
     /// Moves everything buffered so far to the end of `out`, oldest
@@ -123,15 +142,6 @@ impl InjectionInbox {
         n
     }
 
-    /// [`InjectionInbox::drain_into`] into a fresh vector. Convenient
-    /// for steal-time rescue drains and tests; the worker dispatch loop
-    /// uses `drain_into` with a reused buffer instead.
-    pub fn drain(&self) -> Vec<Event> {
-        let mut batch = Vec::new();
-        self.drain_into(&mut batch);
-        batch
-    }
-
     /// Number of buffered events, read without the lock. Feeds the
     /// core's load estimate so `construct_core_set` still sees backlog
     /// that has not reached the queue yet.
@@ -153,6 +163,11 @@ impl InjectionInbox {
     pub fn total_node_reuses(&self) -> u64 {
         self.buf.lock().reuses
     }
+
+    /// Total pushes [`InjectionInbox::push_if`] refused.
+    pub(crate) fn total_refusals(&self) -> u64 {
+        self.buf.lock().refusals
+    }
 }
 
 impl std::fmt::Debug for InjectionInbox {
@@ -169,6 +184,13 @@ mod tests {
     use super::*;
     use crate::color::Color;
     use std::sync::Arc;
+
+    /// Everything buffered so far, in a fresh vector.
+    fn drain(inbox: &InjectionInbox) -> Vec<Event> {
+        let mut batch = Vec::new();
+        inbox.drain_into(&mut batch);
+        batch
+    }
 
     /// Pushes `per` events of color `p` with costs `0..per` from each of
     /// `producers` threads.
@@ -196,14 +218,27 @@ mod tests {
             inbox.push(Event::new(Color::new(i), u64::from(i)));
         }
         assert_eq!(inbox.len(), 10);
-        let batch = inbox.drain();
+        let batch = drain(&inbox);
         assert_eq!(batch.len(), 10);
         for (i, ev) in batch.iter().enumerate() {
             assert_eq!(ev.color(), Color::new(i as u16), "FIFO order");
         }
         assert!(inbox.is_empty());
         assert_eq!(inbox.total_pushes(), 10);
-        assert!(inbox.drain().is_empty());
+        assert!(drain(&inbox).is_empty());
+    }
+
+    #[test]
+    fn a_refused_push_hands_the_event_back_and_counts() {
+        let inbox = InjectionInbox::new();
+        let back = inbox
+            .push_if(Event::new(Color::DEFAULT, 7), || false)
+            .expect_err("refused");
+        assert_eq!(back.cost(), 7);
+        assert!(inbox.is_empty());
+        assert!(inbox.push_if(back, || true).is_ok());
+        assert_eq!(inbox.len(), 1);
+        assert_eq!((inbox.total_pushes(), inbox.total_refusals()), (1, 1));
     }
 
     #[test]
@@ -216,7 +251,7 @@ mod tests {
         let mut seen = vec![Vec::new(); producers as usize];
         let mut total = 0u64;
         while total < per * u64::from(producers) {
-            for ev in inbox.drain() {
+            for ev in drain(&inbox) {
                 seen[ev.color().value() as usize].push(ev.cost());
                 total += 1;
             }
@@ -291,7 +326,7 @@ mod tests {
                 inbox.push(Event::new(Color::DEFAULT, expected));
                 expected += 1;
             }
-            let batch = inbox.drain();
+            let batch = drain(&inbox);
             assert_eq!(batch.len() as u64, n);
             let base = expected - n;
             for (i, ev) in batch.iter().enumerate() {

@@ -27,23 +27,28 @@
 //!
 //! One deliberate *extension* beyond the paper's implementation:
 //!
-//! - **Injection inboxes.** External producers (a cloned
-//!   [`Injector`], the timer heap, the load-generation layers) do
-//!   not take the destination core's spinlock per event; they push onto
-//!   the core's [`InjectionInbox`] — a lock and a `Vec`, whose empty
-//!   check takes no lock — and the core merges the whole backlog into
-//!   its queue under a single lock acquisition at dispatch-loop
-//!   boundaries. The color invariant is preserved because the drain
-//!   re-checks the color map under the core's own lock (exactly the
-//!   guarantee the two-lock migration relies on) and re-routes any
-//!   event whose color has been stolen in the meantime. See [`inbox`]
-//!   for the data structure and [`Injector::inject_locked`] for the
-//!   legacy per-event-lock path (kept for benchmarking the
-//!   difference). The steady-state dispatch path is allocation-free
-//!   end to end: each worker swaps one retained drain buffer with its
-//!   inbox's, and the Mely queue pools freed color-queue buffers
-//!   (surfaced as the `inbox_node_reuse` / `queue_buf_reuse` counters
-//!   in [`CoreMetrics`]).
+//! - **One door into a core.** In the paper, a core registering an
+//!   event takes the target core's spinlock. Here every event bound
+//!   for a core — an [`Injector`] call, a timer firing,
+//!   `Executor::register`, another core's route — enters through the
+//!   core's [`InjectionInbox`] (`Shared::hand_off`): a lock and a
+//!   `Vec`, whose empty check takes no lock, merged whole into the
+//!   queue under one acquisition of the queue lock at dispatch-loop
+//!   boundaries. The one exception is a worker routing an event of a
+//!   color its own core owns: it pushes into its own queue under its
+//!   own lock, with the owner re-checked under that lock. A core's
+//!   queue lock is thus taken only by its own worker (pop, drain,
+//!   own-color route), by a thief's `migrate`, which holds both the
+//!   victim's and its own, and by `run` after the join. The push
+//!   re-checks the color's owner under the inbox lock and the owner
+//!   drains under its queue lock, so an inbox only holds colors its
+//!   core owns and a drain re-routes nothing; [`inbox`] has the
+//!   argument for per-color FIFO across steals. The steady-state
+//!   dispatch path is allocation-free end to end: each worker swaps
+//!   one retained drain buffer with its inbox's, and the Mely queue
+//!   pools freed color-queue buffers (surfaced as the
+//!   `inbox_node_reuse` / `queue_buf_reuse` counters in
+//!   [`CoreMetrics`]).
 
 pub mod inbox;
 
@@ -88,8 +93,9 @@ const EVENT_MASK: u64 = KEEPALIVE_UNIT - 1;
 
 struct CoreShared {
     queue: SpinLock<QueueImpl>,
-    /// MPSC inbox for cross-thread producers; drained by this core's
-    /// worker at dispatch-loop boundaries.
+    /// Where every event bound for this core enters, but the worker's
+    /// own-color routes; drained by this core's worker at dispatch-loop
+    /// boundaries.
     inbox: InjectionInbox,
     /// Color currently executing on this core (`NO_COLOR` when none).
     in_flight: AtomicU32,
@@ -159,50 +165,36 @@ impl Shared {
         }
     }
 
-    /// Routes an event to the core currently owning its color, taking
-    /// that core's spinlock. Retries if a concurrent steal moves the
-    /// color between lookup and lock. This is the *direct* path, used by
-    /// worker threads themselves (handler registrations, inbox-drain
-    /// re-routes) and by [`Injector::inject_locked`].
-    fn route(&self, mut ev: Event) {
-        self.prepare(&mut ev);
-        self.route_prepared(ev);
+    /// Whether `core` owns `color` now; claims nothing.
+    fn owns(&self, core: u32, color: Color) -> bool {
+        self.color_owner[color.value() as usize].load(Ordering::Acquire) == core
     }
 
-    /// [`Shared::route`] for an event whose metadata is already prepared.
-    fn route_prepared(&self, ev: Event) {
-        let slot = ev.color().value() as usize;
+    /// The one door into a core: pushes a prepared event into the
+    /// inbox of the core owning its color. The push re-checks the owner
+    /// under the inbox lock and, refused because a steal moved the
+    /// color in between, retries on the new owner.
+    fn hand_off(&self, mut ev: Event) {
+        let color = ev.color();
         loop {
-            let owner = self.owner_of(ev.color());
-            let core = &self.cores[owner as usize];
-            let mut q = core.queue.lock();
-            // Re-check under the lock: a steal may have moved the color.
-            if self.color_owner[slot].load(Ordering::Acquire) == owner {
-                q.push(ev);
-                core.len_hint.store(q.len(), Ordering::Relaxed);
-                return;
+            let owner = self.owner_of(color);
+            let still_owner = || self.owns(owner, color);
+            match self.cores[owner as usize].inbox.push_if(ev, still_owner) {
+                Ok(()) => return,
+                Err(refused) => ev = refused,
             }
         }
     }
 
-    /// Hands an event to the owning core's inbox instead of taking its
-    /// spinlock. If a steal moves the color before the core
-    /// drains, the drain re-routes through the color map, so the color
-    /// invariant holds either way.
-    fn inject(&self, mut ev: Event) {
-        self.prepare(&mut ev);
-        let owner = self.owner_of(ev.color());
-        self.cores[owner as usize].inbox.push(ev);
+    /// Counts a new event as outstanding and fills in its metadata.
+    fn count_and_prepare(&self, ev: &mut Event) {
+        self.outstanding.fetch_add(1, Ordering::AcqRel);
+        self.prepare(ev);
     }
 
-    fn register(&self, ev: Event) {
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.route(ev);
-    }
-
-    fn register_injected(&self, ev: Event) {
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.inject(ev);
+    fn register(&self, mut ev: Event) {
+        self.count_and_prepare(&mut ev);
+        self.hand_off(ev);
     }
 
     fn register_after(&self, delay: u64, event: Event) {
@@ -264,7 +256,7 @@ impl Door for Shared {
             (core.load_estimate() as u64, core.inbox.len() as u64)
         })?;
         match delay {
-            None => self.register_injected(ev),
+            None => self.register(ev),
             Some(delay) => self.register_after(delay, ev),
         }
         Ok(())
@@ -428,6 +420,7 @@ impl Executor for ThreadedRuntime {
         // buffer-pool counters live in the (now idle) queue itself.
         for (m, core) in per_core.iter_mut().zip(&self.shared.cores) {
             m.inbox_pushes = core.inbox.total_pushes();
+            m.inbox_rerouted = core.inbox.total_refusals();
             m.inbox_node_reuse = core.inbox.total_node_reuses();
             let mut q = core.queue.lock();
             m.registered = q.take_pushes();
@@ -452,17 +445,15 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         // per worker even though cross-worker interleaving is not.
         fault_rng: shared.cfg.faults.plan.map(|p| p.worker_rng(me)),
         steal_bufs: StealBufs::default(),
+        inbox_batch: Vec::new(),
     };
     let mut idle_spins: u32 = 0;
-    // Reused across iterations so steady-state inbox drains never
-    // allocate: each drain swaps it with the inbox's buffer.
-    let mut inbox_batch: Vec<Event> = Vec::new();
     loop {
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
         drain_timers(shared);
-        drain_inbox(shared, me, &mut inbox_batch, &mut w.m);
+        w.drain_inbox();
         if kernel::turn(&mut w) == Turn::Ran {
             idle_spins = 0;
             continue;
@@ -487,50 +478,9 @@ fn drain_timers(shared: &Shared) {
     };
     let now = cycles::now();
     while timers.peek().is_some_and(|Reverse(t)| t.due <= now) {
-        let Reverse(t) = timers.pop().expect("peeked");
-        // Timer firings are cross-thread producers like any other: they
-        // go through the owning core's inbox, not its spinlock.
-        shared.inject(t.event);
-    }
-}
-
-/// Merges everything buffered in `me`'s inbox into its queue under a
-/// single lock acquisition. Events whose color has been stolen since the
-/// producer looked up the owner are re-routed through the color map —
-/// the same discipline the two-lock migration enforces, so an event's
-/// color is never executable on two cores.
-fn drain_inbox(shared: &Shared, me: usize, batch: &mut Vec<Event>, m: &mut CoreMetrics) {
-    let core = &shared.cores[me];
-    debug_assert!(batch.is_empty(), "caller hands the buffer back empty");
-    if core.inbox.drain_into(batch) == 0 {
-        return;
-    }
-    m.inbox_drain_batches += 1;
-    m.inbox_drained += batch.len() as u64;
-    let mut strays = Vec::new();
-    {
-        let mut q = core.queue.lock();
-        m.lock_wait_cycles += q.waited_cycles();
-        m.lock_ops += 1;
-        for ev in batch.drain(..) {
-            let slot = ev.color().value() as usize;
-            // Owner re-check under our own lock: a steal moving a color
-            // in or out of this core needs this lock, so owner == me is
-            // stable for the rest of the critical section.
-            if shared.color_owner[slot].load(Ordering::Acquire) == me as u32 {
-                q.push(ev);
-            } else {
-                strays.push(ev);
-            }
-        }
-        core.len_hint.store(q.len(), Ordering::Relaxed);
-    }
-    // Stolen-away colors take the locked routing path (with its own
-    // owner re-check loop); they are rare — one steal must have raced
-    // the producer — so the per-event lock cost does not matter here.
-    m.inbox_rerouted += strays.len() as u64;
-    for ev in strays {
-        shared.route_prepared(ev);
+        let Reverse(mut t) = timers.pop().expect("peeked");
+        shared.prepare(&mut t.event);
+        shared.hand_off(t.event);
     }
 }
 
@@ -543,6 +493,43 @@ struct Worker<'a> {
     m: CoreMetrics,
     fault_rng: Option<ScheduleRng>,
     steal_bufs: StealBufs,
+    /// Reused across drains so steady-state inbox drains never
+    /// allocate: each drain swaps it with the inbox's buffer.
+    inbox_batch: Vec<Event>,
+}
+
+impl Worker<'_> {
+    /// Appends `core`'s inbox backlog to `inbox_batch` and counts the
+    /// drain. The caller holds `core`'s queue lock.
+    fn take_inbox(&mut self, core: usize) {
+        let n = self.shared.cores[core]
+            .inbox
+            .drain_into(&mut self.inbox_batch);
+        if n != 0 {
+            self.m.inbox_drain_batches += 1;
+            self.m.inbox_drained += n as u64;
+        }
+    }
+
+    /// Merges this core's inbox into its queue under one acquisition of
+    /// the queue lock. A thief moves a color only while holding that
+    /// lock, so every event drained is still this core's to queue.
+    fn drain_inbox(&mut self) {
+        let (shared, me) = (self.shared, self.me);
+        let core = &shared.cores[me];
+        if core.inbox.is_empty() {
+            return;
+        }
+        let mut q = core.queue.lock();
+        self.m.lock_wait_cycles += q.waited_cycles();
+        self.m.lock_ops += 1;
+        self.take_inbox(me);
+        for ev in self.inbox_batch.drain(..) {
+            debug_assert!(shared.owns(me as u32, ev.color()), "foreign color");
+            q.push(ev);
+        }
+        core.len_hint.store(q.len(), Ordering::Relaxed);
+    }
 }
 
 impl CoreEnv for Worker<'_> {
@@ -601,8 +588,22 @@ impl CoreEnv for Worker<'_> {
         self.shared.register_after(delay, ev);
     }
 
-    fn route(&mut self, ev: Event) {
-        self.shared.register(ev);
+    /// A color this core owns is pushed under its own lock, where the
+    /// owner is stable: a thief needs the lock to move it. Everything
+    /// else goes through the owner's inbox.
+    fn route(&mut self, mut ev: Event) {
+        let (shared, me) = (self.shared, self.me as u32);
+        shared.count_and_prepare(&mut ev);
+        if shared.owner_of(ev.color()) == me {
+            let core = &shared.cores[self.me];
+            let mut q = core.queue.lock();
+            if shared.owns(me, ev.color()) {
+                q.push(ev);
+                core.len_hint.store(q.len(), Ordering::Relaxed);
+                return;
+            }
+        }
+        shared.hand_off(ev);
     }
 
     fn request_stop(&mut self) {
@@ -656,39 +657,22 @@ impl CoreEnv for Worker<'_> {
             gm.steal_absorb(set);
         }
 
-        // Rescue the victim's inbox backlog while both locks are held.
-        // Events of the just-stolen color would otherwise strand in the
-        // victim's inbox until its next drain — by which time newer
-        // events of that color may already have run here, inverting
-        // per-producer order. Draining concurrently with the victim is
-        // safe (the inbox lock hands each event to exactly one drain);
-        // placement re-checks the color map under the locks we hold.
-        let backlog = shared.cores[v].inbox.drain();
-        if !backlog.is_empty() {
-            self.m.inbox_drain_batches += 1;
-            self.m.inbox_drained += backlog.len() as u64;
-            for ev in backlog {
-                let slot = ev.color().value() as usize;
-                let owner = shared.color_owner[slot].load(Ordering::Acquire);
-                if owner == me as u32 {
-                    // The stolen color (or one we already own): goes
-                    // after the just-migrated events, preserving
-                    // producer order.
-                    gm.push(ev);
-                } else if owner == v as u32 {
-                    gv.push(ev);
-                } else if (owner as usize) < shared.cores.len() {
-                    // A third core owns it (an earlier racing steal);
-                    // hand the event to that core's inbox.
-                    self.m.inbox_rerouted += 1;
-                    shared.cores[owner as usize].inbox.push(ev);
-                } else {
-                    // Unclaimed colors cannot normally reach an inbox
-                    // (inject claims an owner before pushing); keep the
-                    // event with the victim and claim the color for it.
-                    shared.color_owner[slot].store(v as u32, Ordering::Release);
-                    gv.push(ev);
-                }
+        // Drain both inboxes while both locks are held. The victim's:
+        // a push of a stolen color either came before this drain and
+        // queues behind the migrated events here, or comes after it and
+        // sees the new owner. Ours: a stolen color's handlers may have
+        // routed events here while they ran on the victim, and those
+        // must queue before what the same handlers route here directly
+        // from now on. Each inbox holds only colors its core owned, so
+        // every event is now either ours or still the victim's.
+        self.take_inbox(v);
+        self.take_inbox(me);
+        for ev in self.inbox_batch.drain(..) {
+            if shared.owns(me as u32, ev.color()) {
+                gm.push(ev);
+            } else {
+                debug_assert!(shared.owns(v as u32, ev.color()), "foreign color");
+                gv.push(ev);
             }
         }
 
@@ -855,13 +839,18 @@ mod tests {
         for i in 0..4u16 {
             rt.register_pinned(Event::new(Color::new(i + 1), 0), 0);
         }
-        let mut thief = Worker {
+        let worker = |me| Worker {
             shared: &rt.shared,
-            me: 1,
+            me,
             m: CoreMetrics::default(),
             fault_rng: None,
             steal_bufs: StealBufs::default(),
+            inbox_batch: Vec::new(),
         };
+        // The registrations wait in core 0's inbox until its worker
+        // queues them.
+        worker(0).drain_inbox();
+        let mut thief = worker(1);
         // Each turn of the idle thief steals one color and runs it.
         assert_eq!(kernel::turn(&mut thief), Turn::Ran);
         assert_eq!(thief.m.steals, 1);
@@ -970,30 +959,34 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_inbox_injection_paths_agree() {
-        let mut rt = rt(Flavor::Libasync, WsPolicy::base(), 2);
-        rt.register(Event::new(Color::new(1), 0).with_action(|ctx| {
-            ctx.register_after(50_000_000, Event::new(Color::new(1), 0));
-        }));
-        let handle = rt.injector();
-        let injector = std::thread::spawn(move || {
-            for i in 0..40u16 {
-                let ev = Event::new(Color::new(i % 8 + 10), 0);
-                if i % 2 == 0 {
-                    handle.inject(ev);
-                } else {
-                    handle.inject_locked(ev);
+    fn a_route_to_a_color_another_core_owns_enters_through_its_inbox() {
+        const N: u64 = 200;
+        let mut rt = rt(Flavor::Mely, WsPolicy::off(), 2);
+        let target = Color::new(2);
+        // The seed pins the target color to core 1.
+        rt.register_pinned(Event::new(target, 0), 1);
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&ran);
+        rt.register_pinned(
+            Event::new(Color::new(3), 0).with_action(move |ctx| {
+                assert_eq!(ctx.core(), 0);
+                for i in 0..N {
+                    let log = Arc::clone(&log);
+                    ctx.register(Event::new(target, i).with_action(move |ctx| {
+                        log.lock().push((ctx.core(), i));
+                    }));
                 }
-            }
-        });
+            }),
+            0,
+        );
         let r = rt.run();
-        injector.join().unwrap();
-        assert_eq!(r.events_processed(), 42);
-        assert!(r.total().inbox_pushes >= 20, "inbox path used for half");
+        assert_eq!(r.events_processed(), N + 2);
+        let expected: Vec<_> = (0..N).map(|i| (1, i)).collect();
+        assert_eq!(*ran.lock(), expected, "on core 1, in emission order");
+        assert!(r.per_core()[1].inbox_pushes >= N, "{:?}", r.per_core()[1]);
     }
 
-    // The inject/inject_locked/inject_after trio is pinned by the
-    // consolidated test
+    // The inject/inject_after pair is pinned by the consolidated test
     // `runtime::tests::removed_aliases_have_working_replacements`.
 
     #[test]

@@ -8,9 +8,7 @@
 //! *external* producer in the sense of the injection architecture — its
 //! registrations go through the owning core's inbox on the
 //! threaded executor (and the run-loop mailbox on the simulator) and
-//! never contend on a dispatch spinlock ([`InjectMode::Inbox`]), unless
-//! the caller explicitly asks for the legacy per-event-lock path
-//! ([`InjectMode::DirectLock`], kept for measuring the difference).
+//! never contend on a dispatch spinlock.
 //!
 //! # Examples
 //!
@@ -60,24 +58,19 @@ use rand::distributions::{Distribution, Pareto, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Which injection path the producers use.
+/// Which load the producers offer; both go through [`Injector::inject`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InjectMode {
-    /// Push through the owning core's inbox
-    /// ([`Injector::inject`]) — the default and the fast path.
+    /// Uniform load: colors cycle through each producer's range and
+    /// every event costs [`InjectorConfig::cost`] — the default.
     #[default]
     Inbox,
-    /// Take the owning core's spinlock per event
-    /// ([`Injector::inject_locked`]) — the pre-inbox behavior, kept so
-    /// benchmarks can quantify the contention it causes (identical to
-    /// `Inbox` on the simulator).
-    DirectLock,
-    /// Heavy-tailed load through the inbox path: colors drawn from a
-    /// Zipf(s = 1) distribution over each producer's color range (a few
-    /// hot colors take most of the traffic) and per-event cost drawn
-    /// from a Pareto(shape = 1.5) distribution with
-    /// [`InjectorConfig::cost`] as its scale (minimum). Deterministic
-    /// per producer — the overload benchmarks' request mix.
+    /// Heavy-tailed load: colors drawn from a Zipf(s = 1) distribution
+    /// over each producer's color range (a few hot colors take most of
+    /// the traffic) and per-event cost drawn from a Pareto(shape = 1.5)
+    /// distribution with [`InjectorConfig::cost`] as its scale
+    /// (minimum). Deterministic per producer — the overload benchmarks'
+    /// request mix.
     HeavyTail,
 }
 
@@ -94,7 +87,7 @@ pub struct InjectorConfig {
     pub colors: u16,
     /// Cost of each event, in cycles: declared, and burned by its body.
     pub cost: u64,
-    /// Injection path.
+    /// Load shape.
     pub mode: InjectMode,
 }
 
@@ -202,9 +195,7 @@ impl InjectorPool {
             // fully-serializing default color 0).
             let base = 1 + p as u64 * u64::from(cfg.colors);
             let (color, cost) = match cfg.mode {
-                InjectMode::Inbox | InjectMode::DirectLock => {
-                    (base + i % u64::from(cfg.colors), cfg.cost)
-                }
+                InjectMode::Inbox => (base + i % u64::from(cfg.colors), cfg.cost),
                 InjectMode::HeavyTail => {
                     let mut rng =
                         StdRng::seed_from_u64(((p as u64) << 32) ^ i ^ 0x9E37_79B9_7F4A_7C15);
@@ -217,11 +208,7 @@ impl InjectorPool {
             // The body burns what the event declares: no executor
             // manufactures service time for a synthetic load.
             let ev = Event::new(Color::new(color as u16), cost);
-            let ev = ev.with_action(move |_| cycles::spin(cost));
-            match cfg.mode {
-                InjectMode::Inbox | InjectMode::HeavyTail => injector.inject(ev),
-                InjectMode::DirectLock => injector.inject_locked(ev),
-            }
+            injector.inject(ev.with_action(move |_| cycles::spin(cost)));
         })
     }
 
@@ -372,12 +359,6 @@ mod tests {
         let r = run_with_pool(ExecKind::Threaded, InjectMode::Inbox);
         assert!(r.events_processed() >= 1_500);
         assert!(r.total().inbox_pushes >= 1_500, "inbox path must be used");
-    }
-
-    #[test]
-    fn direct_pool_injects_everything() {
-        let r = run_with_pool(ExecKind::Threaded, InjectMode::DirectLock);
-        assert!(r.events_processed() >= 1_500);
     }
 
     #[test]

@@ -302,7 +302,7 @@ fn quarantined_color_rejects_subsequent_admission() {
         assert_eq!(report.events_processed(), 1, "{kind}");
         // Post-quarantine, every producer entry point refuses the color
         // with one ledger on both executors: the fallible twins return
-        // the typed reason and count a reject each, the infallible three
+        // the typed reason and count a reject each, the infallible two
         // count a reject plus a shed each.
         let inj = rt.injector();
         let ran = Arc::new(AtomicU64::new(0));
@@ -320,7 +320,6 @@ fn quarantined_color_rejects_subsequent_admission() {
             assert_eq!(err.reason, OverloadReason::Quarantined, "{kind}");
         }
         inj.inject(probe(bad));
-        inj.inject_locked(probe(bad));
         inj.inject_after(1_000, probe(bad));
         assert_eq!(inj.outstanding(), 0, "{kind}: nothing was queued");
         // The healthy color still admits.
@@ -329,7 +328,7 @@ fn quarantined_color_rejects_subsequent_admission() {
         let t = rt.run().total();
         assert_eq!(
             (t.admission_rejects, t.shed_requests, t.shed_by_fault),
-            (5, 3, 3),
+            (4, 2, 2),
             "{kind}"
         );
         assert_eq!(ran.load(Ordering::SeqCst), 1, "{kind}: only color 9 ran");
