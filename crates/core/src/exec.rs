@@ -10,12 +10,11 @@
 //!
 //! Three abstractions:
 //!
-//! - [`Executor`] — the runtime surface every executor implements:
-//!   handler registration, dataset allocation, event registration,
-//!   injector acquisition and [`Executor::run`]. Implemented by the
-//!   two crate-private executors and by [`Runtime`], the one public
-//!   executor type, which [`crate::runtime::RuntimeBuilder::build`]
-//!   returns.
+//! - [`Executor`] — the runtime surface: handler registration, dataset
+//!   allocation, event registration, injector acquisition and
+//!   [`Executor::run`]. Implemented by [`Runtime`], the one executor
+//!   type, which [`crate::runtime::RuntimeBuilder::build`] returns
+//!   holding either crate-private executor.
 //! - [`Service`] — an application bundle (handler specs, initial
 //!   events, and event actions dispatching on [`crate::ctx::Ctx`]).
 //!   `rt.install(MyService)` works identically on both executors; the
@@ -29,6 +28,10 @@
 //!   iteration boundaries, so external-producer code is also written
 //!   once.
 //!
+//! Both executors keep color ownership in one `ColorMap` (with the pin
+//! rule) and whether a run goes on in one `Liveness` record (unexecuted
+//! events, keepalive tokens, the stop request).
+//!
 //! # Injection semantics (the unified naming)
 //!
 //! The injection surface is the admission boundary of the runtime's
@@ -37,8 +40,7 @@
 //! [`Overload`] to the caller. The full four-way table (plus twins)
 //! lives on [`Injector`]. Each executor offers only a primitive
 //! admit-and-enqueue; the shed path, the fallible twins and the
-//! reject/shed accounting are written once on top of it, in this
-//! module.
+//! reject/shed accounting are written once on top of it.
 //!
 //! # Examples
 //!
@@ -69,17 +71,19 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionCtl, Overload, OverloadReason};
-use crate::dataset::DataSetRef;
+use crate::color::{Color, COLOR_SPACE};
+use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
 use crate::handler::{HandlerId, HandlerSpec};
 use crate::metrics::RunReport;
 use crate::runtime::{Flavor, Resolved};
+use crate::sim::SimRuntime;
 use crate::steal::WsPolicy;
 use crate::threaded;
 
@@ -159,6 +163,14 @@ pub trait Executor {
     /// Registers an event and pins its color to `core`, overriding the
     /// hash dispatch — how the microbenchmarks create their initial
     /// imbalance.
+    ///
+    /// A color lives on one core, so the pin moves a color only if it
+    /// has no owner yet, is `core`'s already, or nothing holds it on its
+    /// owner: no event queued there nor, on threads, in its inbox.
+    /// Otherwise the event goes to the owner, and `refused_pins` counts
+    /// one. Armed timers and simulator mailbox entries hold nothing:
+    /// they go to whoever owns the color at delivery. No handler is in
+    /// flight while this borrows the executor.
     ///
     /// # Panics
     ///
@@ -277,6 +289,160 @@ pub(crate) fn enqueue_or_shed<D: Door>(door: &D, delay: Option<u64>, ev: Event) 
     }
 }
 
+const NO_OWNER: u32 = u32::MAX;
+
+/// Which core owns each color, for both executors: claimed by its home
+/// core when an event first needs an owner, moved whole by a steal or
+/// by a pin.
+pub(crate) struct ColorMap {
+    owners: Box<[AtomicU32]>,
+    cores: usize,
+    /// Pins the pin rule refused (`CoreMetrics::refused_pins`).
+    pub(crate) refused_pins: AtomicU64,
+}
+
+impl ColorMap {
+    pub(crate) fn new(cores: usize) -> Self {
+        ColorMap {
+            owners: (0..COLOR_SPACE).map(|_| AtomicU32::new(NO_OWNER)).collect(),
+            cores,
+            refused_pins: AtomicU64::new(0),
+        }
+    }
+
+    /// The color's current owner, claiming the color's home core for it
+    /// if nobody owns it yet.
+    pub(crate) fn owner_of(&self, color: Color) -> usize {
+        let slot = &self.owners[color.value() as usize];
+        let owner = slot.load(Ordering::Acquire);
+        if owner != NO_OWNER {
+            return owner as usize;
+        }
+        let home = color.home_core(self.cores) as u32;
+        // A racing claim may win; its core is the owner then.
+        let claim = slot.compare_exchange(NO_OWNER, home, Ordering::AcqRel, Ordering::Acquire);
+        claim.err().unwrap_or(home) as usize
+    }
+
+    /// Whether `core` owns `color` now; claims nothing.
+    pub(crate) fn owns(&self, core: usize, color: Color) -> bool {
+        self.owners[color.value() as usize].load(Ordering::Acquire) == core as u32
+    }
+
+    /// A steal moved `color`'s whole queue to `thief`.
+    pub(crate) fn moved(&self, color: Color, thief: usize) {
+        self.owners[color.value() as usize].store(thief as u32, Ordering::Release);
+    }
+
+    /// The pin rule of [`Executor::register_pinned`]. `vacant(owner)`
+    /// says whether nothing holds the color on its owner, and its `Some`
+    /// keeps it so until the move.
+    pub(crate) fn pin<G>(
+        &self,
+        color: Color,
+        core: usize,
+        vacant: impl FnOnce(usize) -> Option<G>,
+    ) {
+        let slot = &self.owners[color.value() as usize];
+        let claim =
+            slot.compare_exchange(NO_OWNER, core as u32, Ordering::AcqRel, Ordering::Acquire);
+        let owner = match claim {
+            Err(owner) if owner as usize != core => owner as usize,
+            _ => return, // claimed just now, or `core`'s already
+        };
+        let Some(_still_vacant) = vacant(owner) else {
+            self.refused_pins.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        slot.store(core as u32, Ordering::Release);
+    }
+}
+
+/// One [`KeepAlive`] token in [`Liveness::count`]: tokens in the high
+/// bits and events in the low 48, so one load reads both consistently.
+const TOKEN: u64 = 1 << 48;
+
+/// What ended an [`Injector::stop_when_idle`] wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdleWait {
+    /// Every registered event had executed; the wait requested the stop.
+    Drained,
+    /// A stop was requested ([`Injector::stop`],
+    /// [`crate::ctx::Ctx::stop_runtime`]).
+    Stopped,
+    /// A threaded worker died, which stops its run.
+    WorkerDied,
+    /// The run in progress when the wait began ended.
+    RunEnded,
+}
+
+/// Whether a run goes on, for both executors and their [`Injector`]s:
+/// the events not executed yet, the [`KeepAlive`] tokens, the one stop
+/// request, worker deaths and run ends.
+#[derive(Debug, Default)]
+pub(crate) struct Liveness {
+    /// Events registered, armed as timers or pushed to the simulator's
+    /// mailbox and not executed yet, plus [`TOKEN`]s.
+    count: AtomicU64,
+    /// Bit 0: a stop is requested. Above it: stops consumed by runs, so
+    /// that a waiter sees a stop even once it is consumed.
+    stop: AtomicU64,
+    /// Bit 0: a run is in progress. Above it: runs ended.
+    runs: AtomicU64,
+    deaths: AtomicU64,
+}
+
+impl Liveness {
+    pub(crate) fn add_event(&self) {
+        self.count.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// One event dispatched, whatever became of it.
+    pub(crate) fn event_done(&self) {
+        self.count.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// No event to execute and no [`KeepAlive`] token.
+    pub(crate) fn idle(&self) -> bool {
+        self.count.load(Ordering::Acquire) == 0
+    }
+
+    pub(crate) fn request_stop(&self) {
+        self.stop.fetch_or(1, Ordering::AcqRel);
+    }
+
+    pub(crate) fn stop_requested(&self) -> bool {
+        self.stop.load(Ordering::Acquire) & 1 != 0
+    }
+
+    /// The events a dead worker held can no longer run: its run stops.
+    pub(crate) fn worker_died(&self) {
+        self.deaths.fetch_add(1, Ordering::AcqRel);
+        self.request_stop();
+    }
+
+    /// A run is in progress until the guard drops, also by unwinding;
+    /// the drop consumes the stop request, so that the next run goes on.
+    pub(crate) fn run(self: &Arc<Self>) -> Running {
+        self.runs.fetch_add(1, Ordering::AcqRel);
+        Running(Arc::clone(self))
+    }
+}
+
+/// A run in progress ([`Liveness::run`]).
+pub(crate) struct Running(Arc<Liveness>);
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        // Adding 1 to a set bit 0 clears it and counts one stop consumed;
+        // no one else clears it.
+        if self.0.stop_requested() {
+            self.0.stop.fetch_add(1, Ordering::AcqRel);
+        }
+        self.0.runs.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
 /// The simulator's external-producer mailbox: a mutex-protected buffer
 /// the run loop drains at iteration boundaries, giving [`Injector`]s a
 /// target on an executor that is otherwise single-threaded.
@@ -291,24 +457,14 @@ pub(crate) struct SimMailbox {
     /// Buffered entries: `(None, ev)` is immediate, `(Some(delay), ev)`
     /// arms a timer.
     queue: Mutex<Vec<(Option<u64>, Event)>>,
-    /// Entries pushed but not yet drained by the run loop.
+    /// Entries pushed but not yet drained by the run loop: the backlog
+    /// admission checks, and what [`SimMailbox::has_buffered`] reads.
     buffered: AtomicU64,
-    /// Live keepalive guards: the run loop does not exit while nonzero.
-    keepalive: AtomicU64,
-    /// Hard-stop request ([`Injector::stop`]).
-    stop: AtomicBool,
-    /// Whether the simulated machine has nothing left to execute
-    /// (queues and timers empty). Maintained by the run loop; starts
-    /// `true` (an unstarted machine is empty). Lets
-    /// [`Injector::stop_when_idle`] wait for *execution*, not just
-    /// absorption — the same contract as the threaded executor's
-    /// outstanding-event count.
-    idle: AtomicBool,
-    /// Shared with the run loop: the admission limits and counters, the
-    /// quarantine set (injection into a quarantined color is refused at
-    /// this boundary so producers see the failure instead of feeding a
-    /// drain) and the core count behind the per-core check's home-core
-    /// dispatch estimate.
+    /// The simulator's liveness record: a push counts its event there.
+    pub(crate) life: Arc<Liveness>,
+    /// Shared with the run loop: the admission limits and counters, and
+    /// the quarantine set (a quarantined color is refused here, where
+    /// producers see it, rather than drained).
     cfg: Arc<Resolved>,
     /// Per-core queue lengths as last published by the run loop; empty
     /// unless a per-core limit is configured. An approximation for
@@ -328,17 +484,16 @@ impl SimMailbox {
         SimMailbox {
             queue: Mutex::new(Vec::new()),
             buffered: AtomicU64::new(0),
-            keepalive: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            idle: AtomicBool::new(true),
+            life: Arc::default(),
             cfg,
             core_occupancy: occ.into_boxed_slice(),
         }
     }
 
     fn push_raw(&self, delay: Option<u64>, ev: Event) {
-        // Count before publishing so `outstanding` never under-reports
-        // (the symmetric discipline to the threaded inbox's counter).
+        // Count before publishing, so that neither count ever
+        // under-reports.
+        self.life.add_event();
         self.buffered.fetch_add(1, Ordering::AcqRel);
         self.queue.lock().push((delay, ev));
     }
@@ -358,66 +513,13 @@ impl SimMailbox {
         self.buffered.load(Ordering::Acquire) > 0
     }
 
-    /// Takes the whole backlog. Called by the sim run loop.
+    /// Takes the whole backlog. Called by the sim run loop once
+    /// [`SimMailbox::has_buffered`].
     pub(crate) fn drain(&self) -> Vec<(Option<u64>, Event)> {
-        if self.buffered.load(Ordering::Acquire) == 0 {
-            return Vec::new();
-        }
         let batch = std::mem::take(&mut *self.queue.lock());
-        // Busy before the count drops: otherwise `stop_when_idle` can
-        // observe "nothing buffered, machine idle" between this drain
-        // and the run loop queueing the batch, and stop a run that has
-        // not executed it yet.
-        self.set_machine_idle(false);
         self.buffered
             .fetch_sub(batch.len() as u64, Ordering::AcqRel);
         batch
-    }
-
-    /// Whether the run loop must keep spinning with an empty machine.
-    pub(crate) fn holds_open(&self) -> bool {
-        self.keepalive.load(Ordering::Acquire) > 0 || self.buffered.load(Ordering::Acquire) > 0
-    }
-
-    pub(crate) fn clear_stop(&self) {
-        self.stop.store(false, Ordering::Release);
-    }
-
-    /// Run-loop bookkeeping for the machine-idle flag (see the `idle`
-    /// field).
-    pub(crate) fn set_machine_idle(&self, idle: bool) {
-        self.idle.store(idle, Ordering::Release);
-    }
-
-    fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Whether a stop has been requested.
-    pub(crate) fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
-    /// Entries pushed but not yet absorbed by the run loop.
-    fn outstanding(&self) -> u64 {
-        self.buffered.load(Ordering::Acquire)
-    }
-
-    fn keepalive(self: &Arc<Self>) -> KeepAlive {
-        self.keepalive.fetch_add(1, Ordering::AcqRel);
-        let m = Arc::clone(self);
-        KeepAlive::new(move || {
-            m.keepalive.fetch_sub(1, Ordering::AcqRel);
-        })
-    }
-
-    /// Waits for the mailbox to drain *and* the simulated machine to go
-    /// idle (queues and timers empty), then stops.
-    fn stop_when_idle(&self) {
-        while self.outstanding() > 0 || !self.idle.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
-        self.stop();
     }
 }
 
@@ -428,7 +530,7 @@ impl Door for SimMailbox {
 
     fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), Overload> {
         let cfg = &*self.cfg;
-        if self.stopped() {
+        if self.life.stop_requested() {
             // The run loop will never drain again: unconditional reject
             // (reason InboxBacklog — the backlog can only grow).
             return Err(Overload {
@@ -444,7 +546,7 @@ impl Door for SimMailbox {
             let core_occ = self.core_occupancy.get(color.home_core(cfg.cores));
             (
                 core_occ.map_or(0, |occ| u64::from(occ.load(Ordering::Acquire))),
-                self.outstanding(),
+                self.buffered.load(Ordering::Acquire),
             )
         })?;
         self.push_raw(delay, ev);
@@ -456,7 +558,7 @@ impl Door for SimMailbox {
     /// quarantined color's events would only be drained and discarded by
     /// the run loop anyway.
     fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason> {
-        if self.stopped() {
+        if self.life.stop_requested() {
             return Err(OverloadReason::InboxBacklog);
         }
         if self.cfg.faults.is_quarantined(ev.color()) {
@@ -468,7 +570,7 @@ impl Door for SimMailbox {
 }
 
 #[derive(Clone)]
-enum InjectorInner {
+pub(crate) enum InjectorInner {
     Sim(Arc<SimMailbox>),
     Threaded(Arc<threaded::Shared>),
 }
@@ -508,22 +610,10 @@ macro_rules! with_door {
 /// drop + count) instead of buffering forever.
 #[derive(Clone)]
 pub struct Injector {
-    inner: InjectorInner,
+    pub(crate) inner: InjectorInner,
 }
 
 impl Injector {
-    pub(crate) fn for_sim(mailbox: Arc<SimMailbox>) -> Self {
-        Injector {
-            inner: InjectorInner::Sim(mailbox),
-        }
-    }
-
-    pub(crate) fn for_threaded(shared: Arc<threaded::Shared>) -> Self {
-        Injector {
-            inner: InjectorInner::Threaded(shared),
-        }
-    }
-
     /// Which executor this injector feeds.
     pub fn kind(&self) -> ExecKind {
         match &self.inner {
@@ -568,38 +658,71 @@ impl Injector {
         with_door!(self, d => admit_or_report(&**d, Some(delay), ev))
     }
 
-    /// Asks the executor to stop at the next opportunity; events still
-    /// queued may not execute (the usual producer/stop race).
-    pub fn stop(&self) {
-        with_door!(self, d => d.stop())
+    fn life(&self) -> &Arc<Liveness> {
+        match &self.inner {
+            InjectorInner::Sim(mailbox) => &mailbox.life,
+            InjectorInner::Threaded(shared) => &shared.life,
+        }
     }
 
-    /// Events handed to this executor but not yet executed (threaded)
-    /// or not yet absorbed by the run loop (sim). An estimate intended
-    /// for idle checks, not exact accounting.
+    /// Asks the executor to stop at the next opportunity; events still
+    /// queued may not execute (the usual producer/stop race). A run
+    /// consumes the request when it returns.
+    pub fn stop(&self) {
+        self.life().request_stop()
+    }
+
+    /// Events registered but not executed yet, whichever way they came
+    /// in: [`Executor::register`], a handler, a timer or an injector.
+    /// A snapshot for idle checks.
     pub fn outstanding(&self) -> u64 {
-        with_door!(self, d => d.outstanding())
+        self.life().count.load(Ordering::Acquire) % TOKEN
     }
 
     /// Keeps the executor alive while the returned guard lives, even
     /// with no events pending — the idiom for external producers that
-    /// will inject *later*. Without it, the threaded workers exit (and
-    /// the sim run loop returns) the moment everything registered so
-    /// far has executed. Pair with [`Injector::stop_when_idle`].
+    /// will inject *later*. Without it, a run returns the moment
+    /// everything registered so far has executed. Pair with
+    /// [`Injector::stop_when_idle`].
     pub fn keepalive(&self) -> KeepAlive {
-        with_door!(self, d => d.keepalive())
+        let life = self.life();
+        life.count.fetch_add(TOKEN, Ordering::AcqRel);
+        KeepAlive(Arc::clone(life))
     }
 
-    /// Blocks until every registered event has been executed, then
-    /// requests a stop — identical semantics on both executors, so the
-    /// producer idiom `pool.join(); injector.stop_when_idle();
-    /// drop(keepalive);` ports unchanged. On the threaded executor this
-    /// watches the outstanding-event count; on the simulator it waits
-    /// for the mailbox to drain *and* the simulated machine to go idle
-    /// (queues and timers empty). Events injected concurrently with the
-    /// stop may or may not run — the usual producer/stop race.
-    pub fn stop_when_idle(&self) {
-        with_door!(self, d => d.stop_when_idle())
+    /// Blocks until every registered event has executed, then requests
+    /// a stop, so the producer idiom `pool.join();
+    /// injector.stop_when_idle(); drop(keepalive);` ports unchanged
+    /// between executors. Also returns, without requesting anything,
+    /// once a stop is requested, a threaded worker dies, or the run in
+    /// progress at the call ends; the [`IdleWait`] says which. Events
+    /// injected concurrently with the stop may or may not run — the
+    /// usual producer/stop race.
+    pub fn stop_when_idle(&self) -> IdleWait {
+        let life = self.life();
+        let deaths = life.deaths.load(Ordering::Acquire);
+        let stop = life.stop.load(Ordering::Acquire);
+        let runs = life.runs.load(Ordering::Acquire);
+        loop {
+            // Read before the stop: a run consumes its stop, then ends.
+            let ran = life.runs.load(Ordering::Acquire);
+            let now = life.stop.load(Ordering::Acquire);
+            if now & 1 != 0 || now != stop {
+                // A death is counted before it requests its stop.
+                if life.deaths.load(Ordering::Acquire) != deaths {
+                    return IdleWait::WorkerDied;
+                }
+                return IdleWait::Stopped;
+            }
+            if self.outstanding() == 0 {
+                life.request_stop();
+                return IdleWait::Drained;
+            }
+            if runs & 1 != 0 && ran != runs {
+                return IdleWait::RunEnded;
+            }
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -613,34 +736,12 @@ impl fmt::Debug for Injector {
 
 /// RAII guard from [`Injector::keepalive`]; dropping it lets the
 /// executor wind down once no real events remain.
-pub struct KeepAlive {
-    release: Option<Box<dyn FnOnce() + Send>>,
-}
-
-impl KeepAlive {
-    pub(crate) fn new(release: impl FnOnce() + Send + 'static) -> Self {
-        KeepAlive {
-            release: Some(Box::new(release)),
-        }
-    }
-}
+#[derive(Debug)]
+pub struct KeepAlive(Arc<Liveness>);
 
 impl Drop for KeepAlive {
     fn drop(&mut self) {
-        if let Some(release) = self.release.take() {
-            // Guards are held by producer threads precisely so the
-            // runtime outlives them; if such a thread panics, the guard
-            // drops during its unwind, and a release that panicked here
-            // would escalate to a double-panic abort. Contain it: the
-            // counter decrement is the part that must happen.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(release));
-        }
-    }
-}
-
-impl fmt::Debug for KeepAlive {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("KeepAlive")
+        self.0.count.fetch_sub(TOKEN, Ordering::AcqRel);
     }
 }
 
@@ -651,11 +752,31 @@ impl fmt::Debug for KeepAlive {
 /// [`Executor::kind`]; everything an experiment reads back — virtual
 /// time, steals, cache misses — is in the [`RunReport`] that
 /// [`Executor::run`] returns.
-pub struct Runtime(Box<dyn Executor + Send>);
+pub struct Runtime {
+    pub(crate) engine: Engine,
+    pub(crate) datasets: DataSetAlloc,
+}
+
+/// The executor a [`Runtime`] holds; what the two do alike is on
+/// [`Runtime`].
+pub(crate) enum Engine {
+    Sim(Box<SimRuntime>),
+    Threaded(Arc<threaded::Shared>),
+}
+
+/// Evaluates `$body` with `$e` bound to the runtime's executor.
+macro_rules! with_engine {
+    ($engine:expr, $e:ident => $body:expr) => {
+        match $engine {
+            Engine::Sim($e) => $body,
+            Engine::Threaded($e) => $body,
+        }
+    };
+}
 
 impl Runtime {
-    pub(crate) fn new(exec: impl Executor + Send + 'static) -> Self {
-        Runtime(Box::new(exec))
+    fn cfg(&self) -> &Resolved {
+        with_engine!(&self.engine, e => &e.cfg)
     }
 }
 
@@ -671,47 +792,72 @@ impl fmt::Debug for Runtime {
 
 impl Executor for Runtime {
     fn kind(&self) -> ExecKind {
-        self.0.kind()
+        match self.engine {
+            Engine::Sim(_) => ExecKind::Sim,
+            Engine::Threaded(_) => ExecKind::Threaded,
+        }
     }
 
     fn cores(&self) -> usize {
-        self.0.cores()
+        self.cfg().cores
     }
 
     fn flavor(&self) -> Flavor {
-        self.0.flavor()
+        self.cfg().flavor
     }
 
     fn policy(&self) -> WsPolicy {
-        self.0.policy()
+        self.cfg().ws
     }
 
+    /// # Panics
+    ///
+    /// Panics on threads once an [`Injector`] exists: the registry is
+    /// frozen from the moment anything else can reach it.
     fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
-        self.0.register_handler(spec)
+        let registry = match &mut self.engine {
+            Engine::Sim(e) => &mut e.registry,
+            Engine::Threaded(e) => {
+                let shared = Arc::get_mut(e);
+                &mut shared
+                    .expect("register handlers before starting the runtime")
+                    .registry
+            }
+        };
+        registry.register(spec)
     }
 
     fn handler_estimate(&self, id: HandlerId) -> u64 {
-        self.0.handler_estimate(id)
+        with_engine!(&self.engine, e => e.registry.estimate(id))
     }
 
     fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
-        self.0.alloc_dataset(len)
+        self.datasets.alloc(len)
     }
 
     fn register(&mut self, ev: Event) {
-        self.0.register(ev);
+        with_engine!(&mut self.engine, e => e.register(ev))
     }
 
     fn register_pinned(&mut self, ev: Event, core: usize) {
-        self.0.register_pinned(ev, core);
+        assert!(core < self.cores(), "core out of range");
+        let color = ev.color();
+        with_engine!(&self.engine, e => e.colors.pin(color, core, |owner| e.vacant(owner, color)));
+        self.register(ev);
     }
 
+    /// Single-threaded simulations never touch the mailbox behind it and
+    /// stay fully deterministic.
     fn injector(&self) -> Injector {
-        self.0.injector()
+        let inner = match &self.engine {
+            Engine::Sim(e) => InjectorInner::Sim(Arc::clone(&e.mailbox)),
+            Engine::Threaded(e) => InjectorInner::Threaded(Arc::clone(e)),
+        };
+        Injector { inner }
     }
 
     fn run(&mut self) -> RunReport {
-        self.0.run()
+        with_engine!(&mut self.engine, e => e.run())
     }
 }
 

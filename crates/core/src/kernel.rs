@@ -17,6 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::color::Color;
 use crate::ctx::{Ctx, CtxEffects};
 use crate::event::Event;
+use crate::exec::Liveness;
 use crate::fault::{kind_of_panic, Fault, FaultKind, InjectedPanicMarker};
 use crate::fuzz::ScheduleRng;
 use crate::handler::HandlerRegistry;
@@ -58,6 +59,8 @@ pub(crate) struct CoreState<'a> {
     /// What the builder resolved: policies, machine, admission, faults.
     pub cfg: &'a Resolved,
     pub steal_bufs: &'a mut StealBufs,
+    /// The run's liveness record, where a handler's stop request goes.
+    pub life: &'a Liveness,
 }
 
 /// What one steal attempt fills, kept by the executor so that an
@@ -99,7 +102,8 @@ pub(crate) trait CoreEnv {
     /// the pop right after a successful steal, which runs the stolen
     /// set whatever its visibility.
     fn pop(&mut self, stolen: bool) -> Pop;
-    /// Runs after every dispatched event, whatever became of it.
+    /// Runs after every dispatched event, whatever became of it, before
+    /// the run's liveness record counts the event done.
     fn after_dispatch(&mut self) {}
     /// The perturbation point before an idle core's steal attempt:
     /// `true` skips the attempt this turn.
@@ -120,7 +124,6 @@ pub(crate) trait CoreEnv {
     fn schedule(&mut self, delay: u64, ev: Event);
     /// Sends a handler-registered event to the core owning its color.
     fn route(&mut self, ev: Event);
-    fn request_stop(&mut self);
 
     /// Opens a steal attempt: fills `loads` with one pending-work
     /// estimate per running core and returns the start stamp.
@@ -171,6 +174,7 @@ pub(crate) fn turn<E: CoreEnv>(env: &mut E) -> Turn {
     };
     dispatch_one(env, ev);
     env.after_dispatch();
+    env.state().life.event_done();
     Turn::Ran
 }
 
@@ -295,7 +299,7 @@ fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
         env.route(ev2);
     }
     if fx.stop {
-        env.request_stop();
+        env.state().life.request_stop();
     }
 }
 
@@ -369,7 +373,7 @@ mod tests {
         rng: Option<ScheduleRng>,
         timers: Vec<(u64, u16)>,
         routed: Vec<u16>,
-        stopped: bool,
+        life: Liveness,
         queue: VecDeque<Event>,
         hidden: bool,
         victim: Option<Event>,
@@ -386,7 +390,7 @@ mod tests {
                 rng,
                 timers: Vec::new(),
                 routed: Vec::new(),
-                stopped: false,
+                life: Liveness::default(),
                 queue: VecDeque::new(),
                 hidden: false,
                 victim: None,
@@ -404,6 +408,7 @@ mod tests {
                 fault_rng: self.rng.as_mut(),
                 cfg: &self.cfg,
                 steal_bufs: &mut self.steal_bufs,
+                life: &self.life,
             }
         }
         fn registry(&self) -> &HandlerRegistry {
@@ -432,9 +437,6 @@ mod tests {
         }
         fn route(&mut self, ev: Event) {
             self.routed.push(ev.color().value());
-        }
-        fn request_stop(&mut self) {
-            self.stopped = true;
         }
         fn steal_begin(&mut self, loads: &mut Vec<usize>) -> u64 {
             loads.clear();
@@ -612,7 +614,7 @@ mod tests {
             assert_eq!(env.m, case.want, "{name}");
             assert_eq!(env.routed, case.routed, "{name}");
             assert_eq!(env.timers, case.timers, "{name}");
-            assert_eq!(env.stopped, case.stopped, "{name}");
+            assert_eq!(env.life.stop_requested(), case.stopped, "{name}");
             assert_eq!(
                 env.cfg.faults.is_quarantined(Color::new(7)),
                 env.m.quarantined_colors == 1 || case.poisoned == Some(7),

@@ -226,6 +226,10 @@ pub struct CoreMetrics {
     /// The subset of `shed_requests` rejected by the per-color limit
     /// ([`crate::admission::OverloadReason::ColorHot`]).
     pub shed_by_color: u64,
+    /// [`crate::exec::Executor::register_pinned`] calls whose pin was
+    /// refused because something still held the color on its owner,
+    /// which kept it. Attributed to core 0.
+    pub refused_pins: u64,
     /// Contained faults recorded on this core: handler panics (organic
     /// or [`crate::fuzz::FaultPlan`]-injected), injected drops, and —
     /// attributed at join time — worker deaths. See [`crate::fault`].
@@ -326,6 +330,7 @@ impl CoreMetrics {
         self.admission_rejects += o.admission_rejects;
         self.shed_requests += o.shed_requests;
         self.shed_by_color += o.shed_by_color;
+        self.refused_pins += o.refused_pins;
         self.faults += o.faults;
         self.failed_requests += o.failed_requests;
         self.shed_by_fault += o.shed_by_fault;

@@ -262,6 +262,11 @@ impl MelyQueue {
         self.index.len()
     }
 
+    /// Whether `color` has a live color-queue.
+    pub(crate) fn holds(&self, color: Color) -> bool {
+        self.index.contains_key(&color)
+    }
+
     /// Sum of the declared costs of all queued events.
     pub fn total_cost(&self) -> u64 {
         self.total_cost

@@ -54,6 +54,14 @@ impl QueueImpl {
         }
     }
 
+    /// Whether an event of `color` is queued.
+    pub(crate) fn holds(&self, color: Color) -> bool {
+        match self {
+            QueueImpl::Legacy(q) => q.count_of(color) != 0,
+            QueueImpl::Mely(q) => q.holds(color),
+        }
+    }
+
     /// Color-queue creations served from the recycled-buffer pool
     /// (always 0 for the legacy flavor, which has no pool).
     pub fn buf_reuses(&self) -> u64 {

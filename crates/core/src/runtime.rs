@@ -6,13 +6,14 @@ use mely_topology::{CacheLevel, MachineModel};
 
 use crate::admission::{AdmissionCtl, QueueLimits};
 use crate::cost::{CostParams, INITIAL_STEAL_ESTIMATE};
-use crate::exec::{ExecKind, Runtime};
+use crate::dataset::DataSetAlloc;
+use crate::exec::{Engine, ExecKind, Runtime};
 use crate::fault::FaultCtl;
 use crate::fuzz::FaultPlan;
 use crate::queue::{LegacyQueue, MelyQueue, QueueImpl};
 use crate::sim::SimRuntime;
 use crate::steal::{StealDomains, StealPolicy, WsPolicy};
-use crate::threaded::ThreadedRuntime;
+use crate::threaded::Shared;
 
 /// Which runtime architecture to use (paper Sections II and IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -226,9 +227,13 @@ impl RuntimeBuilder {
     /// model's cores.
     pub fn build(self, kind: ExecKind) -> Runtime {
         let cfg = self.resolve();
-        match kind {
-            ExecKind::Sim => Runtime::new(SimRuntime::new(cfg)),
-            ExecKind::Threaded => Runtime::new(ThreadedRuntime::new(cfg)),
+        let engine = match kind {
+            ExecKind::Sim => Engine::Sim(Box::new(SimRuntime::new(cfg))),
+            ExecKind::Threaded => Engine::Threaded(Shared::new(cfg)),
+        };
+        Runtime {
+            engine,
+            datasets: DataSetAlloc::new(),
         }
     }
 

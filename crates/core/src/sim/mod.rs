@@ -12,8 +12,11 @@
 //! A core's turn is the kernel it shares with the threaded executor
 //! (`kernel::turn`); this driver picks which core takes the next turn
 //! and supplies virtual time, the lock cost model, the mailbox, timers
-//! and the schedule-perturbation points. Runs are fully deterministic:
-//! identical inputs produce identical reports.
+//! and the schedule-perturbation points. Color ownership and liveness
+//! are the threaded executor's too (`ColorMap`, `Liveness` in
+//! [`crate::exec`]): a registration, a timer arm and a mailbox push
+//! count one event, and its dispatch uncounts it. Runs are fully
+//! deterministic: identical inputs produce identical reports.
 //!
 //! # Inert steal attempts
 //!
@@ -56,23 +59,22 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mely_cachesim::Hierarchy;
 
-use crate::color::{Color, COLOR_SPACE};
+use crate::color::Color;
 use crate::cost::{Ewma, INITIAL_STEAL_ESTIMATE};
 use crate::ctx::CtxEffects;
-use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
-use crate::exec::{ExecKind, Executor, Injector, SimMailbox};
+use crate::exec::{ColorMap, SimMailbox};
 use crate::fuzz::ScheduleRng;
-use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
+use crate::handler::HandlerRegistry;
 use crate::kernel::{self, CoreEnv, CoreState, Pop, StealBufs, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::{Flavor, Resolved};
-use crate::steal::WsPolicy;
 
 struct SimCore {
     queue: QueueImpl,
@@ -96,25 +98,23 @@ impl SimCore {
 pub(crate) struct SimRuntime {
     /// What the builder resolved, shared with the mailbox (which admits
     /// against the same limits and quarantine set).
-    cfg: Arc<Resolved>,
+    pub(crate) cfg: Arc<Resolved>,
     cores: Vec<SimCore>,
-    /// Current owner core per color (`u32::MAX` = unassigned).
-    color_owner: Vec<u32>,
-    registry: HandlerRegistry,
+    pub(crate) colors: ColorMap,
+    pub(crate) registry: HandlerRegistry,
     timers: BinaryHeap<Reverse<TimerEntry>>,
-    ds_alloc: DataSetAlloc,
     cache: Option<Hierarchy>,
     steal_est: Ewma,
     next_seq: u64,
-    stopped: bool,
     /// Lock-wait cycles accumulated by the current steal attempt (waits
     /// are congestion, not steal work; see `steal_end`).
     attempt_wait: u64,
     /// One buffer set serves every core: turns never overlap.
     steal_bufs: StealBufs,
     /// External-producer mailbox behind [`crate::exec::Injector`]; the
-    /// run loop drains it at iteration boundaries.
-    mailbox: Arc<SimMailbox>,
+    /// run loop drains it at iteration boundaries. It holds the
+    /// liveness record both share.
+    pub(crate) mailbox: Arc<SimMailbox>,
     /// The decision stream for schedule perturbation (`Some` iff
     /// `cfg.schedule_seed` is). Replay = fresh runtime + same seed.
     sched_rng: Option<ScheduleRng>,
@@ -149,14 +149,12 @@ impl SimRuntime {
             .collect();
         SimRuntime {
             cores,
-            color_owner: vec![u32::MAX; COLOR_SPACE],
+            colors: ColorMap::new(cfg.cores),
             registry: HandlerRegistry::new(),
             timers: BinaryHeap::new(),
-            ds_alloc: DataSetAlloc::new(),
             cache: cfg.track_cache.then(|| Hierarchy::new(&cfg.machine)),
             steal_est: Ewma::new(INITIAL_STEAL_ESTIMATE),
             next_seq: 0,
-            stopped: false,
             attempt_wait: 0,
             steal_bufs: StealBufs::default(),
             mailbox: Arc::new(SimMailbox::new(Arc::clone(&cfg))),
@@ -171,20 +169,11 @@ impl SimRuntime {
         self.cores.iter().map(|c| c.clock).max().unwrap_or(0)
     }
 
-    fn owner_of(&mut self, color: Color) -> usize {
-        let slot = color.value() as usize;
-        let cur = self.color_owner[slot];
-        if cur != u32::MAX {
-            return cur as usize;
-        }
-        let home = color.home_core(self.cores.len());
-        self.color_owner[slot] = home as u32;
-        home
-    }
-
     /// Prepares an event (sequence number, handler-derived cost/penalty)
-    /// and pushes it to `core` with the given visibility time.
+    /// and pushes it to `core`, which owns its color, with the given
+    /// visibility time.
     fn push_to(&mut self, core: usize, mut ev: Event, visible_at: u64) {
+        debug_assert!(self.colors.owns(core, ev.color()), "foreign color");
         self.registry.fill_defaults(&mut ev);
         ev.seq = self.next_seq;
         self.next_seq += 1;
@@ -192,9 +181,6 @@ impl SimRuntime {
         self.cores[core].queue.push(ev);
         self.mailbox
             .publish_core_occupancy(core, self.cores[core].queue.len() as u32);
-        // The machine holds unexecuted work again (stop_when_idle
-        // watches this through the mailbox).
-        self.mailbox.set_machine_idle(false);
     }
 
     /// Hands every timer due by `upto` to its color's owner, visible
@@ -202,7 +188,7 @@ impl SimRuntime {
     fn deliver_timers(&mut self, upto: u64) {
         while self.timers.peek().is_some_and(|Reverse(t)| t.due <= upto) {
             let Reverse(t) = self.timers.pop().expect("peeked");
-            let owner = self.owner_of(t.event.color());
+            let owner = self.colors.owner_of(t.event.color());
             self.push_to(owner, t.event, t.due);
         }
     }
@@ -257,7 +243,7 @@ impl SimRuntime {
         for (delay, ev) in batch {
             match delay {
                 None => {
-                    let owner = self.owner_of(ev.color());
+                    let owner = self.colors.owner_of(ev.color());
                     self.push_to(owner, ev, 0);
                 }
                 Some(delay) => self.arm_timer(self.virtual_now() + delay, ev),
@@ -269,6 +255,7 @@ impl SimRuntime {
     fn report(&self) -> RunReport {
         let mut per_core: Vec<CoreMetrics> = self.cores.iter().map(|c| c.metrics).collect();
         self.cfg.admission.attribute_to(&mut per_core[0]);
+        per_core[0].refused_pins = self.colors.refused_pins.load(Ordering::Relaxed);
         if let Some(cache) = &self.cache {
             for (i, m) in per_core.iter_mut().enumerate() {
                 m.l2_misses = cache.level_stats(i, 2).map_or(0, |s| s.misses);
@@ -360,7 +347,7 @@ impl SimRuntime {
             core.metrics.failed_steal_cycles += setup + recheck;
             self.attempt_wait = 0;
             if (*iters + 1).is_multiple_of(WATCHDOG_ITERS)
-                || self.mailbox.stopped()
+                || self.mailbox.life.stop_requested()
                 || self.mailbox.has_buffered()
                 || self
                     .timers
@@ -407,6 +394,7 @@ impl CoreEnv for OnCore<'_> {
             fault_rng: rt.fault_rng.as_mut(),
             cfg: &rt.cfg,
             steal_bufs: &mut rt.steal_bufs,
+            life: &rt.mailbox.life,
         }
     }
 
@@ -484,20 +472,18 @@ impl CoreEnv for OnCore<'_> {
 
     fn schedule(&mut self, delay: u64, event: Event) {
         let (rt, c) = (&mut *self.rt, self.c);
+        rt.mailbox.life.add_event();
         rt.cores[c].clock += rt.cfg.costs.registration;
         rt.arm_timer(rt.cores[c].clock + delay, event);
     }
 
     fn route(&mut self, ev: Event) {
         let (rt, c) = (&mut *self.rt, self.c);
+        rt.mailbox.life.add_event();
         rt.cores[c].clock += rt.cfg.costs.registration;
-        let owner = rt.owner_of(ev.color());
+        let owner = rt.colors.owner_of(ev.color());
         rt.lock(owner, c, rt.cfg.costs.lock_acquire + rt.cfg.costs.queue_op);
         rt.push_to(owner, ev, rt.cores[c].clock);
-    }
-
-    fn request_stop(&mut self) {
-        self.rt.stopped = true;
     }
 
     fn steal_begin(&mut self, loads: &mut Vec<usize>) -> u64 {
@@ -570,7 +556,7 @@ impl CoreEnv for OnCore<'_> {
         let now = rt.cores[c].clock;
         let mut cost = 0;
         for mut set in sets {
-            rt.color_owner[set.color().value() as usize] = c as u32;
+            rt.colors.moved(set.color(), c);
             set.set_visible_at_floor(now);
             cost += set.cum_cost();
             rt.cores[c].queue.steal_absorb(set);
@@ -601,57 +587,24 @@ impl CoreEnv for OnCore<'_> {
     }
 }
 
-impl Executor for SimRuntime {
-    fn kind(&self) -> ExecKind {
-        ExecKind::Sim
+/// What [`crate::exec::Runtime`] leaves to the simulator.
+impl SimRuntime {
+    /// Whether nothing holds `color` on `core`, for [`ColorMap::pin`]:
+    /// no event of it is queued there.
+    pub(crate) fn vacant(&self, core: usize, color: Color) -> Option<()> {
+        (!self.cores[core].queue.holds(color)).then_some(())
     }
 
-    fn cores(&self) -> usize {
-        self.cfg.cores
-    }
-
-    fn flavor(&self) -> Flavor {
-        self.cfg.flavor
-    }
-
-    fn policy(&self) -> WsPolicy {
-        self.cfg.ws
-    }
-
-    fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
-        self.registry.register(spec)
-    }
-
-    fn handler_estimate(&self, id: HandlerId) -> u64 {
-        self.registry.estimate(id)
-    }
-
-    fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
-        self.ds_alloc.alloc(len)
-    }
-
-    fn register(&mut self, ev: Event) {
-        let owner = self.owner_of(ev.color());
+    pub(crate) fn register(&mut self, ev: Event) {
+        self.mailbox.life.add_event();
+        let owner = self.colors.owner_of(ev.color());
         self.push_to(owner, ev, 0);
-    }
-
-    /// "50000 events are registered on the first core" (Section V-B).
-    fn register_pinned(&mut self, ev: Event, core: usize) {
-        assert!(core < self.cores.len(), "core out of range");
-        self.color_owner[ev.color().value() as usize] = core as u32;
-        self.push_to(core, ev, 0);
-    }
-
-    /// Single-threaded simulations never touch the mailbox behind it and
-    /// stay fully deterministic.
-    fn injector(&self) -> Injector {
-        Injector::for_sim(Arc::clone(&self.mailbox))
     }
 
     /// Clocks and metrics accumulate across calls: the report is
     /// cumulative.
-    fn run(&mut self) -> RunReport {
-        self.stopped = false;
+    pub(crate) fn run(&mut self) -> RunReport {
+        let _running = self.mailbox.life.run();
         let mut iters: u64 = 0;
         let mut last_progress = (0u64, 0u64); // (iters, events at checkpoint)
         loop {
@@ -670,10 +623,7 @@ impl Executor for SimRuntime {
                 }
                 last_progress = (iters, processed);
             }
-            if self.stopped {
-                break;
-            }
-            if self.mailbox.stopped() {
+            if self.mailbox.life.stop_requested() {
                 break;
             }
             self.drain_mailbox();
@@ -731,8 +681,7 @@ impl Executor for SimRuntime {
                     let Some(Reverse(next)) = self.timers.peek() else {
                         // Queues and timers are empty: everything
                         // absorbed so far has executed.
-                        self.mailbox.set_machine_idle(true);
-                        if self.mailbox.holds_open() {
+                        if !self.mailbox.life.idle() {
                             // An external producer holds a keepalive (or
                             // has pushed events we have not drained yet):
                             // wait for it instead of returning. Real
@@ -748,9 +697,6 @@ impl Executor for SimRuntime {
                 }
             }
         }
-        // Consume any stop request on the way out (like the threaded
-        // executor after its workers join), so a later `run` proceeds.
-        self.mailbox.clear_stop();
         for core in &mut self.cores {
             core.metrics.registered += core.queue.take_pushes();
         }
@@ -761,8 +707,9 @@ impl Executor for SimRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Runtime;
+    use crate::exec::{ExecKind, Executor, Runtime};
     use crate::runtime::RuntimeBuilder;
+    use crate::steal::WsPolicy;
 
     fn sim(flavor: Flavor, ws: WsPolicy, cores: usize) -> Runtime {
         RuntimeBuilder::new()

@@ -58,6 +58,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::color::Color;
 use crate::event::Event;
 
 /// What the inbox lock guards.
@@ -118,6 +119,13 @@ impl InjectionInbox {
         buf.pushes += 1;
         self.len.store(buf.events.len(), Ordering::Release);
         Ok(())
+    }
+
+    /// Locks the inbox unless it buffers an event of `color`: nothing is
+    /// pushed while the returned guard lives.
+    pub(crate) fn lock_unless_holds(&self, color: Color) -> Option<impl Sized + '_> {
+        let buf = self.buf.lock();
+        (!buf.events.iter().any(|ev| ev.color() == color)).then_some(buf)
     }
 
     /// Moves everything buffered so far to the end of `out`, oldest

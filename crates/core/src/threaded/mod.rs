@@ -5,6 +5,10 @@
 //! thread, idle cores running the workstealing algorithm. A worker's turn
 //! is the kernel it shares with the simulator (`kernel::turn`); around
 //! it the worker drains its timers and inbox, and waits when idle.
+//! Color ownership and liveness are the simulator's too (`ColorMap`,
+//! `Liveness` in [`crate::exec`]): workers wind down once the run's
+//! liveness record holds nothing open or asks them to stop, and a dying
+//! worker asks.
 //! An event costs what its action takes to run: declared costs and
 //! [`Ctx::charge`](crate::ctx::Ctx::charge)s are never waited out here;
 //! they only weigh a color for the steal heuristics.
@@ -29,7 +33,7 @@
 //!
 //! - **One door into a core.** In the paper, a core registering an
 //!   event takes the target core's spinlock. Here every event bound
-//!   for a core — an [`Injector`] call, a timer firing,
+//!   for a core — an [`Injector`](crate::exec::Injector) call, a timer firing,
 //!   `Executor::register`, another core's route — enters through the
 //!   core's [`InjectionInbox`] (`Shared::hand_off`): a lock and a
 //!   `Vec`, whose empty check takes no lock, merged whole into the
@@ -39,7 +43,8 @@
 //!   own lock, with the owner re-checked under that lock. A core's
 //!   queue lock is thus taken only by its own worker (pop, drain,
 //!   own-color route), by a thief's `migrate`, which holds both the
-//!   victim's and its own, and by `run` after the join. The push
+//!   victim's and its own, by `run` after the join and by a re-pin's
+//!   check between runs (`Shared::vacant`). The push
 //!   re-checks the color's owner under the inbox lock and the owner
 //!   drains under its queue lock, so an inbox only holds colors its
 //!   core owns and a drain re-routes nothing; [`inbox`] has the
@@ -55,41 +60,29 @@ pub mod inbox;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::admission::{AdmissionCtl, Overload, OverloadReason};
-use crate::color::{Color, COLOR_SPACE};
+use crate::color::Color;
 use crate::cost::{Ewma, INITIAL_STEAL_ESTIMATE};
 use crate::ctx::CtxEffects;
 use crate::cycles;
-use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
-use crate::exec::{enqueue_or_shed, Door, ExecKind, Executor, Injector, KeepAlive};
+use crate::exec::{enqueue_or_shed, ColorMap, Door, Liveness};
 use crate::fault::{Fault, FaultKind};
 use crate::fuzz::ScheduleRng;
-use crate::handler::{HandlerId, HandlerRegistry, HandlerSpec};
+use crate::handler::HandlerRegistry;
 use crate::kernel::{self, CoreEnv, CoreState, Pop, StealBufs, TimerEntry, Turn};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
-use crate::runtime::{Flavor, Resolved};
-use crate::steal::WsPolicy;
+use crate::runtime::Resolved;
 use crate::sync::SpinLock;
 use inbox::InjectionInbox;
 
 const NO_COLOR: u32 = u32::MAX;
-const NO_OWNER: u32 = u32::MAX;
-
-/// One [`KeepAlive`] guard's contribution to `Shared::outstanding`.
-/// Tokens live in the high bits and events in the low 48 so that one
-/// atomic load yields a consistent (tokens, events) snapshot — two
-/// separate counters would let `stop_when_idle` interleave with a
-/// concurrent guard drop and stop while real events are still pending.
-const KEEPALIVE_UNIT: u64 = 1 << 48;
-/// Mask selecting the pending-event count from `Shared::outstanding`.
-const EVENT_MASK: u64 = KEEPALIVE_UNIT - 1;
 
 struct CoreShared {
     queue: SpinLock<QueueImpl>,
@@ -114,21 +107,19 @@ impl CoreShared {
     }
 }
 
-/// Everything the workers and the producers share; an
-/// [`Injector`] holds it directly and reaches it through [`Door`].
+/// The threaded executor: everything its workers and producers share.
+/// An [`Injector`](crate::exec::Injector) holds it directly and reaches
+/// it through [`Door`].
 pub(crate) struct Shared {
     /// What the builder resolved. Workers consult its `faults` at
     /// dispatch (containment, drains); producers consult `faults` and
     /// `admission` at admission.
-    cfg: Resolved,
+    pub(crate) cfg: Resolved,
     cores: Vec<CoreShared>,
-    color_owner: Vec<AtomicU32>,
-    registry: HandlerRegistry,
-    /// Low 48 bits: events registered but not yet fully executed
-    /// (timers included). High bits: live [`KeepAlive`] guards, in
-    /// [`KEEPALIVE_UNIT`]s. Workers run while any bit is set.
-    outstanding: AtomicU64,
-    stop: AtomicBool,
+    pub(crate) colors: ColorMap,
+    pub(crate) registry: HandlerRegistry,
+    /// Workers run until it stops them or holds nothing open.
+    pub(crate) life: Arc<Liveness>,
     /// The monitored steal-cost estimate (updated once per successful
     /// steal, read once per visit: never on the dispatch path).
     steal_est: Mutex<Ewma>,
@@ -145,31 +136,6 @@ impl Shared {
         ev.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The color's current owner, claiming the color's home core for it
-    /// if nobody owns it yet.
-    fn owner_of(&self, color: Color) -> u32 {
-        let slot = color.value() as usize;
-        let owner = self.color_owner[slot].load(Ordering::Acquire);
-        if owner != NO_OWNER {
-            return owner;
-        }
-        let home = color.home_core(self.cores.len()) as u32;
-        match self.color_owner[slot].compare_exchange(
-            NO_OWNER,
-            home,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => home,
-            Err(cur) => cur,
-        }
-    }
-
-    /// Whether `core` owns `color` now; claims nothing.
-    fn owns(&self, core: u32, color: Color) -> bool {
-        self.color_owner[color.value() as usize].load(Ordering::Acquire) == core
-    }
-
     /// The one door into a core: pushes a prepared event into the
     /// inbox of the core owning its color. The push re-checks the owner
     /// under the inbox lock and, refused because a steal moved the
@@ -177,67 +143,28 @@ impl Shared {
     fn hand_off(&self, mut ev: Event) {
         let color = ev.color();
         loop {
-            let owner = self.owner_of(color);
-            let still_owner = || self.owns(owner, color);
-            match self.cores[owner as usize].inbox.push_if(ev, still_owner) {
+            let owner = self.colors.owner_of(color);
+            let still_owner = || self.colors.owns(owner, color);
+            match self.cores[owner].inbox.push_if(ev, still_owner) {
                 Ok(()) => return,
                 Err(refused) => ev = refused,
             }
         }
     }
 
-    /// Counts a new event as outstanding and fills in its metadata.
-    fn count_and_prepare(&self, ev: &mut Event) {
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.prepare(ev);
-    }
-
-    fn register(&self, mut ev: Event) {
-        self.count_and_prepare(&mut ev);
-        self.hand_off(ev);
-    }
-
-    fn register_after(&self, delay: u64, event: Event) {
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
+    /// Counts an admitted event and hands it off now, or arms it as a
+    /// timer `delay` cycles from now.
+    fn enqueue(&self, delay: Option<u64>, mut event: Event) {
+        self.life.add_event();
+        let Some(delay) = delay else {
+            self.prepare(&mut event);
+            return self.hand_off(event);
+        };
         let due = cycles::now() + delay;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         self.timers
             .lock()
             .push(Reverse(TimerEntry { due, seq, event }));
-    }
-
-    /// Asks every worker to stop at the next opportunity.
-    pub(crate) fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Events registered but not yet executed.
-    pub(crate) fn outstanding(&self) -> u64 {
-        self.outstanding.load(Ordering::Acquire) & EVENT_MASK
-    }
-
-    /// Keeps the workers alive while the returned guard lives, even
-    /// with no events pending.
-    pub(crate) fn keepalive(self: &Arc<Self>) -> KeepAlive {
-        self.outstanding.fetch_add(KEEPALIVE_UNIT, Ordering::AcqRel);
-        let shared = Arc::clone(self);
-        KeepAlive::new(move || {
-            shared
-                .outstanding
-                .fetch_sub(KEEPALIVE_UNIT, Ordering::AcqRel);
-        })
-    }
-
-    /// Blocks until every registered event has executed (only
-    /// [`KeepAlive`] guards remain outstanding), then stops the
-    /// runtime. The token/event split lives in one atomic, so the idle
-    /// check is a consistent snapshot — a concurrently dropped guard
-    /// cannot make this stop while real events are pending.
-    pub(crate) fn stop_when_idle(&self) {
-        while self.outstanding() != 0 {
-            std::thread::yield_now();
-        }
-        self.stop();
     }
 }
 
@@ -252,13 +179,10 @@ impl Door for Shared {
     fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), Overload> {
         let color = ev.color();
         self.cfg.admission.admit(&self.cfg.faults, &mut ev, || {
-            let core = &self.cores[self.owner_of(color) as usize];
+            let core = &self.cores[self.colors.owner_of(color)];
             (core.load_estimate() as u64, core.inbox.len() as u64)
         })?;
-        match delay {
-            None => self.register(ev),
-            Some(delay) => self.register_after(delay, ev),
-        }
+        self.enqueue(delay, ev);
         Ok(())
     }
 
@@ -269,22 +193,14 @@ impl Door for Shared {
         if self.cfg.faults.is_quarantined(ev.color()) {
             return Err(OverloadReason::Quarantined);
         }
-        match delay {
-            None => self.register(ev),
-            Some(delay) => self.register_after(delay, ev),
-        }
+        self.enqueue(delay, ev);
         Ok(())
     }
 }
 
-/// The threaded executor.
-pub(crate) struct ThreadedRuntime {
-    shared: Arc<Shared>,
-    ds_alloc: DataSetAlloc,
-}
-
-impl ThreadedRuntime {
-    pub(crate) fn new(cfg: Resolved) -> Self {
+/// What [`crate::exec::Runtime`] leaves to the threaded executor.
+impl Shared {
+    pub(crate) fn new(cfg: Resolved) -> Arc<Self> {
         cycles::init();
         let cores = (0..cfg.cores)
             .map(|_| CoreShared {
@@ -294,102 +210,57 @@ impl ThreadedRuntime {
                 len_hint: AtomicUsize::new(0),
             })
             .collect();
-        let mut owners = Vec::with_capacity(COLOR_SPACE);
-        owners.resize_with(COLOR_SPACE, || AtomicU32::new(NO_OWNER));
-        ThreadedRuntime {
-            shared: Arc::new(Shared {
-                cfg,
-                cores,
-                color_owner: owners,
-                registry: HandlerRegistry::new(),
-                outstanding: AtomicU64::new(0),
-                stop: AtomicBool::new(false),
-                steal_est: Mutex::new(Ewma::new(INITIAL_STEAL_ESTIMATE)),
-                next_seq: AtomicU64::new(0),
-                timers: Mutex::new(BinaryHeap::new()),
-            }),
-            ds_alloc: DataSetAlloc::new(),
+        Arc::new(Shared {
+            colors: ColorMap::new(cfg.cores),
+            cfg,
+            cores,
+            registry: HandlerRegistry::new(),
+            life: Arc::default(),
+            steal_est: Mutex::new(Ewma::new(INITIAL_STEAL_ESTIMATE)),
+            next_seq: AtomicU64::new(0),
+            timers: Mutex::new(BinaryHeap::new()),
+        })
+    }
+
+    /// Whether nothing holds `color` on `core`, for [`ColorMap::pin`]:
+    /// no event of it is queued there or in its inbox. `Some` holds both
+    /// locks, so that no producer pushes the color there before the pin
+    /// moves it.
+    pub(crate) fn vacant(&self, core: usize, color: Color) -> Option<impl Sized + '_> {
+        let c = &self.cores[core];
+        let q = c.queue.lock();
+        if q.holds(color) {
+            return None;
         }
-    }
-}
-
-impl Executor for ThreadedRuntime {
-    fn kind(&self) -> ExecKind {
-        ExecKind::Threaded
-    }
-
-    fn cores(&self) -> usize {
-        self.shared.cores.len()
-    }
-
-    fn flavor(&self) -> Flavor {
-        self.shared.cfg.flavor
-    }
-
-    fn policy(&self) -> WsPolicy {
-        self.shared.cfg.ws
-    }
-
-    /// # Panics
-    ///
-    /// Panics once an [`Injector`] exists: the registry is frozen from
-    /// the moment anything else can reach it.
-    fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
-        let shared =
-            Arc::get_mut(&mut self.shared).expect("register handlers before starting the runtime");
-        shared.registry.register(spec)
-    }
-
-    fn handler_estimate(&self, id: HandlerId) -> u64 {
-        self.shared.registry.estimate(id)
-    }
-
-    /// Touches are accounted but not materialised on threads.
-    fn alloc_dataset(&mut self, len: u64) -> DataSetRef {
-        self.ds_alloc.alloc(len)
+        Some((q, c.inbox.lock_unless_holds(color)?))
     }
 
     /// Events of a quarantined color are shed (see [`crate::fault`]).
-    fn register(&mut self, ev: Event) {
-        enqueue_or_shed(&*self.shared, None, ev);
-    }
-
-    fn register_pinned(&mut self, ev: Event, core: usize) {
-        assert!(core < self.shared.cores.len(), "core out of range");
-        if !self.shared.cfg.faults.is_quarantined(ev.color()) {
-            self.shared.color_owner[ev.color().value() as usize]
-                .store(core as u32, Ordering::Release);
-        }
-        enqueue_or_shed(&*self.shared, None, ev);
-    }
-
-    fn injector(&self) -> Injector {
-        Injector::for_threaded(Arc::clone(&self.shared))
+    pub(crate) fn register(&self, ev: Event) {
+        enqueue_or_shed(self, None, ev);
     }
 
     /// Each call reports the events executed by *that* run (plus
     /// cumulative inbox counters).
-    fn run(&mut self) -> RunReport {
-        let n = self.shared.cores.len();
+    pub(crate) fn run(self: &Arc<Self>) -> RunReport {
+        let _running = self.life.run();
+        let n = self.cores.len();
         let start = cycles::now();
         let mut joins = Vec::with_capacity(n);
         for core in 0..n {
-            let shared = Arc::clone(&self.shared);
+            let shared = Arc::clone(self);
             joins.push(
                 std::thread::Builder::new()
                     .name(format!("mely-core-{core}"))
                     .spawn(move || {
-                        let out = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, core)));
-                        if out.is_err() {
-                            // A dying worker must release its siblings:
-                            // they wait on outstanding work this worker
-                            // can no longer execute.
-                            shared.stop.store(true, Ordering::Release);
-                        }
-                        match out {
-                            Ok(m) => m,
-                            Err(payload) => resume_unwind(payload),
-                        }
+                        catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, core)))
+                            .unwrap_or_else(|payload| {
+                                // A dying worker must release its
+                                // siblings: they wait on outstanding work
+                                // it can no longer execute.
+                                shared.life.worker_died();
+                                resume_unwind(payload)
+                            })
                     })
                     .expect("spawn worker"),
             );
@@ -404,7 +275,7 @@ impl Executor for ThreadedRuntime {
                 Ok(m) => m,
                 Err(_) => {
                     let kind = FaultKind::WorkerDied { core };
-                    self.shared.cfg.faults.record(Fault {
+                    self.cfg.faults.record(Fault {
                         color: None,
                         handler: None,
                         kind: kind.clone(),
@@ -418,7 +289,7 @@ impl Executor for ThreadedRuntime {
         // Producer-side pushes happen on external threads; attribute each
         // inbox's totals to the core it feeds. The queue's push and
         // buffer-pool counters live in the (now idle) queue itself.
-        for (m, core) in per_core.iter_mut().zip(&self.shared.cores) {
+        for (m, core) in per_core.iter_mut().zip(&self.cores) {
             m.inbox_pushes = core.inbox.total_pushes();
             m.inbox_rerouted = core.inbox.total_refusals();
             m.inbox_node_reuse = core.inbox.total_node_reuses();
@@ -426,12 +297,11 @@ impl Executor for ThreadedRuntime {
             m.registered = q.take_pushes();
             m.queue_buf_reuse = q.buf_reuses();
         }
-        self.shared.cfg.admission.attribute_to(&mut per_core[0]);
+        self.cfg.admission.attribute_to(&mut per_core[0]);
+        per_core[0].refused_pins = self.colors.refused_pins.load(Ordering::Relaxed);
         let wall = cycles::now().wrapping_sub(start);
-        // Consume any stop request so a later `run` proceeds normally.
-        self.shared.stop.store(false, Ordering::Release);
-        RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.shared.cfg.ws)
-            .with_fault_log(self.shared.cfg.faults.log_snapshot())
+        RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.cfg.ws)
+            .with_fault_log(self.cfg.faults.log_snapshot())
     }
 }
 
@@ -449,7 +319,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
     };
     let mut idle_spins: u32 = 0;
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        if shared.life.stop_requested() {
             break;
         }
         drain_timers(shared);
@@ -459,7 +329,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
             continue;
         }
         // Idle: wind down, or wait for work.
-        if shared.outstanding.load(Ordering::Acquire) == 0 {
+        if shared.life.idle() {
             break;
         }
         idle_spins = idle_spins.saturating_add(1);
@@ -525,7 +395,7 @@ impl Worker<'_> {
         self.m.lock_ops += 1;
         self.take_inbox(me);
         for ev in self.inbox_batch.drain(..) {
-            debug_assert!(shared.owns(me as u32, ev.color()), "foreign color");
+            debug_assert!(shared.colors.owns(me, ev.color()), "foreign color");
             q.push(ev);
         }
         core.len_hint.store(q.len(), Ordering::Relaxed);
@@ -540,6 +410,7 @@ impl CoreEnv for Worker<'_> {
             fault_rng: self.fault_rng.as_mut(),
             cfg: &self.shared.cfg,
             steal_bufs: &mut self.steal_bufs,
+            life: &self.shared.life,
         }
     }
 
@@ -567,7 +438,6 @@ impl CoreEnv for Worker<'_> {
         self.shared.cores[self.me]
             .in_flight
             .store(NO_COLOR, Ordering::Release);
-        self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
     fn now(&self) -> u64 {
@@ -585,29 +455,26 @@ impl CoreEnv for Worker<'_> {
     }
 
     fn schedule(&mut self, delay: u64, ev: Event) {
-        self.shared.register_after(delay, ev);
+        self.shared.enqueue(Some(delay), ev);
     }
 
     /// A color this core owns is pushed under its own lock, where the
     /// owner is stable: a thief needs the lock to move it. Everything
     /// else goes through the owner's inbox.
     fn route(&mut self, mut ev: Event) {
-        let (shared, me) = (self.shared, self.me as u32);
-        shared.count_and_prepare(&mut ev);
-        if shared.owner_of(ev.color()) == me {
-            let core = &shared.cores[self.me];
+        let (shared, me) = (self.shared, self.me);
+        shared.life.add_event();
+        shared.prepare(&mut ev);
+        if shared.colors.owner_of(ev.color()) == me {
+            let core = &shared.cores[me];
             let mut q = core.queue.lock();
-            if shared.owns(me, ev.color()) {
+            if shared.colors.owns(me, ev.color()) {
                 q.push(ev);
                 core.len_hint.store(q.len(), Ordering::Relaxed);
                 return;
             }
         }
         shared.hand_off(ev);
-    }
-
-    fn request_stop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
     }
 
     /// Loads include each core's inbox backlog: work a producer has
@@ -653,7 +520,7 @@ impl CoreEnv for Worker<'_> {
         for set in sets {
             events += set.len() as u64;
             cost += set.cum_cost();
-            shared.color_owner[set.color().value() as usize].store(me as u32, Ordering::Release);
+            shared.colors.moved(set.color(), me);
             gm.steal_absorb(set);
         }
 
@@ -668,10 +535,10 @@ impl CoreEnv for Worker<'_> {
         self.take_inbox(v);
         self.take_inbox(me);
         for ev in self.inbox_batch.drain(..) {
-            if shared.owns(me as u32, ev.color()) {
+            if shared.colors.owns(me, ev.color()) {
                 gm.push(ev);
             } else {
-                debug_assert!(shared.owns(v as u32, ev.color()), "foreign color");
+                debug_assert!(shared.colors.owns(v, ev.color()), "foreign color");
                 gv.push(ev);
             }
         }
@@ -693,13 +560,17 @@ impl CoreEnv for Worker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::RuntimeBuilder;
-    use std::sync::atomic::AtomicI64;
+    use crate::exec::{ExecKind, Executor, IdleWait, Runtime};
+    use crate::handler::HandlerSpec;
+    use crate::runtime::{Flavor, RuntimeBuilder};
+    use crate::steal::WsPolicy;
+    use std::sync::atomic::{AtomicBool, AtomicI64};
+    use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
-    fn rt(flavor: Flavor, ws: WsPolicy, cores: usize) -> ThreadedRuntime {
+    fn rt(flavor: Flavor, ws: WsPolicy, cores: usize) -> Runtime {
         let builder = RuntimeBuilder::new().cores(cores).flavor(flavor);
-        ThreadedRuntime::new(builder.workstealing(ws).resolve())
+        builder.workstealing(ws).build(ExecKind::Threaded)
     }
 
     #[test]
@@ -834,13 +705,15 @@ mod tests {
         // An estimate no real steal can match, so blending the first
         // sample into it (instead of replacing it, as `Ewma::record`
         // documents) shows.
-        let mut rt = rt(Flavor::Mely, WsPolicy::base(), 2);
-        *rt.shared.steal_est.lock() = Ewma::new(1_000_000_000);
-        for i in 0..4u16 {
-            rt.register_pinned(Event::new(Color::new(i + 1), 0), 0);
+        let builder = RuntimeBuilder::new().cores(2);
+        let shared = Shared::new(builder.workstealing(WsPolicy::base()).resolve());
+        *shared.steal_est.lock() = Ewma::new(1_000_000_000);
+        // Even colors: all four are core 0's.
+        for i in 1..=4u16 {
+            shared.register(Event::new(Color::new(2 * i), 0));
         }
         let worker = |me| Worker {
-            shared: &rt.shared,
+            shared: &shared,
             me,
             m: CoreMetrics::default(),
             fault_rng: None,
@@ -855,13 +728,13 @@ mod tests {
         assert_eq!(kernel::turn(&mut thief), Turn::Ran);
         assert_eq!(thief.m.steals, 1);
         let first = thief.m.steal_cycles;
-        assert_eq!(rt.shared.steal_est.lock().get(), first);
+        assert_eq!(shared.steal_est.lock().get(), first);
         // Later samples are smoothed by 1/8.
         assert_eq!(kernel::turn(&mut thief), Turn::Ran);
         assert_eq!(thief.m.steals, 2);
         let second = thief.m.steal_cycles - first;
         assert_eq!(
-            rt.shared.steal_est.lock().get(),
+            shared.steal_est.lock().get(),
             first - first / 8 + second / 8
         );
     }
@@ -984,6 +857,50 @@ mod tests {
         let expected: Vec<_> = (0..N).map(|i| (1, i)).collect();
         assert_eq!(*ran.lock(), expected, "on core 1, in emission order");
         assert!(r.per_core()[1].inbox_pushes >= N, "{:?}", r.per_core()[1]);
+    }
+
+    #[test]
+    fn a_worker_death_ends_stop_when_idle_and_the_run() {
+        // A handler id from another registry: recording the dispatch
+        // under it panics outside the handler's containment, so the
+        // worker unwinds through its spawn closure.
+        let foreign = HandlerRegistry::new().register(HandlerSpec::new("elsewhere"));
+        let mut rt = rt(Flavor::Mely, WsPolicy::off(), 2);
+        // Without the death, the keepalive would hold the run open.
+        let keepalive = rt.injector().keepalive();
+        let waiting = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&waiting);
+        let color = Color::new(1);
+        rt.register(Event::new(color, 0).with_action(move |_| {
+            while !seen.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            // Time for the waiter to begin waiting before the death.
+            std::thread::sleep(Duration::from_millis(50));
+        }));
+        // Cost and penalty set, so registering it never asks the registry.
+        rt.register(
+            Event::for_handler(color, foreign)
+                .with_cost(1)
+                .with_penalty(2),
+        );
+        let (tx, rx) = mpsc::channel();
+        let injector = rt.injector();
+        let waiter = std::thread::spawn(move || {
+            waiting.store(true, Ordering::Release);
+            let _ = tx.send(injector.stop_when_idle());
+        });
+        let r = rt.run();
+        let ended = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(ended, Ok(IdleWait::WorkerDied));
+        waiter.join().unwrap();
+        drop(keepalive);
+        let core = color.home_core(2);
+        assert_eq!(r.per_core()[core].faults, 1, "{:?}", r.fault_log());
+        assert!(r
+            .fault_log()
+            .iter()
+            .any(|f| f.kind == FaultKind::WorkerDied { core }));
     }
 
     // The inject/inject_after pair is pinned by the consolidated test

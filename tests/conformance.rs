@@ -16,13 +16,45 @@
 //!   `completed_requests` and latency percentiles are populated
 //!   identically on both executors (the Cascade service runs as a
 //!   three-stage typed pipeline; the raw-`Event` `ExclusionProbe`
-//!   stays on the low-level API on purpose, covering both layers).
+//!   stays on the low-level API on purpose, covering both layers);
+//! - **per-color order** — with the simulator as the reference, a
+//!   threaded run with stealing on executes each color's events in the
+//!   same order;
+//! - **one color, one core through the public API** — a pin that would
+//!   split a queued color is refused and counted;
+//! - **one liveness record** — `Injector::outstanding` counts every
+//!   registered event and `Injector::stop_when_idle` returns on a stop.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use mely_repro::core::exec::IdleWait;
 use mely_repro::core::prelude::*;
 use mely_repro::sfs::{FileServerConfig, FileServerService};
+
+/// Each handler's `(color, payload)`, in execution order: the raw
+/// material of the per-color order oracle.
+#[derive(Clone, Default)]
+struct OrderLog(Arc<Mutex<Vec<(u16, u64)>>>);
+
+impl OrderLog {
+    fn note(&self, color: Color, payload: u64) {
+        self.0.lock().unwrap().push((color.value(), payload));
+    }
+
+    /// The payload sequence of each color. Every color of the services
+    /// below has one producer, so this is also their per-(producer,
+    /// color) order.
+    fn per_color(&self) -> BTreeMap<u16, Vec<u64>> {
+        let mut out = BTreeMap::<u16, Vec<u64>>::new();
+        for &(color, payload) in self.0.lock().unwrap().iter() {
+            out.entry(color).or_default().push(payload);
+        }
+        out
+    }
+}
 
 /// Runs `svc` on a fresh executor of `kind` and returns the service and
 /// the report.
@@ -52,6 +84,7 @@ fn run_on<S: Service>(
 struct Cascade {
     seeds: u16,
     width: u16,
+    order: OrderLog,
 }
 
 /// Fork stage message: which seed this is.
@@ -67,9 +100,10 @@ struct ChainMsg {
 
 struct ForkStage {
     width: u16,
+    order: OrderLog,
 }
-struct ChildStage;
-struct LeafStage;
+struct ChildStage(OrderLog);
+struct LeafStage(OrderLog);
 
 impl Stage for ForkStage {
     type In = SeedMsg;
@@ -77,6 +111,7 @@ impl Stage for ForkStage {
         StageSpec::new("fork").cost(5_000).keyed(|m| u64::from(m.s))
     }
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, msg: SeedMsg) {
+        self.order.note(ctx.color(), u64::from(msg.s));
         for w in 0..self.width {
             let id = u64::from(msg.s) * u64::from(self.width) + u64::from(w);
             // Each child chain is its own request.
@@ -91,6 +126,7 @@ impl Stage for ChildStage {
         StageSpec::new("child").cost(2_000).keyed(|m| m.id)
     }
     fn handle(&self, ctx: &mut StageCtx<'_, '_>, msg: ChainMsg) {
+        self.0.note(ctx.color(), 2 * msg.id);
         // The leaf inherits the child's color, like the raw cascade.
         ctx.to::<LeafStage>(msg);
     }
@@ -101,12 +137,21 @@ impl Stage for LeafStage {
     fn spec(&self) -> StageSpec<ChainMsg> {
         StageSpec::new("leaf").cost(1_000).inherit_color()
     }
-    fn handle(&self, ctx: &mut StageCtx<'_, '_>, _msg: ChainMsg) {
+    fn handle(&self, ctx: &mut StageCtx<'_, '_>, msg: ChainMsg) {
+        self.0.note(ctx.color(), 2 * msg.id + 1);
         ctx.complete(());
     }
 }
 
 impl Cascade {
+    fn new(seeds: u16, width: u16) -> Self {
+        Cascade {
+            seeds,
+            width,
+            order: OrderLog::default(),
+        }
+    }
+
     fn expected_events(&self) -> u64 {
         u64::from(self.seeds) * (1 + 2 * u64::from(self.width))
     }
@@ -123,9 +168,12 @@ impl Service for Cascade {
 
     fn install(&mut self, exec: &mut dyn Executor) {
         let mut b = PipelineBuilder::new("cascade")
-            .stage(ForkStage { width: self.width })
-            .stage(ChildStage)
-            .stage(LeafStage);
+            .stage(ForkStage {
+                width: self.width,
+                order: self.order.clone(),
+            })
+            .stage(ChildStage(self.order.clone()))
+            .stage(LeafStage(self.order.clone()));
         for s in 0..self.seeds {
             b = b.seed_pinned::<ForkStage>(0, SeedMsg { s });
         }
@@ -141,6 +189,7 @@ struct ExclusionProbe {
     in_flight: Arc<Vec<AtomicI64>>,
     violations: Arc<AtomicU64>,
     executed: Arc<AtomicU64>,
+    order: OrderLog,
 }
 
 impl ExclusionProbe {
@@ -155,6 +204,7 @@ impl ExclusionProbe {
             ),
             violations: Arc::new(AtomicU64::new(0)),
             executed: Arc::new(AtomicU64::new(0)),
+            order: OrderLog::default(),
         }
     }
 
@@ -170,13 +220,15 @@ impl Service for ExclusionProbe {
 
     fn install(&mut self, exec: &mut dyn Executor) {
         for c in 1..=self.colors {
-            for _ in 0..self.events_per_color {
+            for k in 0..self.events_per_color {
                 let in_flight = Arc::clone(&self.in_flight);
                 let violations = Arc::clone(&self.violations);
                 let executed = Arc::clone(&self.executed);
+                let order = self.order.clone();
                 // Pin everything to core 0 so stealing has to spread it.
                 exec.register_pinned(
                     Event::new(Color::new(c), 2_000).with_action(move |_ctx| {
+                        order.note(Color::new(c), u64::from(k));
                         let cell = &in_flight[usize::from(c)];
                         if cell.fetch_add(1, Ordering::SeqCst) != 0 {
                             violations.fetch_add(1, Ordering::SeqCst);
@@ -198,10 +250,7 @@ fn cascade_processes_identical_event_counts_on_both_executors() {
         for ws in [WsPolicy::off(), WsPolicy::base(), WsPolicy::improved()] {
             let mut counts = Vec::new();
             for kind in [ExecKind::Sim, ExecKind::Threaded] {
-                let svc = Cascade {
-                    seeds: 24,
-                    width: 3,
-                };
+                let svc = Cascade::new(24, 3);
                 let expected = svc.expected_events();
                 let expected_requests = svc.expected_requests();
                 let (_, report) = run_on(kind, 4, flavor, ws, svc);
@@ -354,5 +403,119 @@ fn build_rejects_bad_core_counts_identically_on_both_executors() {
             "{on_sim}"
         );
         assert_eq!(on_sim, refusal(cores, ExecKind::Threaded));
+    }
+}
+
+/// The per-color differential oracle, with the simulator as the
+/// reference: on a 4-core threaded run with stealing on, every color
+/// executes its events in the simulator's order, for the typed
+/// pipeline and for the pinned probe.
+#[test]
+fn per_color_order_matches_the_simulator() {
+    let cascade = |kind| {
+        let svc = Cascade::new(24, 3);
+        let (svc, _) = run_on(kind, 4, Flavor::Mely, WsPolicy::improved(), svc);
+        svc.order.per_color()
+    };
+    let reference = cascade(ExecKind::Sim);
+    assert_eq!(reference.len(), 24 + 24 * 3, "one color per seed and chain");
+    assert_eq!(cascade(ExecKind::Threaded), reference, "cascade");
+
+    let probe = |kind| {
+        let svc = ExclusionProbe::new(12, 40);
+        let (svc, _) = run_on(kind, 4, Flavor::Mely, WsPolicy::improved(), svc);
+        svc.order.per_color()
+    };
+    let reference = probe(ExecKind::Sim);
+    let in_order: Vec<u64> = (0..40).collect();
+    assert!(reference.values().all(|seq| *seq == in_order));
+    assert_eq!(probe(ExecKind::Threaded), reference, "exclusion probe");
+}
+
+/// A color lives on one core, also through `register_pinned`: pinning a
+/// color whose first event is still queued on its home core is refused
+/// and counted, and both events run on that core.
+#[test]
+fn a_pin_never_splits_a_queued_color() {
+    for kind in [ExecKind::Sim, ExecKind::Threaded] {
+        let mut rt = RuntimeBuilder::new()
+            .cores(2)
+            .workstealing(WsPolicy::off())
+            .build(kind);
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let event = || {
+            let ran = Arc::clone(&ran);
+            Event::new(Color::new(2), 1_000).with_action(move |ctx| {
+                ran.lock().unwrap().push(ctx.core());
+            })
+        };
+        rt.register(event());
+        rt.register_pinned(event(), 1);
+        let report = rt.run();
+        assert_eq!(*ran.lock().unwrap(), [0, 0], "{kind}: one color, one core");
+        assert_eq!(report.total().refused_pins, 1, "{kind}");
+        assert!(
+            !report
+                .fault_log()
+                .iter()
+                .any(|f| matches!(f.kind, FaultKind::WorkerDied { .. })),
+            "{kind}: {:?}",
+            report.fault_log()
+        );
+    }
+}
+
+/// `Injector::outstanding` counts every event not executed yet, however
+/// it was registered, on both executors.
+#[test]
+fn outstanding_counts_registered_events_on_both_executors() {
+    for kind in [ExecKind::Sim, ExecKind::Threaded] {
+        let mut rt = RuntimeBuilder::new().cores(2).build(kind);
+        let injector = rt.injector();
+        for i in 0..20u16 {
+            rt.register(Event::new(Color::new(i + 1), 100));
+        }
+        injector.inject_after(1_000, Event::new(Color::new(40), 100));
+        assert_eq!(injector.outstanding(), 21, "{kind}");
+        assert_eq!(rt.run().events_processed(), 21, "{kind}");
+        assert_eq!(injector.outstanding(), 0, "{kind}");
+    }
+}
+
+/// A waiter started before `run` returns `Stopped` when
+/// `Injector::stop` halts the run with events still queued, and the
+/// queued events stay outstanding.
+#[test]
+fn stop_when_idle_returns_when_a_stop_halts_the_run() {
+    for kind in [ExecKind::Sim, ExecKind::Threaded] {
+        let mut rt = RuntimeBuilder::new().cores(1).build(kind);
+        let returned = Arc::new(AtomicBool::new(false));
+        let (seen, stopper) = (Arc::clone(&returned), rt.injector());
+        // The first event stops the run and stays in flight until the
+        // waiter has returned, so the run cannot consume the stop before
+        // the waiter looks; the other 99 of its color stay queued.
+        rt.register(Event::new(Color::new(1), 1_000).with_action(move |_| {
+            stopper.stop();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !seen.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }));
+        for _ in 0..99 {
+            rt.register(Event::new(Color::new(1), 1_000));
+        }
+        let (tx, rx) = mpsc::channel();
+        let injector = rt.injector();
+        let waiter = std::thread::spawn(move || {
+            let ended = injector.stop_when_idle();
+            returned.store(true, Ordering::Release);
+            let _ = tx.send(ended);
+        });
+        let report = rt.run();
+        assert_eq!(report.events_processed(), 1, "{kind}");
+        let ended = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(ended, Ok(IdleWait::Stopped), "{kind}");
+        waiter.join().unwrap();
+        assert_eq!(rt.injector().outstanding(), 99, "{kind}");
     }
 }
