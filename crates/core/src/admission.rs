@@ -1,9 +1,9 @@
 //! Admission control: bounded queues, backpressure, and shed-by-color.
 //!
 //! Every queue in the runtime is unbounded by default — the
-//! injection inboxes, the per-core color-queues, and the simulator's
-//! run-loop mailbox all grow without limit, so a producer that outruns
-//! the cores can blow memory while tail latency collapses. This module
+//! injection inboxes and the per-core color-queues grow without limit,
+//! so a producer that outruns the cores can blow memory while tail
+//! latency collapses. This module
 //! adds the overload-engineering layer: configurable occupancy limits
 //! ([`QueueLimits`]), a fallible admission API
 //! ([`crate::exec::Injector::try_inject`] returning `Err(`[`Overload`]`)`
@@ -15,8 +15,8 @@
 //! # Where limits are enforced
 //!
 //! Admission is checked exactly at the external-producer boundary — the
-//! inbox push on the threaded executor and the mailbox enqueue
-//! on the simulator — and **never mid-pipeline**. Events registered by a
+//! push into the owning core's inbox, on both executors — and **never
+//! mid-pipeline**. Events registered by a
 //! running handler ([`crate::ctx::Ctx::register`], the stage layer's
 //! forwarding) always enter their queue, so an in-flight request chain
 //! completes once its seeding event was admitted. Because the stage
@@ -32,7 +32,7 @@
 //! |---|---|---|
 //! | `per_core_events` | events resident on the owning core (queue + undrained inbox) | [`OverloadReason::PerCoreFull`] |
 //! | `per_color_events` | injector-admitted events of the color not yet executed | [`OverloadReason::ColorHot`] |
-//! | `inbox_backlog` | events pushed to the owning core's inbox (threaded) or the run-loop mailbox (sim) and not yet drained | [`OverloadReason::InboxBacklog`] |
+//! | `inbox_backlog` | events pushed to the owning core's inbox and not yet drained | [`OverloadReason::InboxBacklog`] |
 //!
 //! On the threaded executor the inbox is also where a worker's route to
 //! a color another core owns waits for that core (and where
@@ -43,10 +43,9 @@
 //!
 //! Checks are evaluated in the order `per_core_events`, `inbox_backlog`,
 //! `per_color_events`; the first limit hit names the
-//! [`OverloadReason`]. On the simulator the per-core occupancy is the
-//! queue length the run loop last published (exact between iterations;
-//! an approximation while the loop is mid-step) and the owning core is
-//! the color's home core (exact unless workstealing moved the color).
+//! [`OverloadReason`]. The per-core occupancy is the queue length the
+//! owning core last published plus its inbox backlog: exact while the
+//! core is idle, an estimate while it runs.
 //!
 //! # Accounting
 //!
@@ -95,9 +94,9 @@ pub struct QueueLimits {
     /// this limit (they cannot be rejected), only events entering
     /// through an injector.
     pub per_color_events: Option<u32>,
-    /// Max events buffered in the admission inbox — the owning core's
-    /// injection inbox (threaded; cross-core routes in transit
-    /// included) or the run-loop mailbox (sim); `None` = unbounded.
+    /// Max events buffered in the owning core's injection inbox
+    /// (cross-core routes in transit included on threads); `None` =
+    /// unbounded.
     pub inbox_backlog: Option<u32>,
 }
 
@@ -166,9 +165,8 @@ pub enum OverloadReason {
     /// is reached — the signature signal of a heavy-tailed workload's
     /// hot key.
     ColorHot,
-    /// The admission inbox ([`QueueLimits::inbox_backlog`]) is full —
-    /// or, on the simulator, the run loop has been stopped and will
-    /// never drain its mailbox again.
+    /// The owning core's inbox ([`QueueLimits::inbox_backlog`]) is
+    /// full.
     InboxBacklog,
     /// The event's color is quarantined after a contained handler fault
     /// (see [`crate::fault`]): a faulted color accepts no new work for
@@ -420,118 +418,96 @@ mod tests {
         assert!(ctl.try_claim_color(7, 2));
     }
 
-    /// Reason selection at the per-color boundary on the threaded
-    /// executor: one-below admits, full rejects with `ColorHot`, and the
-    /// rejection saturates (repeats do not corrupt the occupancy).
+    /// Reason selection at the per-color boundary: one-below admits,
+    /// full rejects with `ColorHot`, and the rejection saturates (repeats
+    /// do not corrupt the occupancy).
     #[test]
-    fn threaded_color_boundary_full_one_below_saturating() {
-        let mut rt = RuntimeBuilder::new()
-            .cores(1)
-            .queue_limits(QueueLimits::default().per_color_events(2))
-            .build(ExecKind::Threaded);
-        let inj = rt.injector();
-        // One below the cap: admitted.
-        assert!(inj.try_inject(Event::new(Color::new(3), 0)).is_ok());
-        assert!(inj.try_inject(Event::new(Color::new(3), 0)).is_ok());
-        // Full: rejected with the color reason; other colors still flow.
-        for _ in 0..5 {
-            let err = inj
-                .try_inject(Event::new(Color::new(3), 0))
-                .expect_err("cap reached");
-            assert_eq!(err.reason, OverloadReason::ColorHot);
+    fn color_boundary_full_one_below_saturating_on_both_executors() {
+        for kind in [ExecKind::Sim, ExecKind::Threaded] {
+            let mut rt = RuntimeBuilder::new()
+                .cores(1)
+                .queue_limits(QueueLimits::default().per_color_events(2))
+                .build(kind);
+            let inj = rt.injector();
+            let admit = |c| {
+                inj.try_inject(Event::new(Color::new(c), 0))
+                    .map_err(|e| e.reason)
+            };
+            // One below the cap: admitted.
+            assert_eq!((admit(3), admit(3)), (Ok(()), Ok(())), "{kind}");
+            // Full: rejected with the color reason; other colors still flow.
+            for _ in 0..5 {
+                assert_eq!(admit(3), Err(OverloadReason::ColorHot), "{kind}");
+            }
+            assert_eq!(admit(4), Ok(()), "{kind}");
+            // Draining the admitted events releases the occupancy.
+            assert_eq!(rt.run().events_processed(), 3, "{kind}");
+            assert_eq!(admit(3), Ok(()), "{kind}");
         }
-        assert!(inj.try_inject(Event::new(Color::new(4), 0)).is_ok());
-        // Draining the admitted events releases the occupancy.
-        assert_eq!(rt.run().events_processed(), 3);
-        let inj = rt.injector();
-        assert!(inj.try_inject(Event::new(Color::new(3), 0)).is_ok());
     }
 
+    /// The per-core limit counts the owner's queue and its inbox, and a
+    /// run that drains both frees the core again.
     #[test]
-    fn threaded_per_core_boundary_reports_per_core_full() {
-        let rt = RuntimeBuilder::new()
-            .cores(1)
-            .queue_limits(QueueLimits::default().per_core_events(3))
-            .build(ExecKind::Threaded);
-        let inj = rt.injector();
-        for i in 0..3u16 {
-            assert!(inj.try_inject(Event::new(Color::new(i + 1), 0)).is_ok());
+    fn per_core_boundary_reports_per_core_full_on_both_executors() {
+        for kind in [ExecKind::Sim, ExecKind::Threaded] {
+            let mut rt = RuntimeBuilder::new()
+                .cores(1)
+                .queue_limits(QueueLimits::default().per_core_events(3))
+                .build(kind);
+            let inj = rt.injector();
+            let admit = |c| {
+                inj.try_inject(Event::new(Color::new(c), 0))
+                    .map_err(|e| e.reason)
+            };
+            for c in 1..=3 {
+                assert_eq!(admit(c), Ok(()), "{kind}");
+            }
+            assert_eq!(admit(9), Err(OverloadReason::PerCoreFull), "{kind}");
+            assert_eq!(rt.run().events_processed(), 3, "{kind}");
+            assert_eq!(admit(9), Ok(()), "{kind}");
         }
-        let err = inj
-            .try_inject(Event::new(Color::new(9), 0))
-            .expect_err("core full");
-        assert_eq!(err.reason, OverloadReason::PerCoreFull);
     }
 
     #[test]
-    fn threaded_inbox_boundary_reports_backlog() {
-        let rt = RuntimeBuilder::new()
-            .cores(1)
-            .queue_limits(QueueLimits::default().inbox_backlog(2))
-            .build(ExecKind::Threaded);
-        let inj = rt.injector();
-        assert!(inj.try_inject(Event::new(Color::new(1), 0)).is_ok());
-        assert!(inj.try_inject(Event::new(Color::new(2), 0)).is_ok());
-        let err = inj
-            .try_inject(Event::new(Color::new(3), 0))
-            .expect_err("inbox full");
-        assert_eq!(err.reason, OverloadReason::InboxBacklog);
+    fn inbox_boundary_reports_backlog_on_both_executors() {
+        for kind in [ExecKind::Sim, ExecKind::Threaded] {
+            let rt = RuntimeBuilder::new()
+                .cores(1)
+                .queue_limits(QueueLimits::default().inbox_backlog(2))
+                .build(kind);
+            let inj = rt.injector();
+            let admit = |c| {
+                inj.try_inject(Event::new(Color::new(c), 0))
+                    .map_err(|e| e.reason)
+            };
+            assert_eq!((admit(1), admit(2)), (Ok(()), Ok(())), "{kind}");
+            assert_eq!(admit(3), Err(OverloadReason::InboxBacklog), "{kind}");
+        }
     }
 
+    /// A pending stop refuses no injection: the event waits in its
+    /// inbox, counted, through the run that consumes the stop, and the
+    /// next run executes it.
     #[test]
-    fn sim_color_and_backlog_boundaries() {
-        let mut rt = RuntimeBuilder::new()
-            .cores(1)
-            .queue_limits(QueueLimits::default().per_color_events(1))
-            .build(ExecKind::Sim);
-        let inj = rt.injector();
-        assert!(inj.try_inject(Event::new(Color::new(5), 10)).is_ok());
-        let err = inj
-            .try_inject(Event::new(Color::new(5), 10))
-            .expect_err("color cap");
-        assert_eq!(err.reason, OverloadReason::ColorHot);
-        assert!(inj.try_inject(Event::new(Color::new(6), 10)).is_ok());
-        assert_eq!(rt.run().events_processed(), 2);
-        // Execution released the color slot.
-        assert!(rt
-            .injector()
-            .try_inject(Event::new(Color::new(5), 10))
-            .is_ok());
-
-        let rt = RuntimeBuilder::new()
-            .cores(1)
-            .queue_limits(QueueLimits::default().inbox_backlog(2))
-            .build(ExecKind::Sim);
-        let inj = rt.injector();
-        assert!(inj.try_inject(Event::new(Color::new(1), 0)).is_ok());
-        assert!(inj.try_inject(Event::new(Color::new(2), 0)).is_ok());
-        let err = inj
-            .try_inject(Event::new(Color::new(3), 0))
-            .expect_err("mailbox full");
-        assert_eq!(err.reason, OverloadReason::InboxBacklog);
-    }
-
-    /// The SimMailbox footgun fix: enqueueing into a stopped simulator
-    /// no longer buffers forever — it rejects and counts.
-    #[test]
-    fn stopped_sim_rejects_instead_of_buffering() {
-        let mut rt = RuntimeBuilder::new().cores(1).build(ExecKind::Sim);
-        let inj = rt.injector();
-        inj.stop();
-        let err = inj
-            .try_inject(Event::new(Color::new(1), 0))
-            .expect_err("stopped");
-        assert_eq!(err.reason, OverloadReason::InboxBacklog);
-        // The infallible path drops and counts it.
-        inj.inject(Event::new(Color::new(2), 0));
-        assert_eq!(inj.outstanding(), 0, "nothing buffered while stopped");
-        let r = rt.run(); // consumes the stop, executes nothing
-        assert_eq!(r.events_processed(), 0);
-        assert!(r.total().admission_rejects >= 2);
-        // After the stop is consumed, admission works again.
-        let inj = rt.injector();
-        assert!(inj.try_inject(Event::new(Color::new(3), 0)).is_ok());
-        assert_eq!(rt.run().events_processed(), 1);
+    fn a_pending_stop_refuses_no_injection_on_both_executors() {
+        for kind in [ExecKind::Sim, ExecKind::Threaded] {
+            let mut rt = RuntimeBuilder::new().cores(1).build(kind);
+            let inj = rt.injector();
+            inj.stop();
+            assert_eq!(
+                inj.try_inject(Event::new(Color::new(1), 0)),
+                Ok(()),
+                "{kind}"
+            );
+            inj.inject(Event::new(Color::new(2), 0));
+            assert_eq!(inj.outstanding(), 2, "{kind}");
+            let r = rt.run();
+            assert_eq!(r.events_processed(), 0, "{kind}");
+            assert_eq!(r.total().admission_rejects, 0, "{kind}");
+            assert_eq!(rt.run().events_processed(), 2, "{kind}");
+            assert_eq!(inj.outstanding(), 0, "{kind}");
+        }
     }
 
     /// `inject` makes one attempt: with no worker running to drain the

@@ -23,24 +23,24 @@
 //!   and threads.
 //! - [`Injector`] — a cloneable, `Send` handle for registering events
 //!   from outside the runtime (load generators, network poll loops).
-//!   On the threaded executor it wraps the injection inboxes;
-//!   on the simulator it feeds a mailbox the run loop drains at
-//!   iteration boundaries, so external-producer code is also written
-//!   once.
+//!   On both executors it pushes into the owning core's injection
+//!   inbox, which the core drains into its queue, so external-producer
+//!   code is also written once.
 //!
-//! Both executors keep color ownership in one `ColorMap` (with the pin
-//! rule) and whether a run goes on in one `Liveness` record (unexecuted
-//! events, keepalive tokens, the stop request).
+//! Both executors and their injectors share one `Doors`: the admission
+//! limits and quarantine set, color ownership in one `ColorMap` (with
+//! the pin rule), whether a run goes on in one `Liveness` record
+//! (unexecuted events, keepalive tokens, the stop request), and per
+//! core the inbox and the published queue length.
 //!
 //! # Injection semantics (the unified naming)
 //!
 //! The injection surface is the admission boundary of the runtime's
 //! overload control ([`crate::admission`]): the infallible paths shed an
 //! event a queue limit refuses, the fallible `try_` twins return the
-//! [`Overload`] to the caller. The full four-way table (plus twins)
-//! lives on [`Injector`]. Each executor offers only a primitive
-//! admit-and-enqueue; the shed path, the fallible twins and the
-//! reject/shed accounting are written once on top of it.
+//! [`Overload`] to the caller. The table lives on [`Injector`]. The
+//! admission steps, the shed path and the reject/shed accounting are
+//! written once, on the shared door.
 //!
 //! # Examples
 //!
@@ -71,21 +71,20 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::admission::{AdmissionCtl, Overload, OverloadReason};
+use crate::admission::{Overload, OverloadReason};
 use crate::color::{Color, COLOR_SPACE};
 use crate::dataset::{DataSetAlloc, DataSetRef};
 use crate::event::Event;
 use crate::handler::{HandlerId, HandlerSpec};
-use crate::metrics::RunReport;
+use crate::metrics::{CoreMetrics, RunReport};
 use crate::runtime::{Flavor, Resolved};
 use crate::sim::SimRuntime;
 use crate::steal::WsPolicy;
 use crate::threaded;
+use crate::threaded::inbox::InjectionInbox;
 
 /// Which executor to build: the deterministic simulation or the real
 /// one-OS-thread-per-core runtime.
@@ -168,9 +167,10 @@ pub trait Executor {
     /// has no owner yet, is `core`'s already, or nothing holds it on its
     /// owner: no event queued there nor, on threads, in its inbox.
     /// Otherwise the event goes to the owner, and `refused_pins` counts
-    /// one. Armed timers and simulator mailbox entries hold nothing:
-    /// they go to whoever owns the color at delivery. No handler is in
-    /// flight while this borrows the executor.
+    /// one. On both executors, "holds" means an event of the color
+    /// queued on the owner or waiting in its inbox. Armed timers hold
+    /// nothing: they go to whoever owns the color when they fire. No
+    /// handler is in flight while this borrows the executor.
     ///
     /// # Panics
     ///
@@ -238,55 +238,6 @@ pub trait Service {
     /// [`crate::ctx::Ctx::register`] / [`crate::ctx::Ctx::register_after`],
     /// which are executor-agnostic by construction.
     fn install(&mut self, exec: &mut dyn Executor);
-}
-
-/// What one executor offers an external producer: its primitive door.
-/// [`Injector`]'s four entry points — the shed path, the fallible twins
-/// and the reject/shed accounting — are written once over this trait
-/// ([`admit_or_shed`], [`admit_or_report`], [`enqueue_or_shed`]) and
-/// monomorphised per executor. Nothing here counts a reject or a shed.
-pub(crate) trait Door {
-    /// The runtime's limits and producer-side counters.
-    fn admission(&self) -> &AdmissionCtl;
-
-    /// Admits `ev` against the quarantine set and the queue limits and
-    /// enqueues it — now, or to fire after `delay` cycles — or drops it
-    /// and returns the [`Overload`].
-    fn try_enqueue(&self, delay: Option<u64>, ev: Event) -> Result<(), Overload>;
-
-    /// Enqueues past the queue limits (`None`: right away, through the
-    /// owning core's inbox on threads; `Some`: after a delay). `Err`
-    /// names why the door takes nothing of this color whatever the
-    /// limits say, and the event is dropped.
-    fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason>;
-}
-
-/// The fallible twins ([`Injector::try_inject`],
-/// [`Injector::try_inject_after`]): one attempt, one counted reject, the
-/// [`Overload`] to the caller.
-fn admit_or_report<D: Door>(door: &D, delay: Option<u64>, ev: Event) -> Result<(), Overload> {
-    door.try_enqueue(delay, ev)
-        .inspect_err(|_| door.admission().note_reject())
-}
-
-/// The infallible admission path ([`Injector::inject`]): one attempt,
-/// and a refused event counts one reject plus one shed. Never waiting
-/// keeps a producer from stalling on a hot color, a quarantined color
-/// or a stopped executor, none of which it can drain itself.
-fn admit_or_shed<D: Door>(door: &D, ev: Event) {
-    if let Err(ov) = admit_or_report(door, None, ev) {
-        door.admission().note_shed(ov.reason);
-    }
-}
-
-/// The unchecked paths ([`Injector::inject_after`], the threaded
-/// runtime's own `register`):
-/// an event the door refuses counts one reject plus one shed.
-pub(crate) fn enqueue_or_shed<D: Door>(door: &D, delay: Option<u64>, ev: Event) {
-    if let Err(reason) = door.enqueue_unchecked(delay, ev) {
-        door.admission().note_reject();
-        door.admission().note_shed(reason);
-    }
 }
 
 const NO_OWNER: u32 = u32::MAX;
@@ -362,6 +313,13 @@ impl ColorMap {
 /// bits and events in the low 48, so one load reads both consistently.
 const TOKEN: u64 = 1 << 48;
 
+/// [`Liveness::stop`]: a stop is requested.
+const STOP: u64 = 1;
+/// [`Liveness::stop`]: the latest stop request came from a dying worker.
+const BY_DEATH: u64 = 2;
+/// [`Liveness::stop`]: one stop consumed by a run.
+const CONSUMED: u64 = 4;
+
 /// What ended an [`Injector::stop_when_idle`] wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdleWait {
@@ -378,18 +336,18 @@ pub enum IdleWait {
 
 /// Whether a run goes on, for both executors and their [`Injector`]s:
 /// the events not executed yet, the [`KeepAlive`] tokens, the one stop
-/// request, worker deaths and run ends.
+/// request and run ends.
 #[derive(Debug, Default)]
 pub(crate) struct Liveness {
-    /// Events registered, armed as timers or pushed to the simulator's
-    /// mailbox and not executed yet, plus [`TOKEN`]s.
+    /// Events registered, armed as timers or injected and not executed
+    /// yet, plus [`TOKEN`]s.
     count: AtomicU64,
-    /// Bit 0: a stop is requested. Above it: stops consumed by runs, so
-    /// that a waiter sees a stop even once it is consumed.
+    /// [`STOP`] and [`BY_DEATH`], and above them the stops consumed by
+    /// runs, so that a waiter sees a stop even once it is consumed and
+    /// whether the latest was a death's.
     stop: AtomicU64,
     /// Bit 0: a run is in progress. Above it: runs ended.
     runs: AtomicU64,
-    deaths: AtomicU64,
 }
 
 impl Liveness {
@@ -407,184 +365,174 @@ impl Liveness {
         self.count.load(Ordering::Acquire) == 0
     }
 
+    /// A new request clears the mark of a death whose stop is consumed;
+    /// a pending death's stop stays a death's.
     pub(crate) fn request_stop(&self) {
-        self.stop.fetch_or(1, Ordering::AcqRel);
+        let _ = self
+            .stop
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| {
+                (s & STOP == 0).then_some((s | STOP) & !BY_DEATH)
+            });
     }
 
     pub(crate) fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::Acquire) & 1 != 0
+        self.stop.load(Ordering::Acquire) & STOP != 0
     }
 
     /// The events a dead worker held can no longer run: its run stops.
     pub(crate) fn worker_died(&self) {
-        self.deaths.fetch_add(1, Ordering::AcqRel);
-        self.request_stop();
+        self.stop.fetch_or(STOP | BY_DEATH, Ordering::AcqRel);
     }
 
     /// A run is in progress until the guard drops, also by unwinding;
     /// the drop consumes the stop request, so that the next run goes on.
-    pub(crate) fn run(self: &Arc<Self>) -> Running {
+    pub(crate) fn run(&self) -> Running<'_> {
         self.runs.fetch_add(1, Ordering::AcqRel);
-        Running(Arc::clone(self))
+        Running(self)
     }
 }
 
 /// A run in progress ([`Liveness::run`]).
-pub(crate) struct Running(Arc<Liveness>);
+pub(crate) struct Running<'a>(&'a Liveness);
 
-impl Drop for Running {
+impl Drop for Running<'_> {
     fn drop(&mut self) {
-        // Adding 1 to a set bit 0 clears it and counts one stop consumed;
-        // no one else clears it.
-        if self.0.stop_requested() {
-            self.0.stop.fetch_add(1, Ordering::AcqRel);
-        }
+        let _ = self
+            .0
+            .stop
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |s| {
+                (s & STOP != 0).then_some((s & !STOP) + CONSUMED)
+            });
         self.0.runs.fetch_add(1, Ordering::AcqRel);
     }
 }
 
-/// The simulator's external-producer mailbox: a mutex-protected buffer
-/// the run loop drains at iteration boundaries, giving [`Injector`]s a
-/// target on an executor that is otherwise single-threaded.
+/// One core's door: the inbox every event bound for the core enters
+/// by, and the length of the core's queue as its executor last
+/// published it.
+#[derive(Default)]
+pub(crate) struct CoreDoor {
+    pub(crate) inbox: InjectionInbox,
+    queued: AtomicUsize,
+}
+
+impl CoreDoor {
+    /// The queue length as last published: exact while the core's
+    /// executor holds the queue, a racy estimate for everyone else.
+    pub(crate) fn queued(&self) -> usize {
+        self.queued.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn publish(&self, queued: usize) {
+        self.queued.store(queued, Ordering::Relaxed);
+    }
+
+    /// Pending work on the core: its queue plus what waits in its inbox.
+    /// Saturating: both inputs are racy estimates.
+    pub(crate) fn load(&self) -> usize {
+        self.queued().saturating_add(self.inbox.len())
+    }
+}
+
+/// The one way into a runtime from outside its cores, shared by both
+/// executors and every [`Injector`]: the admission limits and the
+/// quarantine set, who owns each color, whether a run goes on, and one
+/// [`CoreDoor`] per core.
 ///
-/// Determinism note: a simulation that only ever registers events from
-/// its own thread (the normal case) never observes the mailbox and
-/// stays fully deterministic. Cross-thread injection into a *running*
-/// simulation is inherently racy — the drain order depends on OS
-/// scheduling — and is intended for running threaded-style producer
-/// code unmodified, not for cycle-accurate claims.
-pub(crate) struct SimMailbox {
-    /// Buffered entries: `(None, ev)` is immediate, `(Some(delay), ev)`
-    /// arms a timer.
-    queue: Mutex<Vec<(Option<u64>, Event)>>,
-    /// Entries pushed but not yet drained by the run loop: the backlog
-    /// admission checks, and what [`SimMailbox::has_buffered`] reads.
-    buffered: AtomicU64,
-    /// The simulator's liveness record: a push counts its event there.
-    pub(crate) life: Arc<Liveness>,
-    /// Shared with the run loop: the admission limits and counters, and
-    /// the quarantine set (a quarantined color is refused here, where
-    /// producers see it, rather than drained).
+/// An event enters by its color's owner's inbox: [`Doors::hand_off`]
+/// re-checks the owner under the inbox lock, so an inbox only ever
+/// holds colors its core owns. Its owner queues it, the threaded
+/// worker at its loop's top, the simulator's run loop at its own, and a
+/// thief drains the victim's inbox and its own when it moves a color;
+/// each inbox is drained whole and in order, which keeps one
+/// producer's events of one color in FIFO order on both executors.
+pub(crate) struct Doors {
     cfg: Arc<Resolved>,
-    /// Per-core queue lengths as last published by the run loop; empty
-    /// unless a per-core limit is configured. An approximation for
-    /// producers: exact between run-loop iterations, stale mid-step.
-    core_occupancy: Box<[AtomicU32]>,
+    pub(crate) colors: ColorMap,
+    pub(crate) life: Liveness,
+    pub(crate) cores: Box<[CoreDoor]>,
 }
 
-impl SimMailbox {
-    pub(crate) fn new(cfg: Arc<Resolved>) -> Self {
-        let tracked = if cfg.admission.limits.per_core_events.is_some() {
-            cfg.cores
-        } else {
-            0
-        };
-        let mut occ = Vec::with_capacity(tracked);
-        occ.resize_with(tracked, || AtomicU32::new(0));
-        SimMailbox {
-            queue: Mutex::new(Vec::new()),
-            buffered: AtomicU64::new(0),
-            life: Arc::default(),
+impl Doors {
+    pub(crate) fn new(cfg: Arc<Resolved>) -> Arc<Self> {
+        Arc::new(Doors {
+            colors: ColorMap::new(cfg.cores),
+            life: Liveness::default(),
+            cores: (0..cfg.cores).map(|_| CoreDoor::default()).collect(),
             cfg,
-            core_occupancy: occ.into_boxed_slice(),
-        }
+        })
     }
 
-    fn push_raw(&self, delay: Option<u64>, ev: Event) {
-        // Count before publishing, so that neither count ever
-        // under-reports.
-        self.life.add_event();
-        self.buffered.fetch_add(1, Ordering::AcqRel);
-        self.queue.lock().push((delay, ev));
-    }
-
-    /// Publishes one core's queue length for the per-core admission
-    /// check (no-op unless a per-core limit is configured).
-    pub(crate) fn publish_core_occupancy(&self, core: usize, len: u32) {
-        if let Some(slot) = self.core_occupancy.get(core) {
-            slot.store(len, Ordering::Release);
-        }
-    }
-
-    /// Whether undrained entries are buffered. The sim run loop checks
-    /// this before draining so schedule perturbation only consults its
-    /// RNG when there is actually something to absorb.
-    pub(crate) fn has_buffered(&self) -> bool {
-        self.buffered.load(Ordering::Acquire) > 0
-    }
-
-    /// Takes the whole backlog. Called by the sim run loop once
-    /// [`SimMailbox::has_buffered`].
-    pub(crate) fn drain(&self) -> Vec<(Option<u64>, Event)> {
-        let batch = std::mem::take(&mut *self.queue.lock());
-        self.buffered
-            .fetch_sub(batch.len() as u64, Ordering::AcqRel);
-        batch
-    }
-}
-
-impl Door for SimMailbox {
-    fn admission(&self) -> &AdmissionCtl {
-        &self.cfg.admission
-    }
-
-    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), Overload> {
-        let cfg = &*self.cfg;
-        if self.life.stop_requested() {
-            // The run loop will never drain again: unconditional reject
-            // (reason InboxBacklog — the backlog can only grow).
-            return Err(Overload {
-                reason: OverloadReason::InboxBacklog,
-            });
-        }
+    /// The admission steps of every producer path, written once: the
+    /// quarantine gate and, when `limited`, the queue limits against
+    /// the owner's load and inbox backlog. A refused event counts one
+    /// reject and is dropped; an admitted one is counted and handed off.
+    pub(crate) fn try_enter(&self, mut ev: Event, limited: bool) -> Result<(), Overload> {
+        let (admission, faults) = (&self.cfg.admission, &self.cfg.faults);
         let color = ev.color();
-        cfg.admission.admit(&cfg.faults, &mut ev, || {
-            // Dispatch estimate: the color's home core (exact unless
-            // workstealing moved the color), occupancy as last
-            // published by the run loop (tracked only under a per-core
-            // limit).
-            let core_occ = self.core_occupancy.get(color.home_core(cfg.cores));
-            (
-                core_occ.map_or(0, |occ| u64::from(occ.load(Ordering::Acquire))),
-                self.buffered.load(Ordering::Acquire),
-            )
-        })?;
-        self.push_raw(delay, ev);
+        let admitted = if limited {
+            admission.admit(faults, &mut ev, || {
+                let core = &self.cores[self.colors.owner_of(color)];
+                (core.load() as u64, core.inbox.len() as u64)
+            })
+        } else if faults.is_quarantined(color) {
+            Err(Overload {
+                reason: OverloadReason::Quarantined,
+            })
+        } else {
+            Ok(())
+        };
+        if let Err(ov) = admitted {
+            admission.note_reject();
+            return Err(ov);
+        }
+        self.life.add_event();
+        self.hand_off(ev);
         Ok(())
     }
 
-    /// Two checks still apply: a stopped run loop never drains its
-    /// mailbox, so buffering into it would leak the event forever, and a
-    /// quarantined color's events would only be drained and discarded by
-    /// the run loop anyway.
-    fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason> {
-        if self.life.stop_requested() {
-            return Err(OverloadReason::InboxBacklog);
+    /// [`Doors::try_enter`] for the infallible paths: a refused event
+    /// also counts one shed. Never waiting keeps a producer from
+    /// stalling on a hot or quarantined color it cannot drain itself.
+    pub(crate) fn enter(&self, ev: Event, limited: bool) {
+        if let Err(ov) = self.try_enter(ev, limited) {
+            self.cfg.admission.note_shed(ov.reason);
         }
-        if self.cfg.faults.is_quarantined(ev.color()) {
-            return Err(OverloadReason::Quarantined);
-        }
-        self.push_raw(delay, ev);
-        Ok(())
     }
-}
 
-#[derive(Clone)]
-pub(crate) enum InjectorInner {
-    Sim(Arc<SimMailbox>),
-    Threaded(Arc<threaded::Shared>),
-}
-
-/// Evaluates `$body` with `$door` bound to the executor's door, once
-/// per variant, so every entry point is monomorphised — no `dyn` call
-/// on the injection path.
-macro_rules! with_door {
-    ($injector:expr, $door:ident => $body:expr) => {
-        match &$injector.inner {
-            InjectorInner::Sim($door) => $body,
-            InjectorInner::Threaded($door) => $body,
+    /// Pushes a counted event into the inbox of the core owning its
+    /// color. The push re-checks the owner under the inbox lock and,
+    /// refused because a steal moved the color in between, retries on
+    /// the new owner.
+    pub(crate) fn hand_off(&self, mut ev: Event) {
+        let color = ev.color();
+        loop {
+            let owner = self.colors.owner_of(color);
+            let still_owner = || self.colors.owns(owner, color);
+            match self.cores[owner].inbox.push_if(ev, still_owner) {
+                Ok(()) => return,
+                Err(refused) => ev = refused,
+            }
         }
-    };
+    }
+
+    /// Whether any inbox holds an event.
+    pub(crate) fn pending(&self) -> bool {
+        self.cores.iter().any(|c| !c.inbox.is_empty())
+    }
+
+    /// Writes what the doors counted into a run's report: each inbox's
+    /// pushes, reroutes and buffer reuses into its core's slot, the
+    /// admission totals and refused pins into core 0's.
+    pub(crate) fn attribute_to(&self, per_core: &mut [CoreMetrics]) {
+        for (m, core) in per_core.iter_mut().zip(&self.cores) {
+            m.inbox_pushes = core.inbox.total_pushes();
+            m.inbox_rerouted = core.inbox.total_refusals();
+            m.inbox_node_reuse = core.inbox.total_node_reuses();
+        }
+        self.cfg.admission.attribute_to(&mut per_core[0]);
+        per_core[0].refused_pins = self.colors.refused_pins.load(Ordering::Relaxed);
+    }
 }
 
 /// A cloneable, `Send` handle for registering events into a running
@@ -594,43 +542,38 @@ macro_rules! with_door {
 /// # The injection surface
 ///
 /// The injector is the *admission boundary* of the runtime's overload
-/// control ([`crate::admission`]). Three ways in, each with one job:
+/// control ([`crate::admission`]). Two ways in:
 ///
 /// | method | admission | semantics |
 /// |---|---|---|
-/// | [`Injector::inject`] | infallible — a refused event is dropped and counted as shed | enqueue to the color's owning core through its inbox (threaded) or the run-loop mailbox (sim). The default fire-and-forget path: producers never contend on a dispatch lock. |
+/// | [`Injector::inject`] | infallible — a refused event is dropped and counted as shed | enqueue to the color's owning core through its inbox. The default fire-and-forget path: producers never contend on a dispatch lock. |
 /// | [`Injector::try_inject`] | fallible — returns `Err(`[`Overload`]`)` naming the limit hit; the event is dropped | same enqueue; the caller owns the overload response (retry, degrade, reject upstream). |
-/// | [`Injector::inject_after`] | none — timers are scheduled work, not offered load | enqueue after a delay in cycles (virtual under sim, cycle-counter under threads). |
 ///
-/// [`Injector::try_inject_after`] is the fallible twin of
-/// `inject_after`: its admission check runs at *registration* time
-/// against current occupancy, and an admitted event holds its per-color
-/// slot across the delay. A quarantined color is refused on every path,
-/// and on a stopped simulator every path rejects (the infallible ones
-/// drop + count) instead of buffering forever.
+/// A quarantined color is refused on both paths. A pending stop
+/// refuses nothing: the injected event waits in its inbox, counted in
+/// [`Injector::outstanding`], and the next run executes it. A producer
+/// that wants an event later injects one whose action calls
+/// [`crate::ctx::Ctx::register_after`].
 #[derive(Clone)]
 pub struct Injector {
-    pub(crate) inner: InjectorInner,
+    kind: ExecKind,
+    doors: Arc<Doors>,
 }
 
 impl Injector {
     /// Which executor this injector feeds.
     pub fn kind(&self) -> ExecKind {
-        match &self.inner {
-            InjectorInner::Sim(_) => ExecKind::Sim,
-            InjectorInner::Threaded(_) => ExecKind::Threaded,
-        }
+        self.kind
     }
 
-    /// Registers an event through the owning core's injection inbox
-    /// (threaded) or the run-loop mailbox (sim) — the producer
-    /// never contends on a dispatch lock. The canonical *infallible*
-    /// injection path: with bounded queues, one admission attempt, and
-    /// an event a limit refuses is dropped and counted as one
-    /// `admission_rejects` plus one `shed_requests` (see the table on
-    /// [`Injector`]). Never blocks.
+    /// Registers an event through the owning core's injection inbox —
+    /// the producer never contends on a dispatch lock. The canonical
+    /// *infallible* injection path: with bounded queues, one admission
+    /// attempt, and an event a limit refuses is dropped and counted as
+    /// one `admission_rejects` plus one `shed_requests` (see the table
+    /// on [`Injector`]). Never blocks.
     pub fn inject(&self, ev: Event) {
-        with_door!(self, d => admit_or_shed(&**d, ev))
+        self.doors.enter(ev, true)
     }
 
     /// The fallible admission path: admits `ev` or returns the
@@ -638,45 +581,21 @@ impl Injector {
     /// dropped and not counted as shed). Never blocks; each rejected call
     /// counts one `admission_rejects`.
     pub fn try_inject(&self, ev: Event) -> Result<(), Overload> {
-        with_door!(self, d => admit_or_report(&**d, None, ev))
-    }
-
-    /// Registers an event to fire after `delay` cycles: virtual cycles
-    /// under the simulator, calibrated cycle-counter cycles under the
-    /// threaded executor. Infallible and unchecked — a timer firing is
-    /// scheduled work, not offered load; use
-    /// [`Injector::try_inject_after`] to subject delayed work to
-    /// admission control.
-    pub fn inject_after(&self, delay: u64, ev: Event) {
-        with_door!(self, d => enqueue_or_shed(&**d, Some(delay), ev))
-    }
-
-    /// The fallible twin of [`Injector::inject_after`]: the admission
-    /// check runs *now*, against current occupancy, and an admitted
-    /// event holds its per-color slot across the delay.
-    pub fn try_inject_after(&self, delay: u64, ev: Event) -> Result<(), Overload> {
-        with_door!(self, d => admit_or_report(&**d, Some(delay), ev))
-    }
-
-    fn life(&self) -> &Arc<Liveness> {
-        match &self.inner {
-            InjectorInner::Sim(mailbox) => &mailbox.life,
-            InjectorInner::Threaded(shared) => &shared.life,
-        }
+        self.doors.try_enter(ev, true)
     }
 
     /// Asks the executor to stop at the next opportunity; events still
     /// queued may not execute (the usual producer/stop race). A run
     /// consumes the request when it returns.
     pub fn stop(&self) {
-        self.life().request_stop()
+        self.doors.life.request_stop()
     }
 
     /// Events registered but not executed yet, whichever way they came
     /// in: [`Executor::register`], a handler, a timer or an injector.
     /// A snapshot for idle checks.
     pub fn outstanding(&self) -> u64 {
-        self.life().count.load(Ordering::Acquire) % TOKEN
+        self.doors.life.count.load(Ordering::Acquire) % TOKEN
     }
 
     /// Keeps the executor alive while the returned guard lives, even
@@ -685,31 +604,28 @@ impl Injector {
     /// everything registered so far has executed. Pair with
     /// [`Injector::stop_when_idle`].
     pub fn keepalive(&self) -> KeepAlive {
-        let life = self.life();
-        life.count.fetch_add(TOKEN, Ordering::AcqRel);
-        KeepAlive(Arc::clone(life))
+        self.doors.life.count.fetch_add(TOKEN, Ordering::AcqRel);
+        KeepAlive(Arc::clone(&self.doors))
     }
 
     /// Blocks until every registered event has executed, then requests
     /// a stop, so the producer idiom `pool.join();
     /// injector.stop_when_idle(); drop(keepalive);` ports unchanged
     /// between executors. Also returns, without requesting anything,
-    /// once a stop is requested, a threaded worker dies, or the run in
-    /// progress at the call ends; the [`IdleWait`] says which. Events
-    /// injected concurrently with the stop may or may not run — the
-    /// usual producer/stop race.
+    /// once a stop is requested (also before the call), a threaded
+    /// worker dies, or the run in progress at the call ends; the
+    /// [`IdleWait`] says which. Events injected concurrently with the
+    /// stop may or may not run — the usual producer/stop race.
     pub fn stop_when_idle(&self) -> IdleWait {
-        let life = self.life();
-        let deaths = life.deaths.load(Ordering::Acquire);
+        let life = &self.doors.life;
         let stop = life.stop.load(Ordering::Acquire);
         let runs = life.runs.load(Ordering::Acquire);
         loop {
             // Read before the stop: a run consumes its stop, then ends.
             let ran = life.runs.load(Ordering::Acquire);
             let now = life.stop.load(Ordering::Acquire);
-            if now & 1 != 0 || now != stop {
-                // A death is counted before it requests its stop.
-                if life.deaths.load(Ordering::Acquire) != deaths {
+            if now & STOP != 0 || now != stop {
+                if now & BY_DEATH != 0 {
                     return IdleWait::WorkerDied;
                 }
                 return IdleWait::Stopped;
@@ -736,12 +652,17 @@ impl fmt::Debug for Injector {
 
 /// RAII guard from [`Injector::keepalive`]; dropping it lets the
 /// executor wind down once no real events remain.
-#[derive(Debug)]
-pub struct KeepAlive(Arc<Liveness>);
+pub struct KeepAlive(Arc<Doors>);
+
+impl fmt::Debug for KeepAlive {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("KeepAlive").finish()
+    }
+}
 
 impl Drop for KeepAlive {
     fn drop(&mut self) {
-        self.0.count.fetch_sub(TOKEN, Ordering::AcqRel);
+        self.0.life.count.fetch_sub(TOKEN, Ordering::AcqRel);
     }
 }
 
@@ -810,19 +731,11 @@ impl Executor for Runtime {
         self.cfg().ws
     }
 
-    /// # Panics
-    ///
-    /// Panics on threads once an [`Injector`] exists: the registry is
-    /// frozen from the moment anything else can reach it.
     fn register_handler(&mut self, spec: HandlerSpec) -> HandlerId {
         let registry = match &mut self.engine {
             Engine::Sim(e) => &mut e.registry,
-            Engine::Threaded(e) => {
-                let shared = Arc::get_mut(e);
-                &mut shared
-                    .expect("register handlers before starting the runtime")
-                    .registry
-            }
+            // Workers share the executor only while `run` borrows it.
+            Engine::Threaded(e) => &mut Arc::get_mut(e).expect("no run in progress").registry,
         };
         registry.register(spec)
     }
@@ -842,18 +755,18 @@ impl Executor for Runtime {
     fn register_pinned(&mut self, ev: Event, core: usize) {
         assert!(core < self.cores(), "core out of range");
         let color = ev.color();
-        with_engine!(&self.engine, e => e.colors.pin(color, core, |owner| e.vacant(owner, color)));
+        with_engine!(&self.engine, e => e.doors.colors.pin(color, core, |owner| e.vacant(owner, color)));
         self.register(ev);
     }
 
-    /// Single-threaded simulations never touch the mailbox behind it and
-    /// stay fully deterministic.
+    /// A simulation fed only from its own thread stays fully
+    /// deterministic; one fed while it runs depends on when the run
+    /// loop finds the injected events.
     fn injector(&self) -> Injector {
-        let inner = match &self.engine {
-            Engine::Sim(e) => InjectorInner::Sim(Arc::clone(&e.mailbox)),
-            Engine::Threaded(e) => InjectorInner::Threaded(Arc::clone(e)),
-        };
-        Injector { inner }
+        Injector {
+            kind: self.kind(),
+            doors: Arc::clone(with_engine!(&self.engine, e => &e.doors)),
+        }
     }
 
     fn run(&mut self) -> RunReport {
@@ -923,11 +836,26 @@ mod tests {
         for i in 0..20u16 {
             injector.inject(Event::new(Color::new(i + 1), 100));
         }
-        injector.inject_after(5_000, Event::new(Color::new(31), 100));
+        injector.inject(Event::new(Color::new(31), 100));
         assert_eq!(injector.outstanding(), 21);
         let report = rt.run();
         assert_eq!(report.events_processed(), 21);
         assert_eq!(injector.outstanding(), 0);
+    }
+
+    /// The stop word says whose stop is pending, so a wait that begins
+    /// after a death still reads it.
+    #[test]
+    fn stop_when_idle_after_a_death_reads_worker_died() {
+        for kind in [ExecKind::Sim, ExecKind::Threaded] {
+            let injector = RuntimeBuilder::new().cores(1).build(kind).injector();
+            injector.doors.life.worker_died();
+            assert_eq!(injector.stop_when_idle(), IdleWait::WorkerDied, "{kind}");
+            // An ordinary stop after the death's is consumed is not one.
+            drop(injector.doors.life.run());
+            injector.stop();
+            assert_eq!(injector.stop_when_idle(), IdleWait::Stopped, "{kind}");
+        }
     }
 
     #[test]

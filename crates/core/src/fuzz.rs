@@ -4,8 +4,8 @@
 //! The simulator's value as a correctness harness is limited by the fact
 //! that, unperturbed, it explores exactly *one* interleaving per
 //! workload: the earliest-clock core always steps next, victims are
-//! always visited in the policy's canonical order, and the mailbox is
-//! absorbed in arrival order at every iteration boundary. An ordering
+//! always visited in the policy's canonical order, and the injection
+//! inboxes are drained in core order at every iteration boundary. An ordering
 //! bug that needs a different interleaving to fire stays invisible until
 //! it bites the (nondeterministic) threaded runtime.
 //!
@@ -37,9 +37,11 @@
 //!   always migrates a whole color-queue — cutting *that* batch would
 //!   put one color on two cores and violate the exclusion invariant
 //!   the fuzzer exists to check.)
-//! - **mailbox absorption** — the run loop sometimes defers draining
-//!   the external-producer mailbox to a later iteration, and absorbs
-//!   drained entries in a shuffled order.
+//! - **inbox absorption** — the run loop sometimes defers draining the
+//!   cores' injection inboxes to a later iteration, and drains the
+//!   cores in a shuffled order. One inbox's events keep their order:
+//!   reordering them would break the per-color FIFO a producer is
+//!   promised.
 //!
 //! None of these change what the runtime *guarantees* — per-color
 //! mutual exclusion, per-color FIFO, no lost events — they only change

@@ -33,8 +33,9 @@
 //! the private `kernel` module, generic over a per-core environment
 //! (the clock and how cost is paid, how a queue is reached, where timers
 //! and routed events go). The drivers keep what is theirs: the
-//! simulator's core pick, virtual clock, mailbox and timers; the
-//! threaded workers' inboxes, stop flag and real waiting.
+//! simulator's core pick, virtual clock and timers; the threaded
+//! workers' timers, inbox drains and real waiting. The door into the
+//! cores, with the injection inboxes, is one for both.
 //!
 //! Both executors sit behind one executor-agnostic API ([`exec`]):
 //! applications are written once against the [`exec::Executor`] and

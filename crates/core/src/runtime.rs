@@ -277,8 +277,8 @@ impl RuntimeBuilder {
 
 /// One runtime as [`RuntimeBuilder::build`] resolved it: everything that
 /// does not depend on which executor runs it, decided exactly once. Both
-/// executors, the simulator's mailbox and the kernel's per-core state
-/// borrow this one struct.
+/// executors, their shared doors and the kernel's per-core state borrow
+/// this one struct.
 pub(crate) struct Resolved {
     /// Running cores (validated against `machine`).
     pub cores: usize,
@@ -392,9 +392,10 @@ mod tests {
         assert!(!crate::steal::WsPolicy::improved().to_string().is_empty());
 
         // `register`/`register_after` on a threaded handle →
-        // `inject`/`inject_after` on `rt.injector()`; `register_direct`
-        // has no replacement: every foreign event enters through the
-        // owning core's inbox.
+        // `inject` on `rt.injector()`, with the delay in the injected
+        // event's action (`ctx.register_after`); `register_direct` has no
+        // replacement: every foreign event enters through the owning
+        // core's inbox.
         use crate::color::Color;
         use crate::event::Event;
         rt.register(Event::new(Color::new(1), 0).with_action(|ctx| {
@@ -403,13 +404,12 @@ mod tests {
         let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             handle.inject(Event::new(Color::new(7), 0));
-            handle.inject_after(1_000, Event::new(Color::new(9), 0));
         });
         let r = rt.run();
         injector.join().unwrap();
-        assert_eq!(r.events_processed(), 4);
+        assert_eq!(r.events_processed(), 3);
 
-        // Same pair on a runtime with bounded queues (generous caps, so
+        // Same on a runtime with bounded queues (generous caps, so
         // nothing can shed): every event is still delivered.
         use crate::admission::QueueLimits;
         let mut rt = RuntimeBuilder::new()
@@ -423,11 +423,10 @@ mod tests {
         let handle = rt.injector();
         let injector = std::thread::spawn(move || {
             handle.inject(Event::new(Color::new(7), 0));
-            handle.inject_after(1_000, Event::new(Color::new(9), 0));
         });
         injector.join().unwrap();
         let r = rt.run();
-        assert_eq!(r.events_processed(), 2);
+        assert_eq!(r.events_processed(), 1);
         assert_eq!(r.total().shed_requests, 0);
     }
 

@@ -11,12 +11,15 @@
 //!
 //! A core's turn is the kernel it shares with the threaded executor
 //! (`kernel::turn`); this driver picks which core takes the next turn
-//! and supplies virtual time, the lock cost model, the mailbox, timers
-//! and the schedule-perturbation points. Color ownership and liveness
-//! are the threaded executor's too (`ColorMap`, `Liveness` in
-//! [`crate::exec`]): a registration, a timer arm and a mailbox push
-//! count one event, and its dispatch uncounts it. Runs are fully
-//! deterministic: identical inputs produce identical reports.
+//! and supplies virtual time, the lock cost model, timers and the
+//! schedule-perturbation points. The door into the cores is the
+//! threaded executor's too (`Doors` in [`crate::exec`]): one color map,
+//! one liveness record, and per core the inbox an
+//! [`crate::exec::Injector`] pushes into, which the run loop's top
+//! drains into the core's queue and a steal drains as the threaded
+//! thief does. A registration, a timer arm and an injection count one
+//! event, and its dispatch uncounts it. Runs are fully deterministic:
+//! identical inputs produce identical reports.
 //!
 //! # Inert steal attempts
 //!
@@ -32,7 +35,7 @@
 //! keeps applying while its own pick (the same queued total, busy
 //! horizon and lowest-index tie rule) is again an inert attempt, and
 //! stops before any iteration whose loop top would act: a stop request,
-//! a mailbox entry, a timer due by the minimum clock, or the livelock
+//! an inbox entry, a timer due by the minimum clock, or the livelock
 //! watchdog, whose count includes every applied attempt. So every
 //! simulated result is bit-identical to running the turns. A perturbed
 //! run (`schedule_seed`) never skips: its core pick, steal deferral and
@@ -59,7 +62,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mely_cachesim::Hierarchy;
@@ -68,7 +70,7 @@ use crate::color::Color;
 use crate::cost::{Ewma, INITIAL_STEAL_ESTIMATE};
 use crate::ctx::CtxEffects;
 use crate::event::Event;
-use crate::exec::{ColorMap, SimMailbox};
+use crate::exec::Doors;
 use crate::fuzz::ScheduleRng;
 use crate::handler::HandlerRegistry;
 use crate::kernel::{self, CoreEnv, CoreState, Pop, StealBufs, TimerEntry};
@@ -96,11 +98,13 @@ impl SimCore {
 
 /// The deterministic multicore simulator.
 pub(crate) struct SimRuntime {
-    /// What the builder resolved, shared with the mailbox (which admits
+    /// What the builder resolved, shared with the doors (which admit
     /// against the same limits and quarantine set).
     pub(crate) cfg: Arc<Resolved>,
     cores: Vec<SimCore>,
-    pub(crate) colors: ColorMap,
+    /// Color ownership, liveness and the inboxes, shared with every
+    /// [`crate::exec::Injector`].
+    pub(crate) doors: Arc<Doors>,
     pub(crate) registry: HandlerRegistry,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     cache: Option<Hierarchy>,
@@ -111,10 +115,8 @@ pub(crate) struct SimRuntime {
     attempt_wait: u64,
     /// One buffer set serves every core: turns never overlap.
     steal_bufs: StealBufs,
-    /// External-producer mailbox behind [`crate::exec::Injector`]; the
-    /// run loop drains it at iteration boundaries. It holds the
-    /// liveness record both share.
-    pub(crate) mailbox: Arc<SimMailbox>,
+    /// What an inbox drain hands over, kept across drains.
+    inbox_batch: Vec<Event>,
     /// The decision stream for schedule perturbation (`Some` iff
     /// `cfg.schedule_seed` is). Replay = fresh runtime + same seed.
     sched_rng: Option<ScheduleRng>,
@@ -149,7 +151,7 @@ impl SimRuntime {
             .collect();
         SimRuntime {
             cores,
-            colors: ColorMap::new(cfg.cores),
+            doors: Doors::new(Arc::clone(&cfg)),
             registry: HandlerRegistry::new(),
             timers: BinaryHeap::new(),
             cache: cfg.track_cache.then(|| Hierarchy::new(&cfg.machine)),
@@ -157,7 +159,7 @@ impl SimRuntime {
             next_seq: 0,
             attempt_wait: 0,
             steal_bufs: StealBufs::default(),
-            mailbox: Arc::new(SimMailbox::new(Arc::clone(&cfg))),
+            inbox_batch: Vec::new(),
             sched_rng: cfg.schedule_seed.map(ScheduleRng::new),
             fault_rng: cfg.faults.plan.map(|p| p.rng()),
             cfg,
@@ -173,14 +175,18 @@ impl SimRuntime {
     /// and pushes it to `core`, which owns its color, with the given
     /// visibility time.
     fn push_to(&mut self, core: usize, mut ev: Event, visible_at: u64) {
-        debug_assert!(self.colors.owns(core, ev.color()), "foreign color");
+        debug_assert!(self.doors.colors.owns(core, ev.color()), "foreign color");
         self.registry.fill_defaults(&mut ev);
         ev.seq = self.next_seq;
         self.next_seq += 1;
         ev.visible_at = visible_at;
         self.cores[core].queue.push(ev);
-        self.mailbox
-            .publish_core_occupancy(core, self.cores[core].queue.len() as u32);
+        self.publish(core);
+    }
+
+    /// Publishes `core`'s queue length to the doors (admission).
+    fn publish(&self, core: usize) {
+        self.doors.cores[core].publish(self.cores[core].queue.len());
     }
 
     /// Hands every timer due by `upto` to its color's owner, visible
@@ -188,7 +194,7 @@ impl SimRuntime {
     fn deliver_timers(&mut self, upto: u64) {
         while self.timers.peek().is_some_and(|Reverse(t)| t.due <= upto) {
             let Reverse(t) = self.timers.pop().expect("peeked");
-            let owner = self.colors.owner_of(t.event.color());
+            let owner = self.doors.colors.owner_of(t.event.color());
             self.push_to(owner, t.event, t.due);
         }
     }
@@ -219,43 +225,56 @@ impl SimRuntime {
         self.cores.iter().map(|c| c.queue.len()).sum()
     }
 
-    /// Absorbs externally injected events ([`crate::exec::Injector`])
-    /// into the owning cores' queues and the timer heap.
+    /// Queues what producers handed to the cores' inboxes
+    /// ([`crate::exec::Injector`]).
     ///
     /// Under schedule perturbation the drain is sometimes deferred to a
-    /// later iteration (shifting the absorption point) and the drained
-    /// batch is absorbed in a shuffled order. The RNG is consulted only
-    /// when the mailbox holds entries, so the decision stream is keyed
-    /// to deterministic state.
-    fn drain_mailbox(&mut self) {
-        if !self.mailbox.has_buffered() {
+    /// later iteration (shifting the absorption point) and the cores are
+    /// drained in a shuffled order; each inbox keeps its own order. The
+    /// RNG is consulted only when an inbox holds entries, so the decision
+    /// stream is keyed to deterministic state.
+    fn drain_inboxes(&mut self) {
+        if !self.doors.pending() {
             return;
         }
+        let mut order: Vec<usize> = (0..self.cores.len()).collect();
         if let Some(rng) = &mut self.sched_rng {
             if rng.chance(1, 4) {
                 return;
             }
+            rng.shuffle(&mut order);
         }
-        let mut batch = self.mailbox.drain();
-        if let Some(rng) = &mut self.sched_rng {
-            rng.shuffle(&mut batch);
+        for c in order {
+            self.drain_inbox(c, c);
         }
-        for (delay, ev) in batch {
-            match delay {
-                None => {
-                    let owner = self.colors.owner_of(ev.color());
-                    self.push_to(owner, ev, 0);
-                }
-                Some(delay) => self.arm_timer(self.virtual_now() + delay, ev),
-            }
+    }
+
+    /// Queues what producers left in `core`'s inbox, in order, each
+    /// event on the core owning its color: `core`, or `thief` when a
+    /// steal just moved the color there. `thief` counts the drain.
+    fn drain_inbox(&mut self, core: usize, thief: usize) {
+        let mut batch = std::mem::take(&mut self.inbox_batch);
+        let n = self.doors.cores[core].inbox.drain_into(&mut batch);
+        if n != 0 {
+            let m = &mut self.cores[thief].metrics;
+            m.inbox_drain_batches += 1;
+            m.inbox_drained += n as u64;
         }
+        for ev in batch.drain(..) {
+            let to = if self.doors.colors.owns(thief, ev.color()) {
+                thief
+            } else {
+                core
+            };
+            self.push_to(to, ev, 0);
+        }
+        self.inbox_batch = batch;
     }
 
     /// Snapshot of the cumulative metrics.
     fn report(&self) -> RunReport {
         let mut per_core: Vec<CoreMetrics> = self.cores.iter().map(|c| c.metrics).collect();
-        self.cfg.admission.attribute_to(&mut per_core[0]);
-        per_core[0].refused_pins = self.colors.refused_pins.load(Ordering::Relaxed);
+        self.doors.attribute_to(&mut per_core);
         if let Some(cache) = &self.cache {
             for (i, m) in per_core.iter_mut().enumerate() {
                 m.l2_misses = cache.level_stats(i, 2).map_or(0, |s| s.misses);
@@ -347,8 +366,8 @@ impl SimRuntime {
             core.metrics.failed_steal_cycles += setup + recheck;
             self.attempt_wait = 0;
             if (*iters + 1).is_multiple_of(WATCHDOG_ITERS)
-                || self.mailbox.life.stop_requested()
-                || self.mailbox.has_buffered()
+                || self.doors.life.stop_requested()
+                || self.doors.pending()
                 || self
                     .timers
                     .peek()
@@ -394,7 +413,7 @@ impl CoreEnv for OnCore<'_> {
             fault_rng: rt.fault_rng.as_mut(),
             cfg: &rt.cfg,
             steal_bufs: &mut rt.steal_bufs,
-            life: &rt.mailbox.life,
+            life: &rt.doors.life,
         }
     }
 
@@ -422,8 +441,7 @@ impl CoreEnv for OnCore<'_> {
         let Some(ev) = rt.cores[c].queue.pop(self.batch) else {
             return Pop::Empty;
         };
-        rt.mailbox
-            .publish_core_occupancy(c, rt.cores[c].queue.len() as u32);
+        rt.publish(c);
         Pop::Event(ev)
     }
 
@@ -472,16 +490,16 @@ impl CoreEnv for OnCore<'_> {
 
     fn schedule(&mut self, delay: u64, event: Event) {
         let (rt, c) = (&mut *self.rt, self.c);
-        rt.mailbox.life.add_event();
+        rt.doors.life.add_event();
         rt.cores[c].clock += rt.cfg.costs.registration;
         rt.arm_timer(rt.cores[c].clock + delay, event);
     }
 
     fn route(&mut self, ev: Event) {
         let (rt, c) = (&mut *self.rt, self.c);
-        rt.mailbox.life.add_event();
+        rt.doors.life.add_event();
         rt.cores[c].clock += rt.cfg.costs.registration;
-        let owner = rt.colors.owner_of(ev.color());
+        let owner = rt.doors.colors.owner_of(ev.color());
         rt.lock(owner, c, rt.cfg.costs.lock_acquire + rt.cfg.costs.queue_op);
         rt.push_to(owner, ev, rt.cores[c].clock);
     }
@@ -556,11 +574,18 @@ impl CoreEnv for OnCore<'_> {
         let now = rt.cores[c].clock;
         let mut cost = 0;
         for mut set in sets {
-            rt.colors.moved(set.color(), c);
+            rt.doors.colors.moved(set.color(), c);
             set.set_visible_at_floor(now);
             cost += set.cum_cost();
             rt.cores[c].queue.steal_absorb(set);
         }
+        // Both inboxes, as the threaded thief drains them: a stolen
+        // color's injected events queue behind the migrated ones, and
+        // each inbox keeps holding only colors its core owns.
+        rt.drain_inbox(v, c);
+        rt.drain_inbox(c, c);
+        rt.publish(v);
+        rt.publish(c);
         Some((events, cost))
     }
 
@@ -589,22 +614,28 @@ impl CoreEnv for OnCore<'_> {
 
 /// What [`crate::exec::Runtime`] leaves to the simulator.
 impl SimRuntime {
-    /// Whether nothing holds `color` on `core`, for [`ColorMap::pin`]:
-    /// no event of it is queued there.
-    pub(crate) fn vacant(&self, core: usize, color: Color) -> Option<()> {
-        (!self.cores[core].queue.holds(color)).then_some(())
+    /// Whether nothing holds `color` on `core`, for
+    /// [`crate::exec::ColorMap::pin`]: no event of it is queued there or
+    /// waits in its inbox. `Some` holds the inbox lock, so that no
+    /// producer pushes the color there before the pin moves it.
+    pub(crate) fn vacant(&self, core: usize, color: Color) -> Option<impl Sized + '_> {
+        if self.cores[core].queue.holds(color) {
+            return None;
+        }
+        self.doors.cores[core].inbox.lock_unless_holds(color)
     }
 
     pub(crate) fn register(&mut self, ev: Event) {
-        self.mailbox.life.add_event();
-        let owner = self.colors.owner_of(ev.color());
+        self.doors.life.add_event();
+        let owner = self.doors.colors.owner_of(ev.color());
         self.push_to(owner, ev, 0);
     }
 
     /// Clocks and metrics accumulate across calls: the report is
     /// cumulative.
     pub(crate) fn run(&mut self) -> RunReport {
-        let _running = self.mailbox.life.run();
+        let doors = Arc::clone(&self.doors);
+        let _running = doors.life.run();
         let mut iters: u64 = 0;
         let mut last_progress = (0u64, 0u64); // (iters, events at checkpoint)
         loop {
@@ -623,10 +654,10 @@ impl SimRuntime {
                 }
                 last_progress = (iters, processed);
             }
-            if self.mailbox.life.stop_requested() {
+            if doors.life.stop_requested() {
                 break;
             }
-            self.drain_mailbox();
+            self.drain_inboxes();
             // Deliver timers that are due with respect to the slowest
             // core (they only carry a visibility floor, so delivering
             // early is harmless; this just keeps the heap small).
@@ -681,7 +712,7 @@ impl SimRuntime {
                     let Some(Reverse(next)) = self.timers.peek() else {
                         // Queues and timers are empty: everything
                         // absorbed so far has executed.
-                        if !self.mailbox.life.idle() {
+                        if !doors.life.idle() {
                             // An external producer holds a keepalive (or
                             // has pushed events we have not drained yet):
                             // wait for it instead of returning. Real

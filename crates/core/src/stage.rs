@@ -836,7 +836,7 @@ impl fmt::Debug for Pipeline {
 /// A cloneable, `Send` handle submitting typed messages into an
 /// installed [`Pipeline`] from outside the executor (load generators,
 /// poll threads). Rides the same injection path as raw events: the
-/// injection inboxes on threads, the run-loop mailbox on sim.
+/// owning core's injection inbox, on both executors.
 #[derive(Clone)]
 pub struct StageSender {
     router: &'static Router,

@@ -1,15 +1,17 @@
 #![forbid(unsafe_code)]
-//! Injection inboxes for the threaded executor.
+//! Injection inboxes, one per core on both executors.
 //!
-//! The inbox is the one door into a core: an [`crate::exec::Injector`]
-//! call, a timer firing, the executor's own `register` and another
-//! core's worker routing a handler's event all hand that event to the
-//! owning core's inbox instead of taking the core's
-//! [`crate::sync::SpinLock`]. Only a worker routing an event of a color
-//! its own core owns pushes straight into its own queue, under the lock
-//! it already takes to pop. The paper's argument is that per-event
-//! synchronization on the dispatch path dominates event-driven runtimes
-//! at scale; the inbox keeps it off that path with two properties:
+//! The inbox is the one door into a core. On both executors an
+//! [`crate::exec::Injector`] call hands its event to the owning core's
+//! inbox. On the threaded executor a timer firing, the executor's own
+//! `register` and another core's worker routing a handler's event do
+//! too, instead of taking the core's [`crate::sync::SpinLock`]; only a
+//! worker routing an event of a color its own core owns pushes straight
+//! into its own queue, under the lock it already takes to pop. The
+//! simulator's run loop drains every inbox at its top. The paper's
+//! argument is that per-event synchronization on the dispatch path
+//! dominates event-driven runtimes at scale; the inbox keeps it off
+//! that path with two properties:
 //!
 //! - producers never take the core's dispatch lock:
 //!   [`InjectionInbox::push`] appends to a `Vec` behind the inbox's own
@@ -38,10 +40,10 @@
 //!
 //! # Ordering across steals
 //!
-//! An inbox only ever holds colors its core owns. The threaded executor
-//! pushes with `push_if`, whose check — "this core still owns the
-//! event's color" — runs under the inbox lock, and a producer that is
-//! refused retries on the color's new owner. A thief moves a color
+//! An inbox only ever holds colors its core owns. Both executors push
+//! with `push_if`, whose check — "this core still owns the event's
+//! color" — runs under the inbox lock, and a producer that is refused
+//! retries on the color's new owner. A thief moves a color
 //! only while it holds the victim's queue lock, and before releasing it
 //! drains the victim's inbox (`migrate`). So a push of a stolen color
 //! either precedes that drain and is carried over behind the migrated
@@ -53,6 +55,8 @@
 //! can have been stolen meanwhile. Per-color FIFO holds across steals:
 //! a producer's events of one color reach the color's queue in the
 //! order it produced them, whichever core owns the color at the time.
+//! On the simulator the run loop's one thread plays owner and thief, in
+//! the same order, so the argument holds there too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

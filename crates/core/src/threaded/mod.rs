@@ -5,10 +5,10 @@
 //! thread, idle cores running the workstealing algorithm. A worker's turn
 //! is the kernel it shares with the simulator (`kernel::turn`); around
 //! it the worker drains its timers and inbox, and waits when idle.
-//! Color ownership and liveness are the simulator's too (`ColorMap`,
-//! `Liveness` in [`crate::exec`]): workers wind down once the run's
-//! liveness record holds nothing open or asks them to stop, and a dying
-//! worker asks.
+//! The door into the cores is the simulator's too (`Doors` in
+//! [`crate::exec`]): one color map, one liveness record and one inbox
+//! per core. Workers wind down once the run's liveness record holds
+//! nothing open or asks them to stop, and a dying worker asks.
 //! An event costs what its action takes to run: declared costs and
 //! [`Ctx::charge`](crate::ctx::Ctx::charge)s are never waited out here;
 //! they only weigh a color for the steal heuristics.
@@ -35,7 +35,7 @@
 //!   event takes the target core's spinlock. Here every event bound
 //!   for a core — an [`Injector`](crate::exec::Injector) call, a timer firing,
 //!   `Executor::register`, another core's route — enters through the
-//!   core's [`InjectionInbox`] (`Shared::hand_off`): a lock and a
+//!   core's [`InjectionInbox`](inbox::InjectionInbox) (`Doors::hand_off`): a lock and a
 //!   `Vec`, whose empty check takes no lock, merged whole into the
 //!   queue under one acquisition of the queue lock at dispatch-loop
 //!   boundaries. The one exception is a worker routing an event of a
@@ -48,7 +48,9 @@
 //!   re-checks the color's owner under the inbox lock and the owner
 //!   drains under its queue lock, so an inbox only holds colors its
 //!   core owns and a drain re-routes nothing; [`inbox`] has the
-//!   argument for per-color FIFO across steals. The steady-state
+//!   argument for per-color FIFO across steals. An event takes its
+//!   handler's defaults and its sequence number where it enters the
+//!   queue, so the door needs no registry. The steady-state
 //!   dispatch path is allocation-free end to end: each worker swaps
 //!   one retained drain buffer with its inbox's, and the Mely queue
 //!   pools freed color-queue buffers (surfaced as the
@@ -60,18 +62,17 @@ pub mod inbox;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::admission::{AdmissionCtl, Overload, OverloadReason};
 use crate::color::Color;
 use crate::cost::{Ewma, INITIAL_STEAL_ESTIMATE};
 use crate::ctx::CtxEffects;
 use crate::cycles;
 use crate::event::Event;
-use crate::exec::{enqueue_or_shed, ColorMap, Door, Liveness};
+use crate::exec::Doors;
 use crate::fault::{Fault, FaultKind};
 use crate::fuzz::ScheduleRng;
 use crate::handler::HandlerRegistry;
@@ -80,46 +81,27 @@ use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::Resolved;
 use crate::sync::SpinLock;
-use inbox::InjectionInbox;
 
 const NO_COLOR: u32 = u32::MAX;
 
 struct CoreShared {
     queue: SpinLock<QueueImpl>,
-    /// Where every event bound for this core enters, but the worker's
-    /// own-color routes; drained by this core's worker at dispatch-loop
-    /// boundaries.
-    inbox: InjectionInbox,
     /// Color currently executing on this core (`NO_COLOR` when none).
     in_flight: AtomicU32,
-    /// Approximate queue length for `construct_core_set`.
-    len_hint: AtomicUsize,
 }
 
-impl CoreShared {
-    /// Pending work visible to victim selection: queued events plus the
-    /// inbox backlog that has not reached the queue yet. Saturating —
-    /// both inputs are racy estimates.
-    fn load_estimate(&self) -> usize {
-        self.len_hint
-            .load(Ordering::Relaxed)
-            .saturating_add(self.inbox.len())
-    }
-}
-
-/// The threaded executor: everything its workers and producers share.
-/// An [`Injector`](crate::exec::Injector) holds it directly and reaches
-/// it through [`Door`].
+/// The threaded executor: everything its workers share.
 pub(crate) struct Shared {
     /// What the builder resolved. Workers consult its `faults` at
-    /// dispatch (containment, drains); producers consult `faults` and
-    /// `admission` at admission.
-    pub(crate) cfg: Resolved,
+    /// dispatch (containment, drains).
+    pub(crate) cfg: Arc<Resolved>,
     cores: Vec<CoreShared>,
-    pub(crate) colors: ColorMap,
+    /// Color ownership, liveness and each core's inbox and published
+    /// queue length, shared with every [`crate::exec::Injector`].
+    /// Workers run until its liveness record stops them or holds
+    /// nothing open.
+    pub(crate) doors: Arc<Doors>,
     pub(crate) registry: HandlerRegistry,
-    /// Workers run until it stops them or holds nothing open.
-    pub(crate) life: Arc<Liveness>,
     /// The monitored steal-cost estimate (updated once per successful
     /// steal, read once per visit: never on the dispatch path).
     steal_est: Mutex<Ewma>,
@@ -128,73 +110,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Fills in the scheduling metadata a freshly registered event needs:
+    /// Fills in the scheduling metadata of events entering a queue:
     /// handler-derived cost/penalty defaults and the global sequence
-    /// number.
-    fn prepare(&self, ev: &mut Event) {
-        self.registry.fill_defaults(ev);
-        ev.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The one door into a core: pushes a prepared event into the
-    /// inbox of the core owning its color. The push re-checks the owner
-    /// under the inbox lock and, refused because a steal moved the
-    /// color in between, retries on the new owner.
-    fn hand_off(&self, mut ev: Event) {
-        let color = ev.color();
-        loop {
-            let owner = self.colors.owner_of(color);
-            let still_owner = || self.colors.owns(owner, color);
-            match self.cores[owner].inbox.push_if(ev, still_owner) {
-                Ok(()) => return,
-                Err(refused) => ev = refused,
-            }
+    /// numbers, consecutive in order.
+    fn prepare(&self, evs: &mut [Event]) {
+        let first = self.next_seq.fetch_add(evs.len() as u64, Ordering::Relaxed);
+        for (seq, ev) in (first..).zip(evs) {
+            self.registry.fill_defaults(ev);
+            ev.seq = seq;
         }
-    }
-
-    /// Counts an admitted event and hands it off now, or arms it as a
-    /// timer `delay` cycles from now.
-    fn enqueue(&self, delay: Option<u64>, mut event: Event) {
-        self.life.add_event();
-        let Some(delay) = delay else {
-            self.prepare(&mut event);
-            return self.hand_off(event);
-        };
-        let due = cycles::now() + delay;
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.timers
-            .lock()
-            .push(Reverse(TimerEntry { due, seq, event }));
-    }
-}
-
-impl Door for Shared {
-    fn admission(&self) -> &AdmissionCtl {
-        &self.cfg.admission
-    }
-
-    /// Admission runs against the owning core's current occupancy; an
-    /// admitted event goes through that core's inbox, or onto
-    /// the timer heap holding its per-color slot across the delay.
-    fn try_enqueue(&self, delay: Option<u64>, mut ev: Event) -> Result<(), Overload> {
-        let color = ev.color();
-        self.cfg.admission.admit(&self.cfg.faults, &mut ev, || {
-            let core = &self.cores[self.colors.owner_of(color)];
-            (core.load_estimate() as u64, core.inbox.len() as u64)
-        })?;
-        self.enqueue(delay, ev);
-        Ok(())
-    }
-
-    /// A quarantined color's events are refused rather than queued for
-    /// a pop-time drain; a stop request refuses nothing here (the
-    /// workers drop what is still queued when they exit).
-    fn enqueue_unchecked(&self, delay: Option<u64>, ev: Event) -> Result<(), OverloadReason> {
-        if self.cfg.faults.is_quarantined(ev.color()) {
-            return Err(OverloadReason::Quarantined);
-        }
-        self.enqueue(delay, ev);
-        Ok(())
     }
 }
 
@@ -205,45 +129,43 @@ impl Shared {
         let cores = (0..cfg.cores)
             .map(|_| CoreShared {
                 queue: SpinLock::new(cfg.new_queue()),
-                inbox: InjectionInbox::new(),
                 in_flight: AtomicU32::new(NO_COLOR),
-                len_hint: AtomicUsize::new(0),
             })
             .collect();
+        let cfg = Arc::new(cfg);
         Arc::new(Shared {
-            colors: ColorMap::new(cfg.cores),
+            doors: Doors::new(Arc::clone(&cfg)),
             cfg,
             cores,
             registry: HandlerRegistry::new(),
-            life: Arc::default(),
             steal_est: Mutex::new(Ewma::new(INITIAL_STEAL_ESTIMATE)),
             next_seq: AtomicU64::new(0),
             timers: Mutex::new(BinaryHeap::new()),
         })
     }
 
-    /// Whether nothing holds `color` on `core`, for [`ColorMap::pin`]:
-    /// no event of it is queued there or in its inbox. `Some` holds both
-    /// locks, so that no producer pushes the color there before the pin
-    /// moves it.
+    /// Whether nothing holds `color` on `core`, for
+    /// [`crate::exec::ColorMap::pin`]: no event of it is queued there or
+    /// waits in its inbox. `Some` holds both locks, so that no producer
+    /// pushes the color there before the pin moves it.
     pub(crate) fn vacant(&self, core: usize, color: Color) -> Option<impl Sized + '_> {
-        let c = &self.cores[core];
-        let q = c.queue.lock();
+        let q = self.cores[core].queue.lock();
         if q.holds(color) {
             return None;
         }
-        Some((q, c.inbox.lock_unless_holds(color)?))
+        Some((q, self.doors.cores[core].inbox.lock_unless_holds(color)?))
     }
 
-    /// Events of a quarantined color are shed (see [`crate::fault`]).
+    /// Through the owner's inbox, past the queue limits; events of a
+    /// quarantined color are shed (see [`crate::fault`]).
     pub(crate) fn register(&self, ev: Event) {
-        enqueue_or_shed(self, None, ev);
+        self.doors.enter(ev, false);
     }
 
     /// Each call reports the events executed by *that* run (plus
     /// cumulative inbox counters).
     pub(crate) fn run(self: &Arc<Self>) -> RunReport {
-        let _running = self.life.run();
+        let _running = self.doors.life.run();
         let n = self.cores.len();
         let start = cycles::now();
         let mut joins = Vec::with_capacity(n);
@@ -258,7 +180,7 @@ impl Shared {
                                 // A dying worker must release its
                                 // siblings: they wait on outstanding work
                                 // it can no longer execute.
-                                shared.life.worker_died();
+                                shared.doors.life.worker_died();
                                 resume_unwind(payload)
                             })
                     })
@@ -286,19 +208,14 @@ impl Shared {
                 }
             });
         }
-        // Producer-side pushes happen on external threads; attribute each
-        // inbox's totals to the core it feeds. The queue's push and
-        // buffer-pool counters live in the (now idle) queue itself.
+        // The queue's push and buffer-pool counters live in the (now
+        // idle) queue itself; the doors counted the rest.
         for (m, core) in per_core.iter_mut().zip(&self.cores) {
-            m.inbox_pushes = core.inbox.total_pushes();
-            m.inbox_rerouted = core.inbox.total_refusals();
-            m.inbox_node_reuse = core.inbox.total_node_reuses();
             let mut q = core.queue.lock();
             m.registered = q.take_pushes();
             m.queue_buf_reuse = q.buf_reuses();
         }
-        self.cfg.admission.attribute_to(&mut per_core[0]);
-        per_core[0].refused_pins = self.colors.refused_pins.load(Ordering::Relaxed);
+        self.doors.attribute_to(&mut per_core);
         let wall = cycles::now().wrapping_sub(start);
         RunReport::new(per_core, wall, cycles::NOMINAL_FREQ_HZ, self.cfg.ws)
             .with_fault_log(self.cfg.faults.log_snapshot())
@@ -319,7 +236,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
     };
     let mut idle_spins: u32 = 0;
     loop {
-        if shared.life.stop_requested() {
+        if shared.doors.life.stop_requested() {
             break;
         }
         drain_timers(shared);
@@ -329,7 +246,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
             continue;
         }
         // Idle: wind down, or wait for work.
-        if shared.life.idle() {
+        if shared.doors.life.idle() {
             break;
         }
         idle_spins = idle_spins.saturating_add(1);
@@ -348,9 +265,8 @@ fn drain_timers(shared: &Shared) {
     };
     let now = cycles::now();
     while timers.peek().is_some_and(|Reverse(t)| t.due <= now) {
-        let Reverse(mut t) = timers.pop().expect("peeked");
-        shared.prepare(&mut t.event);
-        shared.hand_off(t.event);
+        let Reverse(t) = timers.pop().expect("peeked");
+        shared.doors.hand_off(t.event);
     }
 }
 
@@ -369,15 +285,18 @@ struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    /// Appends `core`'s inbox backlog to `inbox_batch` and counts the
-    /// drain. The caller holds `core`'s queue lock.
+    /// Appends `core`'s inbox backlog to `inbox_batch`, prepared for
+    /// the queue, and counts the drain. The caller holds `core`'s queue
+    /// lock.
     fn take_inbox(&mut self, core: usize) {
-        let n = self.shared.cores[core]
+        let from = self.inbox_batch.len();
+        let n = self.shared.doors.cores[core]
             .inbox
             .drain_into(&mut self.inbox_batch);
         if n != 0 {
             self.m.inbox_drain_batches += 1;
             self.m.inbox_drained += n as u64;
+            self.shared.prepare(&mut self.inbox_batch[from..]);
         }
     }
 
@@ -386,19 +305,19 @@ impl Worker<'_> {
     /// lock, so every event drained is still this core's to queue.
     fn drain_inbox(&mut self) {
         let (shared, me) = (self.shared, self.me);
-        let core = &shared.cores[me];
-        if core.inbox.is_empty() {
+        let door = &shared.doors.cores[me];
+        if door.inbox.is_empty() {
             return;
         }
-        let mut q = core.queue.lock();
+        let mut q = shared.cores[me].queue.lock();
         self.m.lock_wait_cycles += q.waited_cycles();
         self.m.lock_ops += 1;
         self.take_inbox(me);
         for ev in self.inbox_batch.drain(..) {
-            debug_assert!(shared.colors.owns(me, ev.color()), "foreign color");
+            debug_assert!(shared.doors.colors.owns(me, ev.color()), "foreign color");
             q.push(ev);
         }
-        core.len_hint.store(q.len(), Ordering::Relaxed);
+        door.publish(q.len());
     }
 }
 
@@ -410,7 +329,7 @@ impl CoreEnv for Worker<'_> {
             fault_rng: self.fault_rng.as_mut(),
             cfg: &self.shared.cfg,
             steal_bufs: &mut self.steal_bufs,
-            life: &self.shared.life,
+            life: &self.shared.doors.life,
         }
     }
 
@@ -430,7 +349,7 @@ impl CoreEnv for Worker<'_> {
             core.in_flight
                 .store(ev.color().value() as u32, Ordering::Release);
         }
-        core.len_hint.store(q.len(), Ordering::Relaxed);
+        self.shared.doors.cores[self.me].publish(q.len());
         ev.map_or(Pop::Empty, Pop::Event)
     }
 
@@ -454,8 +373,15 @@ impl CoreEnv for Worker<'_> {
         cycles::now().wrapping_sub(t0)
     }
 
-    fn schedule(&mut self, delay: u64, ev: Event) {
-        self.shared.enqueue(Some(delay), ev);
+    fn schedule(&mut self, delay: u64, event: Event) {
+        let shared = self.shared;
+        shared.doors.life.add_event();
+        let due = cycles::now() + delay;
+        let seq = shared.next_seq.fetch_add(1, Ordering::Relaxed);
+        shared
+            .timers
+            .lock()
+            .push(Reverse(TimerEntry { due, seq, event }));
     }
 
     /// A color this core owns is pushed under its own lock, where the
@@ -463,18 +389,18 @@ impl CoreEnv for Worker<'_> {
     /// else goes through the owner's inbox.
     fn route(&mut self, mut ev: Event) {
         let (shared, me) = (self.shared, self.me);
-        shared.life.add_event();
-        shared.prepare(&mut ev);
-        if shared.colors.owner_of(ev.color()) == me {
-            let core = &shared.cores[me];
-            let mut q = core.queue.lock();
-            if shared.colors.owns(me, ev.color()) {
+        let doors = &*shared.doors;
+        doors.life.add_event();
+        if doors.colors.owner_of(ev.color()) == me {
+            let mut q = shared.cores[me].queue.lock();
+            if doors.colors.owns(me, ev.color()) {
+                shared.prepare(std::slice::from_mut(&mut ev));
                 q.push(ev);
-                core.len_hint.store(q.len(), Ordering::Relaxed);
+                doors.cores[me].publish(q.len());
                 return;
             }
         }
-        shared.hand_off(ev);
+        doors.hand_off(ev);
     }
 
     /// Loads include each core's inbox backlog: work a producer has
@@ -483,14 +409,14 @@ impl CoreEnv for Worker<'_> {
     fn steal_begin(&mut self, loads: &mut Vec<usize>) -> u64 {
         let t0 = cycles::now();
         loads.clear();
-        loads.extend(self.shared.cores.iter().map(|c| c.load_estimate()));
+        loads.extend(self.shared.doors.cores.iter().map(|c| c.load()));
         t0
     }
 
     /// A victim's inbox can only be drained by the victim itself, so
     /// only what already reached its queue counts.
     fn worth_visiting(&self, v: usize) -> bool {
-        self.shared.cores[v].len_hint.load(Ordering::Relaxed) != 0
+        self.shared.doors.cores[v].queued() != 0
     }
 
     /// Migration happens with the victim's and the thief's locks both
@@ -520,7 +446,7 @@ impl CoreEnv for Worker<'_> {
         for set in sets {
             events += set.len() as u64;
             cost += set.cum_cost();
-            shared.colors.moved(set.color(), me);
+            shared.doors.colors.moved(set.color(), me);
             gm.steal_absorb(set);
         }
 
@@ -535,16 +461,16 @@ impl CoreEnv for Worker<'_> {
         self.take_inbox(v);
         self.take_inbox(me);
         for ev in self.inbox_batch.drain(..) {
-            if shared.colors.owns(me, ev.color()) {
+            if shared.doors.colors.owns(me, ev.color()) {
                 gm.push(ev);
             } else {
-                debug_assert!(shared.colors.owns(v, ev.color()), "foreign color");
+                debug_assert!(shared.doors.colors.owns(v, ev.color()), "foreign color");
                 gv.push(ev);
             }
         }
 
-        shared.cores[v].len_hint.store(gv.len(), Ordering::Relaxed);
-        shared.cores[me].len_hint.store(gm.len(), Ordering::Relaxed);
+        shared.doors.cores[v].publish(gv.len());
+        shared.doors.cores[me].publish(gm.len());
         Some((events, cost))
     }
 
@@ -868,15 +794,15 @@ mod tests {
         let mut rt = rt(Flavor::Mely, WsPolicy::off(), 2);
         // Without the death, the keepalive would hold the run open.
         let keepalive = rt.injector().keepalive();
+        let (color, holder) = (Color::new(1), Color::new(2));
+        assert_ne!(color.home_core(2), holder.home_core(2));
         let waiting = Arc::new(AtomicBool::new(false));
+        let returned = Arc::new(AtomicBool::new(false));
         let seen = Arc::clone(&waiting);
-        let color = Color::new(1);
         rt.register(Event::new(color, 0).with_action(move |_| {
             while !seen.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
-            // Time for the waiter to begin waiting before the death.
-            std::thread::sleep(Duration::from_millis(50));
         }));
         // Cost and penalty set, so registering it never asks the registry.
         rt.register(
@@ -884,11 +810,21 @@ mod tests {
                 .with_cost(1)
                 .with_penalty(2),
         );
+        // The other core holds the run, and so the death's stop, until
+        // the waiter has returned, whenever it began to wait.
+        let done = Arc::clone(&returned);
+        rt.register(Event::new(holder, 0).with_action(move |_| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }));
         let (tx, rx) = mpsc::channel();
         let injector = rt.injector();
         let waiter = std::thread::spawn(move || {
             waiting.store(true, Ordering::Release);
             let _ = tx.send(injector.stop_when_idle());
+            returned.store(true, Ordering::Release);
         });
         let r = rt.run();
         let ended = rx.recv_timeout(Duration::from_secs(10));
@@ -902,9 +838,6 @@ mod tests {
             .iter()
             .any(|f| f.kind == FaultKind::WorkerDied { core }));
     }
-
-    // The inject/inject_after pair is pinned by the consolidated test
-    // `runtime::tests::removed_aliases_have_working_replacements`.
 
     #[test]
     fn timers_fire() {

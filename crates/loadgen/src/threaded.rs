@@ -6,9 +6,8 @@
 //! through the executor-agnostic [`Injector`],
 //! the way a network frontend or RPC ingress would. Each producer is an
 //! *external* producer in the sense of the injection architecture — its
-//! registrations go through the owning core's inbox on the
-//! threaded executor (and the run-loop mailbox on the simulator) and
-//! never contend on a dispatch spinlock.
+//! registrations go through the owning core's inbox on either
+//! executor and never contend on a dispatch spinlock.
 //!
 //! # Examples
 //!

@@ -7,8 +7,8 @@
 //! (inherits the client's color) → `Deliver` (serial bookkeeping,
 //! completes the request). Half the jobs are seeded before the run;
 //! the other half arrive *while it runs*, submitted from a producer
-//! thread through the typed `StageSender` (injection inboxes on
-//! threads, the run-loop mailbox on sim).
+//! thread through the typed `StageSender` (the owning core's injection
+//! inbox, on both executors).
 //!
 //! Pick an executor with `MELY_EXEC=sim` (default) or
 //! `MELY_EXEC=threaded`. Run with `cargo run --release --example

@@ -1,6 +1,6 @@
 //! External producers injecting into a running executor through the
-//! executor-agnostic `Injector` — per-core injection inboxes on the
-//! threaded runtime, the run-loop mailbox on the simulator.
+//! executor-agnostic `Injector` — per-core injection inboxes on both
+//! executors.
 //!
 //! Defaults to the threaded executor (that is where the inbox stats are
 //! interesting); set `MELY_EXEC=sim` to watch the identical producer

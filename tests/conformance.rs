@@ -19,7 +19,8 @@
 //!   stays on the low-level API on purpose, covering both layers);
 //! - **per-color order** — with the simulator as the reference, a
 //!   threaded run with stealing on executes each color's events in the
-//!   same order;
+//!   same order, and one producer's injected events of one color run in
+//!   injection order on both executors;
 //! - **one color, one core through the public API** — a pin that would
 //!   split a queued color is refused and counted;
 //! - **one liveness record** — `Injector::outstanding` counts every
@@ -432,6 +433,88 @@ fn per_color_order_matches_the_simulator() {
     assert_eq!(probe(ExecKind::Threaded), reference, "exclusion probe");
 }
 
+/// Per-color FIFO at the door: one producer's numbered events of one
+/// color run in the order it made them, through registration, the
+/// owner's inbox and steals that move the color. On the simulator the
+/// producer injects before the run, under 64 perturbed schedules (the
+/// inbox drain deferred, the cores drained in shuffled order), and the
+/// sweep must move the color; on threads it injects while the run goes
+/// on, with stealing on.
+#[test]
+fn one_producers_events_of_one_color_run_in_injection_order() {
+    const REGISTERED: u64 = 20;
+    const INJECTED: u64 = 40;
+    // Core 1's, with all the other colors: core 0 starts idle.
+    const COLOR: Color = Color::new(3);
+    // The `i`-th event of the color, noting in `moved` a run off its
+    // home core, and one of another color beside it; on threads each
+    // burns 20 us, real work for the thieves to find.
+    fn pair(kind: ExecKind, log: &OrderLog, moved: &Arc<AtomicU64>, i: u64) -> (Event, Event) {
+        let busy = move || {
+            let until = Instant::now() + Duration::from_micros(20);
+            while kind == ExecKind::Threaded && Instant::now() < until {}
+        };
+        let (log, moved) = (log.clone(), Arc::clone(moved));
+        let numbered = Event::new(COLOR, 10_000).with_action(move |ctx| {
+            busy();
+            log.note(COLOR, i);
+            if ctx.core() != 1 {
+                moved.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let other = Event::new(Color::new(101 + 2 * (i % 8) as u16), 10_000);
+        (numbered, other.with_action(move |_| busy()))
+    }
+    let moved = Arc::new(AtomicU64::new(0));
+    let run = |kind, builder: RuntimeBuilder| {
+        let mut rt = builder
+            .cores(2)
+            .workstealing(WsPolicy::improved())
+            .build(kind);
+        let log = OrderLog::default();
+        for i in 0..REGISTERED {
+            let (numbered, other) = pair(kind, &log, &moved, i);
+            rt.register(numbered);
+            rt.register(other);
+        }
+        let injector = rt.injector();
+        let keepalive = injector.keepalive();
+        let producer = {
+            let (log, moved) = (log.clone(), Arc::clone(&moved));
+            move || {
+                for i in REGISTERED..REGISTERED + INJECTED {
+                    let (numbered, other) = pair(kind, &log, &moved, i);
+                    injector.inject(numbered);
+                    injector.inject(other);
+                }
+                drop(keepalive);
+            }
+        };
+        let report = if kind == ExecKind::Sim {
+            producer();
+            rt.run()
+        } else {
+            let producer = std::thread::spawn(producer);
+            let report = rt.run();
+            producer.join().unwrap();
+            report
+        };
+        let total = 2 * (REGISTERED + INJECTED);
+        assert_eq!(report.events_processed(), total, "{kind}");
+        log.per_color().remove(&COLOR.value()).unwrap_or_default()
+    };
+    let in_order: Vec<u64> = (0..REGISTERED + INJECTED).collect();
+    for seed in 0..64 {
+        let ran = run(ExecKind::Sim, RuntimeBuilder::new().schedule_seed(seed));
+        assert_eq!(ran, in_order, "sim, schedule seed {seed}");
+    }
+    assert!(moved.load(Ordering::Relaxed) > 0, "no seed moved the color");
+    for round in 0..4 {
+        let ran = run(ExecKind::Threaded, RuntimeBuilder::new());
+        assert_eq!(ran, in_order, "threaded, round {round}");
+    }
+}
+
 /// A color lives on one core, also through `register_pinned`: pinning a
 /// color whose first event is still queued on its home core is refused
 /// and counted, and both events run on that core.
@@ -475,7 +558,7 @@ fn outstanding_counts_registered_events_on_both_executors() {
         for i in 0..20u16 {
             rt.register(Event::new(Color::new(i + 1), 100));
         }
-        injector.inject_after(1_000, Event::new(Color::new(40), 100));
+        injector.inject(Event::new(Color::new(40), 100));
         assert_eq!(injector.outstanding(), 21, "{kind}");
         assert_eq!(rt.run().events_processed(), 21, "{kind}");
         assert_eq!(injector.outstanding(), 0, "{kind}");
