@@ -62,6 +62,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 use mely_cachesim::Hierarchy;
@@ -117,6 +118,11 @@ pub(crate) struct SimRuntime {
     steal_bufs: StealBufs,
     /// What an inbox drain hands over, kept across drains.
     inbox_batch: Vec<Event>,
+    /// Whether an inbox may hold events during this run. Only an
+    /// injector pushes there, and none can be made while `run` holds
+    /// the runtime: a run that starts with no injector or keepalive out
+    /// and its inboxes empty never looks at them.
+    fed: bool,
     /// The decision stream for schedule perturbation (`Some` iff
     /// `cfg.schedule_seed` is). Replay = fresh runtime + same seed.
     sched_rng: Option<ScheduleRng>,
@@ -160,6 +166,7 @@ impl SimRuntime {
             attempt_wait: 0,
             steal_bufs: StealBufs::default(),
             inbox_batch: Vec::new(),
+            fed: false,
             sched_rng: cfg.schedule_seed.map(ScheduleRng::new),
             fault_rng: cfg.faults.plan.map(|p| p.rng()),
             cfg,
@@ -234,7 +241,7 @@ impl SimRuntime {
     /// RNG is consulted only when an inbox holds entries, so the decision
     /// stream is keyed to deterministic state.
     fn drain_inboxes(&mut self) {
-        if !self.doors.pending() {
+        if !self.fed || !self.doors.pending() {
             return;
         }
         let mut order: Vec<usize> = (0..self.cores.len()).collect();
@@ -367,7 +374,7 @@ impl SimRuntime {
             self.attempt_wait = 0;
             if (*iters + 1).is_multiple_of(WATCHDOG_ITERS)
                 || self.doors.life.stop_requested()
-                || self.doors.pending()
+                || (self.fed && self.doors.pending())
                 || self
                     .timers
                     .peek()
@@ -582,8 +589,10 @@ impl CoreEnv for OnCore<'_> {
         // Both inboxes, as the threaded thief drains them: a stolen
         // color's injected events queue behind the migrated ones, and
         // each inbox keeps holding only colors its core owns.
-        rt.drain_inbox(v, c);
-        rt.drain_inbox(c, c);
+        if rt.fed {
+            rt.drain_inbox(v, c);
+            rt.drain_inbox(c, c);
+        }
         rt.publish(v);
         rt.publish(c);
         Some((events, cost))
@@ -634,6 +643,11 @@ impl SimRuntime {
     /// Clocks and metrics accumulate across calls: the report is
     /// cumulative.
     pub(crate) fn run(&mut self) -> RunReport {
+        self.fed = Arc::strong_count(&self.doors) > 1;
+        // Pairs with the release of a dropped injector's last reference:
+        // whatever it pushed is seen below.
+        fence(Ordering::Acquire);
+        self.fed |= self.doors.pending();
         let doors = Arc::clone(&self.doors);
         let _running = doors.life.run();
         let mut iters: u64 = 0;
