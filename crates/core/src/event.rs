@@ -45,8 +45,9 @@ pub struct Event {
     /// per-color FIFO assertions and as the simulated address of the
     /// event's continuation.
     pub(crate) seq: u64,
-    /// Simulation: the earliest virtual time at which the event can
-    /// execute (its registration completion time).
+    /// Simulation only: the virtual time from which the event may run.
+    /// The simulator's run loop idles a core up to it; the kernel, the
+    /// queues and the threaded executor never read it.
     pub(crate) visible_at: u64,
     /// Whether admission control claimed a per-color in-flight slot for
     /// this event; the executor releases the slot when it executes.

@@ -8,9 +8,10 @@
 //! rules, monomorphised over a per-core [`CoreEnv`]. The environment
 //! supplies only what genuinely differs between the simulator and real
 //! threads: the clock and an event's cost (declared vs. real time), how
-//! a queue is reached, and where a timer or a routed event goes. Two of
-//! the simulator's perturbation draws are hooks; the rest, and the
-//! threaded executor's inbox and waiting, stay in the drivers.
+//! a queue is reached, and where a timer or a routed event goes. The
+//! victim shuffle is the one perturbation hook. The simulator's time
+//! model (an event queued but not visible yet) and its other draws, and
+//! the threaded executor's inbox and waiting, stay in the drivers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -73,43 +74,17 @@ pub(crate) struct StealBufs {
     victims: Vec<usize>,
 }
 
-/// What a core's own queue gave up to [`CoreEnv::pop`].
-pub(crate) enum Pop {
-    Event(Event),
-    /// Queued, but not visible at the core's clock yet (simulator only).
-    NotVisible,
-    Empty,
-}
-
-/// What one [`turn`] did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Turn {
-    /// An event was dispatched: the core's own, or one it just stole.
-    Ran,
-    /// The core's next event is not visible yet.
-    Waiting,
-    /// Nothing to run and nothing stolen.
-    Idle,
-}
-
 /// One core of one executor, as the kernel sees it.
 pub(crate) trait CoreEnv {
     fn state(&mut self) -> CoreState<'_>;
     /// Where this executor keeps its handlers (it alone registers them).
     fn registry(&self) -> &HandlerRegistry;
 
-    /// Pops the core's next event under its own lock. `stolen` marks
-    /// the pop right after a successful steal, which runs the stolen
-    /// set whatever its visibility.
-    fn pop(&mut self, stolen: bool) -> Pop;
+    /// Pops the core's next event under its own lock.
+    fn pop(&mut self) -> Option<Event>;
     /// Runs after every dispatched event, whatever became of it, before
     /// the run's liveness record counts the event done.
     fn after_dispatch(&mut self) {}
-    /// The perturbation point before an idle core's steal attempt:
-    /// `true` skips the attempt this turn.
-    fn defer_steal(&mut self) -> bool {
-        false
-    }
 
     /// The time a handler reads through [`Ctx::now`].
     fn now(&self) -> u64;
@@ -152,22 +127,21 @@ pub(crate) fn may_steal(cfg: &Resolved) -> bool {
     cfg.ws.enabled && cfg.cores > 1
 }
 
-/// One turn of a core: its own next event if one is visible, else —
-/// when it [`may_steal`] and the steal is not deferred — one steal
-/// attempt whose catch runs at once. Otherwise another idle core could
-/// re-steal the set before its holder ever ran it (on the simulator,
-/// lower-clock idle cores would pass it back and forth forever).
-pub(crate) fn turn<E: CoreEnv>(env: &mut E) -> Turn {
-    let ev = match env.pop(false) {
-        Pop::Event(ev) => ev,
-        Pop::NotVisible => return Turn::Waiting,
-        Pop::Empty => {
-            if !may_steal(env.state().cfg) || env.defer_steal() || !steal_attempt(env) {
-                return Turn::Idle;
+/// One turn of a core: its own next event, else — when it
+/// [`may_steal`] — one steal attempt whose catch runs at once.
+/// Otherwise another idle core could re-steal the set before its holder
+/// ever ran it (on the simulator, lower-clock idle cores would pass it
+/// back and forth forever). Returns whether an event ran.
+pub(crate) fn turn<E: CoreEnv>(env: &mut E) -> bool {
+    let ev = match env.pop() {
+        Some(ev) => ev,
+        None => {
+            if !may_steal(env.state().cfg) || !steal_attempt(env) {
+                return false;
             }
-            // Empty only when another thief took the set back first.
-            let Pop::Event(ev) = env.pop(true) else {
-                return Turn::Idle;
+            // None only when another thief took the set back first.
+            let Some(ev) = env.pop() else {
+                return false;
             };
             ev
         }
@@ -175,7 +149,7 @@ pub(crate) fn turn<E: CoreEnv>(env: &mut E) -> Turn {
     dispatch_one(env, ev);
     env.after_dispatch();
     env.state().life.event_done();
-    Turn::Ran
+    true
 }
 
 /// Counts one event lost to a quarantined color.
@@ -364,8 +338,8 @@ mod tests {
 
     /// An executor-free environment whose clock never moves: an event
     /// costs its declaration plus its handler's charge, effects are
-    /// recorded as `(delay, color)` / color, the core's queue is `queue`
-    /// (its head not visible while `hidden`), and a steal takes `victim`.
+    /// recorded as `(delay, color)` / color, the core's queue is `queue`,
+    /// and a steal takes `victim`.
     struct Recording {
         m: CoreMetrics,
         cfg: Resolved,
@@ -375,7 +349,6 @@ mod tests {
         routed: Vec<u16>,
         life: Liveness,
         queue: VecDeque<Event>,
-        hidden: bool,
         victim: Option<Event>,
         after_dispatch: u64,
         steal_bufs: StealBufs,
@@ -392,7 +365,6 @@ mod tests {
                 routed: Vec::new(),
                 life: Liveness::default(),
                 queue: VecDeque::new(),
-                hidden: false,
                 victim: None,
                 after_dispatch: 0,
                 steal_bufs: StealBufs::default(),
@@ -414,11 +386,8 @@ mod tests {
         fn registry(&self) -> &HandlerRegistry {
             &self.registry
         }
-        fn pop(&mut self, stolen: bool) -> Pop {
-            if self.hidden && !stolen {
-                return Pop::NotVisible;
-            }
-            self.queue.pop_front().map_or(Pop::Empty, Pop::Event)
+        fn pop(&mut self) -> Option<Event> {
+            self.queue.pop_front()
         }
         fn after_dispatch(&mut self) {
             self.after_dispatch += 1;
@@ -634,7 +603,7 @@ mod tests {
     }
 
     /// One turn's sequence, checked with no executor: the core's own
-    /// visible event first; else, only where stealing can pay, one
+    /// event first; else, only where stealing can pay, one
     /// attempt whose catch runs in the same turn.
     #[test]
     fn a_turn_runs_its_own_event_else_what_it_steals() {
@@ -644,9 +613,7 @@ mod tests {
             ws: WsPolicy,
             cores: usize,
             queued: bool,
-            hidden: bool,
             victim: bool,
-            want: Turn,
             ran: u64,
             attempts: u64,
             steals: u64,
@@ -656,28 +623,18 @@ mod tests {
             ws: WsPolicy::base(),
             cores: 2,
             queued: true,
-            hidden: false,
             victim: true,
-            want: Turn::Ran,
             ran: 1,
             attempts: 0,
             steals: 0,
         };
         let idle = Case {
             queued: false,
-            want: Turn::Idle,
             ran: 0,
             ..own
         };
         let cases = [
             own,
-            Case {
-                name: "a not-yet-visible event waits, and nothing is stolen",
-                hidden: true,
-                want: Turn::Waiting,
-                ran: 0,
-                ..own
-            },
             Case {
                 name: "an empty core with WS off idles",
                 ws: WsPolicy::off(),
@@ -696,7 +653,6 @@ mod tests {
             },
             Case {
                 name: "a stolen event runs in the same turn",
-                want: Turn::Ran,
                 ran: 1,
                 attempts: 1,
                 steals: 1,
@@ -710,10 +666,9 @@ mod tests {
             if case.queued {
                 env.queue.push_back(ev());
             }
-            env.hidden = case.hidden;
             env.victim = case.victim.then(ev);
             let name = case.name;
-            assert_eq!(turn(&mut env), case.want, "{name}");
+            assert_eq!(turn(&mut env), case.ran == 1, "{name}");
             assert_eq!(env.m.events_processed, case.ran, "{name}");
             assert_eq!(env.after_dispatch, case.ran, "{name}");
             assert_eq!(env.m.steal_attempts, case.attempts, "{name}");

@@ -76,11 +76,6 @@ impl LegacyQueue {
         Some(ev)
     }
 
-    /// Earliest time the head event can run (`None` when empty).
-    pub fn next_ready_time(&self) -> Option<u64> {
-        self.fifo.front().map(|e| e.visible_at)
-    }
-
     fn note_removed(&mut self, ev: &Event) {
         let c = self
             .counts
@@ -289,15 +284,5 @@ mod tests {
         q.push(ev(2, 1));
         let (_, scanned) = q.extract_color(Color::new(2));
         assert_eq!(scanned, 3, "must scan the whole queue");
-    }
-
-    #[test]
-    fn next_ready_time_tracks_head_visibility() {
-        let mut q = LegacyQueue::new();
-        assert!(q.next_ready_time().is_none());
-        let mut e = ev(1, 1);
-        e.visible_at = 500;
-        q.push(e);
-        assert_eq!(q.next_ready_time(), Some(500));
     }
 }

@@ -116,12 +116,10 @@ impl DetachedColorQueue {
         self.cum_cost
     }
 
-    /// Raises every stolen event's visibility time to at least `t` (the
-    /// completion time of the steal, under simulation).
-    pub fn set_visible_at_floor(&mut self, t: u64) {
-        for ev in &mut self.events {
-            ev.visible_at = ev.visible_at.max(t);
-        }
+    /// The stolen events, oldest first, for the simulator to stamp
+    /// before it absorbs them.
+    pub(crate) fn events_mut(&mut self) -> impl Iterator<Item = &mut Event> {
+        self.events.iter_mut()
     }
 
     /// Wraps a color scanned out of a [`crate::queue::LegacyQueue`], so
@@ -556,9 +554,9 @@ impl MelyQueue {
         self.put_buf(cq.events);
     }
 
-    /// Earliest time the event `pop` would return can run (`None` when
-    /// empty). Simulation only.
-    pub fn next_ready_time(&mut self, batch_threshold: u32) -> Option<u64> {
+    /// The event `pop` would return, left queued; the batch rotation
+    /// that choosing it implies is taken now, as `pop` would take it.
+    pub(super) fn peek(&mut self, batch_threshold: u32) -> Option<&Event> {
         if self.total_events == 0 {
             return None;
         }
@@ -568,7 +566,6 @@ impl MelyQueue {
             .expect("cur slot is live")
             .events
             .front()
-            .map(|e| e.visible_at)
     }
 
     /// Base-algorithm color choice on the Mely structure: walks the
@@ -1008,16 +1005,6 @@ mod tests {
         assert!(!q.can_be_stolen_base());
         q.push(ev(2, 1));
         assert!(q.can_be_stolen_base());
-    }
-
-    #[test]
-    fn next_ready_time_follows_discipline() {
-        let mut q = MelyQueue::new(true);
-        assert!(q.next_ready_time(10).is_none());
-        let mut e = ev(1, 1);
-        e.visible_at = 777;
-        q.push(e);
-        assert_eq!(q.next_ready_time(10), Some(777));
     }
 
     #[test]

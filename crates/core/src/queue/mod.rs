@@ -12,7 +12,9 @@
 //!
 //! Both queues are plain data structures; executors wrap them in the
 //! appropriate synchronisation ([`crate::sync::SpinLock`] under threads,
-//! a lock *cost model* under simulation).
+//! a lock *cost model* under simulation). Neither knows about time:
+//! whether the event a pop would return may run yet is the simulator's
+//! question, asked through `QueueImpl::peek`.
 
 pub mod legacy;
 pub mod mely;
@@ -153,12 +155,12 @@ impl QueueImpl {
         }
     }
 
-    /// Earliest virtual time at which the next event (per the scheduling
-    /// discipline) can run; `None` when empty. Simulation only.
-    pub fn next_ready_time(&mut self, batch_threshold: u32) -> Option<u64> {
+    /// The event [`QueueImpl::pop`] with the same `batch_threshold`
+    /// would return, left queued.
+    pub(crate) fn peek(&mut self, batch_threshold: u32) -> Option<&Event> {
         match self {
-            QueueImpl::Legacy(q) => q.next_ready_time(),
-            QueueImpl::Mely(q) => q.next_ready_time(batch_threshold),
+            QueueImpl::Legacy(q) => q.iter().next(),
+            QueueImpl::Mely(q) => q.peek(batch_threshold),
         }
     }
 }
@@ -167,22 +169,31 @@ impl QueueImpl {
 mod tests {
     use super::*;
 
+    /// Both flavors behind the one enum, and `peek` naming what `pop`
+    /// returns next, also where a Mely batch of 2 rotates colors.
     #[test]
     fn queue_impl_dispatches() {
-        for mut q in [
-            QueueImpl::Legacy(LegacyQueue::new()),
-            QueueImpl::Mely(MelyQueue::new(true)),
+        for (mut q, order) in [
+            (QueueImpl::Legacy(LegacyQueue::new()), [0, 1, 2, 3, 4, 5]),
+            (QueueImpl::Mely(MelyQueue::new(true)), [0, 1, 3, 4, 2, 5]),
         ] {
             assert!(q.is_empty());
-            q.push(Event::new(Color::new(1), 10));
-            q.push(Event::new(Color::new(2), 10));
-            assert_eq!(q.len(), 2);
+            assert!(q.peek(2).is_none());
+            for (seq, color) in [1, 1, 1, 2, 2, 2].into_iter().enumerate() {
+                let mut ev = Event::new(Color::new(color), 10);
+                ev.seq = seq as u64;
+                q.push(ev);
+            }
+            assert_eq!(q.len(), 6);
             assert_eq!(q.distinct_colors(), 2);
-            assert_eq!(q.next_ready_time(10), Some(0));
-            assert!(q.pop(10).is_some());
-            assert!(q.pop(10).is_some());
-            assert!(q.pop(10).is_none());
-            assert!(q.next_ready_time(10).is_none());
+            let mut popped = Vec::new();
+            while let Some(next) = q.peek(2).map(|ev| ev.seq) {
+                assert_eq!(q.peek(2).map(|ev| ev.seq), Some(next), "peek is stable");
+                assert_eq!(q.pop(2).map(|ev| ev.seq), Some(next));
+                popped.push(next);
+            }
+            assert_eq!(popped, order);
+            assert!(q.pop(2).is_none());
         }
     }
 

@@ -12,14 +12,18 @@
 //! A core's turn is the kernel it shares with the threaded executor
 //! (`kernel::turn`); this driver picks which core takes the next turn
 //! and supplies virtual time, the lock cost model, timers and the
-//! schedule-perturbation points. The door into the cores is the
-//! threaded executor's too (`Doors` in [`crate::exec`]): one color map,
-//! one liveness record, and per core the inbox an
-//! [`crate::exec::Injector`] pushes into, which the run loop's top
-//! drains into the core's queue and a steal drains as the threaded
-//! thief does. A registration, a timer arm and an injection count one
-//! event, and its dispatch uncounts it. Runs are fully deterministic:
-//! identical inputs produce identical reports.
+//! schedule-perturbation points. Visibility is the simulator's alone:
+//! an event is queued stamped with the virtual time it may run from
+//! (`Event::visible_at`), and before a picked core's turn the run loop
+//! idles the core until the event the turn would pop is visible. So
+//! the kernel's turn never meets an event it may not run. The door
+//! into the cores is the threaded executor's too (`Doors` in
+//! [`crate::exec`]): one color map, one liveness record, and per core
+//! the inbox an [`crate::exec::Injector`] pushes into, which the run
+//! loop's top drains into the core's queue and a steal drains as the
+//! threaded thief does. A registration, a timer arm and an injection
+//! count one event, and its dispatch uncounts it. Runs are fully
+//! deterministic: identical inputs produce identical reports.
 //!
 //! # Inert steal attempts
 //!
@@ -74,7 +78,7 @@ use crate::event::Event;
 use crate::exec::Doors;
 use crate::fuzz::ScheduleRng;
 use crate::handler::HandlerRegistry;
-use crate::kernel::{self, CoreEnv, CoreState, Pop, StealBufs, TimerEntry};
+use crate::kernel::{self, CoreEnv, CoreState, StealBufs, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::{Flavor, Resolved};
@@ -389,6 +393,26 @@ impl SimRuntime {
         }
     }
 
+    /// The time model before core `c`'s turn (batch cut `batch`): the
+    /// core idles until the event the turn would pop is visible, or,
+    /// perturbed and empty, defers one steal in four by a recheck
+    /// period. Returns whether it idled instead of taking the turn.
+    fn idles_before_turn(&mut self, c: usize, batch: u32) -> bool {
+        let core = &mut self.cores[c];
+        let idle = match core.queue.peek(batch) {
+            Some(ev) if ev.visible_at > core.clock => ev.visible_at - core.clock,
+            None if kernel::may_steal(&self.cfg)
+                && self.sched_rng.as_mut().is_some_and(|r| r.chance(1, 4)) =>
+            {
+                self.cfg.costs.idle_recheck
+            }
+            _ => return false,
+        };
+        core.clock += idle;
+        core.metrics.idle_cycles += idle;
+        true
+    }
+
     /// Propagates the monitored steal-cost estimate to every core's
     /// stealing-queue (worthiness threshold of the time-left heuristic).
     fn sync_steal_estimates(&mut self) {
@@ -405,8 +429,8 @@ impl SimRuntime {
 struct OnCore<'a> {
     rt: &'a mut SimRuntime,
     c: usize,
-    /// This turn's per-color dispatch batch, shared by the visibility
-    /// check and the pop: both walk the same rotation state, so
+    /// This turn's per-color dispatch batch, shared by the run loop's
+    /// peek and the pop: both walk the same rotation state, so
     /// disagreeing values would desync them.
     batch: u32,
 }
@@ -428,41 +452,18 @@ impl CoreEnv for OnCore<'_> {
         &self.rt.registry
     }
 
-    /// A core whose next event is not visible yet idles its clock up to
-    /// the event's visibility time.
-    fn pop(&mut self, stolen: bool) -> Pop {
+    /// An empty queue is seen without the lock. The run loop has idled
+    /// the core until its next event is visible, and a stolen set runs
+    /// whatever its visibility.
+    fn pop(&mut self) -> Option<Event> {
         let (rt, c) = (&mut *self.rt, self.c);
-        if !stolen {
-            match rt.cores[c].queue.next_ready_time(self.batch) {
-                None => return Pop::Empty,
-                Some(t) if t > rt.cores[c].clock => {
-                    let core = &mut rt.cores[c];
-                    core.metrics.idle_cycles += t - core.clock;
-                    core.clock = t;
-                    return Pop::NotVisible;
-                }
-                Some(_) => {}
-            }
+        if rt.cores[c].queue.is_empty() {
+            return None;
         }
         rt.lock(c, c, rt.cfg.costs.lock_acquire + rt.cfg.costs.queue_op);
-        let Some(ev) = rt.cores[c].queue.pop(self.batch) else {
-            return Pop::Empty;
-        };
+        let ev = rt.cores[c].queue.pop(self.batch)?;
         rt.publish(c);
-        Pop::Event(ev)
-    }
-
-    /// Perturbed steal timing: skip this steal check and idle one
-    /// recheck period instead.
-    fn defer_steal(&mut self) -> bool {
-        let rt = &mut *self.rt;
-        let defer = rt.sched_rng.as_mut().is_some_and(|r| r.chance(1, 4));
-        if defer {
-            let core = &mut rt.cores[self.c];
-            core.clock += rt.cfg.costs.idle_recheck;
-            core.metrics.idle_cycles += rt.cfg.costs.idle_recheck;
-        }
-        defer
+        Some(ev)
     }
 
     fn now(&self) -> u64 {
@@ -582,7 +583,11 @@ impl CoreEnv for OnCore<'_> {
         let mut cost = 0;
         for mut set in sets {
             rt.doors.colors.moved(set.color(), c);
-            set.set_visible_at_floor(now);
+            // Stolen events are visible from the steal's end at the
+            // earliest, also to a later thief.
+            for ev in set.events_mut() {
+                ev.visible_at = ev.visible_at.max(now);
+            }
             cost += set.cum_cost();
             rt.cores[c].queue.steal_absorb(set);
         }
@@ -718,7 +723,9 @@ impl SimRuntime {
                         Some(rng) => rng.pick(threshold as usize) as u32 + 1,
                         None => threshold,
                     };
-                    kernel::turn(&mut OnCore { rt: self, c, batch });
+                    if !self.idles_before_turn(c, batch) {
+                        kernel::turn(&mut OnCore { rt: self, c, batch });
+                    }
                 }
                 None => {
                     // Nothing runnable: deliver the earliest timer batch,
@@ -752,6 +759,8 @@ impl SimRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+
     use crate::exec::{ExecKind, Executor, Runtime};
     use crate::runtime::RuntimeBuilder;
     use crate::steal::WsPolicy;
@@ -825,6 +834,24 @@ mod tests {
         let r = rt.run();
         assert_eq!(r.events_processed(), 2);
         assert!(r.wall_cycles() >= 1_000_000);
+    }
+
+    #[test]
+    fn a_core_idles_until_its_routed_event_is_visible() {
+        // Core 0's 1 M-cycle event routes one to core 1, idle at clock 0
+        // with stealing off: core 1 idles until the route completes.
+        let mut rt = sim(Flavor::Mely, WsPolicy::off(), 2);
+        let ran_at = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&ran_at);
+        let routed = Event::new(Color::new(3), 10)
+            .with_action(move |ctx| seen.store(ctx.now(), Ordering::Relaxed));
+        let first = Event::new(Color::new(2), 1_000_000).with_action(|ctx| ctx.register(routed));
+        rt.register_pinned(first, 0);
+        let r = rt.run();
+        let (core, now) = (r.per_core()[1], ran_at.load(Ordering::Relaxed));
+        assert_eq!(core.events_processed, 1);
+        assert!(core.idle_cycles >= 1_000_000, "idled {}", core.idle_cycles);
+        assert!(now >= core.idle_cycles, "ran at {now}, before the route");
     }
 
     #[test]

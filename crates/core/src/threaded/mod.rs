@@ -76,7 +76,7 @@ use crate::exec::Doors;
 use crate::fault::{Fault, FaultKind};
 use crate::fuzz::ScheduleRng;
 use crate::handler::HandlerRegistry;
-use crate::kernel::{self, CoreEnv, CoreState, Pop, StealBufs, TimerEntry, Turn};
+use crate::kernel::{self, CoreEnv, CoreState, StealBufs, TimerEntry};
 use crate::metrics::{CoreMetrics, RunReport};
 use crate::queue::QueueImpl;
 use crate::runtime::Resolved;
@@ -179,8 +179,13 @@ impl Shared {
                             .unwrap_or_else(|payload| {
                                 // A dying worker must release its
                                 // siblings: they wait on outstanding work
-                                // it can no longer execute.
+                                // it can no longer execute, nor on the
+                                // event whose dispatch unwound it.
                                 shared.doors.life.worker_died();
+                                let in_flight = &shared.cores[core].in_flight;
+                                if in_flight.swap(NO_COLOR, Ordering::AcqRel) != NO_COLOR {
+                                    shared.doors.life.event_done();
+                                }
                                 resume_unwind(payload)
                             })
                     })
@@ -241,7 +246,7 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
         }
         drain_timers(shared);
         w.drain_inbox();
-        if kernel::turn(&mut w) == Turn::Ran {
+        if kernel::turn(&mut w) {
             idle_spins = 0;
             continue;
         }
@@ -339,7 +344,7 @@ impl CoreEnv for Worker<'_> {
 
     /// Publishes the popped color as in flight under the lock, so a
     /// thief's `migrate` never takes the color that is running.
-    fn pop(&mut self, _stolen: bool) -> Pop {
+    fn pop(&mut self) -> Option<Event> {
         let core = &self.shared.cores[self.me];
         let mut q = core.queue.lock();
         self.m.lock_wait_cycles += q.waited_cycles();
@@ -350,7 +355,7 @@ impl CoreEnv for Worker<'_> {
                 .store(ev.color().value() as u32, Ordering::Release);
         }
         self.shared.doors.cores[self.me].publish(q.len());
-        ev.map_or(Pop::Empty, Pop::Event)
+        ev
     }
 
     fn after_dispatch(&mut self) {
@@ -651,12 +656,12 @@ mod tests {
         worker(0).drain_inbox();
         let mut thief = worker(1);
         // Each turn of the idle thief steals one color and runs it.
-        assert_eq!(kernel::turn(&mut thief), Turn::Ran);
+        assert!(kernel::turn(&mut thief));
         assert_eq!(thief.m.steals, 1);
         let first = thief.m.steal_cycles;
         assert_eq!(shared.steal_est.lock().get(), first);
         // Later samples are smoothed by 1/8.
-        assert_eq!(kernel::turn(&mut thief), Turn::Ran);
+        assert!(kernel::turn(&mut thief));
         assert_eq!(thief.m.steals, 2);
         let second = thief.m.steal_cycles - first;
         assert_eq!(
@@ -837,6 +842,24 @@ mod tests {
             .fault_log()
             .iter()
             .any(|f| f.kind == FaultKind::WorkerDied { core }));
+    }
+
+    #[test]
+    fn a_worker_death_counts_its_event_done() {
+        // As above, the foreign id kills the worker that dispatches it.
+        let foreign = HandlerRegistry::new().register(HandlerSpec::new("elsewhere"));
+        let mut rt = rt(Flavor::Mely, WsPolicy::off(), 2);
+        let ev = Event::for_handler(Color::new(1), foreign);
+        rt.register(ev.with_cost(1).with_penalty(2));
+        let died = rt.run().fault_log()[0].kind.clone();
+        assert!(matches!(died, FaultKind::WorkerDied { .. }), "{died:?}");
+        assert_eq!(rt.injector().outstanding(), 0, "the death's event leaked");
+        // Workers wait while anything is outstanding: a leaked count
+        // would hold this run open for good.
+        rt.register(Event::new(Color::new(1), 0));
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(rt.run().events_processed()));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(1));
     }
 
     #[test]

@@ -96,9 +96,9 @@ struct HalfStream {
 }
 
 impl HalfStream {
-    fn write(&mut self, visible_at: u64, data: Vec<u8>) {
+    fn write(&mut self, readable_at: u64, data: Vec<u8>) {
         if !data.is_empty() {
-            self.segs.push_back((visible_at, data));
+            self.segs.push_back((readable_at, data));
         }
     }
 
