@@ -238,6 +238,13 @@ fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
         }
         return;
     }
+    // Recorded before the event counts: should `record` panic (an id
+    // from another registry), the event counts as neither an event nor
+    // a completion in what the dying worker publishes.
+    if let Some(h) = ev.handler() {
+        env.registry().record(h, elapsed);
+    }
+    let st = env.state();
     st.metrics.events_processed += 1;
     st.metrics.note_completion(color, ev.seq);
     for latency in fx.completions() {
@@ -245,9 +252,6 @@ fn dispatch_one<E: CoreEnv>(env: &mut E, mut ev: Event) {
         st.metrics.latency.record(latency);
     }
     st.metrics.failed_requests += fx.failed;
-    if let Some(h) = ev.handler() {
-        env.registry().record(h, elapsed);
-    }
 
     for (mut delay, ev2) in fx.delayed {
         let st = env.state();

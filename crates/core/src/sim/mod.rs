@@ -28,22 +28,32 @@
 //! # Inert steal attempts
 //!
 //! An idle core polling a busy machine fails most of its steal
-//! attempts, and each would cost a whole turn. So the run loop applies
-//! an *inert* attempt without one: the picked core's queue is empty and
-//! no other core passes the unlocked screen (`worth_visiting`) at
-//! `clock + steal_setup`, the time the attempt would screen at. Such an
-//! attempt touches only its own core: the clock advances by
-//! `steal_setup + idle_recheck`, `steal_attempts`, `idle_cycles` and
-//! `failed_steal_cycles` grow as `steal_end` and the kernel grow them,
-//! and it takes no lock, moves no queue and draws nothing. The loop
-//! keeps applying while its own pick (the same queued total, busy
-//! horizon and lowest-index tie rule) is again an inert attempt, and
-//! stops before any iteration whose loop top would act: a stop request,
-//! an inbox entry, a timer due by the minimum clock, or the livelock
-//! watchdog, whose count includes every applied attempt. So every
-//! simulated result is bit-identical to running the turns. A perturbed
-//! run (`schedule_seed`) never skips: its core pick, steal deferral and
-//! victim shuffle draw per turn, and skipping would shift the draws.
+//! attempts, and each would cost a whole turn. An attempt is *inert*
+//! when the picked core's queue is empty and no other core passes the
+//! unlocked screen (`worth_visiting`) at `clock + steal_setup`, the
+//! time the attempt would screen at. It touches only its own core: the
+//! clock advances one step of `steal_setup + idle_recheck`, and
+//! `steal_attempts`, `idle_cycles` and `failed_steal_cycles` grow as
+//! `steal_end` and the kernel grow them; it takes no lock, moves no
+//! queue and draws nothing. While only such attempts happen, a busy
+//! core's screen changes with the thief's clock alone: before its
+//! in-flight handler ends the screen leaves that color out, after it
+//! counts it, so it turns live at most once.
+//!
+//! So the run loop applies every inert attempt up to its next pick that
+//! acts in closed form (`skip_inert_attempts`). Each idle core takes one
+//! whole step per key `(clock, core)` below the stop key, which is the
+//! smaller of the busy pick (lowest `(clock, core)` holding work) and
+//! the first idle key whose screen is live. An armed timer cuts the
+//! batch after the pick that brings every clock to its due time, and
+//! the next loop top delivers it. The stop flag and the inboxes are
+//! checked once, before the batch; on an unfed run with no timer cut
+//! the stop key's core then takes its turn at once, with no second loop
+//! top. The livelock watchdog counts every applied attempt and fires on
+//! a threshold. So every simulated result is bit-identical to running
+//! the turns. A perturbed run (`schedule_seed`) never skips: its core
+//! pick, steal deferral and victim shuffle draw per turn, and skipping
+//! would shift the draws.
 //!
 //! # Examples
 //!
@@ -134,9 +144,17 @@ pub(crate) struct SimRuntime {
     /// `cfg.faults` holds a plan). Kept separate from `sched_rng` so
     /// enabling faults never shifts the schedule-perturbation draws.
     fault_rng: Option<ScheduleRng>,
+    /// Off, every inert steal attempt runs as a kernel turn: the
+    /// reference the closed form is checked against.
+    #[cfg(test)]
+    skip_inert: bool,
+    /// Run-loop passes, cumulative.
+    #[cfg(test)]
+    passes: u64,
 }
 
-/// Run-loop iterations between two livelock checks.
+/// Scheduling decisions (run-loop passes and applied inert steal
+/// attempts) between two livelock checks.
 const WATCHDOG_ITERS: u64 = 10_000_000;
 
 /// Simulated addresses of event continuations live below the dataset
@@ -173,6 +191,10 @@ impl SimRuntime {
             fed: false,
             sched_rng: cfg.schedule_seed.map(ScheduleRng::new),
             fault_rng: cfg.faults.plan.map(|p| p.rng()),
+            #[cfg(test)]
+            skip_inert: true,
+            #[cfg(test)]
+            passes: 0,
             cfg,
         }
     }
@@ -230,10 +252,6 @@ impl SimRuntime {
         m.lock_ops += 1;
         self.cores[locker].clock = end;
         self.attempt_wait += wait;
-    }
-
-    fn total_queued(&self) -> usize {
-        self.cores.iter().map(|c| c.queue.len()).sum()
     }
 
     /// Queues what producers handed to the cores' inboxes
@@ -345,52 +363,79 @@ impl SimRuntime {
         best.map(|(_, i)| i)
     }
 
-    /// Applies inert steal attempts without running turns (see the
-    /// module docs), starting with picked core `c`'s, while the loop's
-    /// next pick is again one and its loop top has nothing to do. Each
-    /// applied attempt after the first counts as a loop iteration in
-    /// `iters`. Returns whether any was applied.
-    fn skip_inert_attempts(
-        &mut self,
-        mut c: usize,
-        total: usize,
-        limit: Option<u64>,
-        iters: &mut u64,
-    ) -> bool {
-        let (setup, recheck) = (self.cfg.costs.steal_setup, self.cfg.costs.idle_recheck);
-        let mut applied = false;
-        loop {
-            let t = self.cores[c].clock + setup;
-            if !self.cores[c].queue.is_empty()
-                || (0..self.cores.len()).any(|v| v != c && self.worth_visiting(v, t))
-            {
-                return applied;
-            }
-            if applied {
-                *iters += 1;
-            }
-            applied = true;
-            let core = &mut self.cores[c];
-            core.clock = t + recheck;
-            core.metrics.steal_attempts += 1;
-            core.metrics.idle_cycles += setup + recheck;
-            core.metrics.failed_steal_cycles += setup + recheck;
-            self.attempt_wait = 0;
-            if (*iters + 1).is_multiple_of(WATCHDOG_ITERS)
-                || self.doors.life.stop_requested()
-                || (self.fed && self.doors.pending())
-                || self
-                    .timers
-                    .peek()
-                    .is_some_and(|Reverse(t)| self.cores.iter().all(|x| t.due <= x.clock))
-            {
-                return true;
-            }
-            match self.earliest_actionable(total, limit) {
-                Some(i) => c = i,
-                None => return true,
+    /// The first thief clock from which a thief's screen would visit
+    /// busy core `v`, `u64::MAX` for never while no turn runs: the
+    /// screen leaves the in-flight color out until its handler ends.
+    fn live_from(&self, v: usize, setup: u64) -> u64 {
+        let core = &self.cores[v];
+        let screen = |in_flight| core.queue.can_be_stolen(in_flight, self.cfg.ws.time_left);
+        let after = screen(None);
+        debug_assert!(
+            after || core.in_flight.is_none_or(|(color, _)| !screen(Some(color))),
+            "leaving a color out made another stealable"
+        );
+        match core.in_flight {
+            _ if !after => u64::MAX,
+            Some((color, until)) if !screen(Some(color)) => until.saturating_sub(setup),
+            _ => 0,
+        }
+    }
+
+    /// Applies, in closed form, every inert steal attempt the loop
+    /// would pick from pick `c` on, up to its first pick that acts (see
+    /// the module docs), and counts them in `iters`. Returns the core
+    /// whose turn comes next, or `None` when the loop top must look
+    /// first: a timer cut the batch, or a producer may have fed an inbox.
+    fn skip_inert_attempts(&mut self, c: usize, iters: &mut u64) -> Option<usize> {
+        let setup = self.cfg.costs.steal_setup;
+        let step = setup + self.cfg.costs.idle_recheck;
+        #[cfg(test)]
+        if !self.skip_inert {
+            return Some(c);
+        }
+        if !self.cores[c].queue.is_empty()
+            || step == 0
+            || self.doors.life.stop_requested()
+            || (self.fed && self.doors.pending())
+        {
+            return Some(c);
+        }
+        // The busy pick, and the first thief clock at which any busy
+        // core's screen is live. The busy pick is within the loop's
+        // slack, so no key below it is past it.
+        let (mut stop, mut live) = ((u64::MAX, usize::MAX), u64::MAX);
+        for (v, core) in self.cores.iter().enumerate() {
+            if !core.queue.is_empty() {
+                stop = stop.min((core.clock, v));
+                live = live.min(self.live_from(v, setup));
             }
         }
+        if live != u64::MAX {
+            for (i, core) in self.cores.iter().enumerate() {
+                if core.queue.is_empty() {
+                    let behind = live.saturating_sub(core.clock);
+                    stop = stop.min((core.clock + behind.div_ceil(step) * step, i));
+                }
+            }
+        }
+        let due = self.timers.peek().map_or(u64::MAX, |Reverse(t)| t.due);
+        let mut applied = 0;
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            // One step per key below the stop key and the due time.
+            let end = (stop.0 + u64::from(i < stop.1)).min(due);
+            if !core.queue.is_empty() || core.clock >= end {
+                continue;
+            }
+            let n = (end - core.clock).div_ceil(step);
+            core.clock += n * step;
+            core.metrics.steal_attempts += n;
+            core.metrics.idle_cycles += n * step;
+            core.metrics.failed_steal_cycles += n * step;
+            applied += n;
+        }
+        debug_assert!(applied > 0 || stop.1 == c, "an inert pick applied nothing");
+        *iters += applied;
+        (applied == 0 || (!self.fed && stop.0 < due)).then_some(stop.1)
     }
 
     /// The time model before core `c`'s turn (batch cut `batch`): the
@@ -659,7 +704,11 @@ impl SimRuntime {
         let mut last_progress = (0u64, 0u64); // (iters, events at checkpoint)
         loop {
             iters += 1;
-            if iters.is_multiple_of(WATCHDOG_ITERS) {
+            #[cfg(test)]
+            {
+                self.passes += 1;
+            }
+            if iters >= last_progress.0 + WATCHDOG_ITERS {
                 // Livelock watchdog: virtual time always advances, but if
                 // tens of millions of scheduling decisions pass without a
                 // single event executing, something is structurally wrong.
@@ -680,22 +729,24 @@ impl SimRuntime {
             // Deliver timers that are due with respect to the slowest
             // core (they only carry a visibility floor, so delivering
             // early is harmless; this just keeps the heap small).
-            let min_clock = self.cores.iter().map(|c| c.clock).min().unwrap_or(0);
-            self.deliver_timers(min_clock);
+            if !self.timers.is_empty() {
+                let min_clock = self.cores.iter().map(|c| c.clock).min().unwrap_or(0);
+                self.deliver_timers(min_clock);
+            }
 
             // Pick the earliest actionable core. An idle core may only
             // attempt steals while its clock has not raced past every
             // core that actually holds work (a real idle core stops
             // spinning the moment work appears; letting its virtual
             // clock run ahead would delay any set it later steals).
-            let total = self.total_queued();
-            let limit = self
-                .cores
-                .iter()
-                .filter(|c| !c.queue.is_empty())
-                .map(|c| c.clock.max(c.lock_free_at))
-                .max()
-                .map(|busy_horizon| busy_horizon + 4 * self.cfg.costs.idle_recheck);
+            let (mut total, mut busy_horizon) = (0, None);
+            for core in &self.cores {
+                if !core.queue.is_empty() {
+                    total += core.queue.len();
+                    busy_horizon = busy_horizon.max(Some(core.clock.max(core.lock_free_at)));
+                }
+            }
+            let limit = busy_horizon.map(|h| h + 4 * self.cfg.costs.idle_recheck);
             let best = if self.sched_rng.is_none() {
                 self.earliest_actionable(total, limit)
             } else {
@@ -712,11 +763,14 @@ impl SimRuntime {
             };
             match best {
                 Some(c) => {
-                    if self.sched_rng.is_none()
-                        && self.skip_inert_attempts(c, total, limit, &mut iters)
-                    {
-                        continue;
-                    }
+                    let c = if self.sched_rng.is_some() {
+                        c
+                    } else {
+                        match self.skip_inert_attempts(c, &mut iters) {
+                            Some(next) => next,
+                            None => continue,
+                        }
+                    };
                     // Batch-cut jitter: a random 1..=batch_threshold.
                     let threshold = self.cfg.batch_threshold;
                     let batch = match &mut self.sched_rng {
@@ -761,9 +815,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    use crate::exec::{ExecKind, Executor, Runtime};
+    use crate::exec::{Engine, ExecKind, Executor, Runtime};
     use crate::runtime::RuntimeBuilder;
-    use crate::steal::WsPolicy;
+    use crate::steal::{StealPolicy, WsPolicy};
 
     fn sim(flavor: Flavor, ws: WsPolicy, cores: usize) -> Runtime {
         RuntimeBuilder::new()
@@ -958,5 +1012,177 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// The simulator a runtime built for it holds.
+    fn engine(rt: &mut Runtime) -> &mut SimRuntime {
+        match &mut rt.engine {
+            Engine::Sim(e) => e,
+            Engine::Threaded(_) => unreachable!("a simulator runtime"),
+        }
+    }
+
+    /// Registers one round of the paper's unbalanced microbenchmark: `n`
+    /// independent colors on the cores `pin` names, 2 % of them long
+    /// (10–50 K cycles) and the rest 100 cycles.
+    fn fork(rt: &mut Runtime, rng: &mut ScheduleRng, n: usize, pin: impl Fn(usize) -> usize) {
+        for i in 0..n {
+            let cost = if rng.chance(2, 100) {
+                10_000 + rng.pick(40_001) as u64
+            } else {
+                100
+            };
+            rt.register_pinned(Event::new(Color::new(1 + i as u16), cost), pin(i));
+        }
+    }
+
+    /// A 2 000-event fork on core 0.
+    fn fork_on_core_0(rt: &mut Runtime, rng: &mut ScheduleRng) {
+        fork(rt, rng, 2_000, |_| 0);
+    }
+
+    /// An event that re-arms itself `left` more times, `delay` apart.
+    fn ticker(left: usize, delay: u64) -> Event {
+        Event::new(Color::new(65_000), 500).with_action(move |ctx| {
+            if left > 0 {
+                ctx.register_after(delay, ticker(left - 1, delay));
+            }
+        })
+    }
+
+    /// Runs `rounds` rounds of `load`, drawing from `seed`, on runtimes
+    /// from `build` with the inert-attempt skip on and off, and asserts
+    /// that each round reports the same per-core metrics, wall clock and
+    /// fingerprint. Returns whether the skip saved loop passes.
+    #[must_use]
+    fn skip_is_exact(
+        seed: u64,
+        rounds: usize,
+        build: impl Fn() -> Runtime,
+        load: impl Fn(&mut Runtime, &mut ScheduleRng),
+    ) -> bool {
+        let outcome = |skip| {
+            let (mut rt, mut rng) = (build(), ScheduleRng::new(seed));
+            engine(&mut rt).skip_inert = skip;
+            let reports: Vec<_> = (0..rounds)
+                .map(|_| {
+                    load(&mut rt, &mut rng);
+                    let r = rt.run();
+                    (r.per_core().to_vec(), r.wall_cycles(), r.fingerprint())
+                })
+                .collect();
+            (reports, engine(&mut rt).passes)
+        };
+        let ((on, skipping), (off, turning)) = (outcome(true), outcome(false));
+        assert_eq!(on, off, "seed {seed}");
+        assert!(
+            skipping <= turning,
+            "seed {seed}: {skipping} passes vs {turning}"
+        );
+        skipping < turning
+    }
+
+    const WS_CONFIGS: [(Flavor, WsPolicy); 4] = [
+        (Flavor::Mely, WsPolicy::base()),
+        (Flavor::Mely, WsPolicy::base().with_time_left(true)),
+        (Flavor::Mely, WsPolicy::improved()),
+        (Flavor::Libasync, WsPolicy::base()),
+    ];
+
+    #[test]
+    fn skipping_inert_attempts_matches_their_turns_on_a_pinned_fork() {
+        for (flavor, ws) in WS_CONFIGS {
+            let build = || sim(flavor, ws, 8);
+            assert!(skip_is_exact(1, 2, build, fork_on_core_0));
+        }
+    }
+
+    #[test]
+    fn skipping_inert_attempts_matches_their_turns_at_the_cuts() {
+        let build = || sim(Flavor::Mely, WsPolicy::improved(), 8);
+        // A timer falls due every 25 K cycles while idle cores skip.
+        assert!(skip_is_exact(2, 2, build, |rt, rng| {
+            rt.register(ticker(40, 25_000));
+            fork_on_core_0(rt, rng);
+        }));
+        // Two busy cores.
+        let on_cores_0_and_1 = |rt: &mut Runtime, rng: &mut ScheduleRng| {
+            fork(rt, rng, 2_000, |i| i % 2);
+        };
+        assert!(skip_is_exact(3, 2, build, on_cores_0_and_1));
+        // Core 1's long event leaves it idle past the busy horizon's
+        // slack, where the loop may not pick it.
+        assert!(skip_is_exact(4, 2, build, |rt, rng| {
+            rt.register_pinned(Event::new(Color::new(65_001), 5_000_000), 1);
+            fork_on_core_0(rt, rng);
+        }));
+        // Tiered victims and multi-color budgets.
+        let tiered = || {
+            RuntimeBuilder::new()
+                .cores(8)
+                .flavor(Flavor::Mely)
+                .workstealing(WsPolicy::improved())
+                .steal_policy(StealPolicy::Hierarchical)
+                .build(ExecKind::Sim)
+        };
+        assert!(skip_is_exact(5, 2, tiered, fork_on_core_0));
+    }
+
+    /// `MELY_FUZZ_SEEDS` widens the sweep (default 16; CI uses 64).
+    #[test]
+    fn skipping_inert_attempts_matches_their_turns_on_random_loads() {
+        let seeds: u64 = std::env::var("MELY_FUZZ_SEEDS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(16);
+        let mut saved = 0;
+        for seed in 0..seeds {
+            let mut draw = ScheduleRng::new(seed);
+            let cores = 2 + draw.pick(7);
+            let (flavor, ws) = WS_CONFIGS[draw.pick(WS_CONFIGS.len())];
+            let policy = [StealPolicy::Flat, StealPolicy::Hierarchical][draw.pick(2)];
+            let busy = 1 + draw.pick(cores);
+            let long_pct = draw.pick(30) as u32;
+            let delay = 1_000 + draw.pick(100_000) as u64;
+            let build = || {
+                RuntimeBuilder::new()
+                    .cores(cores)
+                    .flavor(flavor)
+                    .workstealing(ws)
+                    .steal_policy(policy)
+                    .build(ExecKind::Sim)
+            };
+            saved += u64::from(skip_is_exact(seed, 2, build, |rt, rng| {
+                rt.register(ticker(rng.pick(20), delay));
+                for i in 0..200 + rng.pick(800) {
+                    let cost = if rng.chance(long_pct, 100) {
+                        1_000 + rng.pick(100_000) as u64
+                    } else {
+                        10 + rng.pick(500) as u64
+                    };
+                    rt.register_pinned(Event::new(Color::new(1 + i as u16), cost), rng.pick(busy));
+                }
+            }));
+        }
+        assert!(
+            saved * 2 > seeds,
+            "the skip saved passes on {saved} of {seeds} seeds"
+        );
+    }
+
+    #[test]
+    fn an_unbalanced_fork_takes_one_loop_pass_per_event() {
+        // The benchmark's scenario: 20 000-event forks pinned on core 0
+        // of eight under improved WS. Running each inert steal attempt
+        // as a turn takes about 1.9 passes per event.
+        let mut rt = sim(Flavor::Mely, WsPolicy::improved(), 8);
+        let mut rng = ScheduleRng::new(1);
+        let mut events = 0;
+        for _ in 0..2 {
+            fork(&mut rt, &mut rng, 20_000, |_| 0);
+            events = rt.run().events_processed();
+        }
+        let per_event = engine(&mut rt).passes as f64 / events as f64;
+        assert!(per_event <= 1.05, "{per_event:.3} loop passes per event");
     }
 }

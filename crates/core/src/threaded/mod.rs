@@ -88,6 +88,9 @@ struct CoreShared {
     queue: SpinLock<QueueImpl>,
     /// Color currently executing on this core (`NO_COLOR` when none).
     in_flight: AtomicU32,
+    /// What this core's worker counted, published as it exits, also
+    /// by unwinding.
+    exited: Mutex<CoreMetrics>,
 }
 
 /// The threaded executor: everything its workers share.
@@ -130,6 +133,7 @@ impl Shared {
             .map(|_| CoreShared {
                 queue: SpinLock::new(cfg.new_queue()),
                 in_flight: AtomicU32::new(NO_COLOR),
+                exited: Mutex::new(CoreMetrics::default()),
             })
             .collect();
         let cfg = Arc::new(cfg);
@@ -193,25 +197,23 @@ impl Shared {
             );
         }
         // A worker death (a panic outside the contained handler path) is
-        // folded into the report as a `WorkerDied` fault in the worker's
-        // own slot, so per-core attribution keeps its shape and `run`
-        // stays total.
+        // folded into the report as a `WorkerDied` fault beside what the
+        // worker counted until it died, so per-core attribution keeps
+        // its shape and `run` stays total.
         let mut per_core: Vec<CoreMetrics> = Vec::with_capacity(n);
         for (core, j) in joins.into_iter().enumerate() {
-            per_core.push(match j.join() {
-                Ok(m) => m,
-                Err(_) => {
-                    let kind = FaultKind::WorkerDied { core };
-                    self.cfg.faults.record(Fault {
-                        color: None,
-                        handler: None,
-                        kind: kind.clone(),
-                    });
-                    let mut m = CoreMetrics::default();
-                    m.note_fault(None, kind.code(), 0);
-                    m
-                }
-            });
+            let died = j.join().is_err();
+            let mut m = std::mem::take(&mut *self.cores[core].exited.lock());
+            if died {
+                let kind = FaultKind::WorkerDied { core };
+                self.cfg.faults.record(Fault {
+                    color: None,
+                    handler: None,
+                    kind: kind.clone(),
+                });
+                m.note_fault(None, kind.code(), 0);
+            }
+            per_core.push(m);
         }
         // The queue's push and buffer-pool counters live in the (now
         // idle) queue itself; the doors counted the rest.
@@ -227,7 +229,7 @@ impl Shared {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
+fn worker_loop(shared: &Shared, me: usize) {
     let mut w = Worker {
         shared,
         me,
@@ -261,7 +263,6 @@ fn worker_loop(shared: &Shared, me: usize) -> CoreMetrics {
             std::hint::spin_loop();
         }
     }
-    w.m
 }
 
 fn drain_timers(shared: &Shared) {
@@ -323,6 +324,12 @@ impl Worker<'_> {
             q.push(ev);
         }
         door.publish(q.len());
+    }
+}
+
+impl Drop for Worker<'_> {
+    fn drop(&mut self) {
+        *self.shared.cores[self.me].exited.lock() = self.m;
     }
 }
 
@@ -860,6 +867,25 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || tx.send(rt.run().events_processed()));
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(1));
+    }
+
+    #[test]
+    fn a_worker_death_keeps_what_the_worker_counted() {
+        // As above, the foreign id kills the worker that dispatches it,
+        // here after the same worker ran an ordinary event of its color.
+        let foreign = HandlerRegistry::new().register(HandlerSpec::new("elsewhere"));
+        let mut rt = rt(Flavor::Mely, WsPolicy::off(), 2);
+        let color = Color::new(1);
+        rt.register(Event::new(color, 0));
+        rt.register(
+            Event::for_handler(color, foreign)
+                .with_cost(1)
+                .with_penalty(2),
+        );
+        let r = rt.run();
+        let m = r.per_core()[color.home_core(2)];
+        assert_eq!((m.events_processed, m.faults), (1, 1), "{m:?}");
+        assert_eq!(r.events_processed(), 1);
     }
 
     #[test]
